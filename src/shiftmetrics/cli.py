@@ -21,6 +21,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,37 +34,32 @@ from .cylinders import (
 )
 from .errors import HypothesisViolated, NoSolution, ShiftMetricsError
 from .estimators import (
-    COUNT_TOL,
+    DEFAULT_DEPTHS,
+    DEFAULT_LADDER,
     DEFAULT_R1,
-    MEASURE_TOL,
+    DEFAULT_TOLERANCES,
+    IDENTITIES,
+    MEASURE_KINDS,
+    NEUTRALIZED_KATOK,
     RelationReport,
     SlopeEstimate,
-    _cover_length_at_log_radius,
-    _cover_length_at_radius,
     _space_label,
     _split_depth,
     alpha_estimation_entropy,
     average_over_typical,
     box_dimension,
     brin_katok_local,
+    identity_names,
     katok_entropy,
     neutralized_brin_katok,
     neutralized_topological,
     pointwise_dimension,
-    relation_report,
     solve_relation_5_23,
     standard_bundle,
     topological_entropy_spanning,
     verify_identities,
 )
-from .measures import (
-    Measure,
-    entropy_oracle,
-    measure_from_json,
-    measure_to_json,
-    minimal_cover_log_count,
-    sample_typical,
-)
+from .measures import Measure, entropy_oracle, measure_from_json, measure_to_json
 from .metrics import (
     ONE_SIDED,
     TWO_SIDED,
@@ -74,13 +70,7 @@ from .metrics import (
     mather_n0,
     verify_hyperbolicity,
 )
-from .shiftspace import (
-    ShiftSpace,
-    count_words,
-    make_space,
-    sample_point,
-    top_entropy_oracle,
-)
+from .shiftspace import ShiftSpace, make_space, sample_point, top_entropy_oracle
 
 SCHEMA_VERSION = "1"
 CSV_COLUMNS = ("quantity", "n_or_r", "raw_count_or_mass(log)", "fitted", "residual")
@@ -98,17 +88,6 @@ QUANTITIES = (
     "solve-5-23",
 )
 
-#: default (t_min, t_max, t_step) per depth-regression quantity,
-#: (space variant, measure variant)
-_DEPTHS = {
-    "entropy": ((10, 60, 5), (20, 200, 12)),
-    "katok": ((300, 900, 60), (300, 900, 60)),
-    "brin-katok": ((20, 200, 12), (20, 200, 12)),
-    "neutralized": ((20, 120, 10), (20, 200, 12)),
-    "estimation": ((20, 120, 10), (20, 120, 10)),
-}
-
-
 @dataclass
 class RunConfig:
     """Fully resolved description of one batch run."""
@@ -124,8 +103,8 @@ class RunConfig:
     alpha: float | None = None
     delta: float = 0.25
     r1: float = DEFAULT_R1
-    j_min: int = 8
-    j_max: int = 40
+    j_min: int = DEFAULT_LADDER[0]
+    j_max: int = DEFAULT_LADDER[1]
     t_min: int | None = None
     t_max: int | None = None
     t_step: int | None = None
@@ -146,6 +125,9 @@ class RunConfig:
             )
         if self.format not in ("json", "csv"):
             raise HypothesisViolated(f"format must be json or csv, got {self.format!r}")
+        for name, value in [("", self.tol), *((f" {n}=", v) for n, v in self.tolerances.items())]:
+            if value is not None and not (math.isfinite(value) and value >= 0.0):
+                raise HypothesisViolated(f"--tol{name} must be a finite number >= 0, got {value}")
 
 
 def parse_space(spec: str) -> ShiftSpace:
@@ -210,11 +192,15 @@ def _count_relation(name: str, violations: int) -> RelationReport:
 def _estimate_dict(est: SlopeEstimate) -> dict:
     d = dataclasses.asdict(est)
     d["ladder"] = list(d["ladder"])
+    del d["points"], d["point_slopes"]
     return d
 
 
-def _depth_range(config: RunConfig, with_measure: bool) -> range:
-    lo, hi, step = _DEPTHS[config.quantity][1 if with_measure else 0]
+def _ladder(config: RunConfig, kind: str) -> range | RadiusLadder:
+    """The radius ladder of a dimension, else the window depths of an entropy."""
+    if kind not in DEFAULT_DEPTHS:
+        return RadiusLadder.geometric(config.j_min, config.j_max)
+    lo, hi, step = DEFAULT_DEPTHS[kind]
     lo = config.t_min if config.t_min is not None else lo
     hi = config.t_max if config.t_max is not None else hi
     step = config.t_step if config.t_step is not None else step
@@ -224,189 +210,205 @@ def _depth_range(config: RunConfig, with_measure: bool) -> range:
 
 
 def _auto_horizon(windows) -> int:
-    windows = list(windows)
     lo = min(w.lo for w in windows)
     hi = max(w.hi for w in windows)
     return max(-lo, hi) + 8
-
-
-def _headline_tol(config: RunConfig, default: float) -> float:
-    return config.tol if config.tol is not None else default
-
-
-def _measure_rows(
-    quantity: str,
-    estimator,
-    mu: Measure,
-    space: ShiftSpace,
-    horizon: int,
-    config: RunConfig,
-    mean_slope: float,
-) -> list[dict]:
-    rows = []
-    for i in range(config.n_points):
-        p = sample_typical(mu, horizon, config.seed + i, space)
-        rows.append(_row(quantity, i, estimator(p).slope, mean_slope))
-    return rows
 
 
 def _k_formula(params: MetricParams) -> str:
     return "1/ln b" if params.mode == ONE_SIDED else "1/ln a + 1/ln b"
 
 
+def _check_tolerances(config: RunConfig, names: list[str], headline: bool = False) -> None:
+    """Refuse a --tol that this run would not apply."""
+    if config.tol is not None and not headline:
+        takes = "only --tol NAME=FLOAT" if names else "no --tol"
+        raise HypothesisViolated(f"--tol {config.tol}: {config.quantity} takes {takes}")
+    for name in config.tolerances:
+        if name not in names:
+            known = "; it reports " + ", ".join(map(repr, names)) if names else ""
+            raise HypothesisViolated(
+                f"--tol NAME=FLOAT: {config.quantity} has no relation {name!r} to set{known}"
+            )
+
+
 # ---------------------------------------------------------------------------
-# per-quantity runners: each returns (estimate, target, relations, rows)
+# slope quantities: one table, one runner
 # ---------------------------------------------------------------------------
 
 
-def _run_dim(config, space, params, mu):
-    ladder = RadiusLadder.geometric(config.j_min, config.j_max)
-    k = params.k()
-    if mu is None:
-        est = box_dimension(space, params, ladder)
-        h = top_entropy_oracle(space)
-        name = "box-dimension = k * entropy"
-        target = {"name": name, "value": k * h, "formula": f"({_k_formula(params)}) * h_top"}
-        rows = []
-        for r in ladder:
-            x = math.log(1.0 / r)
-            y = math.log(count_words(space, _cover_length_at_radius(params, r)))
-            rows.append(_row("dim", r, y, est.slope * x + est.intercept))
-        rel = relation_report(name, est.slope, k * h, _headline_tol(config, COUNT_TOL))
-        return est, target, [rel], rows
-    h = entropy_oracle(mu).entropy
-    horizon = config.horizon or _auto_horizon(ball_window(r, params) for r in ladder)
-    estimator = lambda p: pointwise_dimension(mu, p, params, ladder)
-    est = average_over_typical(estimator, mu, horizon, config.n_points, config.seed, space)
-    name = "pointwise-dimension = k * measure-entropy"
-    target = {"name": name, "value": k * h, "formula": f"({_k_formula(params)}) * h_mu"}
-    rows = _measure_rows("dim", estimator, mu, space, horizon, config, est.slope)
-    rel = relation_report(name, est.slope, k * h, _headline_tol(config, MEASURE_TOL))
-    return est, target, [rel], rows
+@dataclass(frozen=True)
+class _Variant:
+    """A slope quantity on a space, or on a measure.
+
+    ``estimate(config, target, params, ladder, rate)`` returns the slope of a
+    space, or of a measure's minimal covers.  A variant with a ``window``
+    estimates at typical points instead: ``estimate`` then takes the point
+    as a sixth argument, and ``window(config, params, rate, step)`` gives the
+    window of each ladder step, from which the default horizon follows.
+    """
+
+    kind: str  # bundle kind: default depths and the identity checked
+    label: str  # quantity column of the rows
+    formula: str  # target formula; {k} is the formula of k
+    estimate: Callable
+    window: Callable | None = None
 
 
-def _run_entropy(config, space, params, mu):
-    if mu is not None:
-        return _run_brin_katok(config, space, params, mu)
-    depths = _depth_range(config, with_measure=False)
-    est = topological_entropy_spanning(space, params, config.r1, depths)
-    h = top_entropy_oracle(space)
-    name = "spanning-entropy = oracle entropy"
-    target = {"name": name, "value": h, "formula": "ln(spectral radius)"}
-    base = _cover_length_at_radius(params, config.r1)
-    rows = [
-        _row("entropy", t, math.log(count_words(space, base + t)), est.slope * t + est.intercept)
-        for t in depths
+class _Quantity(NamedTuple):
+    space: _Variant | None
+    measure: _Variant
+    rate: str | None = None  # RunConfig field holding the rate
+    default_rate: float = 0.0
+    rated_measure: _Variant | None = None  # the measure variant at a nonzero rate
+
+
+_BRIN_KATOK = _Variant(
+    "brin_katok",
+    "brin-katok",
+    "entropy rate of the measure",
+    lambda c, mu, p, depths, q, x: brin_katok_local(mu, x, p, c.r1, depths),
+    lambda c, p, q, t: bowen_window(*_split_depth(p, t), c.r1, p),
+)
+
+_SLOPES = {
+    "dim": _Quantity(
+        _Variant(
+            "box_dimension",
+            "dim",
+            "({k}) * h_top",
+            lambda c, space, p, ladder, q: box_dimension(space, p, ladder),
+        ),
+        _Variant(
+            "pointwise_dimension",
+            "dim",
+            "({k}) * h_mu",
+            lambda c, mu, p, ladder, q, x: pointwise_dimension(mu, x, p, ladder),
+            lambda c, p, q, r: ball_window(r, p),
+        ),
+    ),
+    "entropy": _Quantity(
+        _Variant(
+            "entropy",
+            "entropy",
+            "ln(spectral radius)",
+            lambda c, space, p, depths, q: topological_entropy_spanning(space, p, c.r1, depths),
+        ),
+        _BRIN_KATOK,
+    ),
+    "katok": _Quantity(
+        None,
+        _Variant(
+            "katok",
+            "katok",
+            "h_mu",
+            lambda c, mu, p, depths, q: katok_entropy(mu, p, c.delta, c.r1, depths),
+        ),
+        "r",
+        0.0,
+        _Variant(
+            "neutralized_katok",
+            "katok",
+            "(1 + r k) * h_mu",
+            lambda c, mu, p, depths, q: katok_entropy(mu, p, c.delta, c.r1, depths, r=q),
+        ),
+    ),
+    "brin-katok": _Quantity(None, _BRIN_KATOK),
+    "neutralized": _Quantity(
+        _Variant(
+            "neutralized_topological",
+            "neutralized",
+            "(1 + r k) * h_top",
+            lambda c, space, p, depths, q: neutralized_topological(space, p, q, depths, r1=c.r1),
+        ),
+        _Variant(
+            "neutralized_brin_katok",
+            "neutralized",
+            "(1 + r k) * h_mu",
+            lambda c, mu, p, depths, q, x: neutralized_brin_katok(mu, x, p, q, depths),
+            lambda c, p, q, t: neutralized_window(*_split_depth(p, t), q, p),
+        ),
+        "r",
+        0.05,
+    ),
+    "estimation": _Quantity(
+        _Variant(
+            "alpha_topological",
+            "estimation",
+            "k * h_top / k_alpha",
+            lambda c, space, p, depths, q: alpha_estimation_entropy(space, p, q, depths, r3=c.r1),
+        ),
+        _Variant(
+            "alpha_brin_katok",
+            "estimation",
+            "k * h_mu / k_alpha",
+            lambda c, mu, p, depths, q, x: alpha_estimation_entropy(
+                mu, p, q, depths, r3=c.r1, x=x
+            ),
+            lambda c, p, q, t: alpha_window(*_split_depth(p, t), q, c.r1, p),
+        ),
+        "alpha",
+        0.1,
+    ),
+}
+_IDENTITIES = {**IDENTITIES, "neutralized_katok": NEUTRALIZED_KATOK}
+
+
+def _slope_rows(label: str, est: SlopeEstimate) -> list[dict]:
+    """One row per averaged point, else one row per fitted ladder point."""
+    if est.point_slopes:
+        return [_row(label, i, s, est.slope) for i, s in enumerate(est.point_slopes)]
+    return [
+        _row(label, key, y, est.slope * x + est.intercept)
+        for key, (x, y) in zip(est.ladder, est.points)
     ]
-    rel = relation_report(name, est.slope, h, _headline_tol(config, COUNT_TOL))
-    return est, target, [rel], rows
 
 
-def _run_brin_katok(config, space, params, mu):
+def _run_slope(config, space, params, mu):
+    quantity = _SLOPES[config.quantity]
+    rate = getattr(config, quantity.rate) if quantity.rate else None
+    rate = quantity.default_rate if rate is None else rate
     if mu is None:
-        raise HypothesisViolated("brin-katok is a measure quantity: pass --measure PATH")
-    depths = _depth_range(config, with_measure=True)
-    windows = [bowen_window(*_split_depth(params, t), config.r1, params) for t in depths]
-    horizon = config.horizon or _auto_horizon(windows)
-    estimator = lambda p: brin_katok_local(mu, p, params, config.r1, depths)
-    est = average_over_typical(estimator, mu, horizon, config.n_points, config.seed, space)
-    h = entropy_oracle(mu).entropy
-    name = "brin-katok = measure-entropy"
-    target = {"name": name, "value": h, "formula": "entropy rate of the measure"}
-    rows = _measure_rows("brin-katok", estimator, mu, space, horizon, config, est.slope)
-    rel = relation_report(name, est.slope, h, _headline_tol(config, MEASURE_TOL))
-    return est, target, [rel], rows
-
-
-def _run_katok(config, space, params, mu):
-    if mu is None:
-        raise HypothesisViolated("katok is a measure quantity: pass --measure PATH")
-    r = config.r if config.r is not None else 0.0
-    depths = _depth_range(config, with_measure=True)
-    est = katok_entropy(mu, params, config.delta, config.r1, depths, r=r)
-    h = entropy_oracle(mu).entropy
-    k = params.k()
-    name = "katok = (1 + r k) * measure-entropy" if r else "katok = measure-entropy"
+        variant = quantity.space
+        if variant is None:
+            raise HypothesisViolated(
+                f"{config.quantity} is a measure quantity: pass --measure PATH"
+            )
+    else:
+        variant = quantity.rated_measure if rate and quantity.rated_measure else quantity.measure
+    identity = _IDENTITIES[variant.kind]
+    _check_tolerances(config, [identity.name], headline=True)
+    ladder = _ladder(config, variant.kind)
+    target = space if mu is None else mu
+    if variant.window is None:
+        est = variant.estimate(config, target, params, ladder, rate)
+    else:
+        windows = [variant.window(config, params, rate, step) for step in ladder]
+        horizon = config.horizon or _auto_horizon(windows)
+        est = average_over_typical(
+            lambda x: variant.estimate(config, mu, params, ladder, rate, x),
+            mu,
+            horizon,
+            config.n_points,
+            config.seed,
+            space,
+        )
+    h = entropy_oracle(mu).entropy if identity.measure else top_entropy_oracle(space)
+    rhs = identity.rhs_scale(params, rate) * h
     target = {
-        "name": name,
-        "value": (1.0 + r * k) * h,
-        "formula": "(1 + r k) * h_mu" if r else "h_mu",
+        "name": identity.name,
+        "value": rhs / identity.lhs_scale(params, rate),
+        "formula": variant.formula.format(k=_k_formula(params)),
     }
-    base = _cover_length_at_radius(params, config.r1)
-    rows = []
-    for t in depths:
-        length = base + t if r == 0.0 else _cover_length_at_log_radius(params, -t * r) + t
-        raw = minimal_cover_log_count(mu, length, config.delta)
-        rows.append(_row("katok", t, raw, est.slope * t + est.intercept))
-    rel = relation_report(name, est.slope, (1.0 + r * k) * h, _headline_tol(config, COUNT_TOL))
-    return est, target, [rel], rows
-
-
-def _run_neutralized(config, space, params, mu):
-    r = config.r if config.r is not None else 0.05
-    k = params.k()
-    if mu is None:
-        depths = _depth_range(config, with_measure=False)
-        est = neutralized_topological(space, params, r, depths, r1=config.r1)
-        h = top_entropy_oracle(space)
-        name = "neutralized-topological = (1 + r k) * entropy"
-        target = {"name": name, "value": (1.0 + r * k) * h, "formula": "(1 + r k) * h_top"}
-        rows = []
-        for t in depths:
-            length = _cover_length_at_log_radius(params, -t * r) + t
-            y = math.log(count_words(space, length))
-            rows.append(_row("neutralized", t, y, est.slope * t + est.intercept))
-        rel = relation_report(
-            name, est.slope, (1.0 + r * k) * h, _headline_tol(config, COUNT_TOL)
-        )
-        return est, target, [rel], rows
-    depths = _depth_range(config, with_measure=True)
-    windows = [neutralized_window(*_split_depth(params, t), r, params) for t in depths]
-    horizon = config.horizon or _auto_horizon(windows)
-    estimator = lambda p: neutralized_brin_katok(mu, p, params, r, depths)
-    est = average_over_typical(estimator, mu, horizon, config.n_points, config.seed, space)
-    h = entropy_oracle(mu).entropy
-    name = "neutralized-brin-katok = (1 + r k) * measure-entropy"
-    target = {"name": name, "value": (1.0 + r * k) * h, "formula": "(1 + r k) * h_mu"}
-    rows = _measure_rows("neutralized", estimator, mu, space, horizon, config, est.slope)
-    rel = relation_report(name, est.slope, (1.0 + r * k) * h, _headline_tol(config, MEASURE_TOL))
-    return est, target, [rel], rows
-
-
-def _run_estimation(config, space, params, mu):
-    alpha = config.alpha if config.alpha is not None else 0.1
-    k = params.k()
-    k_alpha = params.k_alpha(alpha)
-    if mu is None:
-        depths = _depth_range(config, with_measure=False)
-        est = alpha_estimation_entropy(space, params, alpha, depths, r3=config.r1)
-        h = top_entropy_oracle(space)
-        name = "alpha-entropy * k_alpha = k * entropy"
-        target = {"name": name, "value": k * h / k_alpha, "formula": "k * h_top / k_alpha"}
-        rows = []
-        for t in depths:
-            n, m = _split_depth(params, t)
-            window = alpha_window(n, m, alpha, config.r1, params)
-            y = math.log(count_words(space, window.length))
-            rows.append(_row("estimation", t, y, est.slope * t + est.intercept))
-        rel = relation_report(
-            name, est.slope * k_alpha, k * h, _headline_tol(config, COUNT_TOL)
-        )
-        return est, target, [rel], rows
-    depths = _depth_range(config, with_measure=True)
-    windows = [alpha_window(*_split_depth(params, t), alpha, config.r1, params) for t in depths]
-    horizon = config.horizon or _auto_horizon(windows)
-    estimator = lambda p: alpha_estimation_entropy(mu, params, alpha, depths, r3=config.r1, x=p)
-    est = average_over_typical(estimator, mu, horizon, config.n_points, config.seed, space)
-    h = entropy_oracle(mu).entropy
-    name = "alpha-brin-katok * k_alpha = k * measure-entropy"
-    target = {"name": name, "value": k * h / k_alpha, "formula": "k * h_mu / k_alpha"}
-    rows = _measure_rows("estimation", estimator, mu, space, horizon, config, est.slope)
-    rel = relation_report(name, est.slope * k_alpha, k * h, _headline_tol(config, MEASURE_TOL))
-    return est, target, [rel], rows
+    tol = config.tolerances.get(identity.name, config.tol)
+    tol = DEFAULT_TOLERANCES[identity.name] if tol is None else tol
+    rel = identity.check(est.slope, params, rate, h, tol)
+    return est, target, [rel], _slope_rows(variant.label, est)
 
 
 def _run_relations(config, space, params, mu):
+    kinds = set(IDENTITIES) | MEASURE_KINDS if mu is not None else set(IDENTITIES) - MEASURE_KINDS
+    _check_tolerances(config, identity_names(kinds))
     r = config.r if config.r is not None else 0.05
     alpha = config.alpha if config.alpha is not None else 0.1
     bundle = standard_bundle(
@@ -436,6 +438,7 @@ def _run_relations(config, space, params, mu):
 
 
 def _run_solve(config, space, params, mu):
+    _check_tolerances(config, [])
     if (config.r is None) == (config.alpha is None):
         raise HypothesisViolated("solve-5-23 needs exactly one of --r or --alpha")
     given = {"r": config.r} if config.r is not None else {"alpha": config.alpha}
@@ -453,6 +456,7 @@ def _run_solve(config, space, params, mu):
 
 
 def _run_metric_verify(config, space, params, mu):
+    _check_tolerances(config, [])
     mp = mather_n0(params, config.gamma)
     horizon = config.horizon or 4 * mp.n0 + 48
     pairs = [
@@ -512,6 +516,7 @@ def _synthetic_quasi_sample(n: int, rng: np.random.Generator) -> FiniteSample:
 
 
 def _run_frink(config, space, params, mu):
+    _check_tolerances(config, [])
     worst_direct = -math.inf  # max over samples of max(D - rho)
     worst_sandwich = -math.inf  # max over samples of max(rho - 4 D)
     failures = 0
@@ -572,12 +577,7 @@ def _run_frink(config, space, params, mu):
 
 
 _RUNNERS = {
-    "dim": _run_dim,
-    "entropy": _run_entropy,
-    "katok": _run_katok,
-    "brin-katok": _run_brin_katok,
-    "neutralized": _run_neutralized,
-    "estimation": _run_estimation,
+    **{quantity: _run_slope for quantity in _SLOPES},
     "metric-verify": _run_metric_verify,
     "frink": _run_frink,
     "relations": _run_relations,
@@ -711,8 +711,8 @@ def build_parser() -> argparse.ArgumentParser:
     depth.add_argument("--r1", type=float, default=DEFAULT_R1, help="reference radius")
 
     sp = sub.add_parser("dim", parents=[common], help="box / pointwise dimension")
-    sp.add_argument("--j-min", type=int, default=8, help="ladder starts at 2^-j_min")
-    sp.add_argument("--j-max", type=int, default=40, help="ladder ends at 2^-j_max")
+    sp.add_argument("--j-min", type=int, default=DEFAULT_LADDER[0], help="ladder starts at 2^-j_min")
+    sp.add_argument("--j-max", type=int, default=DEFAULT_LADDER[1], help="ladder ends at 2^-j_max")
     sub.add_parser("entropy", parents=[common, depth], help="spanning / local entropy")
     sp = sub.add_parser("katok", parents=[common, depth], help="minimal-cover entropy")
     sp.add_argument("--delta", type=float, default=0.25, help="mass defect in (0, 1)")

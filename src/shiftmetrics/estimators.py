@@ -16,8 +16,6 @@ closed-form products of entropies and scale constants.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -67,6 +65,22 @@ EXACT_TOL = 1e-9
 COUNT_TOL = 0.02
 #: Relative tolerance for measure (Monte-Carlo) regressions.
 MEASURE_TOL = 0.05
+#: Default radius ladder 2^-j_min .. 2^-j_max of the dimension estimators.
+DEFAULT_LADDER = (8, 40)
+#: Default window depths (t_min, t_max, t_step) per bundle kind, calibrated
+#: so each identity meets its default tolerance: up to 60 for exact counts,
+#: up to 200 for local masses, and 300..900 for covering counts, where the
+#: slow sqrt-scale correction to the cover growth needs long windows.
+DEFAULT_DEPTHS = {
+    "entropy": (10, 60, 5),
+    "neutralized_topological": (20, 120, 10),
+    "alpha_topological": (20, 120, 10),
+    "brin_katok": (20, 200, 12),
+    "katok": (300, 900, 60),
+    "neutralized_brin_katok": (20, 200, 12),
+    "neutralized_katok": (300, 900, 60),
+    "alpha_brin_katok": (20, 120, 10),
+}
 
 
 @dataclass(frozen=True)
@@ -76,7 +90,9 @@ class SlopeEstimate:
     ``spread`` is the |first-half slope - second-half slope| of the ladder;
     ``flagged`` marks a spread above ``SPREAD_TOL`` relative to the slope.
     ``saturated`` records that at least one requested window did not fit the
-    available horizon and was dropped.
+    available horizon and was dropped.  ``points`` holds the (x, y) pairs
+    the fit used; ``point_slopes`` holds the per-point slopes an average
+    over typical points reduced, in sampling order.
     """
 
     slope: float
@@ -86,6 +102,8 @@ class SlopeEstimate:
     saturated: bool
     spread: float = 0.0
     flagged: bool = False
+    points: tuple = ()
+    point_slopes: tuple = ()
 
     def __post_init__(self):
         if not self.residual_rms >= 0.0:
@@ -153,7 +171,8 @@ def _fit_slope(
             parts.append(float(ch[0]))
         spread = abs(parts[1] - parts[0])
     flagged = spread > spread_tol * max(abs(slope), 1e-12)
-    return SlopeEstimate(slope, intercept, rms, ladder, saturated, spread, flagged)
+    points = tuple(zip(xs, ys))
+    return SlopeEstimate(slope, intercept, rms, ladder, saturated, spread, flagged, points)
 
 
 def _ladder_key(ladder) -> tuple:
@@ -181,6 +200,12 @@ def _split_depth(params: MetricParams, total: int) -> tuple[int, int]:
         return 0, total
     n = total // 2
     return n, total - n
+
+
+def default_depths(kind: str) -> range:
+    """The default window depths of a bundle kind, from ``DEFAULT_DEPTHS``."""
+    lo, hi, step = DEFAULT_DEPTHS[kind]
+    return range(lo, hi + 1, step)
 
 
 def _depth_values(nm_range: Iterable[int]) -> tuple[int, ...]:
@@ -415,16 +440,6 @@ def alpha_estimation_entropy(
     )
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("EXP_METRICS_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def average_over_typical(
     estimator: Callable[[Point], SlopeEstimate],
     mu: Measure,
@@ -435,21 +450,17 @@ def average_over_typical(
 ) -> SlopeEstimate:
     """Average a per-point estimate over seeded typical points.
 
-    Points are sampled with seeds ``seed + index``; per-point estimates are
-    computed independently (parallel when EXP_METRICS_THREADS > 1) and
-    reduced in index order, so the result is deterministic.  The reported
-    spread is the max-minus-min of the per-point slopes; the flag fires when
-    that spread exceeds the usual tolerance relative to the mean.
+    Points are sampled with seeds ``seed + index`` and reduced in index
+    order, so the result is deterministic; the per-point slopes are kept in
+    ``point_slopes``.  The reported spread is the max-minus-min of the
+    per-point slopes; the flag fires when that spread exceeds the usual
+    tolerance relative to the mean.
     """
     if n_points < 1:
         raise HypothesisViolated(f"n_points must be >= 1, got {n_points}")
-    points = [sample_typical(mu, horizon, seed + i, space) for i in range(n_points)]
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            estimates = list(pool.map(estimator, points))
-    else:
-        estimates = [estimator(p) for p in points]
+    estimates = [
+        estimator(sample_typical(mu, horizon, seed + i, space)) for i in range(n_points)
+    ]
     slopes = np.array([e.slope for e in estimates])
     spread = float(slopes.max() - slopes.min()) if n_points > 1 else 0.0
     mean_slope = float(slopes.mean())
@@ -461,6 +472,7 @@ def average_over_typical(
         saturated=any(e.saturated for e in estimates),
         spread=spread,
         flagged=spread > SPREAD_TOL * max(abs(mean_slope), 1e-12),
+        point_slopes=tuple(e.slope for e in estimates),
     )
 
 
@@ -486,7 +498,7 @@ def one_sided_suite(
     require_alpha_regime(alpha, params)
     depths = _depth_values(n_range)
     if ladder is None:
-        ladder = RadiusLadder.geometric(8, 40)
+        ladder = RadiusLadder.geometric(*DEFAULT_LADDER)
     if isinstance(target, ShiftSpace):
         return {
             "box_dimension": box_dimension(target, params, ladder),
@@ -598,6 +610,7 @@ DEFAULT_TOLERANCES = {
     "pointwise-dimension = k * measure-entropy": MEASURE_TOL,
     "brin-katok = measure-entropy": MEASURE_TOL,
     "katok = measure-entropy": COUNT_TOL,
+    "katok = (1 + r k) * measure-entropy": COUNT_TOL,
     "neutralized-topological = (1 + r k) * entropy": COUNT_TOL,
     "neutralized-brin-katok = (1 + r k) * measure-entropy": MEASURE_TOL,
     "alpha-entropy * k_alpha = k * entropy": COUNT_TOL,
@@ -608,6 +621,98 @@ DEFAULT_TOLERANCES = {
     "chain: neutralized katok <= neutralized topological": COUNT_TOL,
     "chain: neutralized brin-katok <= neutralized katok": COUNT_TOL,
 }
+
+
+@dataclass(frozen=True)
+class Identity:
+    """``slope * lhs_scale(params, rate) = rhs_scale(params, rate) * h``, with h
+    the measure entropy when ``measure`` is set, else the topological one."""
+
+    name: str
+    measure: bool
+    lhs_scale: Callable[[MetricParams, float], float]
+    rhs_scale: Callable[[MetricParams, float], float]
+
+    def check(
+        self, slope: float, params: MetricParams, rate: float, h: float, tolerance: float
+    ) -> RelationReport:
+        lhs = slope * self.lhs_scale(params, rate)
+        return relation_report(self.name, lhs, self.rhs_scale(params, rate) * h, tolerance)
+
+
+def _one(params: MetricParams, rate: float) -> float:
+    return 1.0
+
+
+def _k(params: MetricParams, rate: float) -> float:
+    return params.k()
+
+
+def _shrunk_k(params: MetricParams, rate: float) -> float:
+    return 1.0 + rate * params.k()
+
+
+def _k_alpha(params: MetricParams, rate: float) -> float:
+    return params.k_alpha(rate)
+
+
+#: The identity each bundle kind's slope satisfies, in report order.
+IDENTITIES = {
+    "box_dimension": Identity("box-dimension = k * entropy", False, _one, _k),
+    "entropy": Identity("spanning-entropy = oracle entropy", False, _one, _one),
+    "pointwise_dimension": Identity("pointwise-dimension = k * measure-entropy", True, _one, _k),
+    "brin_katok": Identity("brin-katok = measure-entropy", True, _one, _one),
+    "katok": Identity("katok = measure-entropy", True, _one, _one),
+    "neutralized_topological": Identity(
+        "neutralized-topological = (1 + r k) * entropy", False, _one, _shrunk_k
+    ),
+    "neutralized_brin_katok": Identity(
+        "neutralized-brin-katok = (1 + r k) * measure-entropy", True, _one, _shrunk_k
+    ),
+    "alpha_topological": Identity("alpha-entropy * k_alpha = k * entropy", False, _k_alpha, _k),
+    "alpha_brin_katok": Identity(
+        "alpha-brin-katok * k_alpha = k * measure-entropy", True, _k_alpha, _k
+    ),
+}
+#: The identity of a shrinking-radius Katok slope.  A bundle checks that
+#: slope only through its ordering chains, so it is not in ``IDENTITIES``.
+NEUTRALIZED_KATOK = Identity("katok = (1 + r k) * measure-entropy", True, _one, _shrunk_k)
+#: Ordering chains (name, smaller kind, larger kind), checked when both are bundled.
+CHAINS = (
+    ("pointwise-dimension <= box-dimension", "pointwise_dimension", "box_dimension"),
+    ("chain: katok <= topological", "katok", "entropy"),
+    ("chain: brin-katok <= katok", "brin_katok", "katok"),
+    (
+        "chain: neutralized katok <= neutralized topological",
+        "neutralized_katok",
+        "neutralized_topological",
+    ),
+    (
+        "chain: neutralized brin-katok <= neutralized katok",
+        "neutralized_brin_katok",
+        "neutralized_katok",
+    ),
+)
+#: Bundle kinds estimated from a measure; ``standard_bundle`` estimates every
+#: kind, these only when given a measure.
+MEASURE_KINDS = frozenset(
+    {
+        "pointwise_dimension",
+        "brin_katok",
+        "katok",
+        "neutralized_brin_katok",
+        "neutralized_katok",
+        "alpha_brin_katok",
+    }
+)
+
+
+def identity_names(kinds: Iterable[str]) -> list[str]:
+    """Names of the relations ``verify_identities`` reports on a bundle of these kinds."""
+    kinds = set(kinds)
+    return [identity.name for kind, identity in IDENTITIES.items() if kind in kinds] + [
+        name for name, small, large in CHAINS if {small, large} <= kinds
+    ]
 
 
 def verify_identities(
@@ -638,95 +743,26 @@ def verify_identities(
         if entry.kind in by_kind:
             raise IncompatibleInputs(f"duplicate bundle entry of kind {entry.kind!r}")
         by_kind[entry.kind] = entry
-    measure_kinds = {
-        "pointwise_dimension",
-        "brin_katok",
-        "katok",
-        "neutralized_brin_katok",
-        "neutralized_katok",
-        "alpha_brin_katok",
-    }
-    if h_mu is None and measure_kinds & set(by_kind):
+    if h_mu is None and MEASURE_KINDS & set(by_kind):
         raise IncompatibleInputs("measure estimates present but no measure entropy oracle")
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         tol.update(tolerances)
-    k = params.k()
-    reports: list[RelationReport] = []
-
-    def slope(kind: str) -> float:
-        return by_kind[kind].estimate.slope
-
-    def add(name: str, lhs: float, rhs: float, ordered: bool = False) -> None:
-        reports.append(relation_report(name, lhs, rhs, tol[name], ordered=ordered))
-
-    if "box_dimension" in by_kind:
-        add("box-dimension = k * entropy", slope("box_dimension"), k * h_top)
-    if "entropy" in by_kind:
-        add("spanning-entropy = oracle entropy", slope("entropy"), h_top)
-    if "pointwise_dimension" in by_kind:
-        add(
-            "pointwise-dimension = k * measure-entropy",
-            slope("pointwise_dimension"),
-            k * h_mu,
+    reports = [
+        identity.check(
+            by_kind[kind].estimate.slope,
+            params,
+            by_kind[kind].rate,
+            h_mu if identity.measure else h_top,
+            tol[identity.name],
         )
-    if "brin_katok" in by_kind:
-        add("brin-katok = measure-entropy", slope("brin_katok"), h_mu)
-    if "katok" in by_kind:
-        add("katok = measure-entropy", slope("katok"), h_mu)
-    if "neutralized_topological" in by_kind:
-        entry = by_kind["neutralized_topological"]
-        add(
-            "neutralized-topological = (1 + r k) * entropy",
-            entry.estimate.slope,
-            (1.0 + entry.rate * k) * h_top,
-        )
-    if "neutralized_brin_katok" in by_kind:
-        entry = by_kind["neutralized_brin_katok"]
-        add(
-            "neutralized-brin-katok = (1 + r k) * measure-entropy",
-            entry.estimate.slope,
-            (1.0 + entry.rate * k) * h_mu,
-        )
-    if "alpha_topological" in by_kind:
-        entry = by_kind["alpha_topological"]
-        add(
-            "alpha-entropy * k_alpha = k * entropy",
-            entry.estimate.slope * params.k_alpha(entry.rate),
-            k * h_top,
-        )
-    if "alpha_brin_katok" in by_kind:
-        entry = by_kind["alpha_brin_katok"]
-        add(
-            "alpha-brin-katok * k_alpha = k * measure-entropy",
-            entry.estimate.slope * params.k_alpha(entry.rate),
-            k * h_mu,
-        )
-    if {"pointwise_dimension", "box_dimension"} <= set(by_kind):
-        add(
-            "pointwise-dimension <= box-dimension",
-            slope("pointwise_dimension"),
-            slope("box_dimension"),
-            ordered=True,
-        )
-    if {"katok", "entropy"} <= set(by_kind):
-        add("chain: katok <= topological", slope("katok"), slope("entropy"), ordered=True)
-    if {"brin_katok", "katok"} <= set(by_kind):
-        add("chain: brin-katok <= katok", slope("brin_katok"), slope("katok"), ordered=True)
-    if {"neutralized_katok", "neutralized_topological"} <= set(by_kind):
-        add(
-            "chain: neutralized katok <= neutralized topological",
-            slope("neutralized_katok"),
-            slope("neutralized_topological"),
-            ordered=True,
-        )
-    if {"neutralized_brin_katok", "neutralized_katok"} <= set(by_kind):
-        add(
-            "chain: neutralized brin-katok <= neutralized katok",
-            slope("neutralized_brin_katok"),
-            slope("neutralized_katok"),
-            ordered=True,
-        )
+        for kind, identity in IDENTITIES.items()
+        if kind in by_kind
+    ]
+    for name, small, large in CHAINS:
+        if small in by_kind and large in by_kind:
+            lhs, rhs = by_kind[small].estimate.slope, by_kind[large].estimate.slope
+            reports.append(relation_report(name, lhs, rhs, tol[name], ordered=True))
     return reports
 
 
@@ -742,33 +778,32 @@ def standard_bundle(
 ) -> list[BundleEntry]:
     """Run the default estimator suite and label every estimate.
 
-    The ranges are calibrated so each identity meets its default tolerance:
-    radii 2^-8..2^-40 for dimensions, depths up to 60 for exact counts, up
-    to 200 for local masses, and 300..900 for covering counts (where the
-    slow sqrt-scale correction to the cover growth needs long windows).
+    The ladders are ``DEFAULT_LADDER`` and ``DEFAULT_DEPTHS``.
     """
     label = _space_label(space)
     if mu is not None and not supported_on(mu, space):
         raise IncompatibleInputs("measure support is not admissible in the space")
-    ladder = RadiusLadder.geometric(8, 40)
+    ladder = RadiusLadder.geometric(*DEFAULT_LADDER)
     entries = [
         BundleEntry("box_dimension", box_dimension(space, params, ladder), params, label),
         BundleEntry(
             "entropy",
-            topological_entropy_spanning(space, params, DEFAULT_R1, range(10, 61, 5)),
+            topological_entropy_spanning(space, params, DEFAULT_R1, default_depths("entropy")),
             params,
             label,
         ),
         BundleEntry(
             "neutralized_topological",
-            neutralized_topological(space, params, r, range(20, 121, 10)),
+            neutralized_topological(space, params, r, default_depths("neutralized_topological")),
             params,
             label,
             rate=r,
         ),
         BundleEntry(
             "alpha_topological",
-            alpha_estimation_entropy(space, params, alpha, range(20, 121, 10)),
+            alpha_estimation_entropy(
+                space, params, alpha, default_depths("alpha_topological")
+            ),
             params,
             label,
             rate=alpha,
@@ -794,7 +829,9 @@ def standard_bundle(
         BundleEntry(
             "brin_katok",
             average_over_typical(
-                lambda p: brin_katok_local(mu, p, params, DEFAULT_R1, range(20, 201, 12)),
+                lambda p: brin_katok_local(
+                    mu, p, params, DEFAULT_R1, default_depths("brin_katok")
+                ),
                 mu,
                 horizon,
                 n_points,
@@ -806,14 +843,16 @@ def standard_bundle(
         ),
         BundleEntry(
             "katok",
-            katok_entropy(mu, params, delta, DEFAULT_R1, range(300, 901, 60)),
+            katok_entropy(mu, params, delta, DEFAULT_R1, default_depths("katok")),
             params,
             label,
         ),
         BundleEntry(
             "neutralized_brin_katok",
             average_over_typical(
-                lambda p: neutralized_brin_katok(mu, p, params, r, range(20, 201, 12)),
+                lambda p: neutralized_brin_katok(
+                    mu, p, params, r, default_depths("neutralized_brin_katok")
+                ),
                 mu,
                 horizon,
                 n_points,
@@ -826,7 +865,9 @@ def standard_bundle(
         ),
         BundleEntry(
             "neutralized_katok",
-            katok_entropy(mu, params, delta, DEFAULT_R1, range(300, 901, 60), r=r),
+            katok_entropy(
+                mu, params, delta, DEFAULT_R1, default_depths("neutralized_katok"), r=r
+            ),
             params,
             label,
             rate=r,
@@ -835,7 +876,7 @@ def standard_bundle(
             "alpha_brin_katok",
             average_over_typical(
                 lambda p: alpha_estimation_entropy(
-                    mu, params, alpha, range(20, 121, 10), x=p
+                    mu, params, alpha, default_depths("alpha_brin_katok"), x=p
                 ),
                 mu,
                 horizon,

@@ -324,7 +324,7 @@ def frink_metrize(
     D = sample.matrix.copy()
     n = len(sample)
     for k in range(n):
-        np.minimum(D, D[:, k][:, None] + D[None, k, :], D)
+        np.minimum(D, D[:, k][:, None] + D[None, k, :], out=D)
     # triangle inequality of the shortest-path matrix (exact up to roundoff)
     for k in range(n):
         if np.any(D > D[:, k][:, None] + D[None, k, :] + tol):
