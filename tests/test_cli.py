@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from shiftmetrics import RunConfig, emit_table, parse_space
-from shiftmetrics.cli import main
+from shiftmetrics import cli, estimators
+from shiftmetrics.cli import RunConfig, emit_table, main, parse_space
 from shiftmetrics.errors import HypothesisViolated
 
 GOLDEN_SFT = "2\n1 1\n1 0\n"
@@ -178,28 +178,6 @@ class TestDeterminism:
         b = out2.read_bytes().replace(str(out2).encode(), b"OUT")
         assert a == b
 
-    def test_threads_do_not_change_bytes(self, tmp_path, skewed_measure, monkeypatch):
-        args = [
-            "dim",
-            "--measure",
-            skewed_measure,
-            "--n-points",
-            "4",
-            "--j-max",
-            "20",
-            "--tol",
-            "0.5",
-            "--out",
-        ]
-        out1 = tmp_path / "serial.json"
-        out2 = tmp_path / "threaded.json"
-        monkeypatch.delenv("EXP_METRICS_THREADS", raising=False)
-        assert main(args + [str(out1)]) == 0
-        monkeypatch.setenv("EXP_METRICS_THREADS", "4")
-        assert main(args + [str(out2)]) == 0
-        a = out1.read_bytes().replace(str(out1).encode(), b"OUT")
-        b = out2.read_bytes().replace(str(out2).encode(), b"OUT")
-        assert a == b
 
 
 class TestExitCodes:
@@ -310,6 +288,14 @@ class TestQuantityVariants:
         h = (2.0 / 3.0) * math.log(2)
         assert report["target"]["value"] == pytest.approx((1 + 0.05 * k) * h)
 
+    def test_neutralized_zero_rate_on_space_is_the_entropy(self, tmp_path):
+        depths = ["--t-min", "20", "--t-max", "120", "--t-step", "10"]
+        code, report = run_json(tmp_path, ["neutralized", "--r", "0"] + depths)
+        assert code == 0
+        _, entropy = run_json(tmp_path, ["entropy"] + depths)
+        assert report["estimate"]["slope"] == entropy["estimate"]["slope"]
+        assert report["estimate"]["slope"] == pytest.approx(math.log(2), abs=1e-12)
+
     def test_entropy_with_measure_is_local(self, tmp_path, skewed_measure):
         code, report = run_json(
             tmp_path,
@@ -318,3 +304,117 @@ class TestQuantityVariants:
         assert code == 0
         assert report["relations"][0]["name"] == "brin-katok = measure-entropy"
         assert report["estimate"]["slope"] == pytest.approx(0.6108643020548935, rel=0.05)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("an estimator ran")
+
+
+class TestToleranceFlag:
+    @pytest.fixture(autouse=True)
+    def no_estimator(self, monkeypatch):
+        """A refused --tol must stop the run before any estimator starts."""
+        for module, name in (
+            (estimators, "count_words"),
+            (estimators, "sample_typical"),
+            (cli, "sample_point"),
+            (cli, "solve_relation_5_23"),
+        ):
+            monkeypatch.setattr(module, name, _refuse)
+
+    def refused(self, capsys, args):
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--tol" in captured.err
+        return captured.err
+
+    def test_infinite_tolerance(self, capsys):
+        self.refused(capsys, ["dim", "--tol", "inf"])
+
+    def test_nan_tolerance(self, capsys):
+        self.refused(capsys, ["dim", "--tol", "nan"])
+
+    def test_negative_tolerance(self, capsys):
+        self.refused(capsys, ["dim", "--tol", "-1"])
+
+    def test_non_finite_named_tolerance(self, capsys):
+        self.refused(capsys, ["relations", "--tol", "spanning-entropy = oracle entropy=nan"])
+
+    def test_unknown_name_on_dim(self, capsys):
+        err = self.refused(capsys, ["dim", "--tol", "spanning-entropy = oracle entropy=0.1"])
+        assert "box-dimension = k * entropy" in err
+
+    def test_unknown_name_on_relations(self, capsys):
+        self.refused(capsys, ["relations", "--tol", "no such relation=0.1"])
+
+    def test_measure_relation_named_on_space_only_relations(self, capsys):
+        self.refused(capsys, ["relations", "--tol", "katok = measure-entropy=0.1"])
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["relations"],
+            ["frink"],
+            ["metric-verify"],
+            ["solve-5-23", "--r", "0.05"],
+        ],
+    )
+    def test_scalar_tolerance_without_headline(self, capsys, args):
+        self.refused(capsys, args + ["--tol", "0.5"])
+
+    @pytest.mark.parametrize("args", [["frink"], ["metric-verify"], ["solve-5-23", "--r", "0.05"]])
+    def test_named_tolerance_without_settable_relations(self, capsys, args):
+        self.refused(capsys, args + ["--tol", "frink: D <= rho=0.1"])
+
+
+class TestHeadlineTolerance:
+    def test_named_override_of_the_headline_applies(self, tmp_path):
+        name = "box-dimension = k * entropy"
+        code, report = run_json(tmp_path, ["dim", "--j-max", "16", "--tol", f"{name}=1e-9"])
+        assert code == 1
+        assert report["relations"][0]["name"] == name
+        assert report["relations"][0]["tolerance"] == 1e-9
+
+    def test_katok_rate_tolerance_comes_from_the_defaults(self, tmp_path, markov_measure):
+        code, report = run_json(
+            tmp_path,
+            ["katok", "--measure", markov_measure, "--r", "0.05", "--t-min", "300",
+             "--t-max", "420", "--t-step", "60"],
+        )
+        name = "katok = (1 + r k) * measure-entropy"
+        assert report["relations"][0]["name"] == name
+        assert report["relations"][0]["tolerance"] == estimators.DEFAULT_TOLERANCES[name]
+
+
+class TestOneComputation:
+    """The rows are formatted from the estimate, not computed a second time."""
+
+    def counted(self, monkeypatch, name, module):
+        calls = []
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for site in (estimators, cli):
+            monkeypatch.setattr(site, name, counting, raising=False)
+        return calls
+
+    def test_brin_katok_samples_each_point_once(self, tmp_path, skewed_measure, monkeypatch):
+        calls = self.counted(monkeypatch, "sample_typical", estimators)
+        code, report = run_json(
+            tmp_path, ["brin-katok", "--measure", skewed_measure, "--n-points", "3", "--t-max", "80"]
+        )
+        assert code == 0
+        assert len(report["rows"]) == 3
+        assert len(calls) == 3
+
+    def test_dim_counts_each_ladder_radius_once(self, tmp_path, monkeypatch):
+        calls = self.counted(monkeypatch, "count_words", estimators)
+        code, report = run_json(tmp_path, ["dim", "--j-min", "8", "--j-max", "12"])
+        assert code == 0
+        assert len(report["rows"]) == 5
+        assert len(calls) == 5

@@ -283,23 +283,14 @@ class TestAlphaEstimation:
 
 
 class TestAveraging:
-    def test_thread_count_does_not_change_result(self, monkeypatch):
-        def run():
-            return average_over_typical(
-                lambda p: pointwise_dimension(SKEWED, p, PARAMS, LADDER),
-                SKEWED,
-                horizon=110,
-                n_points=10,
-                seed=0,
-            )
+    def test_point_slopes_are_the_direct_estimates(self):
+        def estimator(p):
+            return pointwise_dimension(SKEWED, p, PARAMS, LADDER)
 
-        monkeypatch.delenv("EXP_METRICS_THREADS", raising=False)
-        serial = run()
-        monkeypatch.setenv("EXP_METRICS_THREADS", "3")
-        threaded = run()
-        monkeypatch.setenv("EXP_METRICS_THREADS", "not a number")
-        fallback = run()
-        assert serial == threaded == fallback
+        est = average_over_typical(estimator, SKEWED, horizon=110, n_points=10, seed=3)
+        direct = [estimator(sample_typical(SKEWED, 110, 3 + i, None)).slope for i in range(10)]
+        assert est.point_slopes == tuple(direct)
+        assert est.slope == float(np.mean(direct))
 
     def test_seed_determinism(self):
         def run(seed):
