@@ -21,42 +21,25 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .cylinders import (
-    RadiusLadder,
-    alpha_window,
-    ball_window,
-    bowen_window,
-    neutralized_window,
-)
 from .errors import HypothesisViolated, NoSolution, ShiftMetricsError
 from .estimators import (
-    DEFAULT_DEPTHS,
     DEFAULT_LADDER,
     DEFAULT_R1,
     DEFAULT_TOLERANCES,
-    IDENTITIES,
+    KINDS,
     MEASURE_KINDS,
-    NEUTRALIZED_KATOK,
     RelationReport,
     SlopeEstimate,
     _space_label,
-    _split_depth,
-    alpha_estimation_entropy,
-    average_over_typical,
-    box_dimension,
-    brin_katok_local,
+    estimate_kind,
     identity_names,
-    katok_entropy,
-    neutralized_brin_katok,
-    neutralized_topological,
-    pointwise_dimension,
+    kind_ladder,
     solve_relation_5_23,
     standard_bundle,
-    topological_entropy_spanning,
     verify_identities,
 )
 from .measures import Measure, entropy_oracle, measure_from_json, measure_to_json
@@ -125,9 +108,10 @@ class RunConfig:
             )
         if self.format not in ("json", "csv"):
             raise HypothesisViolated(f"format must be json or csv, got {self.format!r}")
-        for name, value in [("", self.tol), *((f" {n}=", v) for n, v in self.tolerances.items())]:
+        tols = [("--tol", self.tol)] + [(f"--tol {n}=", v) for n, v in self.tolerances.items()]
+        for flag, value in tols:
             if value is not None and not (math.isfinite(value) and value >= 0.0):
-                raise HypothesisViolated(f"--tol{name} must be a finite number >= 0, got {value}")
+                raise HypothesisViolated(f"{flag} needs a finite number >= 0, got {value}")
 
 
 def parse_space(spec: str) -> ShiftSpace:
@@ -196,25 +180,6 @@ def _estimate_dict(est: SlopeEstimate) -> dict:
     return d
 
 
-def _ladder(config: RunConfig, kind: str) -> range | RadiusLadder:
-    """The radius ladder of a dimension, else the window depths of an entropy."""
-    if kind not in DEFAULT_DEPTHS:
-        return RadiusLadder.geometric(config.j_min, config.j_max)
-    lo, hi, step = DEFAULT_DEPTHS[kind]
-    lo = config.t_min if config.t_min is not None else lo
-    hi = config.t_max if config.t_max is not None else hi
-    step = config.t_step if config.t_step is not None else step
-    if step < 1:
-        raise HypothesisViolated(f"t-step must be >= 1, got {step}")
-    return range(lo, hi + 1, step)
-
-
-def _auto_horizon(windows) -> int:
-    lo = min(w.lo for w in windows)
-    hi = max(w.hi for w in windows)
-    return max(-lo, hi) + 8
-
-
 def _k_formula(params: MetricParams) -> str:
     return "1/ln b" if params.mode == ONE_SIDED else "1/ln a + 1/ln b"
 
@@ -237,121 +202,25 @@ def _check_tolerances(config: RunConfig, names: list[str], headline: bool = Fals
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Variant:
-    """A slope quantity on a space, or on a measure.
-
-    ``estimate(config, target, params, ladder, rate)`` returns the slope of a
-    space, or of a measure's minimal covers.  A variant with a ``window``
-    estimates at typical points instead: ``estimate`` then takes the point
-    as a sixth argument, and ``window(config, params, rate, step)`` gives the
-    window of each ladder step, from which the default horizon follows.
-    """
-
-    kind: str  # bundle kind: default depths and the identity checked
-    label: str  # quantity column of the rows
-    formula: str  # target formula; {k} is the formula of k
-    estimate: Callable
-    window: Callable | None = None
-
-
 class _Quantity(NamedTuple):
-    space: _Variant | None
-    measure: _Variant
-    rate: str | None = None  # RunConfig field holding the rate
+    space: str | None  # the bundle kind estimated on a space
+    measure: str  # the bundle kind estimated on a measure
+    rate: str | None = None  # the RunConfig field holding the rate
     default_rate: float = 0.0
-    rated_measure: _Variant | None = None  # the measure variant at a nonzero rate
+    rated_measure: str | None = None  # the measure kind at a nonzero rate
 
 
-_BRIN_KATOK = _Variant(
-    "brin_katok",
-    "brin-katok",
-    "entropy rate of the measure",
-    lambda c, mu, p, depths, q, x: brin_katok_local(mu, x, p, c.r1, depths),
-    lambda c, p, q, t: bowen_window(*_split_depth(p, t), c.r1, p),
-)
-
+#: Each slope quantity's kinds; ``estimators.KINDS`` holds their estimators,
+#: identities, target formulas and default depths, and ``DEFAULT_TOLERANCES``
+#: their tolerances.
 _SLOPES = {
-    "dim": _Quantity(
-        _Variant(
-            "box_dimension",
-            "dim",
-            "({k}) * h_top",
-            lambda c, space, p, ladder, q: box_dimension(space, p, ladder),
-        ),
-        _Variant(
-            "pointwise_dimension",
-            "dim",
-            "({k}) * h_mu",
-            lambda c, mu, p, ladder, q, x: pointwise_dimension(mu, x, p, ladder),
-            lambda c, p, q, r: ball_window(r, p),
-        ),
-    ),
-    "entropy": _Quantity(
-        _Variant(
-            "entropy",
-            "entropy",
-            "ln(spectral radius)",
-            lambda c, space, p, depths, q: topological_entropy_spanning(space, p, c.r1, depths),
-        ),
-        _BRIN_KATOK,
-    ),
-    "katok": _Quantity(
-        None,
-        _Variant(
-            "katok",
-            "katok",
-            "h_mu",
-            lambda c, mu, p, depths, q: katok_entropy(mu, p, c.delta, c.r1, depths),
-        ),
-        "r",
-        0.0,
-        _Variant(
-            "neutralized_katok",
-            "katok",
-            "(1 + r k) * h_mu",
-            lambda c, mu, p, depths, q: katok_entropy(mu, p, c.delta, c.r1, depths, r=q),
-        ),
-    ),
-    "brin-katok": _Quantity(None, _BRIN_KATOK),
-    "neutralized": _Quantity(
-        _Variant(
-            "neutralized_topological",
-            "neutralized",
-            "(1 + r k) * h_top",
-            lambda c, space, p, depths, q: neutralized_topological(space, p, q, depths, r1=c.r1),
-        ),
-        _Variant(
-            "neutralized_brin_katok",
-            "neutralized",
-            "(1 + r k) * h_mu",
-            lambda c, mu, p, depths, q, x: neutralized_brin_katok(mu, x, p, q, depths),
-            lambda c, p, q, t: neutralized_window(*_split_depth(p, t), q, p),
-        ),
-        "r",
-        0.05,
-    ),
-    "estimation": _Quantity(
-        _Variant(
-            "alpha_topological",
-            "estimation",
-            "k * h_top / k_alpha",
-            lambda c, space, p, depths, q: alpha_estimation_entropy(space, p, q, depths, r3=c.r1),
-        ),
-        _Variant(
-            "alpha_brin_katok",
-            "estimation",
-            "k * h_mu / k_alpha",
-            lambda c, mu, p, depths, q, x: alpha_estimation_entropy(
-                mu, p, q, depths, r3=c.r1, x=x
-            ),
-            lambda c, p, q, t: alpha_window(*_split_depth(p, t), q, c.r1, p),
-        ),
-        "alpha",
-        0.1,
-    ),
+    "dim": _Quantity("box_dimension", "pointwise_dimension"),
+    "entropy": _Quantity("entropy", "brin_katok"),
+    "katok": _Quantity(None, "katok", "r", 0.0, "neutralized_katok"),
+    "brin-katok": _Quantity(None, "brin_katok"),
+    "neutralized": _Quantity("neutralized_topological", "neutralized_brin_katok", "r", 0.05),
+    "estimation": _Quantity("alpha_topological", "alpha_brin_katok", "alpha", 0.1),
 }
-_IDENTITIES = {**IDENTITIES, "neutralized_katok": NEUTRALIZED_KATOK}
 
 
 def _slope_rows(label: str, est: SlopeEstimate) -> list[dict]:
@@ -369,45 +238,48 @@ def _run_slope(config, space, params, mu):
     rate = getattr(config, quantity.rate) if quantity.rate else None
     rate = quantity.default_rate if rate is None else rate
     if mu is None:
-        variant = quantity.space
-        if variant is None:
+        kind = quantity.space
+        if kind is None:
             raise HypothesisViolated(
                 f"{config.quantity} is a measure quantity: pass --measure PATH"
             )
     else:
-        variant = quantity.rated_measure if rate and quantity.rated_measure else quantity.measure
-    identity = _IDENTITIES[variant.kind]
+        kind = quantity.rated_measure if rate and quantity.rated_measure else quantity.measure
+    identity = KINDS[kind].identity
     _check_tolerances(config, [identity.name], headline=True)
-    ladder = _ladder(config, variant.kind)
-    target = space if mu is None else mu
-    if variant.window is None:
-        est = variant.estimate(config, target, params, ladder, rate)
-    else:
-        windows = [variant.window(config, params, rate, step) for step in ladder]
-        horizon = config.horizon or _auto_horizon(windows)
-        est = average_over_typical(
-            lambda x: variant.estimate(config, mu, params, ladder, rate, x),
-            mu,
-            horizon,
-            config.n_points,
-            config.seed,
-            space,
-        )
+    ladder = kind_ladder(
+        kind, config.j_min, config.j_max, config.t_min, config.t_max, config.t_step
+    )
+    est = estimate_kind(
+        kind,
+        space,
+        params,
+        mu,
+        ladder,
+        rate,
+        config.r1,
+        config.delta,
+        config.horizon,
+        config.n_points,
+        config.seed,
+    )
     h = entropy_oracle(mu).entropy if identity.measure else top_entropy_oracle(space)
     rhs = identity.rhs_scale(params, rate) * h
     target = {
         "name": identity.name,
         "value": rhs / identity.lhs_scale(params, rate),
-        "formula": variant.formula.format(k=_k_formula(params)),
+        "formula": identity.formula.format(k=_k_formula(params)),
     }
     tol = config.tolerances.get(identity.name, config.tol)
     tol = DEFAULT_TOLERANCES[identity.name] if tol is None else tol
     rel = identity.check(est.slope, params, rate, h, tol)
-    return est, target, [rel], _slope_rows(variant.label, est)
+    # entropy --measure is the local entropy, and its rows say so
+    label = "brin-katok" if kind == "brin_katok" else config.quantity
+    return est, target, [rel], _slope_rows(label, est)
 
 
 def _run_relations(config, space, params, mu):
-    kinds = set(IDENTITIES) | MEASURE_KINDS if mu is not None else set(IDENTITIES) - MEASURE_KINDS
+    kinds = set(KINDS) if mu is not None else set(KINDS) - MEASURE_KINDS
     _check_tolerances(config, identity_names(kinds))
     r = config.r if config.r is not None else 0.05
     alpha = config.alpha if config.alpha is not None else 0.1
@@ -711,8 +583,9 @@ def build_parser() -> argparse.ArgumentParser:
     depth.add_argument("--r1", type=float, default=DEFAULT_R1, help="reference radius")
 
     sp = sub.add_parser("dim", parents=[common], help="box / pointwise dimension")
-    sp.add_argument("--j-min", type=int, default=DEFAULT_LADDER[0], help="ladder starts at 2^-j_min")
-    sp.add_argument("--j-max", type=int, default=DEFAULT_LADDER[1], help="ladder ends at 2^-j_max")
+    j_min, j_max = DEFAULT_LADDER
+    sp.add_argument("--j-min", type=int, default=j_min, help="ladder starts at 2^-j_min")
+    sp.add_argument("--j-max", type=int, default=j_max, help="ladder ends at 2^-j_max")
     sub.add_parser("entropy", parents=[common, depth], help="spanning / local entropy")
     sp = sub.add_parser("katok", parents=[common, depth], help="minimal-cover entropy")
     sp.add_argument("--delta", type=float, default=0.25, help="mass defect in (0, 1)")

@@ -26,6 +26,7 @@ from .cylinders import (
     alpha_ball_to_cylinder,
     alpha_window,
     ball_to_cylinder,
+    ball_window,
     bowen_ball_to_cylinder,
     bowen_window,
     neutralized_ball_to_cylinder,
@@ -67,20 +68,6 @@ COUNT_TOL = 0.02
 MEASURE_TOL = 0.05
 #: Default radius ladder 2^-j_min .. 2^-j_max of the dimension estimators.
 DEFAULT_LADDER = (8, 40)
-#: Default window depths (t_min, t_max, t_step) per bundle kind, calibrated
-#: so each identity meets its default tolerance: up to 60 for exact counts,
-#: up to 200 for local masses, and 300..900 for covering counts, where the
-#: slow sqrt-scale correction to the cover growth needs long windows.
-DEFAULT_DEPTHS = {
-    "entropy": (10, 60, 5),
-    "neutralized_topological": (20, 120, 10),
-    "alpha_topological": (20, 120, 10),
-    "brin_katok": (20, 200, 12),
-    "katok": (300, 900, 60),
-    "neutralized_brin_katok": (20, 200, 12),
-    "neutralized_katok": (300, 900, 60),
-    "alpha_brin_katok": (20, 120, 10),
-}
 
 
 @dataclass(frozen=True)
@@ -200,12 +187,6 @@ def _split_depth(params: MetricParams, total: int) -> tuple[int, int]:
         return 0, total
     n = total // 2
     return n, total - n
-
-
-def default_depths(kind: str) -> range:
-    """The default window depths of a bundle kind, from ``DEFAULT_DEPTHS``."""
-    lo, hi, step = DEFAULT_DEPTHS[kind]
-    return range(lo, hi + 1, step)
 
 
 def _depth_values(nm_range: Iterable[int]) -> tuple[int, ...]:
@@ -500,38 +481,27 @@ def one_sided_suite(
     if ladder is None:
         ladder = RadiusLadder.geometric(*DEFAULT_LADDER)
     if isinstance(target, ShiftSpace):
-        return {
-            "box_dimension": box_dimension(target, params, ladder),
-            "entropy": topological_entropy_spanning(target, params, DEFAULT_R1, depths),
-            "alpha_entropy": alpha_estimation_entropy(
-                target, params, alpha, depths, r3=DEFAULT_R1
-            ),
-        }
-    horizon = max(depths) + _cover_length_at_radius(params, min(ladder.r_values)) + 8
+        space, mu, horizon = target, None, None
+        kinds = {"box_dimension": "box_dimension", "entropy": "entropy"}
+        kinds["alpha_entropy"] = "alpha_topological"
+    else:
+        space, mu = None, target
+        horizon = max(depths) + _cover_length_at_radius(params, min(ladder.r_values)) + 8
+        kinds = {"pointwise_dimension": "pointwise_dimension", "entropy": "brin_katok"}
+        kinds["alpha_entropy"] = "alpha_brin_katok"
     return {
-        "pointwise_dimension": average_over_typical(
-            lambda p: pointwise_dimension(target, p, params, ladder),
-            target,
-            horizon,
-            n_points,
-            seed,
-        ),
-        "entropy": average_over_typical(
-            lambda p: brin_katok_local(target, p, params, DEFAULT_R1, depths),
-            target,
-            horizon,
-            n_points,
-            seed,
-        ),
-        "alpha_entropy": average_over_typical(
-            lambda p: alpha_estimation_entropy(
-                target, params, alpha, depths, r3=DEFAULT_R1, x=p
-            ),
-            target,
-            horizon,
-            n_points,
-            seed,
-        ),
+        name: estimate_kind(
+            kind,
+            space,
+            params,
+            mu,
+            ladder if KINDS[kind].depths is None else depths,
+            alpha,
+            horizon=horizon,
+            n_points=n_points,
+            seed=seed,
+        )
+        for name, kind in kinds.items()
     }
 
 
@@ -626,12 +596,15 @@ DEFAULT_TOLERANCES = {
 @dataclass(frozen=True)
 class Identity:
     """``slope * lhs_scale(params, rate) = rhs_scale(params, rate) * h``, with h
-    the measure entropy when ``measure`` is set, else the topological one."""
+    the measure entropy when ``measure`` is set, else the topological one.
+    ``formula`` spells out the target ``rhs / lhs_scale``; ``{k}`` stands for
+    the formula of k."""
 
     name: str
     measure: bool
     lhs_scale: Callable[[MetricParams, float], float]
     rhs_scale: Callable[[MetricParams, float], float]
+    formula: str
 
     def check(
         self, slope: float, params: MetricParams, rate: float, h: float, tolerance: float
@@ -656,27 +629,134 @@ def _k_alpha(params: MetricParams, rate: float) -> float:
     return params.k_alpha(rate)
 
 
-#: The identity each bundle kind's slope satisfies, in report order.
-IDENTITIES = {
-    "box_dimension": Identity("box-dimension = k * entropy", False, _one, _k),
-    "entropy": Identity("spanning-entropy = oracle entropy", False, _one, _one),
-    "pointwise_dimension": Identity("pointwise-dimension = k * measure-entropy", True, _one, _k),
-    "brin_katok": Identity("brin-katok = measure-entropy", True, _one, _one),
-    "katok": Identity("katok = measure-entropy", True, _one, _one),
-    "neutralized_topological": Identity(
-        "neutralized-topological = (1 + r k) * entropy", False, _one, _shrunk_k
+@dataclass(frozen=True)
+class Kind:
+    """How one bundle kind is estimated, and the identity its slope satisfies.
+
+    ``estimate(target, params, ladder, rate, r1, delta)`` is the slope of a
+    space, or of a measure's minimal covers.  A kind with a ``window`` is
+    estimated at typical points: ``estimate`` takes the point as a seventh
+    argument, and ``window(params, step, rate, r1)`` is the cylinder window
+    of one ladder step, which bounds the horizon the points need.
+    """
+
+    identity: Identity
+    rate: str | None  # the rate the kind takes: "r", "alpha" or none
+    depths: tuple | None  # default (t_min, t_max, t_step); None: DEFAULT_LADDER
+    estimate: Callable
+    window: Callable | None = None
+
+
+def _katok(mu, params, depths, rate, r1, delta):
+    return katok_entropy(mu, params, delta, r1, depths, r=rate)
+
+
+#: Every bundle kind, in ``standard_bundle`` order.  The default depths are
+#: calibrated so each identity meets its default tolerance: up to 60 for
+#: exact counts, up to 200 for local masses, and 300..900 for covering
+#: counts, where the slow sqrt-scale correction to the cover growth needs
+#: long windows.
+KINDS = {
+    "box_dimension": Kind(
+        Identity("box-dimension = k * entropy", False, _one, _k, "({k}) * h_top"),
+        None,
+        None,
+        lambda space, p, ladder, *_: box_dimension(space, p, ladder),
     ),
-    "neutralized_brin_katok": Identity(
-        "neutralized-brin-katok = (1 + r k) * measure-entropy", True, _one, _shrunk_k
+    "entropy": Kind(
+        Identity("spanning-entropy = oracle entropy", False, _one, _one, "ln(spectral radius)"),
+        None,
+        (10, 60, 5),
+        lambda space, p, depths, q, r1, _: topological_entropy_spanning(space, p, r1, depths),
     ),
-    "alpha_topological": Identity("alpha-entropy * k_alpha = k * entropy", False, _k_alpha, _k),
-    "alpha_brin_katok": Identity(
-        "alpha-brin-katok * k_alpha = k * measure-entropy", True, _k_alpha, _k
+    "neutralized_topological": Kind(
+        Identity(
+            "neutralized-topological = (1 + r k) * entropy",
+            False,
+            _one,
+            _shrunk_k,
+            "(1 + r k) * h_top",
+        ),
+        "r",
+        (20, 120, 10),
+        lambda space, p, depths, q, r1, _: neutralized_topological(space, p, q, depths, r1=r1),
+    ),
+    "alpha_topological": Kind(
+        Identity(
+            "alpha-entropy * k_alpha = k * entropy", False, _k_alpha, _k, "k * h_top / k_alpha"
+        ),
+        "alpha",
+        (20, 120, 10),
+        lambda space, p, depths, q, r1, _: alpha_estimation_entropy(space, p, q, depths, r3=r1),
+    ),
+    "pointwise_dimension": Kind(
+        Identity("pointwise-dimension = k * measure-entropy", True, _one, _k, "({k}) * h_mu"),
+        None,
+        None,
+        lambda mu, p, ladder, q, r1, _, x: pointwise_dimension(mu, x, p, ladder),
+        lambda p, r, *_: ball_window(r, p),
+    ),
+    "brin_katok": Kind(
+        Identity("brin-katok = measure-entropy", True, _one, _one, "entropy rate of the measure"),
+        None,
+        (20, 200, 12),
+        lambda mu, p, depths, q, r1, _, x: brin_katok_local(mu, x, p, r1, depths),
+        lambda p, t, q, r1: bowen_window(*_split_depth(p, t), r1, p),
+    ),
+    "katok": Kind(
+        Identity("katok = measure-entropy", True, _one, _one, "h_mu"),
+        None,
+        (300, 900, 60),
+        _katok,
+    ),
+    "neutralized_brin_katok": Kind(
+        Identity(
+            "neutralized-brin-katok = (1 + r k) * measure-entropy",
+            True,
+            _one,
+            _shrunk_k,
+            "(1 + r k) * h_mu",
+        ),
+        "r",
+        (20, 200, 12),
+        lambda mu, p, depths, q, r1, _, x: neutralized_brin_katok(mu, x, p, q, depths),
+        lambda p, t, q, r1: neutralized_window(*_split_depth(p, t), q, p),
+    ),
+    "neutralized_katok": Kind(
+        Identity(
+            "katok = (1 + r k) * measure-entropy", True, _one, _shrunk_k, "(1 + r k) * h_mu"
+        ),
+        "r",
+        (300, 900, 60),
+        _katok,
+    ),
+    "alpha_brin_katok": Kind(
+        Identity(
+            "alpha-brin-katok * k_alpha = k * measure-entropy",
+            True,
+            _k_alpha,
+            _k,
+            "k * h_mu / k_alpha",
+        ),
+        "alpha",
+        (20, 120, 10),
+        lambda mu, p, depths, q, r1, _, x: alpha_estimation_entropy(mu, p, q, depths, r3=r1, x=x),
+        lambda p, t, q, r1: alpha_window(*_split_depth(p, t), q, r1, p),
     ),
 }
-#: The identity of a shrinking-radius Katok slope.  A bundle checks that
-#: slope only through its ordering chains, so it is not in ``IDENTITIES``.
-NEUTRALIZED_KATOK = Identity("katok = (1 + r k) * measure-entropy", True, _one, _shrunk_k)
+#: Kinds a bundle checks against their own identity, in report order; it
+#: checks the shrinking-radius Katok slope only through its chains.
+HEADLINE_KINDS = (
+    "box_dimension",
+    "entropy",
+    "pointwise_dimension",
+    "brin_katok",
+    "katok",
+    "neutralized_topological",
+    "neutralized_brin_katok",
+    "alpha_topological",
+    "alpha_brin_katok",
+)
 #: Ordering chains (name, smaller kind, larger kind), checked when both are bundled.
 CHAINS = (
     ("pointwise-dimension <= box-dimension", "pointwise_dimension", "box_dimension"),
@@ -693,24 +773,71 @@ CHAINS = (
         "neutralized_katok",
     ),
 )
-#: Bundle kinds estimated from a measure; ``standard_bundle`` estimates every
-#: kind, these only when given a measure.
-MEASURE_KINDS = frozenset(
-    {
-        "pointwise_dimension",
-        "brin_katok",
-        "katok",
-        "neutralized_brin_katok",
-        "neutralized_katok",
-        "alpha_brin_katok",
-    }
-)
+#: Kinds estimated from a measure rather than from the space.
+MEASURE_KINDS = frozenset(kind for kind, spec in KINDS.items() if spec.identity.measure)
+
+
+def kind_ladder(
+    kind: str,
+    j_min: int | None = None,
+    j_max: int | None = None,
+    t_min: int | None = None,
+    t_max: int | None = None,
+    t_step: int | None = None,
+) -> RadiusLadder | range:
+    """A kind's radius ladder (dimensions) or window depths (entropies):
+    the defaults, each bound overridable."""
+    depths = KINDS[kind].depths
+    if depths is None:
+        lo, hi = DEFAULT_LADDER
+        lo = lo if j_min is None else j_min
+        return RadiusLadder.geometric(lo, hi if j_max is None else j_max)
+    lo, hi, step = (d if v is None else v for d, v in zip(depths, (t_min, t_max, t_step)))
+    if step < 1:
+        raise HypothesisViolated(f"t-step must be >= 1, got {step}")
+    return range(lo, hi + 1, step)
+
+
+def estimate_kind(
+    kind: str,
+    space: ShiftSpace,
+    params: MetricParams,
+    mu: Measure | None,
+    ladder: RadiusLadder | range,
+    rate: float = 0.0,
+    r1: float = DEFAULT_R1,
+    delta: float = 0.25,
+    horizon: int | None = None,
+    n_points: int = 100,
+    seed: int = 0,
+) -> SlopeEstimate:
+    """Estimate one bundle kind's slope over ``ladder``.
+
+    Kinds estimated at typical points average over ``n_points`` points of
+    ``mu`` in ``space``, sampled to ``horizon``; without one, to the
+    smallest horizon that holds every window of the ladder, plus 8.
+    """
+    spec = KINDS[kind]
+    if spec.window is None:
+        target = mu if spec.identity.measure else space
+        return spec.estimate(target, params, ladder, rate, r1, delta)
+    if not horizon:
+        windows = [spec.window(params, step, rate, r1) for step in ladder]
+        horizon = max(-min(w.lo for w in windows), max(w.hi for w in windows)) + 8
+    return average_over_typical(
+        lambda x: spec.estimate(mu, params, ladder, rate, r1, delta, x),
+        mu,
+        horizon,
+        n_points,
+        seed,
+        space,
+    )
 
 
 def identity_names(kinds: Iterable[str]) -> list[str]:
     """Names of the relations ``verify_identities`` reports on a bundle of these kinds."""
     kinds = set(kinds)
-    return [identity.name for kind, identity in IDENTITIES.items() if kind in kinds] + [
+    return [KINDS[kind].identity.name for kind in HEADLINE_KINDS if kind in kinds] + [
         name for name, small, large in CHAINS if {small, large} <= kinds
     ]
 
@@ -748,17 +875,15 @@ def verify_identities(
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         tol.update(tolerances)
-    reports = [
-        identity.check(
-            by_kind[kind].estimate.slope,
-            params,
-            by_kind[kind].rate,
-            h_mu if identity.measure else h_top,
-            tol[identity.name],
-        )
-        for kind, identity in IDENTITIES.items()
-        if kind in by_kind
-    ]
+    reports = []
+    for kind in HEADLINE_KINDS:
+        if kind in by_kind:
+            identity = KINDS[kind].identity
+            h = h_mu if identity.measure else h_top
+            entry = by_kind[kind]
+            reports.append(
+                identity.check(entry.estimate.slope, params, entry.rate, h, tol[identity.name])
+            )
     for name, small, large in CHAINS:
         if small in by_kind and large in by_kind:
             lhs, rhs = by_kind[small].estimate.slope, by_kind[large].estimate.slope
@@ -776,117 +901,19 @@ def standard_bundle(
     seed: int = 0,
     n_points: int = 100,
 ) -> list[BundleEntry]:
-    """Run the default estimator suite and label every estimate.
-
-    The ladders are ``DEFAULT_LADDER`` and ``DEFAULT_DEPTHS``.
-    """
+    """Estimate every kind in ``KINDS`` at its default ladder and label it;
+    the measure kinds only when ``mu`` is given, at sampled horizon 160."""
     label = _space_label(space)
     if mu is not None and not supported_on(mu, space):
         raise IncompatibleInputs("measure support is not admissible in the space")
-    ladder = RadiusLadder.geometric(*DEFAULT_LADDER)
-    entries = [
-        BundleEntry("box_dimension", box_dimension(space, params, ladder), params, label),
-        BundleEntry(
-            "entropy",
-            topological_entropy_spanning(space, params, DEFAULT_R1, default_depths("entropy")),
-            params,
-            label,
-        ),
-        BundleEntry(
-            "neutralized_topological",
-            neutralized_topological(space, params, r, default_depths("neutralized_topological")),
-            params,
-            label,
-            rate=r,
-        ),
-        BundleEntry(
-            "alpha_topological",
-            alpha_estimation_entropy(
-                space, params, alpha, default_depths("alpha_topological")
-            ),
-            params,
-            label,
-            rate=alpha,
-        ),
-    ]
-    if mu is None:
-        return entries
-    horizon = 160
-    entries += [
-        BundleEntry(
-            "pointwise_dimension",
-            average_over_typical(
-                lambda p: pointwise_dimension(mu, p, params, ladder),
-                mu,
-                horizon,
-                n_points,
-                seed,
-                space,
-            ),
-            params,
-            label,
-        ),
-        BundleEntry(
-            "brin_katok",
-            average_over_typical(
-                lambda p: brin_katok_local(
-                    mu, p, params, DEFAULT_R1, default_depths("brin_katok")
-                ),
-                mu,
-                horizon,
-                n_points,
-                seed,
-                space,
-            ),
-            params,
-            label,
-        ),
-        BundleEntry(
-            "katok",
-            katok_entropy(mu, params, delta, DEFAULT_R1, default_depths("katok")),
-            params,
-            label,
-        ),
-        BundleEntry(
-            "neutralized_brin_katok",
-            average_over_typical(
-                lambda p: neutralized_brin_katok(
-                    mu, p, params, r, default_depths("neutralized_brin_katok")
-                ),
-                mu,
-                horizon,
-                n_points,
-                seed,
-                space,
-            ),
-            params,
-            label,
-            rate=r,
-        ),
-        BundleEntry(
-            "neutralized_katok",
-            katok_entropy(
-                mu, params, delta, DEFAULT_R1, default_depths("neutralized_katok"), r=r
-            ),
-            params,
-            label,
-            rate=r,
-        ),
-        BundleEntry(
-            "alpha_brin_katok",
-            average_over_typical(
-                lambda p: alpha_estimation_entropy(
-                    mu, params, alpha, default_depths("alpha_brin_katok"), x=p
-                ),
-                mu,
-                horizon,
-                n_points,
-                seed,
-                space,
-            ),
-            params,
-            label,
-            rate=alpha,
-        ),
-    ]
+    rates = {None: 0.0, "r": r, "alpha": alpha}
+    entries = []
+    for kind, spec in KINDS.items():
+        if mu is None and kind in MEASURE_KINDS:
+            continue
+        rate = rates[spec.rate]
+        est = estimate_kind(
+            kind, space, params, mu, kind_ladder(kind), rate, DEFAULT_R1, delta, 160, n_points, seed
+        )
+        entries.append(BundleEntry(kind, est, params, label, rate=rate))
     return entries

@@ -406,7 +406,8 @@ class TestOneComputation:
     def test_brin_katok_samples_each_point_once(self, tmp_path, skewed_measure, monkeypatch):
         calls = self.counted(monkeypatch, "sample_typical", estimators)
         code, report = run_json(
-            tmp_path, ["brin-katok", "--measure", skewed_measure, "--n-points", "3", "--t-max", "80"]
+            tmp_path,
+            ["brin-katok", "--measure", skewed_measure, "--n-points", "3", "--t-max", "80"],
         )
         assert code == 0
         assert len(report["rows"]) == 3
