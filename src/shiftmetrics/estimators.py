@@ -482,13 +482,19 @@ def one_sided_suite(
         ladder = RadiusLadder.geometric(*DEFAULT_LADDER)
     if isinstance(target, ShiftSpace):
         space, mu, horizon = target, None, None
-        kinds = {"box_dimension": "box_dimension", "entropy": "entropy"}
-        kinds["alpha_entropy"] = "alpha_topological"
+        kinds = {
+            "box_dimension": "box_dimension",
+            "entropy": "entropy",
+            "alpha_entropy": "alpha_topological",
+        }
     else:
         space, mu = None, target
         horizon = max(depths) + _cover_length_at_radius(params, min(ladder.r_values)) + 8
-        kinds = {"pointwise_dimension": "pointwise_dimension", "entropy": "brin_katok"}
-        kinds["alpha_entropy"] = "alpha_brin_katok"
+        kinds = {
+            "pointwise_dimension": "pointwise_dimension",
+            "entropy": "brin_katok",
+            "alpha_entropy": "alpha_brin_katok",
+        }
     return {
         name: estimate_kind(
             kind,
@@ -789,9 +795,8 @@ def kind_ladder(
     the defaults, each bound overridable."""
     depths = KINDS[kind].depths
     if depths is None:
-        lo, hi = DEFAULT_LADDER
-        lo = lo if j_min is None else j_min
-        return RadiusLadder.geometric(lo, hi if j_max is None else j_max)
+        lo, hi = (d if v is None else v for d, v in zip(DEFAULT_LADDER, (j_min, j_max)))
+        return RadiusLadder.geometric(lo, hi)
     lo, hi, step = (d if v is None else v for d, v in zip(depths, (t_min, t_max, t_step)))
     if step < 1:
         raise HypothesisViolated(f"t-step must be >= 1, got {step}")
@@ -814,8 +819,8 @@ def estimate_kind(
     """Estimate one bundle kind's slope over ``ladder``.
 
     Kinds estimated at typical points average over ``n_points`` points of
-    ``mu`` in ``space``, sampled to ``horizon``; without one, to the
-    smallest horizon that holds every window of the ladder, plus 8.
+    ``mu`` in ``space``, sampled to ``horizon``, or when that is not given
+    to the smallest horizon that holds every window of the ladder, plus 8.
     """
     spec = KINDS[kind]
     if spec.window is None:

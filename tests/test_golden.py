@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import json
 import sys
 import tempfile
 from pathlib import Path
@@ -116,12 +115,6 @@ def test_report_bytes_match_fixture(name, fmt, inputs):
     code, text = render(name, fmt, inputs)
     assert code == CASES[name][1]
     assert text.encode("utf-8") == (GOLDEN_DIR / f"{name}.{fmt}").read_bytes()
-
-
-def test_fixtures_keep_schema_version_one():
-    for name in CASES:
-        report = json.loads((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))
-        assert report["schema_version"] == "1"
 
 
 if __name__ == "__main__":
