@@ -391,9 +391,9 @@ class TestHeadlineTolerance:
 class TestOneComputation:
     """The rows are formatted from the estimate, not computed a second time."""
 
-    def counted(self, monkeypatch, name, module):
+    def counted(self, monkeypatch, name):
         calls = []
-        original = getattr(module, name)
+        original = getattr(estimators, name)
 
         def counting(*args, **kwargs):
             calls.append(args)
@@ -404,7 +404,7 @@ class TestOneComputation:
         return calls
 
     def test_brin_katok_samples_each_point_once(self, tmp_path, skewed_measure, monkeypatch):
-        calls = self.counted(monkeypatch, "sample_typical", estimators)
+        calls = self.counted(monkeypatch, "sample_typical")
         code, report = run_json(
             tmp_path,
             ["brin-katok", "--measure", skewed_measure, "--n-points", "3", "--t-max", "80"],
@@ -414,7 +414,7 @@ class TestOneComputation:
         assert len(calls) == 3
 
     def test_dim_counts_each_ladder_radius_once(self, tmp_path, monkeypatch):
-        calls = self.counted(monkeypatch, "count_words", estimators)
+        calls = self.counted(monkeypatch, "count_words")
         code, report = run_json(tmp_path, ["dim", "--j-min", "8", "--j-max", "12"])
         assert code == 0
         assert len(report["rows"]) == 5
