@@ -17,19 +17,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .cylinders import (
+    CylinderIndex,
     RadiusLadder,
-    alpha_ball_to_cylinder,
     alpha_window,
-    ball_to_cylinder,
     ball_window,
-    bowen_ball_to_cylinder,
     bowen_window,
-    neutralized_ball_to_cylinder,
     neutralized_window,
     p_of_log_r,
     p_of_r,
@@ -224,20 +221,7 @@ def pointwise_dimension(
     refuses with ``HorizonExceeded``.  The estimator reports what it sees:
     typicality of x is the caller's burden.
     """
-    xs, ys = [], []
-    saturated = False
-    for r in ladder:
-        try:
-            cyl = ball_to_cylinder(x, r, params)
-        except HorizonExceeded:
-            saturated = True
-            continue
-        lm = log_word_mass(mu, x.window(cyl.lo, cyl.hi))
-        if lm == -math.inf:
-            raise BadMeasure("the point leaves the support of the measure")
-        xs.append(math.log(r))
-        ys.append(lm)
-    return _fit_slope(xs, ys, _ladder_key(ladder), saturated)
+    return _local_mass_slope(mu, x, _ball_ladder(params, ladder))
 
 
 def topological_entropy_spanning(
@@ -325,29 +309,76 @@ def katok_entropy(
     return _fit_slope(xs, ys, depths, saturated=False)
 
 
-def _local_mass_slope(
-    mu: Measure,
-    x: Point,
-    window_of_depth: Callable[[int, int], object],
-    depths: tuple[int, ...],
+class _MassLadder(NamedTuple):
+    """The cylinder windows of a per-point ladder, shared by every point.
+
+    At a point x the fit is ``sign * ln mu(x on window)`` against ``xs``;
+    ``key`` is the ladder the estimate records.
+    """
+
+    xs: tuple[float, ...]
+    windows: tuple[CylinderIndex, ...]
+    sign: float
+    key: tuple
+
+
+def _ball_ladder(params: MetricParams, ladder) -> _MassLadder:
+    """ln mu(B(x, r)) against ln r."""
+    windows = tuple(ball_window(r, params) for r in ladder)
+    return _MassLadder(tuple(math.log(r) for r in ladder), windows, 1.0, _ladder_key(ladder))
+
+
+def _depth_ladder(
     params: MetricParams,
-) -> SlopeEstimate:
+    depths: tuple[int, ...],
+    window_of_depth: Callable[[int, int], CylinderIndex],
+) -> _MassLadder:
+    """-ln mu(cylinder of depth n + m = t) against t."""
+    windows = tuple(window_of_depth(*_split_depth(params, t)) for t in depths)
+    return _MassLadder(tuple(float(t) for t in depths), windows, -1.0, depths)
+
+
+def _bowen_ladder(params: MetricParams, r1: float, nm_range: Iterable[int]) -> _MassLadder:
+    depths = _depth_values(nm_range)
+    return _depth_ladder(params, depths, lambda n, m: bowen_window(n, m, r1, params))
+
+
+def _neutralized_ladder(params: MetricParams, r: float, nm_range: Iterable[int]) -> _MassLadder:
+    bound = 3.0 / params.k()
+    if not 0.0 < r < bound:
+        raise ConstraintViolated(
+            f"shrinking rate r must satisfy 0 < r < 3/k = {bound:.6g}, got {r}"
+        )
+    depths = _depth_values(nm_range)
+    return _depth_ladder(params, depths, lambda n, m: neutralized_window(n, m, r, params))
+
+
+def _alpha_ladder(
+    params: MetricParams, alpha: float, nm_range: Iterable[int], r3: float
+) -> _MassLadder:
+    require_alpha_regime(alpha, params)
+    depths = _depth_values(nm_range)
+    return _depth_ladder(params, depths, lambda n, m: alpha_window(n, m, alpha, r3, params))
+
+
+def _local_mass_slope(mu: Measure, x: Point, ladder: _MassLadder) -> SlopeEstimate:
+    """Fit the local masses of x over a ladder's windows.
+
+    Windows beyond the point's horizon are dropped and the estimate is
+    marked saturated.
+    """
     xs, ys = [], []
     saturated = False
-    for t in depths:
-        n, m = _split_depth(params, t)
-        window = window_of_depth(n, m)
-        try:
-            block = x.window(window.lo, window.hi)
-        except HorizonExceeded:
+    for xv, window in zip(ladder.xs, ladder.windows):
+        if max(-window.lo, window.hi) > x.horizon:
             saturated = True
             continue
-        lm = log_word_mass(mu, block)
+        lm = log_word_mass(mu, x.window(window.lo, window.hi))
         if lm == -math.inf:
             raise BadMeasure("the point leaves the support of the measure")
-        xs.append(float(t))
-        ys.append(-lm)
-    return _fit_slope(xs, ys, depths, saturated)
+        xs.append(xv)
+        ys.append(ladder.sign * lm)
+    return _fit_slope(xs, ys, ladder.key, saturated)
 
 
 def brin_katok_local(
@@ -362,10 +393,7 @@ def brin_katok_local(
     Window depths that do not fit the horizon are dropped (saturated flag);
     fewer than two usable depths raise ``HorizonExceeded``.
     """
-    depths = _depth_values(nm_range)
-    return _local_mass_slope(
-        mu, x, lambda n, m: bowen_window(n, m, r1, params), depths, params
-    )
+    return _local_mass_slope(mu, x, _bowen_ladder(params, r1, nm_range))
 
 
 def neutralized_brin_katok(
@@ -376,15 +404,7 @@ def neutralized_brin_katok(
     nm_range: Iterable[int],
 ) -> SlopeEstimate:
     """Local entropy with shrinking radius e^{-(n+m) r}; needs 0 < r < 3/k."""
-    bound = 3.0 / params.k()
-    if not 0.0 < r < bound:
-        raise ConstraintViolated(
-            f"shrinking rate r must satisfy 0 < r < 3/k = {bound:.6g}, got {r}"
-        )
-    depths = _depth_values(nm_range)
-    return _local_mass_slope(
-        mu, x, lambda n, m: neutralized_window(n, m, r, params), depths, params
-    )
+    return _local_mass_slope(mu, x, _neutralized_ladder(params, r, nm_range))
 
 
 def alpha_estimation_entropy(
@@ -416,8 +436,32 @@ def alpha_estimation_entropy(
         return _fit_slope(xs, ys, depths, saturated=False)
     if x is None:
         raise HypothesisViolated("the measure variant needs a sampled point x")
-    return _local_mass_slope(
-        target, x, lambda n, m: alpha_window(n, m, alpha, r3, params), depths, params
+    return _local_mass_slope(target, x, _alpha_ladder(params, alpha, depths, r3))
+
+
+def _typical_points(
+    mu: Measure, horizon: int, n_points: int, seed: int, space: ShiftSpace | None
+) -> list[Point]:
+    """The typical points of an average: seeds ``seed + index``, in index order."""
+    if n_points < 1:
+        raise HypothesisViolated(f"n_points must be >= 1, got {n_points}")
+    return [sample_typical(mu, horizon, seed + i, space) for i in range(n_points)]
+
+
+def _average(estimates: list[SlopeEstimate]) -> SlopeEstimate:
+    """Reduce per-point estimates in order (see ``average_over_typical``)."""
+    slopes = np.array([e.slope for e in estimates])
+    spread = float(slopes.max() - slopes.min()) if len(estimates) > 1 else 0.0
+    mean_slope = float(slopes.mean())
+    return SlopeEstimate(
+        slope=mean_slope,
+        intercept=float(np.mean([e.intercept for e in estimates])),
+        residual_rms=float(np.sqrt(np.mean([e.residual_rms**2 for e in estimates]))),
+        ladder=estimates[0].ladder,
+        saturated=any(e.saturated for e in estimates),
+        spread=spread,
+        flagged=spread > SPREAD_TOL * max(abs(mean_slope), 1e-12),
+        point_slopes=tuple(e.slope for e in estimates),
     )
 
 
@@ -437,24 +481,8 @@ def average_over_typical(
     per-point slopes; the flag fires when that spread exceeds the usual
     tolerance relative to the mean.
     """
-    if n_points < 1:
-        raise HypothesisViolated(f"n_points must be >= 1, got {n_points}")
-    estimates = [
-        estimator(sample_typical(mu, horizon, seed + i, space)) for i in range(n_points)
-    ]
-    slopes = np.array([e.slope for e in estimates])
-    spread = float(slopes.max() - slopes.min()) if n_points > 1 else 0.0
-    mean_slope = float(slopes.mean())
-    return SlopeEstimate(
-        slope=mean_slope,
-        intercept=float(np.mean([e.intercept for e in estimates])),
-        residual_rms=float(np.sqrt(np.mean([e.residual_rms**2 for e in estimates]))),
-        ladder=estimates[0].ladder,
-        saturated=any(e.saturated for e in estimates),
-        spread=spread,
-        flagged=spread > SPREAD_TOL * max(abs(mean_slope), 1e-12),
-        point_slopes=tuple(e.slope for e in estimates),
-    )
+    points = _typical_points(mu, horizon, n_points, seed, space)
+    return _average([estimator(x) for x in points])
 
 
 def one_sided_suite(
@@ -471,8 +499,8 @@ def one_sided_suite(
     Requires one-sided parameters.  For a space target returns
     ``box_dimension``, ``entropy`` (fixed-radius spanning), and
     ``alpha_entropy``; for a measure target the pointwise dimension, local
-    entropy, and discounted local entropy, each averaged over typical
-    points.
+    entropy, and discounted local entropy, each averaged over the same
+    typical points.
     """
     if params.mode != ONE_SIDED:
         raise HypothesisViolated("one_sided_suite needs one-sided metric parameters")
@@ -481,7 +509,7 @@ def one_sided_suite(
     if ladder is None:
         ladder = RadiusLadder.geometric(*DEFAULT_LADDER)
     if isinstance(target, ShiftSpace):
-        space, mu, horizon = target, None, None
+        space, mu, points = target, None, None
         kinds = {
             "box_dimension": "box_dimension",
             "entropy": "entropy",
@@ -490,6 +518,7 @@ def one_sided_suite(
     else:
         space, mu = None, target
         horizon = max(depths) + _cover_length_at_radius(params, min(ladder.r_values)) + 8
+        points = _typical_points(mu, horizon, n_points, seed, None)
         kinds = {
             "pointwise_dimension": "pointwise_dimension",
             "entropy": "brin_katok",
@@ -503,9 +532,7 @@ def one_sided_suite(
             mu,
             ladder if KINDS[kind].depths is None else depths,
             alpha,
-            horizon=horizon,
-            n_points=n_points,
-            seed=seed,
+            points=points,
         )
         for name, kind in kinds.items()
     }
@@ -639,18 +666,19 @@ def _k_alpha(params: MetricParams, rate: float) -> float:
 class Kind:
     """How one bundle kind is estimated, and the identity its slope satisfies.
 
+    A kind has exactly one of ``estimate`` and ``local``.
     ``estimate(target, params, ladder, rate, r1, delta)`` is the slope of a
-    space, or of a measure's minimal covers.  A kind with a ``window`` is
-    estimated at typical points: ``estimate`` takes the point as a seventh
-    argument, and ``window(params, step, rate, r1)`` is the cylinder window
-    of one ladder step, which bounds the horizon the points need.
+    space, or of a measure's minimal covers.  A kind with ``local`` is
+    estimated at typical points: ``local(params, ladder, rate, r1)`` checks
+    the rate and ladder and returns the cylinder windows of every ladder
+    step, computed once and fitted at each point.
     """
 
     identity: Identity
     rate: str | None  # the rate the kind takes: "r", "alpha" or none
     depths: tuple | None  # default (t_min, t_max, t_step); None: DEFAULT_LADDER
-    estimate: Callable
-    window: Callable | None = None
+    estimate: Callable | None = None
+    local: Callable[..., _MassLadder] | None = None
 
 
 def _katok(mu, params, depths, rate, r1, delta):
@@ -699,15 +727,13 @@ KINDS = {
         Identity("pointwise-dimension = k * measure-entropy", True, _one, _k, "({k}) * h_mu"),
         None,
         None,
-        lambda mu, p, ladder, q, r1, _, x: pointwise_dimension(mu, x, p, ladder),
-        lambda p, r, *_: ball_window(r, p),
+        local=lambda p, ladder, q, r1: _ball_ladder(p, ladder),
     ),
     "brin_katok": Kind(
         Identity("brin-katok = measure-entropy", True, _one, _one, "entropy rate of the measure"),
         None,
         (20, 200, 12),
-        lambda mu, p, depths, q, r1, _, x: brin_katok_local(mu, x, p, r1, depths),
-        lambda p, t, q, r1: bowen_window(*_split_depth(p, t), r1, p),
+        local=lambda p, depths, q, r1: _bowen_ladder(p, r1, depths),
     ),
     "katok": Kind(
         Identity("katok = measure-entropy", True, _one, _one, "h_mu"),
@@ -725,8 +751,7 @@ KINDS = {
         ),
         "r",
         (20, 200, 12),
-        lambda mu, p, depths, q, r1, _, x: neutralized_brin_katok(mu, x, p, q, depths),
-        lambda p, t, q, r1: neutralized_window(*_split_depth(p, t), q, p),
+        local=lambda p, depths, q, r1: _neutralized_ladder(p, q, depths),
     ),
     "neutralized_katok": Kind(
         Identity(
@@ -746,8 +771,7 @@ KINDS = {
         ),
         "alpha",
         (20, 120, 10),
-        lambda mu, p, depths, q, r1, _, x: alpha_estimation_entropy(mu, p, q, depths, r3=r1, x=x),
-        lambda p, t, q, r1: alpha_window(*_split_depth(p, t), q, r1, p),
+        local=lambda p, depths, q, r1: _alpha_ladder(p, q, depths, r1),
     ),
 }
 #: Kinds a bundle checks against their own identity, in report order; it
@@ -815,28 +839,29 @@ def estimate_kind(
     horizon: int | None = None,
     n_points: int = 100,
     seed: int = 0,
+    points: Sequence[Point] | None = None,
 ) -> SlopeEstimate:
     """Estimate one bundle kind's slope over ``ladder``.
 
-    Kinds estimated at typical points average over ``n_points`` points of
-    ``mu`` in ``space``, sampled to ``horizon``, or when that is not given
-    to the smallest horizon that holds every window of the ladder, plus 8.
+    Kinds estimated at typical points average over ``points`` when given;
+    otherwise over ``n_points`` points of ``mu`` in ``space``, sampled to
+    ``horizon``, or when that is not given to the smallest horizon that
+    holds every window of the ladder, plus 8.
     """
     spec = KINDS[kind]
-    if spec.window is None:
+    if spec.local is None:
         target = mu if spec.identity.measure else space
         return spec.estimate(target, params, ladder, rate, r1, delta)
+    mass_ladder = spec.local(params, ladder, rate, r1)
+
+    def estimator(x: Point) -> SlopeEstimate:
+        return _local_mass_slope(mu, x, mass_ladder)
+
+    if points is not None:
+        return _average([estimator(x) for x in points])
     if not horizon:
-        windows = [spec.window(params, step, rate, r1) for step in ladder]
-        horizon = max(-min(w.lo for w in windows), max(w.hi for w in windows)) + 8
-    return average_over_typical(
-        lambda x: spec.estimate(mu, params, ladder, rate, r1, delta, x),
-        mu,
-        horizon,
-        n_points,
-        seed,
-        space,
-    )
+        horizon = max(max(-w.lo, w.hi) for w in mass_ladder.windows) + 8
+    return average_over_typical(estimator, mu, horizon, n_points, seed, space)
 
 
 def identity_names(kinds: Iterable[str]) -> list[str]:
@@ -907,10 +932,14 @@ def standard_bundle(
     n_points: int = 100,
 ) -> list[BundleEntry]:
     """Estimate every kind in ``KINDS`` at its default ladder and label it;
-    the measure kinds only when ``mu`` is given, at sampled horizon 160."""
+    the measure kinds only when ``mu`` is given, all at the same ``n_points``
+    typical points, sampled once to horizon 160."""
     label = _space_label(space)
-    if mu is not None and not supported_on(mu, space):
-        raise IncompatibleInputs("measure support is not admissible in the space")
+    points = None
+    if mu is not None:
+        if not supported_on(mu, space):
+            raise IncompatibleInputs("measure support is not admissible in the space")
+        points = _typical_points(mu, 160, n_points, seed, space)
     rates = {None: 0.0, "r": r, "alpha": alpha}
     entries = []
     for kind, spec in KINDS.items():
@@ -918,7 +947,7 @@ def standard_bundle(
             continue
         rate = rates[spec.rate]
         est = estimate_kind(
-            kind, space, params, mu, kind_ladder(kind), rate, DEFAULT_R1, delta, 160, n_points, seed
+            kind, space, params, mu, kind_ladder(kind), rate, DEFAULT_R1, delta, points=points
         )
         entries.append(BundleEntry(kind, est, params, label, rate=rate))
     return entries

@@ -23,6 +23,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +111,8 @@ class BernoulliMeasure:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise BadMeasure(f"weights must be a nonempty vector, got {self.weights!r}")
+        if not np.isfinite(w).all():
+            raise BadMeasure(f"weights must be finite, got {self.weights!r}")
         if (w < 0).any():
             raise BadMeasure("weights must be nonnegative")
         if abs(w.sum() - 1.0) > ROW_SUM_TOL:
@@ -247,41 +250,52 @@ def reversed_kernel(mu: MarkovMeasure) -> np.ndarray:
     return hat / hat.sum(axis=1, keepdims=True)
 
 
+def _choice_cdf(p) -> np.ndarray:
+    """The CDF ``rng.choice(m, p=p)`` inverts, normalised as it does:
+    ``cdf = p.cumsum(); cdf /= cdf[-1]`` (row by row for a matrix)."""
+    cdf = np.asarray(p, dtype=float).cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
+
+
 def sample_typical(mu: Measure, horizon: int, seed, space: ShiftSpace | None = None) -> Point:
     """Stationary two-sided sample on the window [-horizon, horizon].
 
     The symbol at 0 is drawn from the stationary law, forward symbols from
     the transition rows, and backward symbols from the time-reversed kernel,
-    so every finite window has its exact stationary distribution.  The draw
-    order (center, all forward, all backward) is fixed, making the result
-    deterministic per seed.
+    so every finite window has its exact stationary distribution.
+
+    Exact-stream contract: the sampler consumes one uniform per symbol,
+    ``u = default_rng(seed).random(2 * horizon + 1)``, in the draw order
+    center, then coordinates 1..horizon, then -1..-horizon, and inverts each
+    through ``rng.choice``'s normalised CDF of the law it is drawn from
+    (``searchsorted(cdf, u, side="right")``).  The result is therefore
+    deterministic per seed and identical to drawing each symbol with
+    ``rng.choice(m, p=law)`` in that order.
     """
     if horizon < 1:
         raise HorizonExceeded(f"horizon must be >= 1, got {horizon}")
-    rng = np.random.default_rng(seed)
-    m = mu.alphabet_size
-    n = 2 * horizon + 1
-    buf = np.empty(n, dtype=np.int64)
+    u = np.random.default_rng(seed).random(2 * horizon + 1)
     if isinstance(mu, BernoulliMeasure):
-        weights = np.asarray(mu.weights)
-        buf[horizon] = rng.choice(m, p=weights)
-        for t in range(1, horizon + 1):
-            buf[horizon + t] = rng.choice(m, p=weights)
-        for t in range(1, horizon + 1):
-            buf[horizon - t] = rng.choice(m, p=weights)
+        drawn = _choice_cdf(mu.weights).searchsorted(u, side="right")
+        window = np.concatenate((drawn[:horizon:-1], drawn[: horizon + 1]))
     elif isinstance(mu, MarkovMeasure):
-        P = np.asarray(mu.P)
-        hat = reversed_kernel(mu)
-        buf[horizon] = rng.choice(m, p=np.asarray(mu.pi))
-        for t in range(1, horizon + 1):
-            buf[horizon + t] = rng.choice(m, p=P[buf[horizon + t - 1]])
-        for t in range(1, horizon + 1):
-            buf[horizon - t] = rng.choice(m, p=hat[buf[horizon - t + 1]])
+        forward = _choice_cdf(mu.P).tolist()
+        backward = _choice_cdf(reversed_kernel(mu)).tolist()
+        draws = u.tolist()
+        walk = [bisect_right(_choice_cdf(mu.pi).tolist(), draws[0])]
+        for rows, steps in ((forward, draws[1 : horizon + 1]), (backward, draws[horizon + 1 :])):
+            s = walk[0]
+            for v in steps:
+                s = bisect_right(rows[s], v)
+                walk.append(s)
+        # walk = [center, 1..horizon, -1..-horizon]; lay it out as -horizon..horizon
+        window = np.array(walk[:horizon:-1] + walk[: horizon + 1], dtype=np.int64)
     else:
         raise BadMeasure(f"unsupported measure type {type(mu).__name__}")
     if space is None:
-        space = make_space(m)
-    return point_from_window(space, buf.tolist())
+        space = make_space(mu.alphabet_size)
+    return point_from_window(space, window)
 
 
 def supported_on(mu: Measure, space: ShiftSpace) -> bool:

@@ -64,6 +64,8 @@ class ShiftSpace:
                 raise AllStatesDead("every state was trimmed; the subshift is empty")
         alive = list(self.alive_states)
         self._alive_pos = {s: i for i, s in enumerate(alive)}
+        self._alive_mask = np.zeros(alphabet_size, dtype=bool)
+        self._alive_mask[alive] = True
         if self.transition is None:
             self._out = {s: tuple(alive) for s in alive}
             self._in = {s: tuple(alive) for s in alive}
@@ -124,18 +126,55 @@ class ShiftSpace:
     def in_symbols(self, s: int) -> tuple[int, ...]:
         return self._in[s]
 
+    def _symbol_indices(self, symbols) -> np.ndarray | None:
+        """The word as an int64 vector of alphabet indices, or None when some
+        entry is not equal to an integer in [0, M) (``1.5``, ``"x"``, ``-1``)."""
+        if not isinstance(symbols, np.ndarray):
+            try:
+                symbols = np.asarray(list(symbols))
+            except (TypeError, ValueError):
+                return None
+        if symbols.ndim != 1:
+            return None
+        kind = symbols.dtype.kind
+        if kind == "O":
+            values = [_integer_value(c) for c in symbols]
+            if any(v is None or not 0 <= v < self.alphabet_size for v in values):
+                return None
+            return np.array(values, dtype=np.int64)
+        if kind not in "biuf":
+            return None
+        if symbols.size and (symbols.min() < 0 or symbols.max() >= self.alphabet_size):
+            return None
+        if kind == "f" and not (symbols == np.floor(symbols)).all():
+            return None
+        return symbols.astype(np.int64, copy=False)
+
     def is_admissible(self, symbols: Sequence[int]) -> bool:
-        """Check alphabet range, aliveness, and every length-2 factor."""
-        seq = list(symbols)
-        if any((not isinstance(int(c), int)) or c < 0 or c >= self.alphabet_size for c in seq):
+        """Check alphabet range, aliveness, and every length-2 factor.
+
+        A word whose entries are not all integer values is not admissible.
+        """
+        w = self._symbol_indices(symbols)
+        if w is None or not self._alive_mask[w].all():
             return False
-        if any(c not in self._alive_pos for c in seq):
-            return False
-        return all(self.allows(seq[t], seq[t + 1]) for t in range(len(seq) - 1))
+        if self.transition is None:
+            return True
+        return bool(self.transition[w[:-1], w[1:]].all())
 
     def require_admissible(self, symbols: Sequence[int]) -> None:
         if not self.is_admissible(symbols):
-            raise InadmissibleWord(f"word {list(symbols)!r} is not admissible in {self!r}")
+            shown = symbols.tolist() if isinstance(symbols, np.ndarray) else list(symbols)
+            raise InadmissibleWord(f"word {shown!r} is not admissible in {self!r}")
+
+
+def _integer_value(c) -> int | None:
+    """``int(c)`` when that equals ``c``, else None."""
+    try:
+        v = int(c)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return v if v == c else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,14 +316,19 @@ def top_entropy_oracle(space: ShiftSpace, tol: float = 1e-12, max_iter: int = 20
 
 
 def point_from_window(space: ShiftSpace, symbols: Sequence[int]) -> Point:
-    """Build a point from an odd-length window centered at coordinate 0."""
-    seq = [int(c) for c in symbols]
-    if len(seq) % 2 != 1:
-        raise HorizonExceeded(f"window length must be odd, got {len(seq)}")
-    space.require_admissible(seq)
-    arr = np.array(seq, dtype=np.int64)
+    """Build a point from an odd-length window centered at coordinate 0.
+
+    An int64 array is used as given (the point keeps a read-only copy);
+    any other sequence is converted entry by entry with ``int``.
+    """
+    if not (isinstance(symbols, np.ndarray) and symbols.dtype == np.int64):
+        symbols = [int(c) for c in symbols]
+    if len(symbols) % 2 != 1:
+        raise HorizonExceeded(f"window length must be odd, got {len(symbols)}")
+    space.require_admissible(symbols)
+    arr = np.array(symbols, dtype=np.int64)
     arr.setflags(write=False)
-    h = (len(seq) - 1) // 2
+    h = (len(arr) - 1) // 2
     return Point(space, arr, h, h)
 
 

@@ -210,6 +210,12 @@ class TestExitCodes:
         path.write_text('{"type": "markov", "P": [[0.5, 0.5], [1.0, 0.0]], "pi": [0.5, 0.5]}')
         assert main(["brin-katok", "--measure", str(path)]) == 2
 
+    def test_nan_measure_weights(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"type": "bernoulli", "weights": [NaN, 0.5]}')
+        assert main(["brin-katok", "--measure", str(path), "--n-points", "1"]) == 2
+        assert "weights must be finite" in capsys.readouterr().err
+
     def test_gamma_too_large(self, capsys):
         assert main(["metric-verify", "--gamma", "0.4"]) == 2
         assert "gamma" in capsys.readouterr().err
@@ -412,6 +418,15 @@ class TestOneComputation:
         assert code == 0
         assert len(report["rows"]) == 3
         assert len(calls) == 3
+
+    def test_relations_samples_each_point_once(self, tmp_path, skewed_measure, monkeypatch):
+        calls = self.counted(monkeypatch, "sample_typical")
+        code, report = run_json(
+            tmp_path, ["relations", "--measure", skewed_measure, "--n-points", "3"]
+        )
+        assert code == 0
+        assert len(calls) == 3
+        assert [args[2] for args in calls] == [0, 1, 2]
 
     def test_dim_counts_each_ladder_radius_once(self, tmp_path, monkeypatch):
         calls = self.counted(monkeypatch, "count_words")

@@ -92,6 +92,13 @@ class TestMeasureTypes:
         with pytest.raises(BadMeasure):
             BernoulliMeasure(weights)
 
+    @pytest.mark.parametrize(
+        "weights", [(math.nan, 0.5), (math.nan, math.nan), (math.inf, 0.5), (-math.inf, 1.0)]
+    )
+    def test_bernoulli_weights_must_be_finite(self, weights):
+        with pytest.raises(BadMeasure, match="weights must be finite"):
+            BernoulliMeasure(weights)
+
     def test_bernoulli_zero_weight_support(self):
         mu = BernoulliMeasure((1.0, 0.0))
         assert mu.support == (0,)

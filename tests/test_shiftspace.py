@@ -127,6 +127,37 @@ class TestTopEntropyOracle:
         assert est == pytest.approx(h, rel=1e-2)
 
 
+class TestIsAdmissible:
+    #: state 3 has an in-edge (from 0) but no out-edge, so it is trimmed
+    TRIMMED = [[1, 1, 0, 1], [1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0]]
+
+    @pytest.mark.parametrize("symbol", ["x", 1.5, -1, 2, None, float("nan"), 1 + 0j])
+    def test_non_symbols_are_not_admissible(self, golden, symbol):
+        assert golden.is_admissible([0, symbol, 0]) is False
+        assert golden.is_admissible([symbol]) is False
+
+    def test_integer_valued_entries_count(self, golden):
+        assert golden.is_admissible([1.0, np.int64(0), True]) is True
+        assert golden.is_admissible([0, 1.0, True]) is False  # the factor 11
+        assert golden.is_admissible(np.array([1, 0, 1], dtype=np.uint8)) is True
+
+    def test_dead_state_of_trimmed_sft(self):
+        sp = make_space(4, self.TRIMMED)
+        assert sp.alive_states == (0, 1, 2)
+        assert sp.is_admissible([0, 1, 2, 1, 0])
+        # 0 -> 3 is a 1 in the matrix, but state 3 is dead
+        assert not sp.is_admissible([0, 3])
+        assert not sp.is_admissible([3])
+
+    def test_empty_word(self, golden):
+        assert golden.is_admissible([]) is True
+        assert golden.is_admissible(np.array([], dtype=np.int64)) is True
+
+    def test_nested_and_ragged_words(self, golden):
+        assert golden.is_admissible([[0, 1]]) is False
+        assert golden.is_admissible([[0, 1], [0]]) is False
+
+
 class TestSamplePoint:
     def test_deterministic(self, golden):
         x = sample_point(golden, 20, 42)
