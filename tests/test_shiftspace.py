@@ -1,6 +1,7 @@
 """Shift-space construction, word counts, entropy oracle, sampling, shifting."""
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -140,6 +141,8 @@ class TestIsAdmissible:
         assert golden.is_admissible([1.0, np.int64(0), True]) is True
         assert golden.is_admissible([0, 1.0, True]) is False  # the factor 11
         assert golden.is_admissible(np.array([1, 0, 1], dtype=np.uint8)) is True
+        assert golden.is_admissible([Fraction(1), 0]) is True
+        assert golden.is_admissible([Fraction(1, 2), 0]) is False
 
     def test_dead_state_of_trimmed_sft(self):
         sp = make_space(4, self.TRIMMED)
