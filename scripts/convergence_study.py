@@ -12,19 +12,31 @@ Examples:
     python scripts/convergence_study.py --quantity alpha --space sft:golden.txt
 """
 import argparse
-import math
 import sys
 
-from shiftmetrics import (
-    MetricParams,
-    RadiusLadder,
-    alpha_estimation_entropy,
-    box_dimension,
-    neutralized_topological,
-    topological_entropy_spanning,
-    top_entropy_oracle,
-)
+from shiftmetrics import MetricParams, RadiusLadder, top_entropy_oracle
 from shiftmetrics.cli import parse_space
+from shiftmetrics.estimators import DEFAULT_RATES, KINDS, estimate_kind
+
+#: quantity -> (bundle kind, the ladders it sweeps, each with its label)
+SWEEPS = {
+    "box": (
+        "box_dimension",
+        [(f"2^-8 .. 2^-{top}", RadiusLadder.geometric(8, top)) for top in range(12, 41, 4)],
+    ),
+    "entropy": (
+        "entropy",
+        [(f"depths 10..{top}", range(10, top + 1, 5)) for top in range(25, 101, 15)],
+    ),
+    "neutralized": (
+        "neutralized_topological",
+        [(f"depths 20..{top}", range(20, top + 1, 10)) for top in range(50, 151, 20)],
+    ),
+    "alpha": (
+        "alpha_topological",
+        [(f"depths 20..{top}", range(20, top + 1, 10)) for top in range(50, 151, 20)],
+    ),
+}
 
 
 def main(argv=None) -> int:
@@ -32,47 +44,25 @@ def main(argv=None) -> int:
     parser.add_argument("--space", default="full:2", help="full:M or sft:PATH")
     parser.add_argument("--a", type=float, default=1.3)
     parser.add_argument("--b", type=float, default=1.3)
+    parser.add_argument("--quantity", default="box", choices=tuple(SWEEPS))
+    parser.add_argument("--r", type=float, default=DEFAULT_RATES["r"], help="shrinking rate")
     parser.add_argument(
-        "--quantity",
-        default="box",
-        choices=("box", "entropy", "neutralized", "alpha"),
+        "--alpha", type=float, default=DEFAULT_RATES["alpha"], help="discount rate"
     )
-    parser.add_argument("--r", type=float, default=0.05, help="shrinking rate")
-    parser.add_argument("--alpha", type=float, default=0.1, help="discount rate")
     args = parser.parse_args(argv)
 
     space = parse_space(args.space)
     params = MetricParams(args.a, args.b)
+    kind, ladders = SWEEPS[args.quantity]
+    spec = KINDS[kind]
+    rate = getattr(args, spec.rate) if spec.rate else 0.0
+    identity = spec.identity
     h = top_entropy_oracle(space)
-    k = params.k()
-
-    if args.quantity == "box":
-        target = k * h
-        runs = [
-            (f"2^-8 .. 2^-{top}", box_dimension(space, params, RadiusLadder.geometric(8, top)))
-            for top in range(12, 41, 4)
-        ]
-    elif args.quantity == "entropy":
-        target = h
-        runs = [
-            (f"depths 10..{top}", topological_entropy_spanning(space, params, 0.9, range(10, top + 1, 5)))
-            for top in range(25, 101, 15)
-        ]
-    elif args.quantity == "neutralized":
-        target = (1.0 + args.r * k) * h
-        runs = [
-            (f"depths 20..{top}", neutralized_topological(space, params, args.r, range(20, top + 1, 10)))
-            for top in range(50, 151, 20)
-        ]
-    else:
-        target = k * h / params.k_alpha(args.alpha)
-        runs = [
-            (f"depths 20..{top}", alpha_estimation_entropy(space, params, args.alpha, range(20, top + 1, 10)))
-            for top in range(50, 151, 20)
-        ]
+    target = identity.rhs_scale(params, rate) * h / identity.lhs_scale(params, rate)
 
     print(f"{args.quantity} on {args.space}: target {target:.6f}")
-    for label, est in runs:
+    for label, ladder in ladders:
+        est = estimate_kind(kind, space, params, None, ladder, rate)
         rel = abs(est.slope - target) / abs(target)
         flag = "  [flagged]" if est.flagged else ""
         print(

@@ -29,6 +29,7 @@ from .errors import HypothesisViolated, NoSolution, ShiftMetricsError
 from .estimators import (
     DEFAULT_LADDER,
     DEFAULT_R1,
+    DEFAULT_RATES,
     DEFAULT_TOLERANCES,
     KINDS,
     MEASURE_KINDS,
@@ -218,8 +219,12 @@ _SLOPES = {
     "entropy": _Quantity("entropy", "brin_katok"),
     "katok": _Quantity(None, "katok", "r", 0.0, "neutralized_katok"),
     "brin-katok": _Quantity(None, "brin_katok"),
-    "neutralized": _Quantity("neutralized_topological", "neutralized_brin_katok", "r", 0.05),
-    "estimation": _Quantity("alpha_topological", "alpha_brin_katok", "alpha", 0.1),
+    "neutralized": _Quantity(
+        "neutralized_topological", "neutralized_brin_katok", "r", DEFAULT_RATES["r"]
+    ),
+    "estimation": _Quantity(
+        "alpha_topological", "alpha_brin_katok", "alpha", DEFAULT_RATES["alpha"]
+    ),
 }
 
 
@@ -281,8 +286,8 @@ def _run_slope(config, space, params, mu):
 def _run_relations(config, space, params, mu):
     kinds = set(KINDS) if mu is not None else set(KINDS) - MEASURE_KINDS
     _check_tolerances(config, identity_names(kinds))
-    r = config.r if config.r is not None else 0.05
-    alpha = config.alpha if config.alpha is not None else 0.1
+    r = DEFAULT_RATES["r"] if config.r is None else config.r
+    alpha = DEFAULT_RATES["alpha"] if config.alpha is None else config.alpha
     bundle = standard_bundle(
         space,
         params,
@@ -581,6 +586,8 @@ def build_parser() -> argparse.ArgumentParser:
     depth.add_argument("--t-max", type=int, default=None)
     depth.add_argument("--t-step", type=int, default=None)
     depth.add_argument("--r1", type=float, default=DEFAULT_R1, help="reference radius")
+    r_help = f"shrinking rate (default {DEFAULT_RATES['r']})"
+    alpha_help = f"discount rate (default {DEFAULT_RATES['alpha']})"
 
     sp = sub.add_parser("dim", parents=[common], help="box / pointwise dimension")
     j_min, j_max = DEFAULT_LADDER
@@ -592,17 +599,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=float, default=None, help="shrinking rate (default 0)")
     sub.add_parser("brin-katok", parents=[common, depth], help="local entropy at typical points")
     sp = sub.add_parser("neutralized", parents=[common, depth], help="shrinking-radius entropy")
-    sp.add_argument("--r", type=float, default=None, help="shrinking rate (default 0.05)")
+    sp.add_argument("--r", type=float, default=None, help=r_help)
     sp = sub.add_parser("estimation", parents=[common, depth], help="discounted-radius entropy")
-    sp.add_argument("--alpha", type=float, default=None, help="discount rate (default 0.1)")
+    sp.add_argument("--alpha", type=float, default=None, help=alpha_help)
     sp = sub.add_parser("metric-verify", parents=[common], help="hyperbolicity checks")
     sp.add_argument("--gamma", type=float, default=0.05, help="contraction margin")
     sp = sub.add_parser("frink", parents=[common], help="chain-metrization sandwich")
     sp.add_argument("--n-samples", type=int, default=50)
     sp.add_argument("--sample-size", type=int, default=200)
     sp = sub.add_parser("relations", parents=[common], help="full identity suite")
-    sp.add_argument("--r", type=float, default=None, help="shrinking rate (default 0.05)")
-    sp.add_argument("--alpha", type=float, default=None, help="discount rate (default 0.1)")
+    sp.add_argument("--r", type=float, default=None, help=r_help)
+    sp.add_argument("--alpha", type=float, default=None, help=alpha_help)
     sp.add_argument("--delta", type=float, default=0.25, help="covering mass defect")
     sp = sub.add_parser("solve-5-23", parents=[common], help="radius/rate exchange solver")
     sp.add_argument("--r", type=float, default=None)

@@ -16,7 +16,10 @@ participate and how the per-shift radius s depends on i:
     alpha ball          -n <= i <= m,    s = e^{-|i|alpha} r
 
 Windows are computed as the exact union of the per-shift windows, which
-collapses to the familiar closed forms whenever those apply.
+collapses to the familiar closed forms whenever those apply.  A given radius
+r is bracketed exactly (``p_of_r``); only the derived radii e^{-(n+m)r} and
+e^{-|i|alpha} r, which may underflow, are bracketed from their logarithms.
+This module is the only place that turns radii and depths into windows.
 """
 from __future__ import annotations
 
@@ -39,15 +42,15 @@ from .shiftspace import Point, shift_point
 def p_of_r(r, b) -> int:
     """The unique integer p >= 1 with b**-p < r <= b**-(p-1).
 
-    `b` may be a float or an exact rational (``fractions.Fraction``); the
-    bracket checks use whatever exact arithmetic the type supports, so the
+    `b` may be a float or an exact rational (``fractions.Fraction``): the
+    log-domain estimate of ``p_of_log_r`` is corrected with ``b ** -p``
+    comparisons in whatever exact arithmetic the type supports, so the
     boundary r = b**-j lands on the strict side (p = j + 1) reliably.
     """
     if not (0 < r < 1):
         raise RadiusOutOfRange(f"radius must lie in (0, 1), got {r}")
-    if not (b > 1):
-        raise RadiusOutOfRange(f"base must exceed 1, got {b}")
-    p = max(1, math.floor(math.log(1.0 / float(r)) / math.log(float(b))) + 1)
+    # an exact r within 2**-53 of 1 rounds to the float 1.0, whose ln is not negative
+    p = p_of_log_r(math.log(float(r)), b) if float(r) < 1.0 else 1
     while b ** (-p) >= r:
         p += 1
     while p > 1 and b ** (-(p - 1)) < r:
@@ -56,7 +59,7 @@ def p_of_r(r, b) -> int:
 
 
 def p_of_log_r(log_r: float, b) -> int:
-    """`p_of_r` taking ln(r) instead of r, for radii too small to represent."""
+    """`p_of_r` decided on ln(r), for derived radii too small to represent."""
     if not (log_r < 0):
         raise RadiusOutOfRange(f"ln(r) must be negative, got {log_r}")
     if not (b > 1):
@@ -134,43 +137,37 @@ class RadiusLadder:
 # ---------------------------------------------------------------------------
 
 
-def _union_window(shifts, log_radii, params: MetricParams) -> CylinderIndex:
-    """Union over shifts i of the window fixed by rho(shift^i., shift^i.) < s_i.
+def _reach(params: MetricParams, bracket, radius) -> tuple[int, int]:
+    """Coordinates (behind, ahead) of a shift fixed by rho(shift^i., shift^i.)
+    < s, with ``bracket`` = ``p_of_r`` given s, or ``p_of_log_r`` given ln(s):
+    (q(s) - 1, p(s) - 1), and (0, p(s) - 1) one-sided."""
+    ahead = bracket(radius, params.b) - 1
+    behind = 0 if params.mode == ONE_SIDED else bracket(radius, params.a) - 1
+    return behind, ahead
 
-    Per-shift radii arrive as logs so that deep neutralized radii never
-    underflow.  The union is always a contiguous interval because each
-    per-shift window contains its own shift index.
+
+def _union_window(shifts, reaches) -> CylinderIndex:
+    """Union over shifts i of the per-shift windows [i - behind, i + ahead].
+
+    The union is always a contiguous interval because each per-shift window
+    contains its own shift index.
     """
-    la = None if params.mode == ONE_SIDED else params.a
-    lo = math.inf
-    hi = -math.inf
-    for i, ls in zip(shifts, log_radii):
-        pp = p_of_log_r(ls, params.b)
-        hi = max(hi, i + pp - 1)
-        if la is None:
-            lo = min(lo, i)
-        else:
-            qq = q_of_log_r(ls, la)
-            lo = min(lo, i - (qq - 1))
-    return CylinderIndex(int(lo), int(hi))
-
-
-def _check_radius(r: float) -> float:
-    if not (0.0 < r < 1.0):
-        raise RadiusOutOfRange(f"radius must lie in (0, 1), got {r}")
-    return math.log(r)
+    pairs = list(zip(shifts, reaches))
+    return CylinderIndex(
+        min(i - behind for i, (behind, _) in pairs), max(i + ahead for i, (_, ahead) in pairs)
+    )
 
 
 def ball_window(r: float, params: MetricParams) -> CylinderIndex:
     """Fixed window of the open ball: [-(q(r)-1), p(r)-1] (one-sided: lo=0)."""
-    return _union_window((0,), (_check_radius(r),), params)
+    return _union_window((0,), (_reach(params, p_of_r, r),))
 
 
 def bowen_window(n: int, m: int, r: float, params: MetricParams) -> CylinderIndex:
     """Fixed window of the (-n, m) Bowen ball: ball window widened by n, m."""
     _require_depths(n, m)
-    ls = _check_radius(r)
-    return _union_window((-n, m) if n or m else (0,), (ls, ls), params)
+    reach = _reach(params, p_of_r, r)
+    return _union_window((-n, m), (reach, reach))
 
 
 def neutralized_window(n: int, m: int, r: float, params: MetricParams) -> CylinderIndex:
@@ -180,8 +177,8 @@ def neutralized_window(n: int, m: int, r: float, params: MetricParams) -> Cylind
         raise RadiusOutOfRange(f"neutralization rate must be positive, got {r}")
     if n + m == 0:
         raise RadiusOutOfRange("n + m = 0 gives radius e^0 = 1, not < 1")
-    ls = -(n + m) * r
-    return _union_window((-n, m), (ls, ls), params)
+    reach = _reach(params, p_of_log_r, -(n + m) * r)
+    return _union_window((-n, m), (reach, reach))
 
 
 def alpha_window(n: int, m: int, alpha: float, r: float, params: MetricParams) -> CylinderIndex:
@@ -191,14 +188,19 @@ def alpha_window(n: int, m: int, alpha: float, r: float, params: MetricParams) -
     For alpha < min(ln a, ln b) this equals the closed form
     [-n - floor((n alpha + ln(1/r))/ln a), m + floor((m alpha + ln(1/r))/ln b)];
     outside that regime the interior shifts can reach further and the union
-    is still the correct window.
+    is still the correct window.  At alpha = 0 it is the Bowen window.
     """
     _require_depths(n, m)
     if alpha < 0.0:
         raise HypothesisViolated(f"alpha must be >= 0, got {alpha}")
-    lr = _check_radius(r)
+    reach = _reach(params, p_of_r, r)
+    lr = math.log(r)
     shifts = range(-n, m + 1)
-    return _union_window(shifts, (lr - abs(i) * alpha for i in shifts), params)
+    reaches = (
+        reach if i == 0 or not alpha else _reach(params, p_of_log_r, lr - abs(i) * alpha)
+        for i in shifts
+    )
+    return _union_window(shifts, reaches)
 
 
 def _require_depths(n: int, m: int) -> None:
@@ -441,9 +443,9 @@ def require_alpha_regime(alpha: float, params: MetricParams) -> None:
         )
 
 
-def _alpha_side_match(L: float, L3: float, alpha: float, exponent, log_base: float):
-    """Smallest positive integer m with exponent residual in [-1, 1]."""
-    target = exponent(-L)  # p(r) or q(r), precomputed by the caller via log
+def _alpha_side_match(target: int, L: float, L3: float, alpha: float, exponent, log_base: float):
+    """Smallest positive integer m with exponent residual in [-1, 1]; ``target``
+    is p(r) or q(r), ``exponent`` the same bracket on a log radius."""
     center = (L - L3) / (log_base + alpha)
     for m in range(max(1, math.floor(center) - 3), math.ceil(center) + 4):
         j = target - exponent(-m * alpha - L3) - m
@@ -463,13 +465,13 @@ def alpha_match(r: float, r3: float, alpha: float, params: MetricParams) -> Alph
     L = math.log(1.0 / r)
     L3 = math.log(1.0 / r3)
     m3, j1 = _alpha_side_match(
-        L, L3, alpha, lambda ls: p_of_log_r(ls, params.b), params.log_b
+        p_of_r(r, params.b), L, L3, alpha, lambda ls: p_of_log_r(ls, params.b), params.log_b
     )
     if params.mode == ONE_SIDED:
         n3, j2 = 0, 0
     else:
         n3, j2 = _alpha_side_match(
-            L, L3, alpha, lambda ls: q_of_log_r(ls, params.a), params.log_a
+            q_of_r(r, params.a), L, L3, alpha, lambda ls: q_of_log_r(ls, params.a), params.log_a
         )
     return AlphaMatch(m3=m3, n3=n3, j1=j1, j2=j2, ratio=(m3 + n3) / L)
 

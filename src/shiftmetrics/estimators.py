@@ -28,10 +28,6 @@ from .cylinders import (
     ball_window,
     bowen_window,
     neutralized_window,
-    p_of_log_r,
-    p_of_r,
-    q_of_log_r,
-    q_of_r,
     require_alpha_regime,
 )
 from .errors import (
@@ -65,6 +61,8 @@ COUNT_TOL = 0.02
 MEASURE_TOL = 0.05
 #: Default radius ladder 2^-j_min .. 2^-j_max of the dimension estimators.
 DEFAULT_LADDER = (8, 40)
+#: Default shrinking rate ``r`` and discount rate ``alpha`` of the rated kinds.
+DEFAULT_RATES = {"r": 0.05, "alpha": 0.1}
 
 
 @dataclass(frozen=True)
@@ -159,25 +157,6 @@ def _fit_slope(
     return SlopeEstimate(slope, intercept, rms, ladder, saturated, spread, flagged, points)
 
 
-def _ladder_key(ladder) -> tuple:
-    if isinstance(ladder, RadiusLadder):
-        return tuple(ladder.r_values)
-    return tuple(ladder)
-
-
-def _cover_length_at_radius(params: MetricParams, r: float) -> int:
-    """Window length of the cylinder equal to a radius-r ball."""
-    if params.mode == ONE_SIDED:
-        return p_of_r(r, params.b)
-    return p_of_r(r, params.b) + q_of_r(r, params.a) - 1
-
-
-def _cover_length_at_log_radius(params: MetricParams, log_r: float) -> int:
-    if params.mode == ONE_SIDED:
-        return p_of_log_r(log_r, params.b)
-    return p_of_log_r(log_r, params.b) + q_of_log_r(log_r, params.a) - 1
-
-
 def _split_depth(params: MetricParams, total: int) -> tuple[int, int]:
     """Split n + m = total between backward and forward depth."""
     if params.mode == ONE_SIDED:
@@ -195,6 +174,116 @@ def _depth_values(nm_range: Iterable[int]) -> tuple[int, ...]:
     return vals
 
 
+# ---------------------------------------------------------------------------
+# ladders of cylinder windows, and the three ways of reading them
+# ---------------------------------------------------------------------------
+
+
+class _Ladder(NamedTuple):
+    """The cylinder windows of an estimate's ladder, one per step.
+
+    A reading maps each window to a log size that grows as the window
+    widens: the ln word count (``"words"``), the ln minimal cover count
+    (``"cover"``), or the information -ln mu of a point's cylinder
+    (``"mass"``).  The fit is ``sign * log size`` against ``xs``; ``key`` is
+    the ladder the estimate records.
+    """
+
+    xs: tuple[float, ...]
+    windows: tuple[CylinderIndex, ...]
+    sign: float
+    key: tuple
+
+
+def _ball_ladder(params: MetricParams, ladder, sign: float) -> _Ladder:
+    """Open-ball windows over a radius ladder: sign +1 fits the log size
+    against ln(1/r), sign -1 its negative (ln mu) against ln r."""
+    radii = tuple(ladder)
+    xs = tuple(math.log(1.0 / r) if sign > 0 else math.log(r) for r in radii)
+    return _Ladder(xs, tuple(ball_window(r, params) for r in radii), sign, radii)
+
+
+def _depth_ladder(
+    params: MetricParams,
+    nm_range: Iterable[int],
+    window_of_depth: Callable[[int, int], CylinderIndex],
+) -> _Ladder:
+    """Windows of depth n + m = t, fitted against t."""
+    depths = _depth_values(nm_range)
+    windows = tuple(window_of_depth(*_split_depth(params, t)) for t in depths)
+    return _Ladder(tuple(float(t) for t in depths), windows, 1.0, depths)
+
+
+def _bowen_ladder(params: MetricParams, r1: float, nm_range: Iterable[int]) -> _Ladder:
+    return _depth_ladder(params, nm_range, lambda n, m: bowen_window(n, m, r1, params))
+
+
+def _shrinking_ladder(
+    params: MetricParams, r: float, nm_range: Iterable[int], r1: float | None = None
+) -> _Ladder:
+    """Bowen windows at the shrinking radius e^{-(n+m) r}, for 0 < r < 3/k.
+
+    With a reference radius ``r1``, r = 0 is accepted too and gives the
+    Bowen windows at the fixed radius r1.
+    """
+    bound = 3.0 / params.k()
+    if not (0.0 < r < bound or (r == 0.0 and r1 is not None)):
+        low = "0 <" if r1 is None else "0 <="
+        raise ConstraintViolated(
+            f"shrinking rate r must satisfy {low} r < 3/k = {bound:.6g}, got {r}"
+        )
+    if r == 0.0:
+        return _bowen_ladder(params, r1, nm_range)
+    return _depth_ladder(params, nm_range, lambda n, m: neutralized_window(n, m, r, params))
+
+
+def _alpha_ladder(
+    params: MetricParams, alpha: float, nm_range: Iterable[int], r3: float
+) -> _Ladder:
+    require_alpha_regime(alpha, params)
+    return _depth_ladder(params, nm_range, lambda n, m: alpha_window(n, m, alpha, r3, params))
+
+
+def _read(
+    ladder: _Ladder, log_size: Callable[[CylinderIndex], float], horizon: float = math.inf
+) -> SlopeEstimate:
+    """Fit a ladder's log sizes.  Windows beyond ``horizon`` are dropped and
+    the estimate is marked saturated."""
+    xs, ys = [], []
+    saturated = False
+    for xv, window in zip(ladder.xs, ladder.windows):
+        if max(-window.lo, window.hi) > horizon:
+            saturated = True
+            continue
+        xs.append(xv)
+        ys.append(ladder.sign * log_size(window))
+    return _fit_slope(xs, ys, ladder.key, saturated)
+
+
+def _word_counts(space: ShiftSpace) -> Callable[[CylinderIndex], float]:
+    return lambda window: math.log(count_words(space, window.length))
+
+
+def _cover_counts(
+    mu: Measure, delta: float, node_budget: int = ENUMERATION_LIMIT
+) -> Callable[[CylinderIndex], float]:
+    if not 0.0 < delta < 1.0:
+        raise HypothesisViolated(f"delta must lie in (0, 1), got {delta}")
+    return lambda window: minimal_cover_log_count(mu, window.length, delta, node_budget)
+
+
+def _mass_slope(mu: Measure, x: Point, ladder: _Ladder) -> SlopeEstimate:
+    """Read a ladder at the point x, dropping windows beyond its horizon."""
+
+    def information(window: CylinderIndex) -> float:
+        lm = log_word_mass(mu, x.window(window.lo, window.hi))
+        if lm == -math.inf:
+            raise BadMeasure("the point leaves the support of the measure")
+        return -lm
+
+    return _read(ladder, information, x.horizon)
+
+
 def box_dimension(space: ShiftSpace, params: MetricParams, ladder: RadiusLadder) -> SlopeEstimate:
     """Box-counting dimension: slope of ln N(r) against ln(1/r).
 
@@ -203,12 +292,7 @@ def box_dimension(space: ShiftSpace, params: MetricParams, ladder: RadiusLadder)
     of admissible words on that window.  Upper and lower box dimensions
     coincide by this exactness.
     """
-    xs, ys = [], []
-    for r in ladder:
-        length = _cover_length_at_radius(params, r)
-        xs.append(math.log(1.0 / r))
-        ys.append(math.log(count_words(space, length)))
-    return _fit_slope(xs, ys, _ladder_key(ladder), saturated=False)
+    return _read(_ball_ladder(params, ladder, 1.0), _word_counts(space))
 
 
 def pointwise_dimension(
@@ -221,7 +305,7 @@ def pointwise_dimension(
     refuses with ``HorizonExceeded``.  The estimator reports what it sees:
     typicality of x is the caller's burden.
     """
-    return _local_mass_slope(mu, x, _ball_ladder(params, ladder))
+    return _mass_slope(mu, x, _ball_ladder(params, ladder, -1.0))
 
 
 def topological_entropy_spanning(
@@ -234,13 +318,7 @@ def topological_entropy_spanning(
     cylinder window, so the slope of ln(count) against t is exact up to
     regression; the reference radius r1 only moves the intercept.
     """
-    base = _cover_length_at_radius(params, r1)
-    depths = _depth_values(nm_range)
-    xs, ys = [], []
-    for t in depths:
-        xs.append(float(t))
-        ys.append(math.log(count_words(space, base + t)))
-    return _fit_slope(xs, ys, depths, saturated=False)
+    return _read(_bowen_ladder(params, r1, nm_range), _word_counts(space))
 
 
 def neutralized_topological(
@@ -256,20 +334,7 @@ def neutralized_topological(
     the slope approaches (1 + r k) times the classical entropy.  Requires
     0 <= r < 3/k; r = 0 degenerates to the classical fixed-radius estimator.
     """
-    bound = 3.0 / params.k()
-    if r < 0 or r >= bound:
-        raise ConstraintViolated(
-            f"shrinking rate r must satisfy 0 <= r < 3/k = {bound:.6g}, got {r}"
-        )
-    if r == 0.0:
-        return topological_entropy_spanning(space, params, r1, nm_range)
-    depths = _depth_values(nm_range)
-    xs, ys = [], []
-    for t in depths:
-        length = _cover_length_at_log_radius(params, -t * r) + t
-        xs.append(float(t))
-        ys.append(math.log(count_words(space, length)))
-    return _fit_slope(xs, ys, depths, saturated=False)
+    return _read(_shrinking_ladder(params, r, nm_range, r1), _word_counts(space))
 
 
 def katok_entropy(
@@ -289,96 +354,8 @@ def katok_entropy(
     e^{-(n+m) r} instead of the fixed r1); the slope is then expected to be
     delta-independent as well.
     """
-    if not 0.0 < delta < 1.0:
-        raise HypothesisViolated(f"delta must lie in (0, 1), got {delta}")
-    bound = 3.0 / params.k()
-    if r < 0 or r >= bound:
-        raise ConstraintViolated(
-            f"shrinking rate r must satisfy 0 <= r < 3/k = {bound:.6g}, got {r}"
-        )
-    base = _cover_length_at_radius(params, r1) if r == 0.0 else None
-    depths = _depth_values(nm_range)
-    xs, ys = [], []
-    for t in depths:
-        if base is not None:
-            length = base + t
-        else:
-            length = _cover_length_at_log_radius(params, -t * r) + t
-        xs.append(float(t))
-        ys.append(minimal_cover_log_count(mu, length, delta, node_budget))
-    return _fit_slope(xs, ys, depths, saturated=False)
-
-
-class _MassLadder(NamedTuple):
-    """The cylinder windows of a per-point ladder, shared by every point.
-
-    At a point x the fit is ``sign * ln mu(x on window)`` against ``xs``;
-    ``key`` is the ladder the estimate records.
-    """
-
-    xs: tuple[float, ...]
-    windows: tuple[CylinderIndex, ...]
-    sign: float
-    key: tuple
-
-
-def _ball_ladder(params: MetricParams, ladder) -> _MassLadder:
-    """ln mu(B(x, r)) against ln r."""
-    windows = tuple(ball_window(r, params) for r in ladder)
-    return _MassLadder(tuple(math.log(r) for r in ladder), windows, 1.0, _ladder_key(ladder))
-
-
-def _depth_ladder(
-    params: MetricParams,
-    depths: tuple[int, ...],
-    window_of_depth: Callable[[int, int], CylinderIndex],
-) -> _MassLadder:
-    """-ln mu(cylinder of depth n + m = t) against t."""
-    windows = tuple(window_of_depth(*_split_depth(params, t)) for t in depths)
-    return _MassLadder(tuple(float(t) for t in depths), windows, -1.0, depths)
-
-
-def _bowen_ladder(params: MetricParams, r1: float, nm_range: Iterable[int]) -> _MassLadder:
-    depths = _depth_values(nm_range)
-    return _depth_ladder(params, depths, lambda n, m: bowen_window(n, m, r1, params))
-
-
-def _neutralized_ladder(params: MetricParams, r: float, nm_range: Iterable[int]) -> _MassLadder:
-    bound = 3.0 / params.k()
-    if not 0.0 < r < bound:
-        raise ConstraintViolated(
-            f"shrinking rate r must satisfy 0 < r < 3/k = {bound:.6g}, got {r}"
-        )
-    depths = _depth_values(nm_range)
-    return _depth_ladder(params, depths, lambda n, m: neutralized_window(n, m, r, params))
-
-
-def _alpha_ladder(
-    params: MetricParams, alpha: float, nm_range: Iterable[int], r3: float
-) -> _MassLadder:
-    require_alpha_regime(alpha, params)
-    depths = _depth_values(nm_range)
-    return _depth_ladder(params, depths, lambda n, m: alpha_window(n, m, alpha, r3, params))
-
-
-def _local_mass_slope(mu: Measure, x: Point, ladder: _MassLadder) -> SlopeEstimate:
-    """Fit the local masses of x over a ladder's windows.
-
-    Windows beyond the point's horizon are dropped and the estimate is
-    marked saturated.
-    """
-    xs, ys = [], []
-    saturated = False
-    for xv, window in zip(ladder.xs, ladder.windows):
-        if max(-window.lo, window.hi) > x.horizon:
-            saturated = True
-            continue
-        lm = log_word_mass(mu, x.window(window.lo, window.hi))
-        if lm == -math.inf:
-            raise BadMeasure("the point leaves the support of the measure")
-        xs.append(xv)
-        ys.append(ladder.sign * lm)
-    return _fit_slope(xs, ys, ladder.key, saturated)
+    covers = _cover_counts(mu, delta, node_budget)
+    return _read(_shrinking_ladder(params, r, nm_range, r1), covers)
 
 
 def brin_katok_local(
@@ -393,7 +370,7 @@ def brin_katok_local(
     Window depths that do not fit the horizon are dropped (saturated flag);
     fewer than two usable depths raise ``HorizonExceeded``.
     """
-    return _local_mass_slope(mu, x, _bowen_ladder(params, r1, nm_range))
+    return _mass_slope(mu, x, _bowen_ladder(params, r1, nm_range))
 
 
 def neutralized_brin_katok(
@@ -404,7 +381,7 @@ def neutralized_brin_katok(
     nm_range: Iterable[int],
 ) -> SlopeEstimate:
     """Local entropy with shrinking radius e^{-(n+m) r}; needs 0 < r < 3/k."""
-    return _local_mass_slope(mu, x, _neutralized_ladder(params, r, nm_range))
+    return _mass_slope(mu, x, _shrinking_ladder(params, r, nm_range))
 
 
 def alpha_estimation_entropy(
@@ -424,19 +401,12 @@ def alpha_estimation_entropy(
     0 <= alpha < min(ln a, ln b); alpha = 0 reduces both variants exactly
     to their classical fixed-radius counterparts.
     """
-    require_alpha_regime(alpha, params)
-    depths = _depth_values(nm_range)
+    ladder = _alpha_ladder(params, alpha, nm_range, r3)
     if isinstance(target, ShiftSpace):
-        xs, ys = [], []
-        for t in depths:
-            n, m = _split_depth(params, t)
-            window = alpha_window(n, m, alpha, r3, params)
-            xs.append(float(t))
-            ys.append(math.log(count_words(target, window.length)))
-        return _fit_slope(xs, ys, depths, saturated=False)
+        return _read(ladder, _word_counts(target))
     if x is None:
         raise HypothesisViolated("the measure variant needs a sampled point x")
-    return _local_mass_slope(target, x, _alpha_ladder(params, alpha, depths, r3))
+    return _mass_slope(target, x, ladder)
 
 
 def _typical_points(
@@ -517,7 +487,7 @@ def one_sided_suite(
         }
     else:
         space, mu = None, target
-        horizon = max(depths) + _cover_length_at_radius(params, min(ladder.r_values)) + 8
+        horizon = max(depths) + ball_window(min(ladder.r_values), params).length + 8
         points = _typical_points(mu, horizon, n_points, seed, None)
         kinds = {
             "pointwise_dimension": "pointwise_dimension",
@@ -666,23 +636,17 @@ def _k_alpha(params: MetricParams, rate: float) -> float:
 class Kind:
     """How one bundle kind is estimated, and the identity its slope satisfies.
 
-    A kind has exactly one of ``estimate`` and ``local``.
-    ``estimate(target, params, ladder, rate, r1, delta)`` is the slope of a
-    space, or of a measure's minimal covers.  A kind with ``local`` is
-    estimated at typical points: ``local(params, ladder, rate, r1)`` checks
-    the rate and ladder and returns the cylinder windows of every ladder
-    step, computed once and fitted at each point.
+    ``ladder(params, ladder, rate, r1)`` checks the rate and ladder and
+    returns the cylinder windows of every ladder step; ``reads`` says how
+    they are read: ``"words"`` on the space, ``"cover"`` on the measure, or
+    ``"mass"`` at each typical point of the measure.
     """
 
     identity: Identity
     rate: str | None  # the rate the kind takes: "r", "alpha" or none
     depths: tuple | None  # default (t_min, t_max, t_step); None: DEFAULT_LADDER
-    estimate: Callable | None = None
-    local: Callable[..., _MassLadder] | None = None
-
-
-def _katok(mu, params, depths, rate, r1, delta):
-    return katok_entropy(mu, params, delta, r1, depths, r=rate)
+    ladder: Callable[..., _Ladder]
+    reads: str
 
 
 #: Every bundle kind, in ``standard_bundle`` order.  The default depths are
@@ -695,13 +659,15 @@ KINDS = {
         Identity("box-dimension = k * entropy", False, _one, _k, "({k}) * h_top"),
         None,
         None,
-        lambda space, p, ladder, *_: box_dimension(space, p, ladder),
+        lambda p, radii, q, r1: _ball_ladder(p, radii, 1.0),
+        "words",
     ),
     "entropy": Kind(
         Identity("spanning-entropy = oracle entropy", False, _one, _one, "ln(spectral radius)"),
         None,
         (10, 60, 5),
-        lambda space, p, depths, q, r1, _: topological_entropy_spanning(space, p, r1, depths),
+        lambda p, depths, q, r1: _bowen_ladder(p, r1, depths),
+        "words",
     ),
     "neutralized_topological": Kind(
         Identity(
@@ -713,7 +679,8 @@ KINDS = {
         ),
         "r",
         (20, 120, 10),
-        lambda space, p, depths, q, r1, _: neutralized_topological(space, p, q, depths, r1=r1),
+        lambda p, depths, q, r1: _shrinking_ladder(p, q, depths, r1),
+        "words",
     ),
     "alpha_topological": Kind(
         Identity(
@@ -721,25 +688,29 @@ KINDS = {
         ),
         "alpha",
         (20, 120, 10),
-        lambda space, p, depths, q, r1, _: alpha_estimation_entropy(space, p, q, depths, r3=r1),
+        lambda p, depths, q, r1: _alpha_ladder(p, q, depths, r1),
+        "words",
     ),
     "pointwise_dimension": Kind(
         Identity("pointwise-dimension = k * measure-entropy", True, _one, _k, "({k}) * h_mu"),
         None,
         None,
-        local=lambda p, ladder, q, r1: _ball_ladder(p, ladder),
+        lambda p, radii, q, r1: _ball_ladder(p, radii, -1.0),
+        "mass",
     ),
     "brin_katok": Kind(
         Identity("brin-katok = measure-entropy", True, _one, _one, "entropy rate of the measure"),
         None,
         (20, 200, 12),
-        local=lambda p, depths, q, r1: _bowen_ladder(p, r1, depths),
+        lambda p, depths, q, r1: _bowen_ladder(p, r1, depths),
+        "mass",
     ),
     "katok": Kind(
         Identity("katok = measure-entropy", True, _one, _one, "h_mu"),
         None,
         (300, 900, 60),
-        _katok,
+        lambda p, depths, q, r1: _shrinking_ladder(p, q, depths, r1),
+        "cover",
     ),
     "neutralized_brin_katok": Kind(
         Identity(
@@ -751,7 +722,8 @@ KINDS = {
         ),
         "r",
         (20, 200, 12),
-        local=lambda p, depths, q, r1: _neutralized_ladder(p, q, depths),
+        lambda p, depths, q, r1: _shrinking_ladder(p, q, depths),
+        "mass",
     ),
     "neutralized_katok": Kind(
         Identity(
@@ -759,7 +731,8 @@ KINDS = {
         ),
         "r",
         (300, 900, 60),
-        _katok,
+        lambda p, depths, q, r1: _shrinking_ladder(p, q, depths, r1),
+        "cover",
     ),
     "alpha_brin_katok": Kind(
         Identity(
@@ -771,7 +744,8 @@ KINDS = {
         ),
         "alpha",
         (20, 120, 10),
-        local=lambda p, depths, q, r1: _alpha_ladder(p, q, depths, r1),
+        lambda p, depths, q, r1: _alpha_ladder(p, q, depths, r1),
+        "mass",
     ),
 }
 #: Kinds a bundle checks against their own identity, in report order; it
@@ -849,18 +823,18 @@ def estimate_kind(
     holds every window of the ladder, plus 8.
     """
     spec = KINDS[kind]
-    if spec.local is None:
-        target = mu if spec.identity.measure else space
-        return spec.estimate(target, params, ladder, rate, r1, delta)
-    mass_ladder = spec.local(params, ladder, rate, r1)
+    if spec.reads != "mass":
+        log_size = _word_counts(space) if spec.reads == "words" else _cover_counts(mu, delta)
+        return _read(spec.ladder(params, ladder, rate, r1), log_size)
+    steps = spec.ladder(params, ladder, rate, r1)
 
     def estimator(x: Point) -> SlopeEstimate:
-        return _local_mass_slope(mu, x, mass_ladder)
+        return _mass_slope(mu, x, steps)
 
     if points is not None:
         return _average([estimator(x) for x in points])
     if not horizon:
-        horizon = max(max(-w.lo, w.hi) for w in mass_ladder.windows) + 8
+        horizon = max(max(-w.lo, w.hi) for w in steps.windows) + 8
     return average_over_typical(estimator, mu, horizon, n_points, seed, space)
 
 
@@ -925,8 +899,8 @@ def standard_bundle(
     space: ShiftSpace,
     params: MetricParams,
     mu: Measure | None = None,
-    r: float = 0.05,
-    alpha: float = 0.1,
+    r: float = DEFAULT_RATES["r"],
+    alpha: float = DEFAULT_RATES["alpha"],
     delta: float = 0.25,
     seed: int = 0,
     n_points: int = 100,

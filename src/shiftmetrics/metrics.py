@@ -42,7 +42,7 @@ class MetricParams:
     """Scale parameters of the distance rho.
 
     ``a`` weights the backward disagreement time and ``b`` the forward one;
-    both must exceed 1.  ``epsilon`` is the separation threshold of the
+    both must be finite and exceed 1.  ``epsilon`` is the separation threshold of the
     underlying base distance (fixed model: 2**-|i| with threshold 1/2).
     One-sided mode drops the backward term entirely.
     """
@@ -55,10 +55,10 @@ class MetricParams:
     def __post_init__(self):
         if self.mode not in (TWO_SIDED, ONE_SIDED):
             raise HypothesisViolated(f"mode must be two-sided or one-sided, got {self.mode!r}")
-        if not (self.b > 1.0):
-            raise HypothesisViolated(f"b must be > 1, got {self.b}")
-        if self.mode == TWO_SIDED and not (self.a > 1.0):
-            raise HypothesisViolated(f"a must be > 1, got {self.a}")
+        if not (1.0 < self.b < math.inf):
+            raise HypothesisViolated(f"b must be finite and > 1, got {self.b}")
+        if self.mode == TWO_SIDED and not (1.0 < self.a < math.inf):
+            raise HypothesisViolated(f"a must be finite and > 1, got {self.a}")
         if not (0.0 < self.epsilon < 1.0):
             raise HypothesisViolated(f"epsilon must lie in (0, 1), got {self.epsilon}")
 

@@ -318,11 +318,12 @@ def top_entropy_oracle(space: ShiftSpace, tol: float = 1e-12, max_iter: int = 20
 def point_from_window(space: ShiftSpace, symbols: Sequence[int]) -> Point:
     """Build a point from an odd-length window centered at coordinate 0.
 
-    An int64 array is used as given (the point keeps a read-only copy);
-    any other sequence is converted entry by entry with ``int``.
+    The entries are checked as given, so one that is not an integer value
+    (``1.5``) is refused rather than truncated; the point keeps a read-only
+    int64 copy.
     """
-    if not (isinstance(symbols, np.ndarray) and symbols.dtype == np.int64):
-        symbols = [int(c) for c in symbols]
+    if not isinstance(symbols, np.ndarray):
+        symbols = list(symbols)
     if len(symbols) % 2 != 1:
         raise HorizonExceeded(f"window length must be odd, got {len(symbols)}")
     space.require_admissible(symbols)

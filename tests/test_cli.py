@@ -216,6 +216,17 @@ class TestExitCodes:
         assert main(["brin-katok", "--measure", str(path), "--n-points", "1"]) == 2
         assert "weights must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--a", "--b"])
+    def test_infinite_base(self, flag, capsys):
+        assert main(["dim", flag, "inf", "--j-max", "12"]) == 2
+        assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("quantity", ["neutralized", "relations"])
+    def test_nan_shrinking_rate(self, quantity, capsys):
+        assert main([quantity, "--r", "nan"]) == 2
+        err = capsys.readouterr().err
+        assert "shrinking rate r must satisfy" in err and "got nan" in err
+
     def test_gamma_too_large(self, capsys):
         assert main(["metric-verify", "--gamma", "0.4"]) == 2
         assert "gamma" in capsys.readouterr().err

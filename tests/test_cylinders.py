@@ -66,6 +66,8 @@ class TestRadiusExponents:
 
     def test_near_one(self):
         assert p_of_r(0.9999, 2.0) == 1
+        # an exact radius whose float rounds to 1.0
+        assert p_of_r(Fraction(10**20 - 1, 10**20), Fraction(2)) == 1
 
     def test_brackets_hold_on_a_sweep(self):
         for j in range(1, 60):
@@ -283,6 +285,35 @@ class TestMembershipEquivalence:
         y = sample_point(FULL2, 60, seed=s2)
         w = ball_window(r, P13)
         assert agrees_on(x, y, w) == in_ball(x, y, r, P13)
+
+
+#: (base, radius) pairs where ln r sits on or next to a multiple of ln b, so
+#: only an exact bracket of r agrees with the distance itself
+BOUNDARY_RADII = [(math.sqrt(2.0), 2.0**-27)] + [
+    (b, b**-j) for b in (1.25, 1.5, 1.6) for j in range(1, 8)
+]
+
+
+class TestExactRadiusBracket:
+    """A given radius is bracketed with p_of_r, as the distance is compared
+    with it; only derived radii are bracketed from their logarithms."""
+
+    @pytest.mark.parametrize("b, r", BOUNDARY_RADII)
+    def test_ball_window_is_the_ball(self, b, r):
+        params = MetricParams(a=b, b=b)
+        window = ball_window(r, params)
+        assert window.length == p_of_r(r, b) + q_of_r(r, b) - 1
+        horizon = window.hi + 10
+        x = sample_point(FULL2, horizon, seed=7)
+        for t in range(-horizon, horizon + 1):
+            y = flip_inside(x, window, horizon, t)
+            assert agrees_on(x, y, window) == in_ball(x, y, r, params), t
+
+    @pytest.mark.parametrize("b, r", BOUNDARY_RADII)
+    def test_undiscounted_alpha_window_is_the_bowen_window(self, b, r):
+        params = MetricParams(a=b, b=b)
+        for n, m in [(0, 0), (0, 3), (2, 5), (6, 1)]:
+            assert alpha_window(n, m, 0.0, r, params) == bowen_window(n, m, r, params)
 
 
 class TestOpenBallAsBowen:

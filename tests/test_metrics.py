@@ -74,9 +74,17 @@ class TestMetricParams:
         with pytest.raises(HypothesisViolated):
             MetricParams(**kw)
 
+    @pytest.mark.parametrize("field", ["a", "b"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_bases_must_be_finite(self, field, value):
+        kw = {"a": 1.3, "b": 1.3, field: value}
+        with pytest.raises(HypothesisViolated, match=f"^{field} must be finite"):
+            MetricParams(**kw)
+
     def test_one_sided_ignores_a(self):
         # a is unused in one-sided mode, so an out-of-range a is fine
         MetricParams(a=0.0, b=1.3, mode="one-sided")
+        MetricParams(a=math.inf, b=1.3, mode="one-sided")
 
     def test_chain_regime_gate(self):
         MetricParams(a=2.0, b=2.0).require_chain_regime()  # closed endpoint

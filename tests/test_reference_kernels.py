@@ -1,18 +1,36 @@
-"""Differential tests: the table-driven sampler and the vectorised
-admissibility check against the scalar code they replaced.
+"""Differential tests: the table-driven sampler, the vectorised
+admissibility check and the cylinder windows of every estimator ladder
+against the scalar code they replaced.
 
 The references below are kept here only as oracles.  ``reference_sample``
 draws every symbol with ``rng.choice(m, p=law)`` in the order center,
 forward, backward; ``reference_is_admissible`` walks the word symbol by
-symbol.  The fast versions must agree bit for bit.
+symbol; ``reference_cover_length_at_radius`` and
+``reference_cover_length_at_log_radius`` are the closed-form window lengths
+the counting estimators used before every ladder was built from
+``cylinders`` windows.  The fast versions must agree exactly.
 """
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from shiftmetrics import BernoulliMeasure, MarkovMeasure, make_space, sample_typical
+from shiftmetrics import (
+    BernoulliMeasure,
+    MarkovMeasure,
+    MetricParams,
+    RadiusLadder,
+    make_space,
+    p_of_log_r,
+    p_of_r,
+    q_of_log_r,
+    q_of_r,
+    sample_typical,
+)
+from shiftmetrics.estimators import DEFAULT_LADDER, KINDS
 from shiftmetrics.measures import reversed_kernel
+from shiftmetrics.metrics import ONE_SIDED
 from shiftmetrics.shiftspace import ShiftSpace
 
 SEEDS = range(200)
@@ -124,3 +142,58 @@ def test_admissibility_on_every_short_word(space):
     for length in range(4):
         for word in itertools.product(range(-1, space.alphabet_size + 1), repeat=length):
             assert space.is_admissible(word) is reference_is_admissible(space, word), word
+
+
+def reference_cover_length_at_radius(params: MetricParams, r: float) -> int:
+    """Window length of the cylinder equal to a radius-r ball."""
+    if params.mode == ONE_SIDED:
+        return p_of_r(r, params.b)
+    return p_of_r(r, params.b) + q_of_r(r, params.a) - 1
+
+
+def reference_cover_length_at_log_radius(params: MetricParams, log_r: float) -> int:
+    if params.mode == ONE_SIDED:
+        return p_of_log_r(log_r, params.b)
+    return p_of_log_r(log_r, params.b) + q_of_log_r(log_r, params.a) - 1
+
+
+def reference_length(kind: str, params: MetricParams, step, rate: float, r1: float) -> int:
+    """The window length a kind's ladder step had: a radius-``step`` ball, or
+    depth t = ``step`` past the fixed radius r1 or the shrinking e^{-t r}."""
+    if KINDS[kind].depths is None:
+        return reference_cover_length_at_radius(params, step)
+    if KINDS[kind].rate == "r" and rate > 0.0:
+        return reference_cover_length_at_log_radius(params, -step * rate) + step
+    return reference_cover_length_at_radius(params, r1) + step
+
+
+BASES = (1.05, 1.25, math.sqrt(2.0), 2.0, 3.0)
+WINDOW_PARAMS = [MetricParams(a, b) for a in BASES for b in BASES] + [
+    MetricParams(1.3, b, mode=ONE_SIDED) for b in BASES
+]
+
+
+def boundary_ladder(params: MetricParams) -> RadiusLadder:
+    """The default dimension ladder plus every radius a**-j and b**-j that
+    lies on a window boundary of the metric."""
+    radii = set(RadiusLadder.geometric(*DEFAULT_LADDER))
+    for base in {params.a, params.b}:
+        radii.update(base**-j for j in range(1, 80))
+    return RadiusLadder(tuple(sorted((r for r in radii if 0.0 < r < 1.0), reverse=True)))
+
+
+@pytest.mark.parametrize(
+    "params", WINDOW_PARAMS, ids=lambda p: f"{p.mode}-a{p.a:.3g}-b{p.b:.3g}"
+)
+def test_ladder_windows_have_the_closed_form_lengths(params):
+    depths = range(1, 201)
+    radii = boundary_ladder(params)
+    bound = 3.0 / params.k()
+    for kind, spec in KINDS.items():
+        ladder = radii if spec.depths is None else depths
+        rates = [0.0] if spec.rate != "r" else [q for q in (0.01, 0.05, 0.2) if q < bound]
+        for r1, rate in itertools.product((0.9, 0.5), rates):
+            windows = spec.ladder(params, ladder, rate, r1).windows
+            lengths = [w.length for w in windows]
+            expected = [reference_length(kind, params, step, rate, r1) for step in ladder]
+            assert lengths == expected, (kind, r1, rate)

@@ -213,6 +213,16 @@ class TestPointWindow:
         x = point_from_window(golden, [0, 1, 0, 0, 1])
         assert x.horizon == 2 and x[0] == 0
 
+    @pytest.mark.parametrize("word", [[0, 1.5, 0], (0, 1.5, 0), np.array([0.0, 1.5, 0.0])])
+    def test_non_integer_symbol_is_refused_not_truncated(self, golden, word):
+        with pytest.raises(errors.InadmissibleWord):
+            point_from_window(golden, word)
+
+    def test_integer_valued_entries_are_accepted(self, golden):
+        for word in ([0, 1.0, 0], [Fraction(0), Fraction(1), 0], np.array([0.0, 1.0, 0.0])):
+            x = point_from_window(golden, word)
+            assert x.symbols.dtype == np.int64 and x.symbols.tolist() == [0, 1, 0]
+
     def test_word_extraction(self, full2):
         x = point_from_window(full2, [1, 0, 1])
         w = x.word(-1, 1)
