@@ -54,7 +54,7 @@ from .metrics import (
     mather_n0,
     verify_hyperbolicity,
 )
-from .shiftspace import ShiftSpace, make_space, sample_point, top_entropy_oracle
+from .shiftspace import ShiftSpace, make_space, sample_points, top_entropy_oracle
 
 SCHEMA_VERSION = "1"
 CSV_COLUMNS = ("quantity", "n_or_r", "raw_count_or_mass(log)", "fitted", "residual")
@@ -113,6 +113,10 @@ class RunConfig:
         for flag, value in tols:
             if value is not None and not (math.isfinite(value) and value >= 0.0):
                 raise HypothesisViolated(f"{flag} needs a finite number >= 0, got {value}")
+        for name in ("alpha", "delta", "gamma", "r1"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise HypothesisViolated(f"{name} must be finite, got {value}")
 
 
 def parse_space(spec: str) -> ShiftSpace:
@@ -336,18 +340,13 @@ def _run_metric_verify(config, space, params, mu):
     _check_tolerances(config, [])
     mp = mather_n0(params, config.gamma)
     horizon = config.horizon or 4 * mp.n0 + 48
-    pairs = [
-        (
-            sample_point(space, horizon, config.seed + 2 * i),
-            sample_point(space, horizon, config.seed + 2 * i + 1),
-        )
-        for i in range(config.n_points)
-    ]
+    # pair i is the points of seeds seed + 2i and seed + 2i + 1
+    points = sample_points(space, horizon, range(config.seed, config.seed + 2 * config.n_points))
+    pairs = list(zip(points[0::2], points[1::2]))
     report = verify_hyperbolicity(pairs, mp, params)
     n_tri = min(40, max(4, config.n_points))
-    tri_points = [
-        sample_point(space, 60, config.seed + 1_000_000 + i) for i in range(n_tri)
-    ]
+    tri_seed = config.seed + 1_000_000
+    tri_points = sample_points(space, 60, range(tri_seed, tri_seed + n_tri))
     triples = check_quasi_metric(FiniteSample.from_points(tri_points, params), 1.0)
     relations = [
         _count_relation("ultrametric: rho(x,y) <= max(rho(x,z), rho(z,y))", len(triples)),
@@ -400,10 +399,8 @@ def _run_frink(config, space, params, mu):
     rows = []
     for i in range(config.n_samples):
         if i % 2 == 0:
-            pts = [
-                sample_point(space, 60, config.seed + i * config.sample_size + j)
-                for j in range(config.sample_size)
-            ]
+            first = config.seed + i * config.sample_size
+            pts = sample_points(space, 60, range(first, first + config.sample_size))
             sample = FiniteSample.from_points(pts, params)
             kind = "frink:symbolic"
         else:

@@ -49,6 +49,10 @@ def p_of_r(r, b) -> int:
     """
     if not (0 < r < 1):
         raise RadiusOutOfRange(f"radius must lie in (0, 1), got {r}")
+    if float(r) == 0.0:
+        raise RadiusOutOfRange(
+            f"radius underflows to the float 0.0; radii below {math.ulp(0.0)!r} cannot be bracketed"
+        )
     # an exact r within 2**-53 of 1 rounds to the float 1.0, whose ln is not negative
     p = p_of_log_r(math.log(float(r)), b) if float(r) < 1.0 else 1
     while b ** (-p) >= r:

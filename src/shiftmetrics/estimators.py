@@ -47,7 +47,7 @@ from .measures import (
     supported_on,
 )
 from .metrics import ONE_SIDED, MetricParams
-from .shiftspace import Point, ShiftSpace, count_words
+from .shiftspace import Point, ShiftSpace, word_counts
 
 #: Reference radius used wherever a fixed radius only shifts the intercept.
 DEFAULT_R1 = 0.9
@@ -260,8 +260,12 @@ def _read(
     return _fit_slope(xs, ys, ladder.key, saturated)
 
 
-def _word_counts(space: ShiftSpace) -> Callable[[CylinderIndex], float]:
-    return lambda window: math.log(count_words(space, window.length))
+def _read_words(space: ShiftSpace, ladder: _Ladder) -> SlopeEstimate:
+    """Fit the ln word count of a ladder's windows, every distinct window
+    length counted in one pass."""
+    lengths = sorted({window.length for window in ladder.windows})
+    log_counts = {n: math.log(c) for n, c in zip(lengths, word_counts(space, lengths))}
+    return _read(ladder, lambda window: log_counts[window.length])
 
 
 def _cover_counts(
@@ -292,7 +296,7 @@ def box_dimension(space: ShiftSpace, params: MetricParams, ladder: RadiusLadder)
     of admissible words on that window.  Upper and lower box dimensions
     coincide by this exactness.
     """
-    return _read(_ball_ladder(params, ladder, 1.0), _word_counts(space))
+    return _read_words(space, _ball_ladder(params, ladder, 1.0))
 
 
 def pointwise_dimension(
@@ -318,7 +322,7 @@ def topological_entropy_spanning(
     cylinder window, so the slope of ln(count) against t is exact up to
     regression; the reference radius r1 only moves the intercept.
     """
-    return _read(_bowen_ladder(params, r1, nm_range), _word_counts(space))
+    return _read_words(space, _bowen_ladder(params, r1, nm_range))
 
 
 def neutralized_topological(
@@ -334,7 +338,7 @@ def neutralized_topological(
     the slope approaches (1 + r k) times the classical entropy.  Requires
     0 <= r < 3/k; r = 0 degenerates to the classical fixed-radius estimator.
     """
-    return _read(_shrinking_ladder(params, r, nm_range, r1), _word_counts(space))
+    return _read_words(space, _shrinking_ladder(params, r, nm_range, r1))
 
 
 def katok_entropy(
@@ -403,7 +407,7 @@ def alpha_estimation_entropy(
     """
     ladder = _alpha_ladder(params, alpha, nm_range, r3)
     if isinstance(target, ShiftSpace):
-        return _read(ladder, _word_counts(target))
+        return _read_words(target, ladder)
     if x is None:
         raise HypothesisViolated("the measure variant needs a sampled point x")
     return _mass_slope(target, x, ladder)
@@ -823,9 +827,11 @@ def estimate_kind(
     holds every window of the ladder, plus 8.
     """
     spec = KINDS[kind]
-    if spec.reads != "mass":
-        log_size = _word_counts(space) if spec.reads == "words" else _cover_counts(mu, delta)
-        return _read(spec.ladder(params, ladder, rate, r1), log_size)
+    if spec.reads == "words":
+        return _read_words(space, spec.ladder(params, ladder, rate, r1))
+    if spec.reads == "cover":
+        covers = _cover_counts(mu, delta)
+        return _read(spec.ladder(params, ladder, rate, r1), covers)
     steps = spec.ladder(params, ladder, rate, r1)
 
     def estimator(x: Point) -> SlopeEstimate:

@@ -28,7 +28,7 @@ from .errors import (
     SandwichViolated,
     SaturatedDistances,
 )
-from .shiftspace import Point, sample_point, shift_point
+from .shiftspace import Point, shift_point
 
 TWO_SIDED = "two-sided"
 ONE_SIDED = "one-sided"

@@ -69,7 +69,6 @@ class ShiftSpace:
         if self.transition is None:
             self._out = {s: tuple(alive) for s in alive}
             self._in = {s: tuple(alive) for s in alive}
-            self._sub = None
         else:
             self._out = {
                 s: tuple(t for t in alive if self.transition[s, t]) for s in alive
@@ -77,8 +76,10 @@ class ShiftSpace:
             self._in = {
                 t: tuple(s for s in alive if self.transition[s, t]) for t in alive
             }
-            # exact integer copy for arbitrary-precision word counts
-            self._sub = [[int(self.transition[s, t]) for t in alive] for s in alive]
+        # padded successor and predecessor tables for the batch walk: row s
+        # holds out_symbols(s) (in_symbols(s)) in its first deg[s] entries
+        self._succ, self._n_succ = _padded(alphabet_size, self._out)
+        self._pred, self._n_pred = _padded(alphabet_size, self._in)
 
     @staticmethod
     def _trim(mat: np.ndarray) -> tuple[int, ...]:
@@ -177,6 +178,18 @@ def _integer_value(c) -> int | None:
     return v if v == c else None
 
 
+def _padded(alphabet_size: int, neighbours: dict[int, tuple[int, ...]]):
+    """Neighbour lists as a zero-padded (M, max degree) int64 table and the
+    int64 degree of every symbol (0 for a trimmed one)."""
+    width = max(len(v) for v in neighbours.values())
+    table = np.zeros((alphabet_size, width), dtype=np.int64)
+    degree = np.zeros(alphabet_size, dtype=np.int64)
+    for s, v in neighbours.items():
+        table[s, : len(v)] = v
+        degree[s] = len(v)
+    return table, degree
+
+
 @dataclass(frozen=True, eq=False)
 class Point:
     """Finite-window point: coordinates -horizon..horizon are known.
@@ -237,50 +250,37 @@ def make_space(alphabet_size: int, transition=None) -> ShiftSpace:
     return ShiftSpace(alphabet_size, transition)
 
 
-def _mat_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
-    n = len(A)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        Oi = out[i]
-        for k in range(n):
-            a = Ai[k]
-            if a:
-                Bk = B[k]
-                for j in range(n):
-                    Oi[j] += a * Bk[j]
-    return out
+def word_counts(space: ShiftSpace, lengths: Iterable[int]) -> tuple[int, ...]:
+    """Exact numbers N(L) of admissible words, one for each requested length.
 
-
-def _mat_pow(A: list[list[int]], e: int) -> list[list[int]]:
-    n = len(A)
-    result = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    base = [row[:] for row in A]
-    while e > 0:
-        if e & 1:
-            result = _mat_mul(result, base)
-        base = _mat_mul(base, base)
-        e >>= 1
-    return result
+    The lengths may come in any order and repeat.  A subshift makes one
+    big-integer transfer-vector pass up to the largest length: entry t of
+    the vector counts the words of the current length that end in alive
+    state t, and one step sums it over each state's predecessors (0/1
+    transitions make every step additions only).
+    """
+    lengths = tuple(lengths)
+    for length in lengths:
+        if length < 0:
+            raise ValueError(f"length must be >= 0, got {length}")
+    if space.is_full:
+        return tuple(space.alphabet_size**length for length in lengths)
+    alive = space.alive_states
+    preds = [[space._alive_pos[s] for s in space.in_symbols(t)] for t in alive]
+    wanted = set(lengths)
+    counts = {0: 1}
+    ending = [1] * len(alive)
+    for length in range(1, max(wanted, default=0) + 1):
+        if length > 1:
+            ending = [sum([ending[s] for s in pred]) for pred in preds]
+        if length in wanted:
+            counts[length] = sum(ending)
+    return tuple(counts[length] for length in lengths)
 
 
 def count_words(space: ShiftSpace, length: int) -> int:
-    """Exact number of admissible words of the given length (arbitrary precision).
-
-    Uses integer transfer-matrix powers restricted to alive states, so the
-    result is exact for any length.
-    """
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
-    if length == 0:
-        return 1
-    n_alive = len(space.alive_states)
-    if space.is_full:
-        return space.alphabet_size**length
-    if length == 1:
-        return n_alive
-    P = _mat_pow(space._sub, length - 1)
-    return sum(sum(row) for row in P)
+    """Exact number of admissible words of the given length (arbitrary precision)."""
+    return word_counts(space, (length,))[0]
 
 
 def top_entropy_oracle(space: ShiftSpace, tol: float = 1e-12, max_iter: int = 200_000) -> float:
@@ -299,7 +299,8 @@ def top_entropy_oracle(space: ShiftSpace, tol: float = 1e-12, max_iter: int = 20
     """
     if space.is_full:
         return math.log(space.alphabet_size)
-    A = np.array(space._sub, dtype=float) + np.eye(len(space.alive_states))
+    alive = space.alive_states
+    A = space.transition[np.ix_(alive, alive)].astype(float) + np.eye(len(alive))
     v = np.ones(A.shape[0])
     v /= v.sum()
     lam_prev = None
@@ -333,26 +334,46 @@ def point_from_window(space: ShiftSpace, symbols: Sequence[int]) -> Point:
     return Point(space, arr, h, h)
 
 
-def sample_point(space: ShiftSpace, horizon: int, seed: int) -> Point:
-    """Seeded admissible point: uniform start, then uniform random walks
-    forward over out-edges and backward over in-edges."""
+#: seeds whose uniforms ``sample_points`` holds in memory at once
+SAMPLE_CHUNK = 128
+
+
+def sample_points(space: ShiftSpace, horizon: int, seeds: Iterable[int]) -> list[Point]:
+    """Seeded admissible points, one per seed, walked together.
+
+    Each point is the walk of its own stream ``default_rng(seed).random(2
+    * horizon + 2)``: u[0] picks a uniform alive start, u[1..horizon] walk
+    forward over out-edges and u[horizon+1..2 horizon] backward over
+    in-edges, each step taking neighbour ``int(u * degree)``.  Every step is
+    one NumPy gather over the padded neighbour tables for up to
+    ``SAMPLE_CHUNK`` seeds, writing into the points' final int64 rows.
+    """
     if horizon < 0:
         raise HorizonExceeded(f"horizon must be >= 0, got {horizon}")
-    rng = np.random.default_rng(seed)
+    seeds = list(seeds)
     n = 2 * horizon + 1
-    u = rng.random(n + 1)
-    alive = space.alive_states
-    buf = [0] * n
-    buf[horizon] = alive[int(u[0] * len(alive))]
-    for t in range(1, horizon + 1):
-        choices = space.out_symbols(buf[horizon + t - 1])
-        buf[horizon + t] = choices[int(u[t] * len(choices))]
-    for t in range(1, horizon + 1):
-        choices = space.in_symbols(buf[horizon - t + 1])
-        buf[horizon - t] = choices[int(u[horizon + t] * len(choices))]
-    arr = np.array(buf, dtype=np.int64)
-    arr.setflags(write=False)
-    return Point(space, arr, horizon, horizon)
+    out = np.empty((len(seeds), n), dtype=np.int64)
+    alive = np.array(space.alive_states, dtype=np.int64)
+    for lo in range(0, len(seeds), SAMPLE_CHUNK):
+        chunk = seeds[lo : lo + SAMPLE_CHUNK]
+        u = np.array([np.random.default_rng(seed).random(n + 1) for seed in chunk])
+        rows = out[lo : lo + len(chunk)]
+        rows[:, horizon] = alive[(u[:, 0] * len(alive)).astype(np.int64)]
+        for t in range(1, horizon + 1):
+            prev = rows[:, horizon + t - 1]
+            k = (u[:, t] * space._n_succ[prev]).astype(np.int64)
+            rows[:, horizon + t] = space._succ[prev, k]
+        for t in range(1, horizon + 1):
+            prev = rows[:, horizon - t + 1]
+            k = (u[:, horizon + t] * space._n_pred[prev]).astype(np.int64)
+            rows[:, horizon - t] = space._pred[prev, k]
+    out.setflags(write=False)
+    return [Point(space, row, horizon, horizon) for row in out]
+
+
+def sample_point(space: ShiftSpace, horizon: int, seed: int) -> Point:
+    """The seeded admissible point of ``sample_points`` for one seed."""
+    return sample_points(space, horizon, (seed,))[0]
 
 
 def shift_point(x: Point, i: int) -> Point:

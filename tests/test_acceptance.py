@@ -38,6 +38,7 @@ from shiftmetrics import (
     pointwise_dimension,
     q_of_r,
     sample_point,
+    sample_points,
     sample_typical,
     solve_relation_5_23,
     standard_bundle,
@@ -222,13 +223,8 @@ def test_criterion_09_ultrametric_exhaustive():
 def test_criterion_10_hyperbolicity():
     mp = mather_n0(P13, 0.05)
     horizon = 4 * mp.n0 + 48
-    pairs = [
-        (
-            sample_point(GOLDEN, horizon, 2 * i),
-            sample_point(GOLDEN, horizon, 2 * i + 1),
-        )
-        for i in range(10_000)
-    ]
+    points = sample_points(GOLDEN, horizon, range(20_000))
+    pairs = list(zip(points[0::2], points[1::2]))
     report = verify_hyperbolicity(pairs, mp, P13)
     check(
         "criterion 10: hyperbolicity on 10^4 golden-mean pairs",

@@ -227,6 +227,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "shrinking rate r must satisfy" in err and "got nan" in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["estimation", "--alpha", "nan"],
+            ["katok", "--delta", "inf"],
+            ["metric-verify", "--gamma", "nan"],
+            ["entropy", "--r1", "inf"],
+        ],
+        ids=lambda args: args[1],
+    )
+    def test_non_finite_parameter(self, args, capsys):
+        assert main(args) == 2
+        assert f"{args[1][2:]} must be finite, got {args[2]}" in capsys.readouterr().err
+
     def test_gamma_too_large(self, capsys):
         assert main(["metric-verify", "--gamma", "0.4"]) == 2
         assert "gamma" in capsys.readouterr().err
@@ -332,9 +346,9 @@ class TestToleranceFlag:
     def no_estimator(self, monkeypatch):
         """A refused --tol must stop the run before any estimator starts."""
         for module, name in (
-            (estimators, "count_words"),
+            (estimators, "word_counts"),
             (estimators, "sample_typical"),
-            (cli, "sample_point"),
+            (cli, "sample_points"),
             (cli, "solve_relation_5_23"),
         ):
             monkeypatch.setattr(module, name, _refuse)
@@ -440,8 +454,10 @@ class TestOneComputation:
         assert [args[2] for args in calls] == [0, 1, 2]
 
     def test_dim_counts_each_ladder_radius_once(self, tmp_path, monkeypatch):
-        calls = self.counted(monkeypatch, "count_words")
+        calls = self.counted(monkeypatch, "word_counts")
         code, report = run_json(tmp_path, ["dim", "--j-min", "8", "--j-max", "12"])
         assert code == 0
         assert len(report["rows"]) == 5
-        assert len(calls) == 5
+        assert len(calls) == 1
+        lengths = calls[0][1]
+        assert len(lengths) == len(set(lengths)) == 5

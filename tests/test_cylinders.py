@@ -99,6 +99,16 @@ class TestRadiusExponents:
         with pytest.raises(RadiusOutOfRange):
             p_of_r(0.5, 1.0)
 
+    @pytest.mark.parametrize("bracket", [p_of_r, q_of_r])
+    def test_exact_radius_that_underflows(self, bracket):
+        with pytest.raises(RadiusOutOfRange, match="underflows"):
+            bracket(Fraction(1, 10**400), 2)
+
+    def test_exact_subnormal_radius(self):
+        r = Fraction(1, 10**320)
+        p = p_of_r(r, Fraction(2))
+        assert Fraction(2) ** -p < r <= Fraction(2) ** -(p - 1)
+
 
 class TestWindows:
     def test_ball_window_frozen(self):

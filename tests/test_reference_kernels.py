@@ -1,8 +1,12 @@
-"""Differential tests: the table-driven sampler, the vectorised
-admissibility check and the cylinder windows of every estimator ladder
-against the scalar code they replaced.
+"""Differential tests: the batch word counts and point walk, the
+table-driven sampler, the vectorised admissibility check and the cylinder
+windows of every estimator ladder against the scalar code they replaced,
+and the power-iteration spectral solvers against a dense eigensolver.
 
-The references below are kept here only as oracles.  ``reference_sample``
+The references below are kept here only as oracles.
+``reference_count_words`` is the exact transfer-matrix power count made
+afresh for each length; ``reference_walk`` draws each symbol of a seeded
+point from its own uniform, one symbol at a time; ``reference_sample``
 draws every symbol with ``rng.choice(m, p=law)`` in the order center,
 forward, backward; ``reference_is_admissible`` walks the word symbol by
 symbol; ``reference_cover_length_at_radius`` and
@@ -21,12 +25,18 @@ from shiftmetrics import (
     MarkovMeasure,
     MetricParams,
     RadiusLadder,
+    count_words,
     make_space,
     p_of_log_r,
     p_of_r,
     q_of_log_r,
     q_of_r,
+    sample_point,
+    sample_points,
     sample_typical,
+    stationary,
+    top_entropy_oracle,
+    word_counts,
 )
 from shiftmetrics.estimators import DEFAULT_LADDER, KINDS
 from shiftmetrics.measures import reversed_kernel
@@ -197,3 +207,130 @@ def test_ladder_windows_have_the_closed_form_lengths(params):
             lengths = [w.length for w in windows]
             expected = [reference_length(kind, params, step, rate, r1) for step in ladder]
             assert lengths == expected, (kind, r1, rate)
+
+
+def seeded_sft(m: int, seed: int) -> ShiftSpace:
+    """A random 0/1 subshift on m symbols; some states may be trimmed."""
+    rng = np.random.default_rng(seed)
+    return make_space(m, (rng.random((m, m)) < 0.2).astype(int))
+
+
+COUNT_SPACES = {
+    "full:3": make_space(3),
+    "golden": GOLDEN_SPACE,
+    "trimmed": TRIMMED,
+    "sft:16": seeded_sft(16, 1),
+    "sft:32": seeded_sft(32, 2),
+}
+
+
+def _mat_mul(A, B):
+    n = len(A)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            a = A[i][k]
+            if a:
+                for j in range(n):
+                    out[i][j] += a * B[k][j]
+    return out
+
+
+def _mat_pow(A, e):
+    n = len(A)
+    result = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    base = [row[:] for row in A]
+    while e > 0:
+        if e & 1:
+            result = _mat_mul(result, base)
+        base = _mat_mul(base, base)
+        e >>= 1
+    return result
+
+
+def reference_count_words(space: ShiftSpace, length: int) -> int:
+    """Sum of the entries of T^(length - 1), T the alive-state transitions."""
+    if length == 0:
+        return 1
+    if space.is_full:
+        return space.alphabet_size**length
+    alive = space.alive_states
+    sub = [[int(space.transition[s, t]) for t in alive] for s in alive]
+    return sum(map(sum, _mat_pow(sub, length - 1)))
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_SPACES))
+def test_word_counts_match_the_matrix_powers(name):
+    space = COUNT_SPACES[name]
+    rng = np.random.default_rng(len(name))
+    lengths = [int(n) for n in rng.permutation(301)]
+    lengths += lengths[:40]  # duplicates, requested again out of order
+    counts = word_counts(space, lengths)
+    assert len(counts) == len(lengths)
+    # every length on the small spaces; a seeded dozen of them on M = 16, 32
+    checked = lengths if space.alphabet_size < 16 else lengths[:36:3] + [300]
+    expected = {n: reference_count_words(space, n) for n in checked}
+    got = dict(zip(lengths, counts))
+    assert {n: got[n] for n in checked} == expected
+    assert {n: count_words(space, n) for n in checked[:10]} == {n: expected[n] for n in checked[:10]}
+    assert word_counts(space, []) == ()
+
+
+def reference_walk(space: ShiftSpace, horizon: int, seed: int) -> np.ndarray:
+    """The symbol-by-symbol seeded walk: uniform start, then uniform steps
+    forward over out-edges and backward over in-edges."""
+    u = np.random.default_rng(seed).random(2 * horizon + 2)
+    alive = space.alive_states
+    buf = [0] * (2 * horizon + 1)
+    buf[horizon] = alive[int(u[0] * len(alive))]
+    for t in range(1, horizon + 1):
+        choices = space.out_symbols(buf[horizon + t - 1])
+        buf[horizon + t] = choices[int(u[t] * len(choices))]
+    for t in range(1, horizon + 1):
+        choices = space.in_symbols(buf[horizon - t + 1])
+        buf[horizon - t] = choices[int(u[horizon + t] * len(choices))]
+    return np.array(buf, dtype=np.int64)
+
+
+WALK_SPACES = {"full:2": make_space(2), "golden": GOLDEN_SPACE, "trimmed": TRIMMED, "sft:16": COUNT_SPACES["sft:16"]}
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 7, 60, 192])
+@pytest.mark.parametrize("name", sorted(WALK_SPACES))
+def test_batch_walk_reproduces_the_scalar_walk(name, horizon):
+    space = WALK_SPACES[name]
+    points = sample_points(space, horizon, SEEDS)
+    assert len(points) == len(SEEDS)
+    for seed, x in zip(SEEDS, points):
+        assert x.symbols.dtype == np.int64
+        assert x.symbols.tobytes() == reference_walk(space, horizon, seed).tobytes(), seed
+        assert (x.center, x.horizon, x.space) == (horizon, horizon, space)
+    for seed in SEEDS[:: len(SEEDS) // 4]:
+        assert sample_point(space, horizon, seed).symbols.tobytes() == points[seed].symbols.tobytes()
+
+
+def random_primitive(m: int, rng) -> np.ndarray:
+    """A random 0/1 matrix with a positive power (and no trimmed state)."""
+    while True:
+        mat = (rng.random((m, m)) < max(0.15, 2.5 / m)).astype(np.int64)
+        # square the support until the exponent passes Wielandt's bound (m - 1)^2 + 1
+        power, exponent = mat, 1
+        while exponent < (m - 1) ** 2 + 1:
+            power = (power @ power > 0).astype(np.int64)
+            exponent *= 2
+        if power.all():
+            return mat
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8, 16, 32, 64])
+def test_spectral_solvers_match_the_dense_eigensolver(m):
+    rng = np.random.default_rng(m)
+    for _ in range(3):
+        mat = random_primitive(m, rng)
+        radius = max(abs(np.linalg.eigvals(mat.astype(float))))
+        assert top_entropy_oracle(make_space(m, mat)) == pytest.approx(math.log(radius), abs=1e-10)
+        P = mat * rng.random((m, m))
+        P /= P.sum(axis=1, keepdims=True)
+        values, vectors = np.linalg.eig(P.T)
+        pi = np.real(vectors[:, np.argmin(abs(values - 1.0))])
+        np.testing.assert_allclose(stationary(P), pi / pi.sum(), rtol=0, atol=1e-10)
