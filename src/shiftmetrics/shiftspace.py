@@ -334,7 +334,8 @@ def point_from_window(space: ShiftSpace, symbols: Sequence[int]) -> Point:
     return Point(space, arr, h, h)
 
 
-#: seeds whose uniforms ``sample_points`` holds in memory at once
+#: seeds that ``sample_points`` draws uniforms for and walks at once (bounds its
+#: transient memory)
 SAMPLE_CHUNK = 128
 
 
@@ -352,12 +353,15 @@ def sample_points(space: ShiftSpace, horizon: int, seeds: Iterable[int]) -> list
         raise HorizonExceeded(f"horizon must be >= 0, got {horizon}")
     seeds = list(seeds)
     n = 2 * horizon + 1
-    out = np.empty((len(seeds), n), dtype=np.int64)
     alive = np.array(space.alive_states, dtype=np.int64)
+    uniforms = np.empty((min(len(seeds), SAMPLE_CHUNK), n + 1))
+    points = []
     for lo in range(0, len(seeds), SAMPLE_CHUNK):
         chunk = seeds[lo : lo + SAMPLE_CHUNK]
-        u = np.array([np.random.default_rng(seed).random(n + 1) for seed in chunk])
-        rows = out[lo : lo + len(chunk)]
+        u = uniforms[: len(chunk)]
+        for row, seed in zip(u, chunk):
+            np.random.default_rng(seed).random(out=row)
+        rows = np.empty((len(chunk), n), dtype=np.int64)
         rows[:, horizon] = alive[(u[:, 0] * len(alive)).astype(np.int64)]
         for t in range(1, horizon + 1):
             prev = rows[:, horizon + t - 1]
@@ -367,8 +371,9 @@ def sample_points(space: ShiftSpace, horizon: int, seeds: Iterable[int]) -> list
             prev = rows[:, horizon - t + 1]
             k = (u[:, horizon + t] * space._n_pred[prev]).astype(np.int64)
             rows[:, horizon - t] = space._pred[prev, k]
-    out.setflags(write=False)
-    return [Point(space, row, horizon, horizon) for row in out]
+        rows.setflags(write=False)
+        points.extend(Point(space, row, horizon, horizon) for row in rows)
+    return points
 
 
 def sample_point(space: ShiftSpace, horizon: int, seed: int) -> Point:
