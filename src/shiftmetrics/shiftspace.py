@@ -76,8 +76,7 @@ class ShiftSpace:
             self._in = {
                 t: tuple(s for s in alive if self.transition[s, t]) for t in alive
             }
-        # padded successor and predecessor tables for the batch walk: row s
-        # holds out_symbols(s) (in_symbols(s)) in its first deg[s] entries
+        # neighbour tables of the batch walk in ``sample_points``
         self._succ, self._n_succ = _padded(alphabet_size, self._out)
         self._pred, self._n_pred = _padded(alphabet_size, self._in)
 

@@ -270,9 +270,11 @@ def test_word_counts_match_the_matrix_powers(name):
     # every length on the small spaces; a seeded dozen of them on M = 16, 32
     checked = lengths if space.alphabet_size < 16 else lengths[:36:3] + [300]
     expected = {n: reference_count_words(space, n) for n in checked}
-    got = dict(zip(lengths, counts))
-    assert {n: got[n] for n in checked} == expected
-    assert {n: count_words(space, n) for n in checked[:10]} == {n: expected[n] for n in checked[:10]}
+    for n, count in zip(lengths, counts):
+        if n in expected:
+            assert count == expected[n], n
+    for n in checked[:10]:
+        assert count_words(space, n) == expected[n]
     assert word_counts(space, []) == ()
 
 
@@ -292,7 +294,12 @@ def reference_walk(space: ShiftSpace, horizon: int, seed: int) -> np.ndarray:
     return np.array(buf, dtype=np.int64)
 
 
-WALK_SPACES = {"full:2": make_space(2), "golden": GOLDEN_SPACE, "trimmed": TRIMMED, "sft:16": COUNT_SPACES["sft:16"]}
+WALK_SPACES = {
+    "full:2": make_space(2),
+    "golden": GOLDEN_SPACE,
+    "trimmed": TRIMMED,
+    "sft:16": COUNT_SPACES["sft:16"],
+}
 
 
 @pytest.mark.parametrize("horizon", [0, 1, 7, 60, 192])
@@ -306,7 +313,7 @@ def test_batch_walk_reproduces_the_scalar_walk(name, horizon):
         assert x.symbols.tobytes() == reference_walk(space, horizon, seed).tobytes(), seed
         assert (x.center, x.horizon, x.space) == (horizon, horizon, space)
     for seed in SEEDS[:: len(SEEDS) // 4]:
-        assert sample_point(space, horizon, seed).symbols.tobytes() == points[seed].symbols.tobytes()
+        assert sample_point(space, horizon, seed) == points[seed]
 
 
 def random_primitive(m: int, rng) -> np.ndarray:
