@@ -48,7 +48,7 @@ def p_of_r(r, b) -> int:
     boundary r = b**-j lands on the strict side (p = j + 1) reliably.
     """
     if not (0 < r < 1):
-        raise RadiusOutOfRange(f"radius must lie in (0, 1), got {r}")
+        raise RadiusOutOfRange(f"radius must be finite and in (0, 1), got {r}")
     if float(r) == 0.0:
         raise RadiusOutOfRange(
             f"radius underflows to the float 0.0; radii below {math.ulp(0.0)!r} cannot be bracketed"
@@ -64,10 +64,10 @@ def p_of_r(r, b) -> int:
 
 def p_of_log_r(log_r: float, b) -> int:
     """`p_of_r` decided on ln(r), for derived radii too small to represent."""
-    if not (log_r < 0):
-        raise RadiusOutOfRange(f"ln(r) must be negative, got {log_r}")
-    if not (b > 1):
-        raise RadiusOutOfRange(f"base must exceed 1, got {b}")
+    if not (-math.inf < log_r < 0):
+        raise RadiusOutOfRange(f"ln(r) must be finite and negative, got {log_r}")
+    if not (1 < b < math.inf):
+        raise RadiusOutOfRange(f"base must be finite and > 1, got {b}")
     lb = math.log(float(b))
     p = max(1, math.floor(-log_r / lb) + 1)
     while -p * lb >= log_r:
@@ -443,7 +443,7 @@ def require_alpha_regime(alpha: float, params: MetricParams) -> None:
     limit = params.log_b if params.mode == ONE_SIDED else min(params.log_a, params.log_b)
     if not (0.0 <= alpha < limit):
         raise AlphaTooLarge(
-            f"alpha must lie in [0, {limit:.6g}), got {alpha}"
+            f"alpha must be finite and in [0, {limit:.6g}), got {alpha}"
         )
 
 

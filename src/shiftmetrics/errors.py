@@ -50,11 +50,6 @@ class GammaTooLarge(ShiftMetricsError):
     """Contraction margin gamma must stay below min(a, b) - 1."""
 
 
-class SampleNotOrbitClosed(ShiftMetricsError):
-    """A shifted point required by the construction is missing from the
-    finite sample."""
-
-
 class RadiusOutOfRange(ShiftMetricsError):
     """Radius must lie strictly between 0 and 1 (after any rescaling)."""
 

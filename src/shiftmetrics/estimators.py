@@ -39,7 +39,6 @@ from .errors import (
     NoSolution,
 )
 from .measures import (
-    ENUMERATION_LIMIT,
     Measure,
     log_word_mass,
     minimal_cover_log_count,
@@ -131,7 +130,6 @@ def _fit_slope(
     ys: Sequence[float],
     ladder: tuple,
     saturated: bool,
-    spread_tol: float = SPREAD_TOL,
 ) -> SlopeEstimate:
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
@@ -152,7 +150,7 @@ def _fit_slope(
             ch, *_ = np.linalg.lstsq(Ah, y[sel], rcond=None)
             parts.append(float(ch[0]))
         spread = abs(parts[1] - parts[0])
-    flagged = spread > spread_tol * max(abs(slope), 1e-12)
+    flagged = spread > SPREAD_TOL * max(abs(slope), 1e-12)
     points = tuple(zip(xs, ys))
     return SlopeEstimate(slope, intercept, rms, ladder, saturated, spread, flagged, points)
 
@@ -268,12 +266,10 @@ def _read_words(space: ShiftSpace, ladder: _Ladder) -> SlopeEstimate:
     return _read(ladder, lambda window: log_counts[window.length])
 
 
-def _cover_counts(
-    mu: Measure, delta: float, node_budget: int = ENUMERATION_LIMIT
-) -> Callable[[CylinderIndex], float]:
+def _cover_counts(mu: Measure, delta: float) -> Callable[[CylinderIndex], float]:
     if not 0.0 < delta < 1.0:
         raise HypothesisViolated(f"delta must lie in (0, 1), got {delta}")
-    return lambda window: minimal_cover_log_count(mu, window.length, delta, node_budget)
+    return lambda window: minimal_cover_log_count(mu, window.length, delta)
 
 
 def _mass_slope(mu: Measure, x: Point, ladder: _Ladder) -> SlopeEstimate:
@@ -348,7 +344,6 @@ def katok_entropy(
     r1: float,
     nm_range: Iterable[int],
     r: float = 0.0,
-    node_budget: int = ENUMERATION_LIMIT,
 ) -> SlopeEstimate:
     """Katok entropy: growth of the minimal (1 - delta)-mass cylinder cover.
 
@@ -358,7 +353,7 @@ def katok_entropy(
     e^{-(n+m) r} instead of the fixed r1); the slope is then expected to be
     delta-independent as well.
     """
-    covers = _cover_counts(mu, delta, node_budget)
+    covers = _cover_counts(mu, delta)
     return _read(_shrinking_ladder(params, r, nm_range, r1), covers)
 
 

@@ -36,7 +36,7 @@ from .errors import (
     Reducible,
     WindowTooLarge,
 )
-from .shiftspace import Point, ShiftSpace, Word, count_words, make_space, point_from_window
+from .shiftspace import Point, ShiftSpace, count_words, make_space, point_from_window
 
 STATIONARY_TOL = 1e-12
 ROW_SUM_TOL = 1e-12
@@ -74,6 +74,8 @@ def stationary(P, tol: float = STATIONARY_TOL, max_iter: int = 200_000) -> np.nd
     mat = np.asarray(P, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
         raise BadMeasure(f"transition kernel must be square, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise BadMeasure(f"transition kernel entries must be finite, got {P!r}")
     if (mat < 0).any():
         raise BadMeasure("transition kernel entries must be nonnegative")
     rows = mat.sum(axis=1)
@@ -219,25 +221,6 @@ def log_word_mass(mu: Measure, symbols) -> float:
             logP = np.log(np.asarray(mu.P))
             logpi = np.log(np.asarray(mu.pi))
             return float(logpi[w[0]] + logP[w[:-1], w[1:]].sum())
-    raise BadMeasure(f"unsupported measure type {type(mu).__name__}")
-
-
-def cylinder_mass(mu: Measure, word: Word) -> float:
-    """Exact mass of the cylinder fixing ``word`` (anchor irrelevant).
-
-    Bernoulli: product of weights.  Markov: pi of the first symbol times the
-    transition product.  Words using transitions of probability zero have
-    mass 0; only symbols outside the alphabet raise ``InadmissibleWord``.
-    """
-    w = np.asarray(word.symbols, dtype=np.int64)
-    _require_symbols(mu, w)
-    if w.size == 0:
-        return 1.0
-    if isinstance(mu, BernoulliMeasure):
-        return float(np.prod(np.asarray(mu.weights)[w]))
-    if isinstance(mu, MarkovMeasure):
-        P = np.asarray(mu.P)
-        return float(mu.pi[w[0]] * np.prod(P[w[:-1], w[1:]]))
     raise BadMeasure(f"unsupported measure type {type(mu).__name__}")
 
 

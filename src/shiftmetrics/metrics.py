@@ -14,8 +14,8 @@ comparability sandwich on sampled pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -24,11 +24,10 @@ from .errors import (
     GammaTooLarge,
     HypothesisViolated,
     QuasiMetricViolated,
-    SampleNotOrbitClosed,
     SandwichViolated,
     SaturatedDistances,
 )
-from .shiftspace import Point, shift_point
+from .shiftspace import Point
 
 TWO_SIDED = "two-sided"
 ONE_SIDED = "one-sided"
@@ -36,20 +35,24 @@ ONE_SIDED = "one-sided"
 #: default additive slack for exact-inequality verification
 VERIFY_TOL = 1e-12
 
+#: Uniform expansivity bound of the symbolic base model.  The base distance
+#: 2**-min{|i| : x_i != y_i} has separation threshold 1/2, and any pair at
+#: base distance > 1/4 disagrees at some |i| <= 1, so m_unif = 1 and the
+#: admissible scale bound is beta = 2**(1/m_unif) = 2.
+CHAIN_BETA = 2.0
+
 
 @dataclass(frozen=True)
 class MetricParams:
     """Scale parameters of the distance rho.
 
     ``a`` weights the backward disagreement time and ``b`` the forward one;
-    both must be finite and exceed 1.  ``epsilon`` is the separation threshold of the
-    underlying base distance (fixed model: 2**-|i| with threshold 1/2).
-    One-sided mode drops the backward term entirely.
+    both must be finite and exceed 1.  One-sided mode drops the backward
+    term entirely.
     """
 
     a: float
     b: float
-    epsilon: float = 0.5
     mode: str = TWO_SIDED
 
     def __post_init__(self):
@@ -59,8 +62,6 @@ class MetricParams:
             raise HypothesisViolated(f"b must be finite and > 1, got {self.b}")
         if self.mode == TWO_SIDED and not (1.0 < self.a < math.inf):
             raise HypothesisViolated(f"a must be finite and > 1, got {self.a}")
-        if not (0.0 < self.epsilon < 1.0):
-            raise HypothesisViolated(f"epsilon must lie in (0, 1), got {self.epsilon}")
 
     @property
     def log_a(self) -> float:
@@ -84,11 +85,10 @@ class MetricParams:
 
     def require_chain_regime(self) -> None:
         """The chain-metrization route needs a, b within the uniform
-        expansivity bound beta = 2 (closed endpoint accepted; see README)."""
-        beta = 2.0
-        if self.b > beta or (self.mode == TWO_SIDED and self.a > beta):
+        expansivity bound ``CHAIN_BETA`` (closed endpoint accepted)."""
+        if self.b > CHAIN_BETA or (self.mode == TWO_SIDED and self.a > CHAIN_BETA):
             raise HypothesisViolated(
-                f"chain metrization requires a, b <= {beta}; got a={self.a}, b={self.b}"
+                f"chain metrization requires a, b <= {CHAIN_BETA}; got a={self.a}, b={self.b}"
             )
 
 
@@ -176,21 +176,6 @@ def rho(x: Point, y: Point, params: MetricParams) -> RhoValue:
     return RhoValue(value, exact_plus and exact_minus)
 
 
-def uniform_expansivity_bound(params: MetricParams) -> tuple[int, float]:
-    """Return (m_unif, beta) for the fixed base model.
-
-    Base distance 2**-min{|i| : x_i != y_i} with separation threshold
-    epsilon = 1/2: any pair with distance > epsilon/2 = 1/4 disagrees at some
-    |i| <= 1, so m_unif = 1 and the admissible scale bound is
-    beta = 2**(1/m_unif) = 2.
-    """
-    if params.epsilon != 0.5:
-        raise HypothesisViolated(
-            f"the symbolic base model fixes epsilon = 1/2, got {params.epsilon}"
-        )
-    return 1, 2.0
-
-
 class FiniteSample:
     """A finite point set (or raw dissimilarity matrix) with its rho matrix.
 
@@ -198,12 +183,14 @@ class FiniteSample:
     whether the entry is an exact distance or only a saturation bound.
     """
 
-    def __init__(self, matrix: np.ndarray, exact: np.ndarray, points=None, params=None):
+    def __init__(self, matrix: np.ndarray, exact: np.ndarray):
         matrix = np.asarray(matrix, dtype=float)
         n = matrix.shape[0]
         if matrix.shape != (n, n):
             raise HypothesisViolated(f"dissimilarity matrix must be square, got {matrix.shape}")
-        if not np.allclose(matrix, matrix.T, atol=0.0):
+        if not np.isfinite(matrix).all():
+            raise HypothesisViolated("dissimilarities must be finite")
+        if not np.array_equal(matrix, matrix.T):
             raise HypothesisViolated("dissimilarity matrix must be exactly symmetric")
         if np.any(np.diag(matrix) != 0.0):
             raise HypothesisViolated("diagonal must be zero")
@@ -211,8 +198,6 @@ class FiniteSample:
             raise HypothesisViolated("dissimilarities must be nonnegative")
         self.matrix = matrix
         self.exact = np.asarray(exact, dtype=bool)
-        self.points = points
-        self.params = params
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
@@ -227,47 +212,12 @@ class FiniteSample:
                 rv = rho(points[i], points[j], params)
                 mat[i, j] = mat[j, i] = rv.value
                 exact[i, j] = exact[j, i] = rv.exact
-        return cls(mat, exact, points=list(points), params=params)
+        return cls(mat, exact)
 
     @classmethod
     def from_matrix(cls, matrix) -> "FiniteSample":
         matrix = np.asarray(matrix, dtype=float)
         return cls(matrix, np.ones(matrix.shape, dtype=bool))
-
-    @classmethod
-    def from_words(cls, words: Sequence[Sequence[int]], lo: int, params: MetricParams) -> "FiniteSample":
-        """Whole-word semantics: each word, occupying coordinates
-        lo..lo+len-1 (which must cover 0), is treated as a complete point of
-        the finite product space, so absent disagreements mean true infinity
-        and every entry is exact."""
-        arrs = [np.asarray(w, dtype=np.int64) for w in words]
-        L = len(arrs[0])
-        if any(len(a) != L for a in arrs):
-            raise HypothesisViolated("all words must share one length")
-        if not (lo <= 0 <= lo + L - 1):
-            raise HypothesisViolated("word window must cover coordinate 0")
-        stack = np.stack(arrs)
-        n = len(arrs)
-        zero = -lo  # array index of coordinate 0
-        mat = np.zeros((n, n))
-        for i in range(n):
-            mism = stack != stack[i]
-            fw = mism[:, zero:]
-            bw = mism[:, zero::-1]
-            # first disagreement index or saturation -> contribution 0
-            any_f = fw.any(axis=1)
-            any_b = bw.any(axis=1)
-            n_plus = np.where(any_f, np.argmax(fw, axis=1), 0)
-            n_minus = np.where(any_b, np.argmax(bw, axis=1), 0)
-            plus = np.where(any_f, params.b ** (-n_plus.astype(float)), 0.0)
-            if params.mode == ONE_SIDED:
-                mat[i] = plus
-            else:
-                minus = np.where(any_b, params.a ** (-n_minus.astype(float)), 0.0)
-                mat[i] = np.maximum(plus, minus)
-        mat = np.maximum(mat, mat.T)  # symmetric by construction; defensive
-        np.fill_diagonal(mat, 0.0)
-        return cls(mat, np.ones((n, n), dtype=bool), params=params)
 
 
 def check_quasi_metric(sample: FiniteSample, K: float, tol: float = VERIFY_TOL) -> list[tuple[int, int, int]]:
@@ -294,33 +244,19 @@ def check_quasi_metric(sample: FiniteSample, K: float, tol: float = VERIFY_TOL) 
     return out
 
 
-def frink_metrize(
-    sample: FiniteSample,
-    require_quasi: bool = True,
-    tol: float = VERIFY_TOL,
-) -> np.ndarray:
+def frink_metrize(sample: FiniteSample, tol: float = VERIFY_TOL) -> np.ndarray:
     """Chain-infimum metrization: D(x,y) = min over chains of the rho-sum.
 
     On a finite sample this is the all-pairs shortest path through the rho
-    matrix.  When the input satisfies the K=2 relaxed triangle test the
-    classical chain bound guarantees D <= rho <= 4 D; both comparisons and
-    the triangle inequality of D are asserted on the output.
-
-    Parameters
-    ----------
-    sample : FiniteSample
-    require_quasi : bool
-        When True (default), refuse inputs failing the K=2 test.  Passing
-        False skips the gate; the sandwich assertions still run.
+    matrix.  Inputs failing the K=2 relaxed triangle test are refused; on
+    the rest the classical chain bound guarantees D <= rho <= 4 D, and both
+    comparisons and the triangle inequality of D are asserted on the output.
     """
-    if require_quasi:
-        viol = check_quasi_metric(sample, 2.0, tol)
-        if viol:
-            raise QuasiMetricViolated(
-                f"{len(viol)} triples fail the K=2 test (first: {viol[0]})"
-            )
-    elif not sample.exact.all():
-        raise SaturatedDistances("sample contains saturated entries")
+    viol = check_quasi_metric(sample, 2.0, tol)
+    if viol:
+        raise QuasiMetricViolated(
+            f"{len(viol)} triples fail the K=2 test (first: {viol[0]})"
+        )
     D = sample.matrix.copy()
     n = len(sample)
     for k in range(n):
@@ -369,7 +305,7 @@ def mather_n0(params: MetricParams, gamma: float) -> MatherParams:
     # the reduced margins a - gamma, b - gamma must themselves stay expanding
     if not (gamma > 0.0 and params.a - gamma > 1.0 and params.b - gamma > 1.0):
         limit = min(params.a, params.b) - 1.0
-        raise GammaTooLarge(f"gamma must lie in (0, {limit:.6g}), got {gamma}")
+        raise GammaTooLarge(f"gamma must be finite and in (0, {limit:.6g}), got {gamma}")
     n0 = 1
     while not (
         4.0 ** (-1.0 / n0) * params.a > params.a - gamma
@@ -378,82 +314,6 @@ def mather_n0(params: MetricParams, gamma: float) -> MatherParams:
         n0 += 1
     scale = 4.0 ** (-1.0 / n0)
     return MatherParams(gamma=gamma, n0=n0, k1=scale * params.a, k2=scale * params.b)
-
-
-class RhoOracle:
-    """Exact base-metric oracle: on symbolic samples the chain metrization
-    returns rho itself (the ultrametric inequality makes every chain at
-    least as long as the direct edge), so D = rho with no finite sample."""
-
-    def __init__(self, params: MetricParams):
-        self.params = params
-
-    def distance(self, x: Point, y: Point) -> float:
-        rv = rho(x, y, self.params)
-        if not rv.exact:
-            raise SaturatedDistances("pair is unresolved within its common window")
-        return rv.value
-
-
-class SampleOracle:
-    """Chain metric looked up on a precomputed orbit-closed finite sample.
-
-    Lookup is by window content at the sample's minimal horizon, so shifted
-    copies of a stored point are found regardless of how much horizon the
-    shifting consumed.
-    """
-
-    def __init__(self, sample: FiniteSample, D: np.ndarray):
-        if sample.points is None:
-            raise SampleNotOrbitClosed("sample was built from a raw matrix, not points")
-        self.sample = sample
-        self.D = D
-        self._depth = min(p.horizon for p in sample.points)
-        self._index = {self._key(p): i for i, p in enumerate(sample.points)}
-
-    def _key(self, p: Point):
-        return p.window(-self._depth, self._depth).tobytes()
-
-    def distance(self, x: Point, y: Point) -> float:
-        if min(x.horizon, y.horizon) < self._depth:
-            raise SampleNotOrbitClosed(
-                f"query horizon < sample depth {self._depth}; shift budget exhausted"
-            )
-        try:
-            i = self._index[self._key(x)]
-            j = self._index[self._key(y)]
-        except KeyError:
-            raise SampleNotOrbitClosed(
-                "a required shifted point is missing from the finite sample"
-            ) from None
-        return float(self.D[i, j])
-
-
-def orbit_closed_sample(
-    points: Sequence[Point], params: MetricParams, n_shifts: int
-) -> FiniteSample:
-    """Augment the points with all shifts |i| <= n_shifts and drop duplicates."""
-    seen = {}
-    for p in points:
-        for i in range(-n_shifts, n_shifts + 1):
-            q = shift_point(p, i)
-            seen.setdefault((q.horizon, q.window().tobytes()), q)
-    return FiniteSample.from_points(list(seen.values()), params)
-
-
-def mather_metric(x: Point, y: Point, mp: MatherParams, oracle) -> float:
-    """d~(x, y) = max over 0 <= i < n0 of
-    max(D(shift(x,-i), shift(y,-i)) / k1**i, D(shift(x,i), shift(y,i)) / k2**i).
-    """
-    best = 0.0
-    for i in range(mp.n0):
-        dm = oracle.distance(shift_point(x, -i), shift_point(y, -i)) / mp.k1**i
-        dp = oracle.distance(shift_point(x, i), shift_point(y, i)) / mp.k2**i
-        if dm > best:
-            best = dm
-        if dp > best:
-            best = dp
-    return best
 
 
 def shifted_rho_table(
@@ -535,7 +395,6 @@ def verify_hyperbolicity(
     pairs: Sequence[tuple[Point, Point]],
     mp: MatherParams,
     params: MetricParams,
-    oracle=None,
     tol: float = VERIFY_TOL,
 ) -> HyperbolicityReport:
     """Check, for every pair, with d~ the contraction-margin metric:
@@ -547,12 +406,10 @@ def verify_hyperbolicity(
           16 a;
     (iii) d~(x, y) / 4 <= rho(x, y) <= 4 d~(x, y).
 
-    With the default exact oracle (chain metric = rho on symbolic samples)
-    the shifted distances come from one disagreement scan per pair.
+    On symbolic samples the chain metric is rho itself (the ultrametric
+    inequality makes every chain at least as long as the direct edge), so
+    every shifted distance comes from one disagreement scan per pair.
     """
-    if oracle is None:
-        oracle = RhoOracle(params)
-    fast = isinstance(oracle, RhoOracle)
     n0 = mp.n0
     w1 = mp.k1 ** -np.arange(n0, dtype=float)
     w2 = mp.k2 ** -np.arange(n0, dtype=float)
@@ -562,20 +419,11 @@ def verify_hyperbolicity(
     lhs_all = np.empty(len(pairs))
     d0_all = np.empty(len(pairs))
     for idx, (x, y) in enumerate(pairs):
-        if fast:
-            tab = shifted_rho_table(x, y, params, n0 + 1)
-            d0 = _d_tilde_from_table(tab, 0, mp, w1, w2)
-            dp = _d_tilde_from_table(tab, 1, mp, w1, w2)
-            dm = _d_tilde_from_table(tab, -1, mp, w1, w2)
-            rho0 = float(tab[(tab.size - 1) // 2])
-        else:
-            d0 = mather_metric(x, y, mp, oracle)
-            dp = mather_metric(shift_point(x, 1), shift_point(y, 1), mp, oracle)
-            dm = mather_metric(shift_point(x, -1), shift_point(y, -1), mp, oracle)
-            rv = rho(x, y, params)
-            if not rv.exact:
-                raise SaturatedDistances("pair unresolved; enlarge the horizon")
-            rho0 = rv.value
+        tab = shifted_rho_table(x, y, params, n0 + 1)
+        d0 = _d_tilde_from_table(tab, 0, mp, w1, w2)
+        dp = _d_tilde_from_table(tab, 1, mp, w1, w2)
+        dm = _d_tilde_from_table(tab, -1, mp, w1, w2)
+        rho0 = float(tab[(tab.size - 1) // 2])
         bound_f = 16.0 * params.b * d0 + tol
         bound_b = 16.0 * params.a * d0 + tol
         if dp > bound_f:

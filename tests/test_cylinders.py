@@ -90,14 +90,27 @@ class TestRadiusExponents:
         assert q_of_r(0.1, 1.3) == p_of_r(0.1, 1.3)
         assert q_of_r(2.0**-40, 1.3) == 106
 
-    @pytest.mark.parametrize("r", [0.0, -0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("r", [0.0, -0.5, 1.0, 1.5, math.nan])
     def test_radius_out_of_range(self, r):
-        with pytest.raises(RadiusOutOfRange):
+        with pytest.raises(RadiusOutOfRange, match="radius must be finite and in"):
             p_of_r(r, 1.3)
 
     def test_bad_base(self):
         with pytest.raises(RadiusOutOfRange):
             p_of_r(0.5, 1.0)
+
+    @pytest.mark.parametrize(
+        "log_r,b,match",
+        [
+            (math.nan, 1.3, "ln\\(r\\) must be finite and negative"),
+            (-math.inf, 1.3, "ln\\(r\\) must be finite and negative"),
+            (-1.0, math.nan, "base must be finite and > 1"),
+            (-1.0, math.inf, "base must be finite and > 1"),
+        ],
+    )
+    def test_non_finite_log_radius_or_base(self, log_r, b, match):
+        with pytest.raises(RadiusOutOfRange, match=match):
+            p_of_log_r(log_r, b)
 
     @pytest.mark.parametrize("bracket", [p_of_r, q_of_r])
     def test_exact_radius_that_underflows(self, bracket):
@@ -418,6 +431,8 @@ class TestAlphaMatch:
             alpha_match(2.0**-40, 0.9, 0.3, P13)  # ln 1.3 ~ 0.2624
         with pytest.raises(AlphaTooLarge):
             alpha_match(2.0**-40, 0.9, -0.1, P13)
+        with pytest.raises(AlphaTooLarge, match="alpha must be finite and in"):
+            alpha_match(2.0**-40, 0.9, math.nan, P13)
 
     def test_radii_order(self):
         with pytest.raises(RadiiOutOfOrder):

@@ -1,4 +1,4 @@
-"""Tests for Bernoulli/Markov measures, cylinder masses, and cover counts."""
+"""Tests for Bernoulli/Markov measures, word masses, and cover counts."""
 import json
 import math
 
@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import cylinder_mass
 from shiftmetrics import (
     BernoulliMeasure,
     MarkovMeasure,
     MeasureReport,
     Word,
     count_words,
-    cylinder_mass,
     entropy_oracle,
     enumerate_log_masses,
     log_mass_spectrum,
@@ -71,11 +71,17 @@ class TestStationary:
             [[0.5, 0.5]],
             [[0.5, 0.6], [1.0, 0.0]],
             [[-0.1, 1.1], [1.0, 0.0]],
+            [[math.nan, 1.0], [1.0, 0.0]],
         ],
     )
     def test_malformed_kernels_rejected(self, bad):
         with pytest.raises(BadMeasure):
             stationary(bad)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_non_finite_kernel_named(self, entry):
+        with pytest.raises(BadMeasure, match="transition kernel entries must be finite"):
+            MarkovMeasure(((entry, 1.0), (1.0, 0.0)))
 
     def test_residual_invariant(self):
         rng = np.random.default_rng(11)

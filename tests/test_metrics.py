@@ -8,25 +8,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import (
+    RhoOracle,
+    SampleNotOrbitClosed,
+    SampleOracle,
+    from_words,
+    mather_metric,
+    orbit_closed_sample,
+)
 from shiftmetrics import (
     FiniteSample,
     MatherParams,
     MetricParams,
-    RhoOracle,
-    SampleOracle,
     check_quasi_metric,
     disagreement_times,
     frink_metrize,
     make_space,
-    mather_metric,
     mather_n0,
-    orbit_closed_sample,
     point_from_window,
     rho,
     sample_point,
     shift_point,
     shifted_rho_table,
-    uniform_expansivity_bound,
     verify_hyperbolicity,
 )
 from shiftmetrics.errors import (
@@ -34,9 +37,9 @@ from shiftmetrics.errors import (
     GammaTooLarge,
     HypothesisViolated,
     QuasiMetricViolated,
-    SampleNotOrbitClosed,
     SaturatedDistances,
 )
+from shiftmetrics.metrics import CHAIN_BETA, _d_tilde_from_table
 
 FULL2 = make_space(2)
 GOLDEN = make_space(2, [[1, 1], [1, 0]])
@@ -68,8 +71,7 @@ class TestMetricParams:
         assert P13.k_alpha(0.0) == pytest.approx(P13.k(), abs=1e-12)
 
     @pytest.mark.parametrize("kw", [dict(a=1.0, b=1.3), dict(a=1.3, b=0.9),
-                                    dict(a=1.3, b=1.3, mode="sideways"),
-                                    dict(a=1.3, b=1.3, epsilon=1.5)])
+                                    dict(a=1.3, b=1.3, mode="sideways")])
     def test_validation(self, kw):
         with pytest.raises(HypothesisViolated):
             MetricParams(**kw)
@@ -203,26 +205,20 @@ class TestRho:
 
 
 class TestUniformExpansivity:
-    def test_values(self):
-        assert uniform_expansivity_bound(P13) == (1, 2.0)
-
-    def test_wrong_epsilon_rejected(self):
-        with pytest.raises(HypothesisViolated):
-            uniform_expansivity_bound(MetricParams(a=1.3, b=1.3, epsilon=0.3))
-
     def test_m_unif_minimal_by_brute_force(self):
         # over all pairs of length-5 binary words on coordinates -2..2:
         # base distance > epsilon/2 = 1/4 forces a disagreement at |i| <= 1,
-        # and some pair needs |i| = 1, so m_unif = 1 exactly
+        # and some pair needs |i| = 1, so m_unif = 1 exactly and the chain
+        # regime's bound is beta = 2**(1/m_unif)
         words = list(itertools.product((0, 1), repeat=5))
-        need_one = False
+        m_unif = 0
         for u, v in itertools.combinations(words, 2):
             offsets = [abs(i - 2) for i in range(5) if u[i] != v[i]]
             d = 2.0 ** -min(offsets)
             if d > 0.25:
-                assert min(offsets) <= 1
-                need_one = need_one or min(offsets) == 1
-        assert need_one
+                m_unif = max(m_unif, min(offsets))
+        assert m_unif == 1
+        assert CHAIN_BETA == 2.0 ** (1 / m_unif)
 
 
 class TestFiniteSample:
@@ -237,7 +233,7 @@ class TestFiniteSample:
     def test_from_words_whole_word_semantics(self):
         # words on coordinates -1..1; missing disagreements mean infinity
         words = [(0, 0, 0), (0, 1, 0), (0, 0, 1)]
-        fs = FiniteSample.from_words(words, lo=-1, params=P13)
+        fs = from_words(words, lo=-1, params=P13)
         assert fs.matrix[0, 1] == pytest.approx(1.0)        # differ at 0
         assert fs.matrix[0, 2] == pytest.approx(1.3**-1)    # differ at +1 only
         assert fs.exact.all()
@@ -245,7 +241,7 @@ class TestFiniteSample:
     def test_from_words_one_sided(self):
         p = MetricParams(a=1.3, b=1.3, mode="one-sided")
         words = [(1, 0, 0), (0, 0, 0)]  # differ at -1 only
-        fs = FiniteSample.from_words(words, lo=-1, params=p)
+        fs = from_words(words, lo=-1, params=p)
         assert fs.matrix[0, 1] == 0.0
 
     @pytest.mark.parametrize("mat", [
@@ -253,6 +249,8 @@ class TestFiniteSample:
         [[0.0, 1.0], [0.5, 0.0]],            # asymmetric
         [[0.1, 1.0], [1.0, 0.0]],            # nonzero diagonal
         [[0.0, -1.0], [-1.0, 0.0]],          # negative
+        [[0.0, 1.0], [1.0 + 1e-7, 0.0]],     # asymmetric within allclose's rtol
+        [[0.0, math.inf], [math.inf, 0.0]],  # infinite
     ])
     def test_matrix_validation(self, mat):
         with pytest.raises(HypothesisViolated):
@@ -290,13 +288,6 @@ class TestFrinkMetrize:
         )
         with pytest.raises(QuasiMetricViolated):
             frink_metrize(fs)
-
-    def test_gate_bypass_shortcuts_through(self):
-        fs = FiniteSample.from_matrix(
-            [[0.0, 1.0, 0.3], [1.0, 0.0, 0.3], [0.3, 0.3, 0.0]]
-        )
-        D = frink_metrize(fs, require_quasi=False)
-        assert D[0, 1] == pytest.approx(0.6)
 
     def test_chain_metric_equals_rho_on_symbolic_sample(self):
         # ultrametric input: no chain can undercut the direct edge
@@ -343,9 +334,9 @@ class TestMatherN0:
         assert mp.k1 > 1.4 - 0.2
         assert mp.k2 > 1.7 - 0.2
 
-    @pytest.mark.parametrize("gamma", [0.0, -0.1, 0.3, 1.0])
+    @pytest.mark.parametrize("gamma", [0.0, -0.1, 0.3, 1.0, math.nan, math.inf])
     def test_gamma_out_of_range(self, gamma):
-        with pytest.raises(GammaTooLarge):
+        with pytest.raises(GammaTooLarge, match="gamma must be finite and in"):
             mather_n0(P13, gamma)
 
     def test_chain_regime_enforced(self):
@@ -390,9 +381,8 @@ class TestOracles:
     def test_sample_oracle_matches_rho_oracle(self):
         pts = [sample_point(FULL2, 40, seed=s) for s in (5, 6, 7)]
         mp = MatherParams(gamma=0.05, n0=3, k1=1.25, k2=1.25)
-        sample = orbit_closed_sample(pts, P13, n_shifts=3)
-        D = frink_metrize(sample)
-        so = SampleOracle(sample, D)
+        closed = orbit_closed_sample(pts, n_shifts=3)
+        so = SampleOracle(closed, frink_metrize(FiniteSample.from_points(closed, P13)))
         ro = RhoOracle(P13)
         for x, y in itertools.combinations(pts, 2):
             assert mather_metric(x, y, mp, so) == pytest.approx(
@@ -401,9 +391,8 @@ class TestOracles:
 
     def test_sample_oracle_missing_point(self):
         pts = [sample_point(FULL2, 40, seed=s) for s in (5, 6)]
-        sample = orbit_closed_sample(pts, P13, n_shifts=1)
-        D = frink_metrize(sample)
-        so = SampleOracle(sample, D)
+        closed = orbit_closed_sample(pts, n_shifts=1)
+        so = SampleOracle(closed, frink_metrize(FiniteSample.from_points(closed, P13)))
         with pytest.raises(SampleNotOrbitClosed):
             so.distance(shift_point(pts[0], 2), shift_point(pts[1], 2))
 
@@ -425,16 +414,27 @@ class TestVerifyHyperbolicity:
         )
 
     def test_generic_oracle_agrees_with_fast_path(self):
+        # verify_hyperbolicity reads d~ at shifts -1, 0, +1 off one
+        # shifted_rho_table per pair; both generic oracles must give the
+        # same three values through the definition of d~
         mp = MatherParams(gamma=0.05, n0=4, k1=1.2, k2=1.2)
         pts = [sample_point(FULL2, 60, seed=s) for s in (1, 2, 3, 4)]
         pairs = [(a, b) for a, b in itertools.combinations(pts, 2)]
-        fast = verify_hyperbolicity(pairs, mp, P13)
-        sample = orbit_closed_sample(pts, P13, n_shifts=5)
-        so = SampleOracle(sample, frink_metrize(sample))
-        slow = verify_hyperbolicity(pairs, mp, P13, oracle=so)
-        assert fast.eps_prime == pytest.approx(slow.eps_prime, rel=1e-12)
-        assert fast.escape_pairs == slow.escape_pairs
-        assert fast.passed and slow.passed
+        assert verify_hyperbolicity(pairs, mp, P13).passed
+        closed = orbit_closed_sample(pts, n_shifts=5)
+        oracles = (
+            RhoOracle(P13),
+            SampleOracle(closed, frink_metrize(FiniteSample.from_points(closed, P13))),
+        )
+        w1 = mp.k1 ** -np.arange(mp.n0, dtype=float)
+        w2 = mp.k2 ** -np.arange(mp.n0, dtype=float)
+        for x, y in pairs:
+            tab = shifted_rho_table(x, y, P13, mp.n0 + 1)
+            for t in (-1, 0, 1):
+                fast = _d_tilde_from_table(tab, t, mp, w1, w2)
+                xs, ys = shift_point(x, t), shift_point(y, t)
+                for oracle in oracles:
+                    assert fast == pytest.approx(mather_metric(xs, ys, mp, oracle), rel=1e-12)
 
     def test_short_horizon_refused(self):
         mp = mather_n0(P13, 0.05)  # n0 = 36
