@@ -202,6 +202,15 @@ def _check_tolerances(config: RunConfig, names: list[str], headline: bool = Fals
             )
 
 
+def _require_at_least(config: RunConfig, **least: int) -> None:
+    """Refuse a count flag below the least value that checks anything."""
+    for name, bound in least.items():
+        value = getattr(config, name)
+        if value < bound:
+            flag = "--" + name.replace("_", "-")
+            raise HypothesisViolated(f"{config.quantity} needs {flag} >= {bound}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # slope quantities: one table, one runner
 # ---------------------------------------------------------------------------
@@ -338,6 +347,7 @@ def _run_solve(config, space, params, mu):
 
 def _run_metric_verify(config, space, params, mu):
     _check_tolerances(config, [])
+    _require_at_least(config, n_points=1)
     mp = mather_n0(params, config.gamma)
     horizon = config.horizon or 4 * mp.n0 + 48
     # pair i is the points of seeds seed + 2i and seed + 2i + 1
@@ -393,6 +403,8 @@ def _synthetic_quasi_sample(n: int, rng: np.random.Generator) -> FiniteSample:
 
 def _run_frink(config, space, params, mu):
     _check_tolerances(config, [])
+    # one sample of two points is the least that compares any pair
+    _require_at_least(config, n_samples=1, sample_size=2)
     worst_direct = -math.inf  # max over samples of max(D - rho)
     worst_sandwich = -math.inf  # max over samples of max(rho - 4 D)
     failures = 0

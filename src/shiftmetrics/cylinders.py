@@ -123,6 +123,8 @@ class RadiusLadder:
 
     @classmethod
     def geometric(cls, j_min: int, j_max: int, theta: float = 0.5) -> "RadiusLadder":
+        if not math.isfinite(theta):
+            raise HypothesisViolated(f"theta must be finite, got {theta}")
         if not (0.0 < theta < 1.0):
             raise HypothesisViolated(f"theta must lie in (0, 1), got {theta}")
         if j_min > j_max or j_min < 1:

@@ -267,8 +267,7 @@ def _read_words(space: ShiftSpace, ladder: _Ladder) -> SlopeEstimate:
 
 
 def _cover_counts(mu: Measure, delta: float) -> Callable[[CylinderIndex], float]:
-    if not 0.0 < delta < 1.0:
-        raise HypothesisViolated(f"delta must lie in (0, 1), got {delta}")
+    # minimal_cover_log_count refuses a delta outside (0, 1)
     return lambda window: minimal_cover_log_count(mu, window.length, delta)
 
 

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     BadMeasure,
     HorizonExceeded,
+    HypothesisViolated,
     InadmissibleWord,
     NoConvergence,
     Reducible,
@@ -606,8 +607,10 @@ def minimal_cover_log_count(
     via best-first prefix expansion otherwise; ``WindowTooLarge`` signals
     that even the expansion exceeded its budget.
     """
+    if not math.isfinite(delta):
+        raise HypothesisViolated(f"delta must be finite, got {delta}")
     if not 0.0 < delta < 1.0:
-        raise BadMeasure(f"delta must lie in (0, 1), got {delta}")
+        raise HypothesisViolated(f"delta must lie in (0, 1), got {delta}")
     if length < 0:
         raise InadmissibleWord(f"window length must be >= 0, got {length}")
     if length == 0:

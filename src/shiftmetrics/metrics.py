@@ -35,6 +35,9 @@ ONE_SIDED = "one-sided"
 #: default additive slack for exact-inequality verification
 VERIFY_TOL = 1e-12
 
+#: pairs per block of the shifted-distance kernel (bounds its transient memory)
+PAIR_CHUNK = 64
+
 #: Uniform expansivity bound of the symbolic base model.  The base distance
 #: 2**-min{|i| : x_i != y_i} has separation threshold 1/2, and any pair at
 #: base distance > 1/4 disagrees at some |i| <= 1, so m_unif = 1 and the
@@ -176,6 +179,40 @@ def rho(x: Point, y: Point, params: MetricParams) -> RhoValue:
     return RhoValue(value, exact_plus and exact_minus)
 
 
+def _padded(windows: Sequence[np.ndarray], half: int, fill=-1) -> np.ndarray:
+    """Stack odd-length windows centred on coordinate 0 into one array of
+    width ``2 * half + 1``, padded with ``fill`` outside each window."""
+    out = np.full((len(windows), 2 * half + 1), fill)
+    for row, w in zip(out, windows):
+        h = (w.size - 1) // 2
+        row[half - h : half + h + 1] = w
+    return out
+
+
+def _first_disagreement(mism: np.ndarray, hc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the first True column of ``mism`` and whether it lies within
+    that row's common horizon ``hc``; columns past it are padding."""
+    n = mism.argmax(axis=1)
+    return n, mism[np.arange(n.size), n] & (n <= hc)
+
+
+def _rho_row(fw: np.ndarray, bw: np.ndarray, hc: np.ndarray, pow_b: np.ndarray, pow_a: np.ndarray | None):
+    """`rho` values and exactness flags of one point against many, given the
+    forward (coordinates 0, 1, ...) and backward (0, -1, ...) mismatches."""
+    n_plus, res_p = _first_disagreement(fw, hc)
+    plus = np.where(res_p, pow_b[n_plus], 0.0)
+    if pow_a is None:
+        # one-sided: forward-window equality is equality, 0 and exact
+        return plus, True
+    n_minus, res_m = _first_disagreement(bw, hc)
+    minus = np.where(res_m, pow_a[n_minus], 0.0)
+    value = np.maximum(plus, minus)
+    sat = hc + 1
+    exact = (res_p | (value >= pow_b[sat])) & (res_m | (value >= pow_a[sat]))
+    # pairs literally equal on the common window are 0 and exact
+    return value, exact | ~(res_p | res_m)
+
+
 class FiniteSample:
     """A finite point set (or raw dissimilarity matrix) with its rho matrix.
 
@@ -204,14 +241,35 @@ class FiniteSample:
 
     @classmethod
     def from_points(cls, points: Sequence[Point], params: MetricParams) -> "FiniteSample":
+        """The rho matrix of ``points``, entry for entry what `rho` gives.
+
+        The windows are stacked into one array, padded with -1 outside each
+        point's horizon, and each row i is compared with rows i+1..n-1 in one
+        broadcast step.  The powers come from tables of ``b ** -k`` and
+        ``a ** -k``, the same Python float powers `rho` takes.
+        """
         n = len(points)
         mat = np.zeros((n, n))
         exact = np.ones((n, n), dtype=bool)
-        for i in range(n):
-            for j in range(i + 1, n):
-                rv = rho(points[i], points[j], params)
-                mat[i, j] = mat[j, i] = rv.value
-                exact[i, j] = exact[j, i] = rv.exact
+        if n < 2:
+            return cls(mat, exact)
+        # the first pair the row-major pair order meets is (0, j)
+        for p in points[1:]:
+            if p.space != points[0].space:
+                raise DifferentSpaces(f"points live in {points[0].space!r} and {p.space!r}")
+        horizons = np.array([p.horizon for p in points])
+        H = int(horizons.max())
+        stack = _padded([p.window() for p in points], H)
+        pow_b = np.array([params.b**-k for k in range(H + 2)])
+        pow_a = None if params.mode == ONE_SIDED else np.array([params.a**-k for k in range(H + 2)])
+        for i in range(n - 1):
+            h = int(horizons[i])
+            cols = slice(H - h, H + h + 1)
+            mism = stack[i + 1 :, cols] != stack[i, cols]
+            hc = np.minimum(horizons[i + 1 :], h)
+            row, row_exact = _rho_row(mism[:, h:], mism[:, h::-1], hc, pow_b, pow_a)
+            mat[i, i + 1 :] = mat[i + 1 :, i] = row
+            exact[i, i + 1 :] = exact[i + 1 :, i] = row_exact
         return cls(mat, exact)
 
     @classmethod
@@ -316,45 +374,87 @@ def mather_n0(params: MetricParams, gamma: float) -> MatherParams:
     return MatherParams(gamma=gamma, n0=n0, k1=scale * params.a, k2=scale * params.b)
 
 
-def shifted_rho_table(
-    x: Point, y: Point, params: MetricParams, max_shift: int
-) -> np.ndarray:
-    """rho(shift(x,j), shift(y,j)) for j in [-max_shift, max_shift].
+def _shifted_blocks(pairs: Sequence[tuple[Point, Point]], params: MetricParams, max_shift: int):
+    """Yield ``(start, tables)`` for blocks of ``PAIR_CHUNK`` pairs in order;
+    row k of ``tables`` is the `shifted_rho_table` of pair ``start + k``."""
+    for start in range(0, len(pairs), PAIR_CHUNK):
+        yield start, _shifted_block(pairs[start : start + PAIR_CHUNK], params, max_shift)
 
-    One pass over the common window collects the disagreement set; shifted
-    disagreement times follow by binary search, which makes the verification
-    loop fast.  Raises ``SaturatedDistances`` if any shifted pair is
-    unresolved (unless the pair is literally equal, which yields zeros).
-    """
-    if x.space != y.space:
-        raise DifferentSpaces("pair from different spaces")
-    hc = min(x.horizon, y.horizon)
-    if max_shift > hc:
-        raise SaturatedDistances(f"horizon {hc} cannot support shifts up to {max_shift}")
-    xw = x.window(-hc, hc)
-    yw = y.window(-hc, hc)
-    diffs = np.flatnonzero(xw != yw) - hc  # disagreement coordinates, sorted
+
+def _shifted_block(block, params: MetricParams, max_shift: int) -> np.ndarray:
+    # a refused pair ends the block; the pairs before it still raise first
+    refusal = None
+    masks = []
+    for x, y in block:
+        if x.space != y.space:
+            refusal = DifferentSpaces("pair from different spaces")
+            break
+        hc = min(x.horizon, y.horizon)
+        if max_shift > hc:
+            refusal = SaturatedDistances(f"horizon {hc} cannot support shifts up to {max_shift}")
+            break
+        masks.append(x.window(-hc, hc) != y.window(-hc, hc))
     js = np.arange(-max_shift, max_shift + 1)
-    if diffs.size == 0:
-        return np.zeros(js.size)
-    half = hc - np.abs(js)
-    idx_f = np.searchsorted(diffs, js, side="left")
-    has_f = idx_f < diffs.size
-    s_fwd = diffs[np.minimum(idx_f, diffs.size - 1)]
-    ok_f = has_f & (s_fwd <= js + half)
-    idx_b = np.searchsorted(diffs, js, side="right") - 1
-    has_b = idx_b >= 0
-    s_bwd = diffs[np.maximum(idx_b, 0)]
-    ok_b = has_b & (s_bwd >= js - half)
-    if params.mode == ONE_SIDED:
-        if not ok_f.all():
+    tables = np.zeros((len(masks), js.size))
+    if masks:
+        hcs = np.array([(mask.size - 1) // 2 for mask in masks])
+        H = int(hcs.max())
+        mism = _padded(masks, H, False)
+        coords = np.arange(-H, H + 1, dtype=np.int32)
+        # next disagreement at or after each shift j (and, two-sided, the
+        # last one at or before it); each search reads only the columns it
+        # can reach, and one further than ``half`` from j leaves j unresolved
+        ahead = slice(H - max_shift, None)
+        s_fwd = np.minimum.accumulate(
+            np.where(mism[:, ahead], coords[ahead], H + 1)[:, ::-1], axis=1
+        )[:, : -js.size - 1 : -1]
+        half = hcs[:, None] - np.abs(js)
+        ok = s_fwd <= js + half
+        two_sided = params.mode != ONE_SIDED
+        if two_sided:
+            behind = slice(None, H + max_shift + 1)
+            s_bwd = np.maximum.accumulate(
+                np.where(mism[:, behind], coords[behind], -H - 1), axis=1
+            )[:, -js.size :]
+            ok &= s_bwd >= js - half
+        differ = mism.any(axis=1)
+        if (differ & ~ok.all(axis=1)).any():
+            if two_sided:
+                raise SaturatedDistances("a shifted pair is unresolved within its window")
             raise SaturatedDistances("a shifted pair is unresolved forward")
-        return params.b ** (-(s_fwd - js).astype(float))
-    if not (ok_f.all() and ok_b.all()):
-        raise SaturatedDistances("a shifted pair is unresolved within its window")
-    plus = params.b ** (-(s_fwd - js).astype(float))
-    minus = params.a ** (-(js - s_bwd).astype(float))
-    return np.maximum(plus, minus)
+        tables = params.b ** (-(s_fwd - js).astype(float))
+        if two_sided:
+            tables = np.maximum(tables, params.a ** (-(js - s_bwd).astype(float)))
+        tables[~differ] = 0.0
+    if refusal is not None:
+        raise refusal
+    return tables
+
+
+def shifted_rho_tables(
+    pairs: Sequence[tuple[Point, Point]], params: MetricParams, max_shift: int
+) -> np.ndarray:
+    """Row k: rho(shift(x,j), shift(y,j)) for j in [-max_shift, max_shift],
+    (x, y) = ``pairs[k]``.
+
+    Blocks of ``PAIR_CHUNK`` pairs are scanned at once: a running minimum
+    and maximum over each pair's mismatch mask give the next and previous
+    disagreement of every coordinate, and the shifted disagreement times
+    follow from them.  The first pair, in order, that mixes spaces
+    (``DifferentSpaces``), whose common horizon is below ``max_shift``, or
+    whose shifts are unresolved (``SaturatedDistances``; a pair literally
+    equal on its common window yields zeros instead) raises what the
+    one-pair case would.
+    """
+    out = np.empty((len(pairs), 2 * max_shift + 1))
+    for start, tables in _shifted_blocks(pairs, params, max_shift):
+        out[start : start + len(tables)] = tables
+    return out
+
+
+def shifted_rho_table(x: Point, y: Point, params: MetricParams, max_shift: int) -> np.ndarray:
+    """rho(shift(x,j), shift(y,j)) for j in [-max_shift, max_shift]."""
+    return shifted_rho_tables([(x, y)], params, max_shift)[0]
 
 
 @dataclass(frozen=True)
@@ -383,12 +483,13 @@ class HyperbolicityReport:
         )
 
 
-def _d_tilde_from_table(tab: np.ndarray, t: int, mp: MatherParams, w1: np.ndarray, w2: np.ndarray) -> float:
+def _d_tilde_from_tables(tables: np.ndarray, t: int, mp: MatherParams, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """d~ of each row's pair shifted by t, read off its shifted-rho table."""
     n0 = mp.n0
-    c = (tab.size - 1) // 2
-    back = tab[c + t - n0 + 1 : c + t + 1][::-1]  # D(shift by t-i), i=0..n0-1
-    fwd = tab[c + t : c + t + n0]
-    return float(max(np.max(back * w1), np.max(fwd * w2)))
+    c = (tables.shape[1] - 1) // 2
+    back = tables[:, c + t - n0 + 1 : c + t + 1][:, ::-1]  # D(shift by t-i), i=0..n0-1
+    fwd = tables[:, c + t : c + t + n0]
+    return np.maximum(np.max(back * w1, axis=1), np.max(fwd * w2, axis=1))
 
 
 def verify_hyperbolicity(
@@ -408,45 +509,41 @@ def verify_hyperbolicity(
 
     On symbolic samples the chain metric is rho itself (the ultrametric
     inequality makes every chain at least as long as the direct edge), so
-    every shifted distance comes from one disagreement scan per pair.
+    every shifted distance comes from one disagreement scan per pair.  Each
+    block of pairs is reduced to its d~ at shifts 0 and +-1 and its rho
+    before the next block is scanned.
     """
+    if len(pairs) == 0:
+        raise HypothesisViolated("verify_hyperbolicity needs at least one pair")
     n0 = mp.n0
     w1 = mp.k1 ** -np.arange(n0, dtype=float)
     w2 = mp.k2 ** -np.arange(n0, dtype=float)
-    lip_f = lip_b = sandw = 0
-    worst_lip = -math.inf
-    worst_sand = -math.inf
-    lhs_all = np.empty(len(pairs))
-    d0_all = np.empty(len(pairs))
-    for idx, (x, y) in enumerate(pairs):
-        tab = shifted_rho_table(x, y, params, n0 + 1)
-        d0 = _d_tilde_from_table(tab, 0, mp, w1, w2)
-        dp = _d_tilde_from_table(tab, 1, mp, w1, w2)
-        dm = _d_tilde_from_table(tab, -1, mp, w1, w2)
-        rho0 = float(tab[(tab.size - 1) // 2])
-        bound_f = 16.0 * params.b * d0 + tol
-        bound_b = 16.0 * params.a * d0 + tol
-        if dp > bound_f:
-            lip_f += 1
-        if dm > bound_b:
-            lip_b += 1
-        worst_lip = max(worst_lip, dp - bound_f, dm - bound_b)
-        if d0 / 4.0 > rho0 + tol or rho0 > 4.0 * d0 + tol:
-            sandw += 1
-        worst_sand = max(worst_sand, d0 / 4.0 - rho0, rho0 - 4.0 * d0)
-        lhs_all[idx] = max(dm / (params.a - mp.gamma), dp / (params.b - mp.gamma))
-        d0_all[idx] = d0
+    d0, dp, dm, rho0 = (np.empty(len(pairs)) for _ in range(4))
+    for start, tables in _shifted_blocks(pairs, params, n0 + 1):
+        block = slice(start, start + len(tables))
+        d0[block] = _d_tilde_from_tables(tables, 0, mp, w1, w2)
+        dp[block] = _d_tilde_from_tables(tables, 1, mp, w1, w2)
+        dm[block] = _d_tilde_from_tables(tables, -1, mp, w1, w2)
+        rho0[block] = tables[:, n0 + 1]
+    bound_f = 16.0 * params.b * d0 + tol
+    bound_b = 16.0 * params.a * d0 + tol
+    lip_f = int(np.sum(dp > bound_f))
+    lip_b = int(np.sum(dm > bound_b))
+    worst_lip = float(max(np.max(dp - bound_f), np.max(dm - bound_b)))
+    sandw = int(np.sum((d0 / 4.0 > rho0 + tol) | (rho0 > 4.0 * d0 + tol)))
+    worst_sand = float(max(np.max(d0 / 4.0 - rho0), np.max(rho0 - 4.0 * d0)))
+    lhs = np.maximum(dm / (params.a - mp.gamma), dp / (params.b - mp.gamma))
     threshold = 0.25 * min(
         mp.k1 ** (-(n0 - 1)) / params.a, mp.k2 ** (-(n0 - 1)) / params.b
     )
-    escape = lhs_all + tol < d0_all
+    escape = lhs + tol < d0
     if escape.any():
-        eps_prime = float(np.min(lhs_all[escape]))
+        eps_prime = float(np.min(lhs[escape]))
     else:
         eps_prime = threshold
     # the falsifiable form of (i): pairs below the a-priori threshold must
     # not escape, i.e. the inequality holds with eps' = threshold
-    failures = int(np.sum(lhs_all + tol < np.minimum(d0_all, threshold)))
+    failures = int(np.sum(lhs + tol < np.minimum(d0, threshold)))
     return HyperbolicityReport(
         pairs_checked=len(pairs),
         lipschitz_forward_violations=lip_f,

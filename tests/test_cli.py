@@ -241,9 +241,30 @@ class TestExitCodes:
         assert main(args) == 2
         assert f"{args[1][2:]} must be finite, got {args[2]}" in capsys.readouterr().err
 
+    def test_nan_delta(self, capsys):
+        assert main(["katok", "--delta", "nan"]) == 2
+        assert "delta must be finite, got nan" in capsys.readouterr().err
+
     def test_gamma_too_large(self, capsys):
         assert main(["metric-verify", "--gamma", "0.4"]) == 2
         assert "gamma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["metric-verify", "--n-points", "0"], "metric-verify needs --n-points >= 1, got 0"),
+            (["frink", "--n-samples", "0"], "frink needs --n-samples >= 1, got 0"),
+            (["frink", "--sample-size", "0"], "frink needs --sample-size >= 2, got 0"),
+            (["frink", "--sample-size", "1"], "frink needs --sample-size >= 2, got 1"),
+        ],
+        ids=["n-points-0", "n-samples-0", "sample-size-0", "sample-size-1"],
+    )
+    def test_vacuous_metric_run_refused(self, args, message, capsys):
+        # each of these used to pass without comparing a single pair
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
     def test_alpha_guard(self, capsys):
         assert main(["estimation", "--alpha", "0.3"]) == 2

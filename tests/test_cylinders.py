@@ -202,6 +202,16 @@ class TestRadiusLadder:
         assert lad.r_values[0] == 2.0**-8
         assert lad.r_values[-1] == 2.0**-40
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf])
+    def test_non_finite_theta(self, theta):
+        with pytest.raises(HypothesisViolated, match=f"theta must be finite, got {theta}"):
+            RadiusLadder.geometric(1, 5, theta=theta)
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0, 1.5])
+    def test_theta_out_of_range(self, theta):
+        with pytest.raises(HypothesisViolated, match=r"theta must lie in \(0, 1\)"):
+            RadiusLadder.geometric(1, 5, theta=theta)
+
     @pytest.mark.parametrize("values", [
         (), (0.5, 0.5), (0.25, 0.5), (1.0, 0.5), (0.5, 0.0),
     ])

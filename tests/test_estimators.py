@@ -244,6 +244,10 @@ class TestKatok:
             with pytest.raises(HypothesisViolated):
                 katok_entropy(UNIFORM2, PARAMS, bad, DEFAULT_R1, range(40, 201, 20))
 
+    def test_nan_delta(self):
+        with pytest.raises(HypothesisViolated, match="delta must be finite, got nan"):
+            katok_entropy(UNIFORM2, PARAMS, math.nan, DEFAULT_R1, range(40, 201, 20))
+
     def test_rate_bound(self):
         with pytest.raises(ConstraintViolated):
             katok_entropy(UNIFORM2, PARAMS, 0.25, DEFAULT_R1, range(40, 201, 20), r=0.5)

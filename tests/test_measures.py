@@ -31,6 +31,7 @@ from shiftmetrics import (
 from shiftmetrics.errors import (
     BadMeasure,
     HorizonExceeded,
+    HypothesisViolated,
     InadmissibleWord,
     Reducible,
     WindowTooLarge,
@@ -376,5 +377,10 @@ class TestMinimalCover:
 
     @pytest.mark.parametrize("delta", [0.0, 1.0, -0.2])
     def test_delta_validation(self, delta):
-        with pytest.raises(BadMeasure):
+        with pytest.raises(HypothesisViolated, match=r"delta must lie in \(0, 1\)"):
+            minimal_cover_log_count(UNIFORM2, 5, delta)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delta(self, delta):
+        with pytest.raises(HypothesisViolated, match=f"delta must be finite, got {delta}"):
             minimal_cover_log_count(UNIFORM2, 5, delta)

@@ -30,6 +30,7 @@ from shiftmetrics import (
     sample_point,
     shift_point,
     shifted_rho_table,
+    shifted_rho_tables,
     verify_hyperbolicity,
 )
 from shiftmetrics.errors import (
@@ -39,7 +40,7 @@ from shiftmetrics.errors import (
     QuasiMetricViolated,
     SaturatedDistances,
 )
-from shiftmetrics.metrics import CHAIN_BETA, _d_tilde_from_table
+from shiftmetrics.metrics import CHAIN_BETA, _d_tilde_from_tables
 
 FULL2 = make_space(2)
 GOLDEN = make_space(2, [[1, 1], [1, 0]])
@@ -414,8 +415,8 @@ class TestVerifyHyperbolicity:
         )
 
     def test_generic_oracle_agrees_with_fast_path(self):
-        # verify_hyperbolicity reads d~ at shifts -1, 0, +1 off one
-        # shifted_rho_table per pair; both generic oracles must give the
+        # verify_hyperbolicity reads d~ at shifts -1, 0, +1 off each pair's
+        # row of shifted_rho_tables; both generic oracles must give the
         # same three values through the definition of d~
         mp = MatherParams(gamma=0.05, n0=4, k1=1.2, k2=1.2)
         pts = [sample_point(FULL2, 60, seed=s) for s in (1, 2, 3, 4)]
@@ -428,13 +429,13 @@ class TestVerifyHyperbolicity:
         )
         w1 = mp.k1 ** -np.arange(mp.n0, dtype=float)
         w2 = mp.k2 ** -np.arange(mp.n0, dtype=float)
-        for x, y in pairs:
-            tab = shifted_rho_table(x, y, P13, mp.n0 + 1)
-            for t in (-1, 0, 1):
-                fast = _d_tilde_from_table(tab, t, mp, w1, w2)
+        tables = shifted_rho_tables(pairs, P13, mp.n0 + 1)
+        for t in (-1, 0, 1):
+            fast = _d_tilde_from_tables(tables, t, mp, w1, w2)
+            for (x, y), d in zip(pairs, fast):
                 xs, ys = shift_point(x, t), shift_point(y, t)
                 for oracle in oracles:
-                    assert fast == pytest.approx(mather_metric(xs, ys, mp, oracle), rel=1e-12)
+                    assert d == pytest.approx(mather_metric(xs, ys, mp, oracle), rel=1e-12)
 
     def test_short_horizon_refused(self):
         mp = mather_n0(P13, 0.05)  # n0 = 36

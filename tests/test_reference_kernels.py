@@ -12,7 +12,11 @@ forward, backward; ``reference_is_admissible`` walks the word symbol by
 symbol; ``reference_cover_length_at_radius`` and
 ``reference_cover_length_at_log_radius`` are the closed-form window lengths
 the counting estimators used before every ladder was built from
-``cylinders`` windows.  The fast versions must agree exactly.
+``cylinders`` windows.  ``reference_from_points`` (one scalar ``rho`` call
+per pair), ``reference_shifted_rho_table`` (one binary search per pair) and
+``reference_verify_hyperbolicity`` (one pair folded in at a time) in
+``reference.py`` are the pair-at-a-time metric code that the batch rho
+kernels replaced.  The fast versions must agree exactly.
 """
 import itertools
 import math
@@ -20,27 +24,43 @@ import math
 import numpy as np
 import pytest
 
+from reference import (
+    orbit_closed_sample,
+    reference_from_points,
+    reference_shifted_rho_table,
+    reference_verify_hyperbolicity,
+)
 from shiftmetrics import (
     BernoulliMeasure,
+    FiniteSample,
     MarkovMeasure,
+    MatherParams,
     MetricParams,
     RadiusLadder,
     count_words,
     make_space,
+    mather_n0,
     p_of_log_r,
     p_of_r,
+    point_from_window,
     q_of_log_r,
     q_of_r,
     sample_point,
     sample_points,
     sample_typical,
+    shift_point,
+    shifted_rho_table,
+    shifted_rho_tables,
     stationary,
     top_entropy_oracle,
+    verify_hyperbolicity,
     word_counts,
 )
+from shiftmetrics import metrics
+from shiftmetrics.errors import DifferentSpaces, HypothesisViolated, SaturatedDistances, ShiftMetricsError
 from shiftmetrics.estimators import DEFAULT_LADDER, KINDS
 from shiftmetrics.measures import reversed_kernel
-from shiftmetrics.metrics import ONE_SIDED
+from shiftmetrics.metrics import ONE_SIDED, PAIR_CHUNK
 from shiftmetrics.shiftspace import ShiftSpace
 
 SEEDS = range(200)
@@ -341,3 +361,217 @@ def test_spectral_solvers_match_the_dense_eigensolver(m):
         values, vectors = np.linalg.eig(P.T)
         pi = np.real(vectors[:, np.argmin(abs(values - 1.0))])
         np.testing.assert_allclose(stationary(P), pi / pi.sum(), rtol=0, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# rho matrices, shifted-distance tables and the hyperbolicity check
+# ---------------------------------------------------------------------------
+
+RHO_PARAMS = {
+    "two-sided": MetricParams(1.3, 1.3),
+    # a resolved side often fails to dominate what the other side could add
+    "skewed": MetricParams(1.1, 2.0),
+    "one-sided": MetricParams(1.3, 1.7, mode=ONE_SIDED),
+}
+FULL_2 = make_space(2)
+
+
+def single_flips(horizon: int, flips) -> list:
+    """Points of full:2 that are 0 on -horizon..horizon except at ``flips``:
+    most pairs agree on all but one or two coordinates, so sides saturate."""
+    points = [point_from_window(FULL_2, [0] * (2 * horizon + 1))]
+    for coords in flips:
+        window = np.zeros(2 * horizon + 1, dtype=np.int64)
+        window[[horizon + t for t in coords]] = 1
+        points.append(point_from_window(FULL_2, window))
+    return points
+
+
+def mixed_horizons(points, spread: int) -> list:
+    """Each point shifted by its own amount in [-spread, spread]."""
+    return [shift_point(p, (i % (2 * spread + 1)) - spread) for i, p in enumerate(points)]
+
+
+SAMPLED = sample_points(GOLDEN_SPACE, 30, range(40))
+FLIPS = single_flips(6, [(t,) for t in range(-6, 7)] + [(-6, 6), (-2, 3), (0, 5), (-4, -1)])
+SAMPLES = {
+    "sampled": SAMPLED,
+    "saturated": FLIPS,
+    "saturated-mixed": FLIPS + mixed_horizons(FLIPS, 4),
+    "mixed-horizons": mixed_horizons(SAMPLED, 9),
+    "duplicates": SAMPLED[:6] + SAMPLED[:6] + [SAMPLED[0]] * 3,
+    "orbit-closed": orbit_closed_sample(SAMPLED[:6], 4),
+    "empty": [],
+    "one-point": SAMPLED[:1],
+    "two-points": SAMPLED[:2],
+}
+
+
+def outcome(compute):
+    """The computed array, or the class and message of the refusal."""
+    try:
+        return compute()
+    except ShiftMetricsError as exc:
+        return type(exc), str(exc)
+
+
+def assert_bitwise(fast, slow):
+    if isinstance(slow, tuple) or isinstance(fast, tuple):
+        assert fast == slow
+        return
+    assert (fast.shape, fast.dtype) == (slow.shape, slow.dtype)
+    assert fast.tobytes() == slow.tobytes()
+
+
+def reference_tables(pairs, params, max_shift):
+    rows = [reference_shifted_rho_table(x, y, params, max_shift) for x, y in pairs]
+    return np.array(rows).reshape(len(pairs), 2 * max_shift + 1)
+
+
+@pytest.mark.parametrize("sample", sorted(SAMPLES))
+@pytest.mark.parametrize("params", sorted(RHO_PARAMS))
+def test_rho_matrix_reproduces_the_scalar_rho(sample, params):
+    points, p = SAMPLES[sample], RHO_PARAMS[params]
+    fast = FiniteSample.from_points(points, p)
+    slow = reference_from_points(points, p)
+    assert_bitwise(fast.matrix, slow.matrix)
+    assert_bitwise(fast.exact, slow.exact)
+
+
+def test_saturated_samples_hold_both_exactness_flags():
+    # the "saturated" families must exercise the exactness rule, not skip it
+    for sample in ("saturated", "saturated-mixed"):
+        exact = FiniteSample.from_points(SAMPLES[sample], RHO_PARAMS["skewed"]).exact
+        assert exact.any() and not exact.all(), sample
+
+
+def test_rho_matrix_makes_no_scalar_rho_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("scalar rho called")
+
+    monkeypatch.setattr(metrics, "rho", refuse)
+    monkeypatch.setattr(metrics, "disagreement_times", refuse)
+    FiniteSample.from_points(SAMPLED, RHO_PARAMS["two-sided"])
+
+
+def test_rho_matrix_names_the_first_pair_from_another_space():
+    other = sample_points(FULL_2, 30, range(3))
+    for points in (SAMPLED[:3] + other, other[:1] + SAMPLED[:4] + other[1:], SAMPLED[:1] + other):
+        for params in RHO_PARAMS.values():
+            fast = outcome(lambda: FiniteSample.from_points(points, params))
+            slow = outcome(lambda: reference_from_points(points, params))
+            assert fast[0] is DifferentSpaces
+            assert fast == slow
+
+
+@pytest.mark.parametrize("max_shift", [0, 1, 3, 6])
+@pytest.mark.parametrize("sample", sorted(SAMPLES))
+@pytest.mark.parametrize("params", sorted(RHO_PARAMS))
+def test_shifted_tables_reproduce_the_binary_search(sample, params, max_shift):
+    points, p = SAMPLES[sample], RHO_PARAMS[params]
+    pairs = list(itertools.combinations(points[:16], 2)) + list(zip(points, points[::-1]))
+    # every pair alone, then the whole list, which refuses at its first bad pair
+    for pair in pairs:
+        assert_bitwise(
+            outcome(lambda: shifted_rho_table(*pair, p, max_shift)),
+            outcome(lambda: reference_shifted_rho_table(*pair, p, max_shift)),
+        )
+    assert_bitwise(
+        outcome(lambda: shifted_rho_tables(pairs, p, max_shift)),
+        outcome(lambda: reference_tables(pairs, p, max_shift)),
+    )
+
+
+def unresolved_pair():
+    """Disagreements only at -2 and +3: shifts past +3 find no forward
+    disagreement and shifts below -2 no backward one."""
+    return tuple(single_flips(10, [(-2, 3)]))
+
+
+@pytest.mark.parametrize("params", sorted(RHO_PARAMS))
+def test_shifted_table_refusals(params):
+    p = RHO_PARAMS[params]
+    cases = [
+        (DifferentSpaces, SAMPLED[0], sample_point(FULL_2, 30, 0), 3),
+        (SaturatedDistances, *sample_points(GOLDEN_SPACE, 4, range(2)), 5),  # horizon below the shift
+        (SaturatedDistances, *unresolved_pair(), 5),
+    ]
+    for expected, x, y, max_shift in cases:
+        fast = outcome(lambda: shifted_rho_table(x, y, p, max_shift))
+        assert fast == outcome(lambda: reference_shifted_rho_table(x, y, p, max_shift))
+        assert fast[0] is expected
+
+
+def long_pair_list(first_bad: dict[int, tuple]) -> list:
+    """Sampled pairs filling three blocks, with the pairs at the given
+    indices replaced."""
+    points = sample_points(GOLDEN_SPACE, 30, range(4 * PAIR_CHUNK + 40))
+    pairs = list(zip(points[0::2], points[1::2]))
+    for index, pair in first_bad.items():
+        pairs[index] = pair
+    return pairs
+
+
+BAD_PAIRS = {
+    "unresolved": unresolved_pair(),
+    "spaces": (SAMPLED[0], sample_point(FULL_2, 30, 0)),
+    "horizon": tuple(sample_points(GOLDEN_SPACE, 4, range(2))),
+}
+
+
+@pytest.mark.parametrize(
+    "placement",
+    [
+        {3: "spaces", 7: "unresolved"},
+        {3: "unresolved", 7: "spaces"},
+        {PAIR_CHUNK + 5: "unresolved", PAIR_CHUNK + 9: "horizon"},
+        {PAIR_CHUNK - 1: "horizon", PAIR_CHUNK: "spaces"},
+        {2 * PAIR_CHUNK + 1: "spaces", 2 * PAIR_CHUNK + 2: "unresolved"},
+    ],
+    ids=lambda placement: "-".join(f"{k}{v}" for k, v in placement.items()),
+)
+@pytest.mark.parametrize("params", sorted(RHO_PARAMS))
+def test_many_pairs_refuse_at_their_first_bad_pair(placement, params):
+    p = RHO_PARAMS[params]
+    pairs = long_pair_list({index: BAD_PAIRS[kind] for index, kind in placement.items()})
+    fast = outcome(lambda: shifted_rho_tables(pairs, p, 8))
+    assert isinstance(fast, tuple)
+    assert fast == outcome(lambda: reference_tables(pairs, p, 8))
+    mp = MatherParams(gamma=0.05, n0=7, k1=1.2, k2=1.2)
+    assert outcome(lambda: verify_hyperbolicity(pairs, mp, p)) == fast
+    assert outcome(lambda: reference_verify_hyperbolicity(pairs, mp, p)) == fast
+
+
+def test_many_pairs_span_blocks():
+    pairs = long_pair_list({})
+    p = RHO_PARAMS["two-sided"]
+    assert_bitwise(shifted_rho_tables(pairs, p, 8), reference_tables(pairs, p, 8))
+    assert_bitwise(shifted_rho_tables([], p, 8), reference_tables([], p, 8))
+
+
+@pytest.mark.parametrize("params", sorted(RHO_PARAMS))
+def test_hyperbolicity_report_reproduces_the_pair_loop(params):
+    p = RHO_PARAMS[params]
+    mp = MatherParams(gamma=0.05, n0=4, k1=1.2, k2=1.2)
+    points = sample_points(GOLDEN_SPACE, 60, range(2 * PAIR_CHUNK + 30))
+    for pairs in (
+        list(zip(points[0::2], points[1::2])),
+        list(zip(mixed_horizons(points[:60], 6), points[60:120])),
+        [(points[0], points[0]), (points[1], points[2])],
+        [(points[0], points[0])],
+    ):
+        assert verify_hyperbolicity(pairs, mp, p) == reference_verify_hyperbolicity(pairs, mp, p)
+
+
+def test_hyperbolicity_report_at_the_cli_scale():
+    p = RHO_PARAMS["two-sided"]
+    mp = mather_n0(p, 0.05)
+    points = sample_points(GOLDEN_SPACE, 4 * mp.n0 + 48, range(600))
+    pairs = list(zip(points[0::2], points[1::2]))
+    assert verify_hyperbolicity(pairs, mp, p) == reference_verify_hyperbolicity(pairs, mp, p)
+
+
+def test_hyperbolicity_refuses_an_empty_pair_list():
+    mp = MatherParams(gamma=0.05, n0=4, k1=1.2, k2=1.2)
+    with pytest.raises(HypothesisViolated, match="at least one pair"):
+        verify_hyperbolicity([], mp, RHO_PARAMS["two-sided"])
