@@ -30,7 +30,6 @@ from .estimators import (
     DEFAULT_LADDER,
     DEFAULT_R1,
     DEFAULT_RATES,
-    DEFAULT_TOLERANCES,
     KINDS,
     MEASURE_KINDS,
     RelationReport,
@@ -59,22 +58,10 @@ from .shiftspace import ShiftSpace, make_space, sample_points, top_entropy_oracl
 SCHEMA_VERSION = "1"
 CSV_COLUMNS = ("quantity", "n_or_r", "raw_count_or_mass(log)", "fitted", "residual")
 
-QUANTITIES = (
-    "dim",
-    "entropy",
-    "katok",
-    "brin-katok",
-    "neutralized",
-    "estimation",
-    "metric-verify",
-    "frink",
-    "relations",
-    "solve-5-23",
-)
 
 @dataclass
 class RunConfig:
-    """Fully resolved description of one batch run."""
+    """Fully resolved description of one batch run; its defaults are the CLI's."""
 
     quantity: str
     space: str = "full:2"
@@ -103,10 +90,12 @@ class RunConfig:
     tolerances: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.quantity not in QUANTITIES:
+        if self.quantity not in _RUNNERS:
             raise HypothesisViolated(
-                f"quantity must be one of {', '.join(QUANTITIES)}; got {self.quantity!r}"
+                f"quantity must be one of {', '.join(_RUNNERS)}; got {self.quantity!r}"
             )
+        if self.horizon is not None and self.horizon < 1:
+            raise HypothesisViolated(f"--horizon needs an integer >= 1, got {self.horizon}")
         if self.format not in ("json", "csv"):
             raise HypothesisViolated(f"format must be json or csv, got {self.format!r}")
         tols = [("--tol", self.tol)] + [(f"--tol {n}=", v) for n, v in self.tolerances.items()]
@@ -225,8 +214,7 @@ class _Quantity(NamedTuple):
 
 
 #: Each slope quantity's kinds; ``estimators.KINDS`` holds their estimators,
-#: identities, target formulas and default depths, and ``DEFAULT_TOLERANCES``
-#: their tolerances.
+#: identities, with their target formulas and tolerances, and default depths.
 _SLOPES = {
     "dim": _Quantity("box_dimension", "pointwise_dimension"),
     "entropy": _Quantity("entropy", "brin_katok"),
@@ -289,7 +277,7 @@ def _run_slope(config, space, params, mu):
         "formula": identity.formula.format(k=_k_formula(params)),
     }
     tol = config.tolerances.get(identity.name, config.tol)
-    tol = DEFAULT_TOLERANCES[identity.name] if tol is None else tol
+    tol = identity.tolerance if tol is None else tol
     rel = identity.check(est.slope, params, rate, h, tol)
     # entropy --measure is the local entropy, and its rows say so
     label = "brin-katok" if kind == "brin_katok" else config.quantity
@@ -349,7 +337,7 @@ def _run_metric_verify(config, space, params, mu):
     _check_tolerances(config, [])
     _require_at_least(config, n_points=1)
     mp = mather_n0(params, config.gamma)
-    horizon = config.horizon or 4 * mp.n0 + 48
+    horizon = 4 * mp.n0 + 48 if config.horizon is None else config.horizon
     # pair i is the points of seeds seed + 2i and seed + 2i + 1
     points = sample_points(space, horizon, range(config.seed, config.seed + 2 * config.n_points))
     pairs = list(zip(points[0::2], points[1::2]))
@@ -567,67 +555,71 @@ def _parse_tolerances(raw: list[str]) -> tuple[float | None, dict[str, float]]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # every default lives in RunConfig: an option not given stays out of the namespace
+    quiet = {"argument_default": argparse.SUPPRESS}
     parser = argparse.ArgumentParser(
         prog="shiftmetrics",
         description="Verify dimension/entropy identities on shift spaces.",
+        **quiet,
     )
     sub = parser.add_subparsers(dest="quantity", required=True, metavar="quantity")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--space", default="full:2", help="full:M or sft:PATH")
-    common.add_argument("--a", type=float, default=1.3, help="backward scale base (> 1)")
-    common.add_argument("--b", type=float, default=1.3, help="forward scale base (> 1)")
-    common.add_argument("--mode", choices=[TWO_SIDED, ONE_SIDED], default=TWO_SIDED)
-    common.add_argument("--measure", default=None, help="path to a measure JSON spec")
-    common.add_argument("--horizon", type=int, default=None, help="sampled-point horizon")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--n-points", type=int, default=100, help="typical points / pairs")
-    common.add_argument("--format", choices=["json", "csv"], default="json")
-    common.add_argument("--out", default=None, help="write the report to this file")
+    common = argparse.ArgumentParser(add_help=False, **quiet)
+    common.add_argument("--space", help="full:M or sft:PATH")
+    common.add_argument("--a", type=float, help="backward scale base (> 1)")
+    common.add_argument("--b", type=float, help="forward scale base (> 1)")
+    common.add_argument("--mode", choices=[TWO_SIDED, ONE_SIDED])
+    common.add_argument("--measure", help="path to a measure JSON spec")
+    common.add_argument("--horizon", type=int, help="sampled-point horizon")
+    common.add_argument("--seed", type=int)
+    common.add_argument("--n-points", type=int, help="typical points / pairs")
+    common.add_argument("--format", choices=["json", "csv"])
+    common.add_argument("--out", help="write the report to this file")
     common.add_argument(
         "--tol",
         action="append",
-        default=[],
         metavar="FLOAT|NAME=FLOAT",
         help="override the headline tolerance, or a named relation's",
     )
-    depth = argparse.ArgumentParser(add_help=False)
-    depth.add_argument("--t-min", type=int, default=None)
-    depth.add_argument("--t-max", type=int, default=None)
-    depth.add_argument("--t-step", type=int, default=None)
-    depth.add_argument("--r1", type=float, default=DEFAULT_R1, help="reference radius")
+    depth = argparse.ArgumentParser(add_help=False, **quiet)
+    depth.add_argument("--t-min", type=int)
+    depth.add_argument("--t-max", type=int)
+    depth.add_argument("--t-step", type=int)
+    depth.add_argument("--r1", type=float, help="reference radius")
     r_help = f"shrinking rate (default {DEFAULT_RATES['r']})"
     alpha_help = f"discount rate (default {DEFAULT_RATES['alpha']})"
 
-    sp = sub.add_parser("dim", parents=[common], help="box / pointwise dimension")
-    j_min, j_max = DEFAULT_LADDER
-    sp.add_argument("--j-min", type=int, default=j_min, help="ladder starts at 2^-j_min")
-    sp.add_argument("--j-max", type=int, default=j_max, help="ladder ends at 2^-j_max")
-    sub.add_parser("entropy", parents=[common, depth], help="spanning / local entropy")
-    sp = sub.add_parser("katok", parents=[common, depth], help="minimal-cover entropy")
-    sp.add_argument("--delta", type=float, default=0.25, help="mass defect in (0, 1)")
-    sp.add_argument("--r", type=float, default=None, help="shrinking rate (default 0)")
-    sub.add_parser("brin-katok", parents=[common, depth], help="local entropy at typical points")
-    sp = sub.add_parser("neutralized", parents=[common, depth], help="shrinking-radius entropy")
-    sp.add_argument("--r", type=float, default=None, help=r_help)
-    sp = sub.add_parser("estimation", parents=[common, depth], help="discounted-radius entropy")
-    sp.add_argument("--alpha", type=float, default=None, help=alpha_help)
-    sp = sub.add_parser("metric-verify", parents=[common], help="hyperbolicity checks")
-    sp.add_argument("--gamma", type=float, default=0.05, help="contraction margin")
-    sp = sub.add_parser("frink", parents=[common], help="chain-metrization sandwich")
-    sp.add_argument("--n-samples", type=int, default=50)
-    sp.add_argument("--sample-size", type=int, default=200)
-    sp = sub.add_parser("relations", parents=[common], help="full identity suite")
-    sp.add_argument("--r", type=float, default=None, help=r_help)
-    sp.add_argument("--alpha", type=float, default=None, help=alpha_help)
-    sp.add_argument("--delta", type=float, default=0.25, help="covering mass defect")
-    sp = sub.add_parser("solve-5-23", parents=[common], help="radius/rate exchange solver")
-    sp.add_argument("--r", type=float, default=None)
-    sp.add_argument("--alpha", type=float, default=None)
+    def add(name: str, help: str, *more: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=[common, *more], help=help, **quiet)
+
+    sp = add("dim", "box / pointwise dimension")
+    sp.add_argument("--j-min", type=int, help="ladder starts at 2^-j_min")
+    sp.add_argument("--j-max", type=int, help="ladder ends at 2^-j_max")
+    add("entropy", "spanning / local entropy", depth)
+    sp = add("katok", "minimal-cover entropy", depth)
+    sp.add_argument("--delta", type=float, help="mass defect in (0, 1)")
+    sp.add_argument("--r", type=float, help="shrinking rate (default 0)")
+    add("brin-katok", "local entropy at typical points", depth)
+    sp = add("neutralized", "shrinking-radius entropy", depth)
+    sp.add_argument("--r", type=float, help=r_help)
+    sp = add("estimation", "discounted-radius entropy", depth)
+    sp.add_argument("--alpha", type=float, help=alpha_help)
+    sp = add("metric-verify", "hyperbolicity checks")
+    sp.add_argument("--gamma", type=float, help="contraction margin")
+    sp = add("frink", "chain-metrization sandwich")
+    sp.add_argument("--n-samples", type=int)
+    sp.add_argument("--sample-size", type=int)
+    sp = add("relations", "full identity suite")
+    sp.add_argument("--r", type=float, help=r_help)
+    sp.add_argument("--alpha", type=float, help=alpha_help)
+    sp.add_argument("--delta", type=float, help="covering mass defect")
+    sp = add("solve-5-23", "radius/rate exchange solver")
+    sp.add_argument("--r", type=float)
+    sp.add_argument("--alpha", type=float)
     return parser
 
 
 def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    scalar, named = _parse_tolerances(ns.tol)
+    scalar, named = _parse_tolerances(getattr(ns, "tol", []))
     fields = {f.name for f in dataclasses.fields(RunConfig)}
     kwargs = {k: v for k, v in vars(ns).items() if k in fields and k not in ("tol", "tolerances")}
     return RunConfig(**kwargs, tol=scalar, tolerances=named)

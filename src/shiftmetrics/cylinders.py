@@ -122,14 +122,11 @@ class RadiusLadder:
             raise HypothesisViolated("ladder radii must be strictly decreasing")
 
     @classmethod
-    def geometric(cls, j_min: int, j_max: int, theta: float = 0.5) -> "RadiusLadder":
-        if not math.isfinite(theta):
-            raise HypothesisViolated(f"theta must be finite, got {theta}")
-        if not (0.0 < theta < 1.0):
-            raise HypothesisViolated(f"theta must lie in (0, 1), got {theta}")
+    def geometric(cls, j_min: int, j_max: int) -> "RadiusLadder":
+        """The dyadic radii 2^-j_min, ..., 2^-j_max."""
         if j_min > j_max or j_min < 1:
             raise HypothesisViolated("need 1 <= j_min <= j_max")
-        return cls(tuple(theta**j for j in range(j_min, j_max + 1)))
+        return cls(tuple(0.5**j for j in range(j_min, j_max + 1)))
 
     def __iter__(self):
         return iter(self.r_values)

@@ -266,11 +266,6 @@ def _read_words(space: ShiftSpace, ladder: _Ladder) -> SlopeEstimate:
     return _read(ladder, lambda window: log_counts[window.length])
 
 
-def _cover_counts(mu: Measure, delta: float) -> Callable[[CylinderIndex], float]:
-    # minimal_cover_log_count refuses a delta outside (0, 1)
-    return lambda window: minimal_cover_log_count(mu, window.length, delta)
-
-
 def _mass_slope(mu: Measure, x: Point, ladder: _Ladder) -> SlopeEstimate:
     """Read a ladder at the point x, dropping windows beyond its horizon."""
 
@@ -352,8 +347,7 @@ def katok_entropy(
     e^{-(n+m) r} instead of the fixed r1); the slope is then expected to be
     delta-independent as well.
     """
-    covers = _cover_counts(mu, delta)
-    return _read(_shrinking_ladder(params, r, nm_range, r1), covers)
+    return estimate_kind("katok", None, params, mu, nm_range, r, r1, delta)
 
 
 def brin_katok_local(
@@ -453,59 +447,6 @@ def average_over_typical(
     return _average([estimator(x) for x in points])
 
 
-def one_sided_suite(
-    target: ShiftSpace | Measure,
-    params: MetricParams,
-    n_range: Iterable[int],
-    ladder: RadiusLadder | None = None,
-    alpha: float = 0.0,
-    seed: int = 0,
-    n_points: int = 100,
-) -> dict[str, SlopeEstimate]:
-    """Forward-window analogs of the dimension and entropy estimators.
-
-    Requires one-sided parameters.  For a space target returns
-    ``box_dimension``, ``entropy`` (fixed-radius spanning), and
-    ``alpha_entropy``; for a measure target the pointwise dimension, local
-    entropy, and discounted local entropy, each averaged over the same
-    typical points.
-    """
-    if params.mode != ONE_SIDED:
-        raise HypothesisViolated("one_sided_suite needs one-sided metric parameters")
-    require_alpha_regime(alpha, params)
-    depths = _depth_values(n_range)
-    if ladder is None:
-        ladder = RadiusLadder.geometric(*DEFAULT_LADDER)
-    if isinstance(target, ShiftSpace):
-        space, mu, points = target, None, None
-        kinds = {
-            "box_dimension": "box_dimension",
-            "entropy": "entropy",
-            "alpha_entropy": "alpha_topological",
-        }
-    else:
-        space, mu = None, target
-        horizon = max(depths) + ball_window(min(ladder.r_values), params).length + 8
-        points = _typical_points(mu, horizon, n_points, seed, None)
-        kinds = {
-            "pointwise_dimension": "pointwise_dimension",
-            "entropy": "brin_katok",
-            "alpha_entropy": "alpha_brin_katok",
-        }
-    return {
-        name: estimate_kind(
-            kind,
-            space,
-            params,
-            mu,
-            ladder if KINDS[kind].depths is None else depths,
-            alpha,
-            points=points,
-        )
-        for name, kind in kinds.items()
-    }
-
-
 def solve_relation_5_23(a: float, b: float, given: dict) -> RelationReport:
     """Solve the radius/rate exchange relation r + 1/k = 1/k_alpha.
 
@@ -515,17 +456,12 @@ def solve_relation_5_23(a: float, b: float, given: dict) -> RelationReport:
     r is returned.  The report's lhs/rhs are the two sides of the relation
     evaluated at the solved pair, so rel_error certifies the round trip.
     """
-    if not (a > 1.0 and b > 1.0):
-        raise HypothesisViolated(f"bases must satisfy a, b > 1, got a={a}, b={b}")
+    params = MetricParams(a, b)  # refuses a base that is not finite and > 1
     if not isinstance(given, dict) or len(given) != 1 or not {"r", "alpha"} >= set(given):
         raise HypothesisViolated("given must be exactly one of {'r': ...} or {'alpha': ...}")
-    la, lb = math.log(a), math.log(b)
-    k = 1.0 / la + 1.0 / lb
+    la, lb = params.log_a, params.log_b
+    k = params.k()
     alpha_max = min(la, lb)
-
-    def k_alpha(alpha: float) -> float:
-        return 1.0 / (la + alpha) + 1.0 / (lb + alpha)
-
     if "r" in given:
         r = float(given["r"])
         if not 0.0 < r < 3.0 / k:
@@ -546,14 +482,14 @@ def solve_relation_5_23(a: float, b: float, given: dict) -> RelationReport:
             raise HypothesisViolated(
                 f"discount rate must satisfy 0 < alpha < {alpha_max:.6g}, got {alpha}"
             )
-        r = 1.0 / k_alpha(alpha) - 1.0 / k
+        r = 1.0 / params.k_alpha(alpha) - 1.0 / k
         if not 0.0 < r < 3.0 / k:
             raise NoSolution(
                 f"solved shrinking rate r = {r:.6g} leaves (0, 3/k = {3.0 / k:.6g})"
             )
         solved = r
     return relation_report(
-        "radius-rate-exchange", r + 1.0 / k, 1.0 / k_alpha(alpha), EXACT_TOL, value=solved
+        "radius-rate-exchange", r + 1.0 / k, 1.0 / params.k_alpha(alpha), EXACT_TOL, value=solved
     )
 
 
@@ -575,37 +511,19 @@ def _space_label(space: ShiftSpace) -> str:
     return f"sft:{space.alphabet_size}:{bits}"
 
 
-DEFAULT_TOLERANCES = {
-    "box-dimension = k * entropy": COUNT_TOL,
-    "spanning-entropy = oracle entropy": COUNT_TOL,
-    "pointwise-dimension = k * measure-entropy": MEASURE_TOL,
-    "brin-katok = measure-entropy": MEASURE_TOL,
-    "katok = measure-entropy": COUNT_TOL,
-    "katok = (1 + r k) * measure-entropy": COUNT_TOL,
-    "neutralized-topological = (1 + r k) * entropy": COUNT_TOL,
-    "neutralized-brin-katok = (1 + r k) * measure-entropy": MEASURE_TOL,
-    "alpha-entropy * k_alpha = k * entropy": COUNT_TOL,
-    "alpha-brin-katok * k_alpha = k * measure-entropy": MEASURE_TOL,
-    "pointwise-dimension <= box-dimension": COUNT_TOL,
-    "chain: katok <= topological": COUNT_TOL,
-    "chain: brin-katok <= katok": COUNT_TOL,
-    "chain: neutralized katok <= neutralized topological": COUNT_TOL,
-    "chain: neutralized brin-katok <= neutralized katok": COUNT_TOL,
-}
-
-
 @dataclass(frozen=True)
 class Identity:
     """``slope * lhs_scale(params, rate) = rhs_scale(params, rate) * h``, with h
     the measure entropy when ``measure`` is set, else the topological one.
     ``formula`` spells out the target ``rhs / lhs_scale``; ``{k}`` stands for
-    the formula of k."""
+    the formula of k.  ``tolerance`` is the default relative tolerance."""
 
     name: str
     measure: bool
     lhs_scale: Callable[[MetricParams, float], float]
     rhs_scale: Callable[[MetricParams, float], float]
     formula: str
+    tolerance: float
 
     def check(
         self, slope: float, params: MetricParams, rate: float, h: float, tolerance: float
@@ -654,14 +572,16 @@ class Kind:
 #: long windows.
 KINDS = {
     "box_dimension": Kind(
-        Identity("box-dimension = k * entropy", False, _one, _k, "({k}) * h_top"),
+        Identity("box-dimension = k * entropy", False, _one, _k, "({k}) * h_top", COUNT_TOL),
         None,
         None,
         lambda p, radii, q, r1: _ball_ladder(p, radii, 1.0),
         "words",
     ),
     "entropy": Kind(
-        Identity("spanning-entropy = oracle entropy", False, _one, _one, "ln(spectral radius)"),
+        Identity(
+            "spanning-entropy = oracle entropy", False, _one, _one, "ln(spectral radius)", COUNT_TOL
+        ),
         None,
         (10, 60, 5),
         lambda p, depths, q, r1: _bowen_ladder(p, r1, depths),
@@ -674,6 +594,7 @@ KINDS = {
             _one,
             _shrunk_k,
             "(1 + r k) * h_top",
+            COUNT_TOL,
         ),
         "r",
         (20, 120, 10),
@@ -682,7 +603,12 @@ KINDS = {
     ),
     "alpha_topological": Kind(
         Identity(
-            "alpha-entropy * k_alpha = k * entropy", False, _k_alpha, _k, "k * h_top / k_alpha"
+            "alpha-entropy * k_alpha = k * entropy",
+            False,
+            _k_alpha,
+            _k,
+            "k * h_top / k_alpha",
+            COUNT_TOL,
         ),
         "alpha",
         (20, 120, 10),
@@ -690,21 +616,30 @@ KINDS = {
         "words",
     ),
     "pointwise_dimension": Kind(
-        Identity("pointwise-dimension = k * measure-entropy", True, _one, _k, "({k}) * h_mu"),
+        Identity(
+            "pointwise-dimension = k * measure-entropy", True, _one, _k, "({k}) * h_mu", MEASURE_TOL
+        ),
         None,
         None,
         lambda p, radii, q, r1: _ball_ladder(p, radii, -1.0),
         "mass",
     ),
     "brin_katok": Kind(
-        Identity("brin-katok = measure-entropy", True, _one, _one, "entropy rate of the measure"),
+        Identity(
+            "brin-katok = measure-entropy",
+            True,
+            _one,
+            _one,
+            "entropy rate of the measure",
+            MEASURE_TOL,
+        ),
         None,
         (20, 200, 12),
         lambda p, depths, q, r1: _bowen_ladder(p, r1, depths),
         "mass",
     ),
     "katok": Kind(
-        Identity("katok = measure-entropy", True, _one, _one, "h_mu"),
+        Identity("katok = measure-entropy", True, _one, _one, "h_mu", COUNT_TOL),
         None,
         (300, 900, 60),
         lambda p, depths, q, r1: _shrinking_ladder(p, q, depths, r1),
@@ -717,6 +652,7 @@ KINDS = {
             _one,
             _shrunk_k,
             "(1 + r k) * h_mu",
+            MEASURE_TOL,
         ),
         "r",
         (20, 200, 12),
@@ -725,7 +661,12 @@ KINDS = {
     ),
     "neutralized_katok": Kind(
         Identity(
-            "katok = (1 + r k) * measure-entropy", True, _one, _shrunk_k, "(1 + r k) * h_mu"
+            "katok = (1 + r k) * measure-entropy",
+            True,
+            _one,
+            _shrunk_k,
+            "(1 + r k) * h_mu",
+            COUNT_TOL,
         ),
         "r",
         (300, 900, 60),
@@ -739,6 +680,7 @@ KINDS = {
             _k_alpha,
             _k,
             "k * h_mu / k_alpha",
+            MEASURE_TOL,
         ),
         "alpha",
         (20, 120, 10),
@@ -777,6 +719,11 @@ CHAINS = (
 )
 #: Kinds estimated from a measure rather than from the space.
 MEASURE_KINDS = frozenset(kind for kind, spec in KINDS.items() if spec.identity.measure)
+#: Each relation's default tolerance: its identity's own, and COUNT_TOL for every chain.
+DEFAULT_TOLERANCES = {
+    **{spec.identity.name: spec.identity.tolerance for spec in KINDS.values()},
+    **{name: COUNT_TOL for name, _, _ in CHAINS},
+}
 
 
 def kind_ladder(
@@ -821,19 +768,19 @@ def estimate_kind(
     holds every window of the ladder, plus 8.
     """
     spec = KINDS[kind]
-    if spec.reads == "words":
-        return _read_words(space, spec.ladder(params, ladder, rate, r1))
-    if spec.reads == "cover":
-        covers = _cover_counts(mu, delta)
-        return _read(spec.ladder(params, ladder, rate, r1), covers)
     steps = spec.ladder(params, ladder, rate, r1)
+    if spec.reads == "words":
+        return _read_words(space, steps)
+    if spec.reads == "cover":
+        # minimal_cover_log_count refuses a delta outside (0, 1)
+        return _read(steps, lambda window: minimal_cover_log_count(mu, window.length, delta))
 
     def estimator(x: Point) -> SlopeEstimate:
         return _mass_slope(mu, x, steps)
 
     if points is not None:
         return _average([estimator(x) for x in points])
-    if not horizon:
+    if horizon is None:
         horizon = max(max(-w.lo, w.hi) for w in steps.windows) + 8
     return average_over_typical(estimator, mu, horizon, n_points, seed, space)
 
@@ -876,9 +823,7 @@ def verify_identities(
         by_kind[entry.kind] = entry
     if h_mu is None and MEASURE_KINDS & set(by_kind):
         raise IncompatibleInputs("measure estimates present but no measure entropy oracle")
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
+    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     reports = []
     for kind in HEADLINE_KINDS:
         if kind in by_kind:

@@ -37,10 +37,11 @@ from .errors import (
     Reducible,
     WindowTooLarge,
 )
-from .shiftspace import Point, ShiftSpace, count_words, make_space, point_from_window
+from .shiftspace import POWER_ITER_CAP, Point, ShiftSpace, count_words, make_space, point_from_window
 
 STATIONARY_TOL = 1e-12
 ROW_SUM_TOL = 1e-12
+#: Most support words a cover enumerates, and most nodes its prefix expansion pops.
 ENUMERATION_LIMIT = 2**22
 #: Counts below this are recovered exactly by rounding exp(log_count).
 _EXACT_COUNT_LIMIT = float(2**40)
@@ -64,13 +65,13 @@ def _strongly_connected(positive: np.ndarray) -> bool:
     return True
 
 
-def stationary(P, tol: float = STATIONARY_TOL, max_iter: int = 200_000) -> np.ndarray:
+def stationary(P) -> np.ndarray:
     """Unique stationary vector of an irreducible row-stochastic matrix.
 
     Power iteration runs on the lazy kernel (P + I)/2, which has the same
     fixed point but no periodicity, until successive iterates agree to
-    ``tol``.  Uniqueness is guarded by a strong-connectivity check on the
-    positive-entry digraph; reducible input raises ``Reducible``.
+    ``STATIONARY_TOL``.  Uniqueness is guarded by a strong-connectivity check
+    on the positive-entry digraph; reducible input raises ``Reducible``.
     """
     mat = np.asarray(P, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
@@ -89,15 +90,17 @@ def stationary(P, tol: float = STATIONARY_TOL, max_iter: int = 200_000) -> np.nd
         raise Reducible("positive-entry digraph is not strongly connected")
     lazy = 0.5 * (mat + np.eye(n))
     pi = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+    for _ in range(POWER_ITER_CAP):
         nxt = pi @ lazy
         nxt /= nxt.sum()
-        if np.max(np.abs(nxt - pi)) <= tol:
+        if np.max(np.abs(nxt - pi)) <= STATIONARY_TOL:
             pi = nxt
             break
         pi = nxt
     else:
-        raise NoConvergence(f"stationary iteration did not reach {tol} in {max_iter} steps")
+        raise NoConvergence(
+            f"stationary iteration did not reach {STATIONARY_TOL} in {POWER_ITER_CAP} steps"
+        )
     residual = np.max(np.abs(pi @ mat - pi))
     if residual > 1e-10:
         raise NoConvergence(f"stationary residual {residual} exceeds 1e-10")
@@ -557,7 +560,7 @@ def _cover_from_sorted(log_mass: np.ndarray, log_count: np.ndarray, delta: float
     return float(np.logaddexp(prior_count, max(log_extra, 0.0)))
 
 
-def _pq_cover_log_count(mu: Measure, length: int, delta: float, node_budget: int) -> float:
+def _pq_cover_log_count(mu: Measure, length: int, delta: float) -> float:
     """Best-first prefix expansion; exact because extension never raises mass."""
     start = _start_log_weights(mu)
     step = _step_log_weights(mu)
@@ -576,9 +579,10 @@ def _pq_cover_log_count(mu: Measure, length: int, delta: float, node_budget: int
     while heap:
         neg_lm, _, depth, last = heapq.heappop(heap)
         pops += 1
-        if pops > node_budget:
+        if pops > ENUMERATION_LIMIT:
             raise WindowTooLarge(
-                f"prefix expansion exceeded the {node_budget}-node budget at window length {length}"
+                f"prefix expansion exceeded the {ENUMERATION_LIMIT}-node budget "
+                f"at window length {length}"
             )
         if depth == length:
             covered += math.exp(-neg_lm)
@@ -595,17 +599,15 @@ def _pq_cover_log_count(mu: Measure, length: int, delta: float, node_budget: int
     )
 
 
-def minimal_cover_log_count(
-    mu: Measure, length: int, delta: float, node_budget: int = ENUMERATION_LIMIT
-) -> float:
+def minimal_cover_log_count(mu: Measure, length: int, delta: float) -> float:
     """ln of the minimal number of window cylinders of total mass >= 1 - delta.
 
     Cylinders of a fixed window partition the space, so the minimum is
     achieved by taking cylinders in descending mass order.  The count is
     computed exactly via the mass spectrum when the measure admits one, via
-    full enumeration when the support has at most ``node_budget`` words, and
-    via best-first prefix expansion otherwise; ``WindowTooLarge`` signals
-    that even the expansion exceeded its budget.
+    full enumeration when the support has at most ``ENUMERATION_LIMIT``
+    words, and via best-first prefix expansion otherwise; ``WindowTooLarge``
+    signals that the expansion popped more than ``ENUMERATION_LIMIT`` nodes.
     """
     if not math.isfinite(delta):
         raise HypothesisViolated(f"delta must be finite, got {delta}")
@@ -618,7 +620,7 @@ def minimal_cover_log_count(
     spectrum = log_mass_spectrum(mu, length)
     if spectrum is not None:
         return _cover_from_sorted(spectrum[0], spectrum[1], delta)
-    if support_word_count(mu, length) <= node_budget:
+    if support_word_count(mu, length) <= ENUMERATION_LIMIT:
         log_masses = enumerate_log_masses(mu, length)
         return _cover_from_sorted(log_masses, np.zeros(log_masses.shape), delta)
-    return _pq_cover_log_count(mu, length, delta, node_budget)
+    return _pq_cover_log_count(mu, length, delta)

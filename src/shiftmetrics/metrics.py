@@ -32,7 +32,7 @@ from .shiftspace import Point
 TWO_SIDED = "two-sided"
 ONE_SIDED = "one-sided"
 
-#: default additive slack for exact-inequality verification
+#: additive slack for exact-inequality verification
 VERIFY_TOL = 1e-12
 
 #: pairs per block of the shifted-distance kernel (bounds its transient memory)
@@ -278,8 +278,8 @@ class FiniteSample:
         return cls(matrix, np.ones(matrix.shape, dtype=bool))
 
 
-def check_quasi_metric(sample: FiniteSample, K: float, tol: float = VERIFY_TOL) -> list[tuple[int, int, int]]:
-    """List triples (i, j, k) with rho(i,j) > K * max(rho(i,k), rho(k,j)) + tol.
+def check_quasi_metric(sample: FiniteSample, K: float) -> list[tuple[int, int, int]]:
+    """List triples (i, j, k) with rho(i,j) > K * max(rho(i,k), rho(k,j)) + VERIFY_TOL.
 
     An empty list means the K-relaxed two-point triangle test holds.  K = 1
     is the ultrametric test.  Saturated entries are refused because a bound
@@ -294,7 +294,7 @@ def check_quasi_metric(sample: FiniteSample, K: float, tol: float = VERIFY_TOL) 
     n = len(sample)
     out = []
     for k in range(n):
-        bound = K * np.maximum(R[:, k][:, None], R[None, k, :]) + tol
+        bound = K * np.maximum(R[:, k][:, None], R[None, k, :]) + VERIFY_TOL
         viol = np.argwhere(R > bound)
         for i, j in viol:
             if i != j and i != k and j != k:
@@ -302,7 +302,7 @@ def check_quasi_metric(sample: FiniteSample, K: float, tol: float = VERIFY_TOL) 
     return out
 
 
-def frink_metrize(sample: FiniteSample, tol: float = VERIFY_TOL) -> np.ndarray:
+def frink_metrize(sample: FiniteSample) -> np.ndarray:
     """Chain-infimum metrization: D(x,y) = min over chains of the rho-sum.
 
     On a finite sample this is the all-pairs shortest path through the rho
@@ -310,7 +310,7 @@ def frink_metrize(sample: FiniteSample, tol: float = VERIFY_TOL) -> np.ndarray:
     the rest the classical chain bound guarantees D <= rho <= 4 D, and both
     comparisons and the triangle inequality of D are asserted on the output.
     """
-    viol = check_quasi_metric(sample, 2.0, tol)
+    viol = check_quasi_metric(sample, 2.0)
     if viol:
         raise QuasiMetricViolated(
             f"{len(viol)} triples fail the K=2 test (first: {viol[0]})"
@@ -321,11 +321,11 @@ def frink_metrize(sample: FiniteSample, tol: float = VERIFY_TOL) -> np.ndarray:
         np.minimum(D, D[:, k][:, None] + D[None, k, :], out=D)
     # triangle inequality of the shortest-path matrix (exact up to roundoff)
     for k in range(n):
-        if np.any(D > D[:, k][:, None] + D[None, k, :] + tol):
+        if np.any(D > D[:, k][:, None] + D[None, k, :] + VERIFY_TOL):
             raise SandwichViolated("shortest-path output violated the triangle inequality")
-    if np.any(D > sample.matrix + tol):
+    if np.any(D > sample.matrix + VERIFY_TOL):
         raise SandwichViolated("D <= rho failed")
-    if np.any(sample.matrix > 4.0 * D + tol):
+    if np.any(sample.matrix > 4.0 * D + VERIFY_TOL):
         worst = float(np.max(sample.matrix - 4.0 * D))
         raise SandwichViolated(f"rho <= 4 D failed by {worst:.3e}")
     return D
@@ -496,7 +496,6 @@ def verify_hyperbolicity(
     pairs: Sequence[tuple[Point, Point]],
     mp: MatherParams,
     params: MetricParams,
-    tol: float = VERIFY_TOL,
 ) -> HyperbolicityReport:
     """Check, for every pair, with d~ the contraction-margin metric:
 
@@ -525,25 +524,25 @@ def verify_hyperbolicity(
         dp[block] = _d_tilde_from_tables(tables, 1, mp, w1, w2)
         dm[block] = _d_tilde_from_tables(tables, -1, mp, w1, w2)
         rho0[block] = tables[:, n0 + 1]
-    bound_f = 16.0 * params.b * d0 + tol
-    bound_b = 16.0 * params.a * d0 + tol
+    bound_f = 16.0 * params.b * d0 + VERIFY_TOL
+    bound_b = 16.0 * params.a * d0 + VERIFY_TOL
     lip_f = int(np.sum(dp > bound_f))
     lip_b = int(np.sum(dm > bound_b))
     worst_lip = float(max(np.max(dp - bound_f), np.max(dm - bound_b)))
-    sandw = int(np.sum((d0 / 4.0 > rho0 + tol) | (rho0 > 4.0 * d0 + tol)))
+    sandw = int(np.sum((d0 / 4.0 > rho0 + VERIFY_TOL) | (rho0 > 4.0 * d0 + VERIFY_TOL)))
     worst_sand = float(max(np.max(d0 / 4.0 - rho0), np.max(rho0 - 4.0 * d0)))
     lhs = np.maximum(dm / (params.a - mp.gamma), dp / (params.b - mp.gamma))
     threshold = 0.25 * min(
         mp.k1 ** (-(n0 - 1)) / params.a, mp.k2 ** (-(n0 - 1)) / params.b
     )
-    escape = lhs + tol < d0
+    escape = lhs + VERIFY_TOL < d0
     if escape.any():
         eps_prime = float(np.min(lhs[escape]))
     else:
         eps_prime = threshold
     # the falsifiable form of (i): pairs below the a-priori threshold must
     # not escape, i.e. the inequality holds with eps' = threshold
-    failures = int(np.sum(lhs + tol < np.minimum(d0, threshold)))
+    failures = int(np.sum(lhs + VERIFY_TOL < np.minimum(d0, threshold)))
     return HyperbolicityReport(
         pairs_checked=len(pairs),
         lipschitz_forward_violations=lip_f,

@@ -25,6 +25,11 @@ from .errors import (
     NoConvergence,
 )
 
+#: Relative tolerance of ``top_entropy_oracle``'s power iteration.
+ENTROPY_TOL = 1e-12
+#: Step cap of the power iterations here and in ``measures.stationary``.
+POWER_ITER_CAP = 200_000
+
 
 @dataclass(frozen=True)
 class Word:
@@ -282,7 +287,7 @@ def count_words(space: ShiftSpace, length: int) -> int:
     return word_counts(space, (length,))[0]
 
 
-def top_entropy_oracle(space: ShiftSpace, tol: float = 1e-12, max_iter: int = 200_000) -> float:
+def top_entropy_oracle(space: ShiftSpace) -> float:
     """Topological entropy: log of the transfer-matrix spectral radius.
 
     Full shifts return ln(M) directly.  For a subshift the spectral radius of
@@ -293,8 +298,8 @@ def top_entropy_oracle(space: ShiftSpace, tol: float = 1e-12, max_iter: int = 20
     Raises
     ------
     NoConvergence
-        If the iteration cap is reached before two successive eigenvalue
-        estimates agree to ``tol`` (pathological/degenerate matrix).
+        If ``POWER_ITER_CAP`` steps pass before two successive eigenvalue
+        estimates agree to ``ENTROPY_TOL`` (pathological/degenerate matrix).
     """
     if space.is_full:
         return math.log(space.alphabet_size)
@@ -303,15 +308,16 @@ def top_entropy_oracle(space: ShiftSpace, tol: float = 1e-12, max_iter: int = 20
     v = np.ones(A.shape[0])
     v /= v.sum()
     lam_prev = None
-    for it in range(max_iter):
+    for it in range(POWER_ITER_CAP):
         w = A @ v
         lam = w.sum() / v.sum()
         v = w / w.sum()
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * abs(lam) and it >= 5:
+        if lam_prev is not None and abs(lam - lam_prev) <= ENTROPY_TOL * abs(lam) and it >= 5:
             return math.log(lam - 1.0)
         lam_prev = lam
     raise NoConvergence(
-        f"power iteration did not reach rel tol {tol} in {max_iter} iterations; last={lam_prev}"
+        f"power iteration did not reach rel tol {ENTROPY_TOL} in {POWER_ITER_CAP} iterations; "
+        f"last={lam_prev}"
     )
 
 

@@ -1,11 +1,12 @@
 """Tests for the batch CLI: parsing, reports, tables, and exit codes."""
+import argparse
 import json
 import math
 
 import pytest
 
 from shiftmetrics import cli, estimators
-from shiftmetrics.cli import RunConfig, emit_table, main, parse_space
+from shiftmetrics.cli import RunConfig, build_parser, config_from_args, emit_table, main, parse_space
 from shiftmetrics.errors import HypothesisViolated
 
 GOLDEN_SFT = "2\n1 1\n1 0\n"
@@ -157,6 +158,23 @@ class TestReportSchema:
             RunConfig("hausdorff")
 
 
+class TestParserDefaults:
+    def subparsers(self):
+        (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    def test_no_parser_default(self):
+        """Every default lives in RunConfig; an option not given stays unset."""
+        for name, parser in self.subparsers().items():
+            for action in parser._actions:
+                if action.dest != "help":
+                    assert action.default is argparse.SUPPRESS, (name, action.dest)
+
+    def test_bare_subcommand_is_the_run_config_default(self):
+        for name in self.subparsers():
+            assert config_from_args(build_parser().parse_args([name])) == RunConfig(name)
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path, skewed_measure):
         args = [
@@ -264,6 +282,16 @@ class TestExitCodes:
         assert main(args) == 2
         captured = capsys.readouterr()
         assert message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    @pytest.mark.parametrize("quantity", ["brin-katok", "metric-verify"])
+    def test_horizon_below_one_refused(self, quantity, horizon, skewed_measure, capsys):
+        # a falsy horizon used to be swapped for the default while the report said 0
+        args = [quantity, "--horizon", horizon, "--n-points", "2"]
+        assert main(args + (["--measure", skewed_measure] if quantity == "brin-katok" else [])) == 2
+        captured = capsys.readouterr()
+        assert f"--horizon needs an integer >= 1, got {horizon}" in captured.err
         assert captured.out == ""
 
     def test_alpha_guard(self, capsys):

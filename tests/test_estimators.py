@@ -20,7 +20,6 @@ from shiftmetrics import (
     make_space,
     neutralized_brin_katok,
     neutralized_topological,
-    one_sided_suite,
     point_from_window,
     pointwise_dimension,
     relation_report,
@@ -39,7 +38,7 @@ from shiftmetrics.errors import (
     IncompatibleInputs,
     NoSolution,
 )
-from shiftmetrics.estimators import DEFAULT_R1, _fit_slope
+from shiftmetrics.estimators import DEFAULT_R1, KINDS, _fit_slope, estimate_kind
 from shiftmetrics.metrics import ONE_SIDED
 
 PARAMS = MetricParams(1.3, 1.3)
@@ -374,6 +373,15 @@ class TestRelationSolver:
         with pytest.raises(HypothesisViolated):
             solve_relation_5_23(1.0, 1.9, {"r": 0.1})
 
+    @pytest.mark.parametrize("given", [{"r": 0.05}, {"alpha": 0.1}], ids=["r", "alpha"])
+    @pytest.mark.parametrize("base", ["a", "b"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_base_refused(self, value, base, given):
+        # an infinite a used to reach the solver as ln a = inf
+        bases = {"a": 1.3, "b": 1.9, base: value}
+        with pytest.raises(HypothesisViolated, match=f"{base} must be finite and > 1"):
+            solve_relation_5_23(bases["a"], bases["b"], given)
+
 
 class TestBundles:
     def test_full_shift_bundle_all_identities_pass(self):
@@ -453,23 +461,24 @@ class TestBundles:
             standard_bundle(GOLDEN, PARAMS, SKEWED)
 
 
+def one_sided_slope(kind, mu=None, rate=0.0):
+    """A kind's one-sided slope over LADDER or depths 10..60, at 20 typical points."""
+    ladder = LADDER if KINDS[kind].depths is None else range(10, 61, 5)
+    return estimate_kind(kind, FULL2, ONE_SIDED_PARAMS, mu, ladder, rate, n_points=20).slope
+
+
 class TestOneSidedSuite:
+    """The one-sided kinds, each estimated through ``estimate_kind``."""
+
     def test_space_suite_frozen_targets(self):
-        suite = one_sided_suite(FULL2, ONE_SIDED_PARAMS, range(10, 61, 5), alpha=0.1)
-        assert rel(suite["box_dimension"].slope, LN2 / math.log(1.3)) < 0.02
-        assert abs(suite["entropy"].slope - LN2) < 1e-12
+        assert rel(one_sided_slope("box_dimension"), LN2 / math.log(1.3)) < 0.02
+        assert abs(one_sided_slope("entropy") - LN2) < 1e-12
         target = LN2 / (math.log(1.3) * ONE_SIDED_PARAMS.k_alpha(0.1))
-        assert rel(suite["alpha_entropy"].slope, target) < 0.02
+        assert rel(one_sided_slope("alpha_topological", rate=0.1), target) < 0.02
 
     def test_measure_suite_coincides_for_uniform(self):
-        space = one_sided_suite(FULL2, ONE_SIDED_PARAMS, range(10, 61, 5), alpha=0.1)
-        measure = one_sided_suite(
-            UNIFORM2, ONE_SIDED_PARAMS, range(10, 61, 5), alpha=0.1, n_points=20
-        )
-        assert abs(measure["entropy"].slope - space["entropy"].slope) < 1e-12
-        assert abs(measure["alpha_entropy"].slope - space["alpha_entropy"].slope) < 1e-12
-        assert rel(measure["pointwise_dimension"].slope, LN2 / math.log(1.3)) < 0.02
-
-    def test_two_sided_params_refused(self):
-        with pytest.raises(HypothesisViolated):
-            one_sided_suite(FULL2, PARAMS, range(10, 61, 5))
+        entropy = one_sided_slope("brin_katok", UNIFORM2)
+        assert abs(entropy - one_sided_slope("entropy")) < 1e-12
+        alpha_entropy = one_sided_slope("alpha_brin_katok", UNIFORM2, 0.1)
+        assert abs(alpha_entropy - one_sided_slope("alpha_topological", rate=0.1)) < 1e-12
+        assert rel(one_sided_slope("pointwise_dimension", UNIFORM2), LN2 / math.log(1.3)) < 0.02

@@ -21,6 +21,7 @@ from shiftmetrics import (
     make_space,
     measure_from_json,
     measure_to_json,
+    measures,
     minimal_cover_log_count,
     sample_typical,
     stationary,
@@ -351,7 +352,7 @@ class TestMinimalCover:
         via_spectrum = minimal_cover_log_count(mu, length, delta)
         masses = enumerate_log_masses(mu, length)
         via_enumeration = _cover_from_sorted(masses, np.zeros(masses.shape), delta)
-        via_queue = _pq_cover_log_count(mu, length, delta, 10**6)
+        via_queue = _pq_cover_log_count(mu, length, delta)
         assert via_spectrum == pytest.approx(via_enumeration, abs=1e-9)
         assert via_spectrum == pytest.approx(via_queue, abs=1e-9)
 
@@ -371,9 +372,10 @@ class TestMinimalCover:
             rate = minimal_cover_log_count(mu, 400, 0.1) / 400
             assert h - 0.01 < rate < h + 0.05
 
-    def test_budget_refusal(self):
-        with pytest.raises(WindowTooLarge):
-            minimal_cover_log_count(BernoulliMeasure((0.2, 0.3, 0.5)), 40, 0.1, node_budget=5000)
+    def test_budget_refusal(self, monkeypatch):
+        monkeypatch.setattr(measures, "ENUMERATION_LIMIT", 5000)
+        with pytest.raises(WindowTooLarge, match="5000-node budget"):
+            minimal_cover_log_count(BernoulliMeasure((0.2, 0.3, 0.5)), 40, 0.1)
 
     @pytest.mark.parametrize("delta", [0.0, 1.0, -0.2])
     def test_delta_validation(self, delta):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftmetrics import errors
+from shiftmetrics import errors, shiftspace
 from shiftmetrics.shiftspace import (
     count_words,
     make_space,
@@ -117,9 +117,10 @@ class TestTopEntropyOracle:
         sp = make_space(2, [[0, 1], [1, 0]])
         assert top_entropy_oracle(sp) == pytest.approx(0.0, abs=1e-9)
 
-    def test_no_convergence_with_tiny_cap(self, golden):
-        with pytest.raises(errors.NoConvergence):
-            top_entropy_oracle(golden, max_iter=3)
+    def test_no_convergence_with_tiny_cap(self, golden, monkeypatch):
+        monkeypatch.setattr(shiftspace, "POWER_ITER_CAP", 3)
+        with pytest.raises(errors.NoConvergence, match="in 3 iterations"):
+            top_entropy_oracle(golden)
 
     def test_growth_rate_matches_counts(self, golden):
         # independent consistency: ln count(L)/L approaches the oracle
