@@ -38,6 +38,7 @@ from .estimators import (
     estimate_kind,
     identity_names,
     kind_ladder,
+    require_supported,
     solve_relation_5_23,
     standard_bundle,
     verify_identities,
@@ -90,12 +91,13 @@ class RunConfig:
     tolerances: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.quantity not in _RUNNERS:
+        if self.quantity not in _SUBCOMMANDS:
             raise HypothesisViolated(
-                f"quantity must be one of {', '.join(_RUNNERS)}; got {self.quantity!r}"
+                f"quantity must be one of {', '.join(_SUBCOMMANDS)}; got {self.quantity!r}"
             )
-        if self.horizon is not None and self.horizon < 1:
-            raise HypothesisViolated(f"--horizon needs an integer >= 1, got {self.horizon}")
+        for flag, value, least in (("--horizon", self.horizon, 1), ("--seed", self.seed, 0)):
+            if value is not None and value < least:
+                raise HypothesisViolated(f"{flag} needs an integer >= {least}, got {value}")
         if self.format not in ("json", "csv"):
             raise HypothesisViolated(f"format must be json or csv, got {self.format!r}")
         tols = [("--tol", self.tol)] + [(f"--tol {n}=", v) for n, v in self.tolerances.items()]
@@ -181,13 +183,12 @@ def _k_formula(params: MetricParams) -> str:
 def _check_tolerances(config: RunConfig, names: list[str], headline: bool = False) -> None:
     """Refuse a --tol that this run would not apply."""
     if config.tol is not None and not headline:
-        takes = "only --tol NAME=FLOAT" if names else "no --tol"
-        raise HypothesisViolated(f"--tol {config.tol}: {config.quantity} takes {takes}")
+        raise HypothesisViolated(f"--tol {config.tol}: {config.quantity} takes only NAME=FLOAT")
     for name in config.tolerances:
         if name not in names:
-            known = "; it reports " + ", ".join(map(repr, names)) if names else ""
             raise HypothesisViolated(
-                f"--tol NAME=FLOAT: {config.quantity} has no relation {name!r} to set{known}"
+                f"--tol NAME=FLOAT: {config.quantity} has no relation {name!r} to set; "
+                "it reports " + ", ".join(map(repr, names))
             )
 
 
@@ -316,7 +317,6 @@ def _run_relations(config, space, params, mu):
 
 
 def _run_solve(config, space, params, mu):
-    _check_tolerances(config, [])
     if (config.r is None) == (config.alpha is None):
         raise HypothesisViolated("solve-5-23 needs exactly one of --r or --alpha")
     given = {"r": config.r} if config.r is not None else {"alpha": config.alpha}
@@ -334,7 +334,6 @@ def _run_solve(config, space, params, mu):
 
 
 def _run_metric_verify(config, space, params, mu):
-    _check_tolerances(config, [])
     _require_at_least(config, n_points=1)
     mp = mather_n0(params, config.gamma)
     horizon = 4 * mp.n0 + 48 if config.horizon is None else config.horizon
@@ -390,7 +389,6 @@ def _synthetic_quasi_sample(n: int, rng: np.random.Generator) -> FiniteSample:
 
 
 def _run_frink(config, space, params, mu):
-    _check_tolerances(config, [])
     # one sample of two points is the least that compares any pair
     _require_at_least(config, n_samples=1, sample_size=2)
     worst_direct = -math.inf  # max over samples of max(D - rho)
@@ -450,12 +448,29 @@ def _run_frink(config, space, params, mu):
     return estimate, target, relations, rows
 
 
-_RUNNERS = {
-    **{quantity: _run_slope for quantity in _SLOPES},
-    "metric-verify": _run_metric_verify,
-    "frink": _run_frink,
-    "relations": _run_relations,
-    "solve-5-23": _run_solve,
+_BASE = "--a --b --format --out"
+_SPACE = _BASE + " --space --mode --seed"
+_MEASURE = " --measure --tol"
+_POINTS = " --horizon --n-points"
+_SAMPLED = _SPACE + _MEASURE + _POINTS
+_DEPTH = " --t-min --t-max --t-step --r1"
+
+#: name -> (runner, help line, the flags its run reads); argparse refuses every other flag
+_SUBCOMMANDS = {
+    "dim": (_run_slope, "box / pointwise dimension", _SAMPLED + " --j-min --j-max"),
+    "entropy": (_run_slope, "spanning / local entropy", _SAMPLED + _DEPTH),
+    # a cover count samples no points; perfbench's measure-suite still passes --seed
+    "katok": (_run_slope, "minimal-cover entropy", _SPACE + _MEASURE + " --delta --r" + _DEPTH),
+    "brin-katok": (_run_slope, "local entropy at typical points", _SAMPLED + _DEPTH),
+    "neutralized": (_run_slope, "shrinking-radius entropy", _SAMPLED + _DEPTH + " --r"),
+    "estimation": (_run_slope, "discounted-radius entropy", _SAMPLED + _DEPTH + " --alpha"),
+    "metric-verify": (_run_metric_verify, "hyperbolicity checks", _SPACE + _POINTS + " --gamma"),
+    "frink": (_run_frink, "chain-metrization sandwich", _SPACE + " --n-samples --sample-size"),
+    # standard_bundle samples its points to horizon 160
+    "relations": (
+        _run_relations, "full identity suite", _SPACE + _MEASURE + " --n-points --r --alpha --delta"
+    ),
+    "solve-5-23": (_run_solve, "radius/rate exchange solver", _BASE + " --r --alpha"),
 }
 
 
@@ -506,7 +521,9 @@ def run(config: RunConfig) -> int:
         space = parse_space(config.space)
         params = MetricParams(config.a, config.b, mode=config.mode)
         mu = load_measure(config.measure) if config.measure else None
-        runner = _RUNNERS[config.quantity]
+        if mu is not None:
+            require_supported(mu, space)
+        runner = _SUBCOMMANDS[config.quantity][0]
         try:
             estimate, target, relations, rows = runner(config, space, params, mu)
             error = None
@@ -554,6 +571,29 @@ def _parse_tolerances(raw: list[str]) -> tuple[float | None, dict[str, float]]:
     return scalar, named
 
 
+#: The argparse keywords of each flag; RunConfig holds every default.
+_FLAGS = {
+    "--space": {"help": "full:M or sft:PATH"},
+    "--a": {"type": float, "help": "backward scale base (> 1)"},
+    "--b": {"type": float, "help": "forward scale base (> 1)"},
+    "--mode": {"choices": [TWO_SIDED, ONE_SIDED]},
+    "--measure": {"help": "path to a measure JSON spec"},
+    "--horizon": {"type": int, "help": "sampled-point horizon"},
+    "--n-points": {"type": int, "help": "typical points / pairs"},
+    "--format": {"choices": ["json", "csv"]},
+    "--out": {"help": "write the report to this file"},
+    "--tol": {"action": "append", "metavar": "FLOAT|NAME=FLOAT", "help": "tolerance override"},
+    **{f: {"type": int} for f in "--seed --t-min --t-max --t-step --n-samples --sample-size".split()},
+    "--r1": {"type": float, "help": "reference radius"},
+    "--j-min": {"type": int, "help": "ladder starts at 2^-j_min"},
+    "--j-max": {"type": int, "help": "ladder ends at 2^-j_max"},
+    "--delta": {"type": float, "help": "covering mass defect in (0, 1)"},
+    "--r": {"type": float, "help": "shrinking rate"},
+    "--alpha": {"type": float, "help": "discount rate"},
+    "--gamma": {"type": float, "help": "contraction margin"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     # every default lives in RunConfig: an option not given stays out of the namespace
     quiet = {"argument_default": argparse.SUPPRESS}
@@ -563,58 +603,13 @@ def build_parser() -> argparse.ArgumentParser:
         **quiet,
     )
     sub = parser.add_subparsers(dest="quantity", required=True, metavar="quantity")
-    common = argparse.ArgumentParser(add_help=False, **quiet)
-    common.add_argument("--space", help="full:M or sft:PATH")
-    common.add_argument("--a", type=float, help="backward scale base (> 1)")
-    common.add_argument("--b", type=float, help="forward scale base (> 1)")
-    common.add_argument("--mode", choices=[TWO_SIDED, ONE_SIDED])
-    common.add_argument("--measure", help="path to a measure JSON spec")
-    common.add_argument("--horizon", type=int, help="sampled-point horizon")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--n-points", type=int, help="typical points / pairs")
-    common.add_argument("--format", choices=["json", "csv"])
-    common.add_argument("--out", help="write the report to this file")
-    common.add_argument(
-        "--tol",
-        action="append",
-        metavar="FLOAT|NAME=FLOAT",
-        help="override the headline tolerance, or a named relation's",
-    )
-    depth = argparse.ArgumentParser(add_help=False, **quiet)
-    depth.add_argument("--t-min", type=int)
-    depth.add_argument("--t-max", type=int)
-    depth.add_argument("--t-step", type=int)
-    depth.add_argument("--r1", type=float, help="reference radius")
-    r_help = f"shrinking rate (default {DEFAULT_RATES['r']})"
-    alpha_help = f"discount rate (default {DEFAULT_RATES['alpha']})"
-
-    def add(name: str, help: str, *more: argparse.ArgumentParser) -> argparse.ArgumentParser:
-        return sub.add_parser(name, parents=[common, *more], help=help, **quiet)
-
-    sp = add("dim", "box / pointwise dimension")
-    sp.add_argument("--j-min", type=int, help="ladder starts at 2^-j_min")
-    sp.add_argument("--j-max", type=int, help="ladder ends at 2^-j_max")
-    add("entropy", "spanning / local entropy", depth)
-    sp = add("katok", "minimal-cover entropy", depth)
-    sp.add_argument("--delta", type=float, help="mass defect in (0, 1)")
-    sp.add_argument("--r", type=float, help="shrinking rate (default 0)")
-    add("brin-katok", "local entropy at typical points", depth)
-    sp = add("neutralized", "shrinking-radius entropy", depth)
-    sp.add_argument("--r", type=float, help=r_help)
-    sp = add("estimation", "discounted-radius entropy", depth)
-    sp.add_argument("--alpha", type=float, help=alpha_help)
-    sp = add("metric-verify", "hyperbolicity checks")
-    sp.add_argument("--gamma", type=float, help="contraction margin")
-    sp = add("frink", "chain-metrization sandwich")
-    sp.add_argument("--n-samples", type=int)
-    sp.add_argument("--sample-size", type=int)
-    sp = add("relations", "full identity suite")
-    sp.add_argument("--r", type=float, help=r_help)
-    sp.add_argument("--alpha", type=float, help=alpha_help)
-    sp.add_argument("--delta", type=float, help="covering mass defect")
-    sp = add("solve-5-23", "radius/rate exchange solver")
-    sp.add_argument("--r", type=float)
-    sp.add_argument("--alpha", type=float)
+    # build each flag once and share it, as parents= does: 128 add_argument calls cost ~1 ms a run
+    pool = argparse.ArgumentParser(add_help=False, **quiet)
+    actions = {flag: pool.add_argument(flag, **keywords) for flag, keywords in _FLAGS.items()}
+    for name, (_, help_line, flags) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_line, **quiet)
+        for flag in flags.split():
+            sp._add_action(actions[flag])
     return parser
 
 

@@ -840,6 +840,12 @@ def verify_identities(
     return reports
 
 
+def require_supported(mu: Measure, space: ShiftSpace) -> None:
+    """Refuse a measure that gives mass to a word the space does not admit."""
+    if not supported_on(mu, space):
+        raise IncompatibleInputs("measure support is not admissible in the space")
+
+
 def standard_bundle(
     space: ShiftSpace,
     params: MetricParams,
@@ -856,8 +862,7 @@ def standard_bundle(
     label = _space_label(space)
     points = None
     if mu is not None:
-        if not supported_on(mu, space):
-            raise IncompatibleInputs("measure support is not admissible in the space")
+        require_supported(mu, space)
         points = _typical_points(mu, 160, n_points, seed, space)
     rates = {None: 0.0, "r": r, "alpha": alpha}
     entries = []

@@ -2,6 +2,8 @@
 import argparse
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +176,52 @@ class TestParserDefaults:
         for name in self.subparsers():
             assert config_from_args(build_parser().parse_args([name])) == RunConfig(name)
 
+    def test_readme_flags_column_matches_the_parser(self):
+        """README's subcommand table lists exactly the flags each subcommand takes."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `([\w-]+)` \| .* \| (.*) \|$", readme, flags=re.MULTILINE)
+        documented = {name: set(re.findall(r"`(--[\w-]+)`", flags)) for name, flags in rows}
+        taken = {
+            name: {flag for a in parser._actions for flag in a.option_strings} - {"-h", "--help"}
+            for name, parser in self.subparsers().items()
+        }
+        assert documented == taken
+
+
+#: The (subcommand, flag) pairs no run reads, with a value for each flag.
+UNREAD_FLAGS = [
+    ("katok", "--horizon", "5"),
+    ("katok", "--n-points", "7"),
+    ("metric-verify", "--measure", "mu.json"),
+    ("metric-verify", "--tol", "0.1"),
+    ("frink", "--measure", "mu.json"),
+    ("frink", "--horizon", "5"),
+    ("frink", "--n-points", "7"),
+    ("frink", "--tol", "0.1"),
+    ("relations", "--horizon", "5"),
+    ("solve-5-23", "--space", "full:3"),
+    ("solve-5-23", "--mode", "one-sided"),
+    ("solve-5-23", "--measure", "mu.json"),
+    ("solve-5-23", "--horizon", "5"),
+    ("solve-5-23", "--seed", "3"),
+    ("solve-5-23", "--n-points", "7"),
+    ("solve-5-23", "--tol", "0.1"),
+]
+
+
+@pytest.mark.parametrize(
+    "quantity, flag, value", UNREAD_FLAGS, ids=[f"{q} {f}" for q, f, _ in UNREAD_FLAGS]
+)
+def test_unread_flag_is_usage_error(quantity, flag, value, capsys):
+    # each of these used to exit 0 and record a setting the run never read
+    given = ["--a", "1.3", "--b", "1.9", "--r", "0.05"] if quantity == "solve-5-23" else []
+    with pytest.raises(SystemExit) as exc:
+        main([quantity, *given, flag, value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert flag in captured.err
+    assert captured.out == ""
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path, skewed_measure):
@@ -294,6 +342,28 @@ class TestExitCodes:
         assert f"--horizon needs an integer >= 1, got {horizon}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("quantity", ["dim", "metric-verify"])
+    def test_negative_seed_refused(self, quantity, capsys):
+        assert main([quantity, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "--seed needs an integer >= 0, got -1" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "quantity",
+        ["dim", "entropy", "katok", "brin-katok", "neutralized", "estimation", "relations"],
+    )
+    def test_measure_off_the_space_refused(self, quantity, tmp_path, monkeypatch, capsys):
+        # katok samples no points, so it used to count covers of such a measure
+        path = tmp_path / "three.json"
+        path.write_text('{"type": "bernoulli", "weights": [0.2, 0.3, 0.5]}', encoding="utf-8")
+        for name in ("word_counts", "sample_typical", "minimal_cover_log_count"):
+            monkeypatch.setattr(estimators, name, _refuse)
+        assert main([quantity, "--measure", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "measure support is not admissible in the space" in captured.err
+        assert captured.out == ""
+
     def test_alpha_guard(self, capsys):
         assert main(["estimation", "--alpha", "0.3"]) == 2
         message = capsys.readouterr().err
@@ -403,7 +473,10 @@ class TestToleranceFlag:
             monkeypatch.setattr(module, name, _refuse)
 
     def refused(self, capsys, args):
-        code = main(args)
+        try:
+            code = main(args)
+        except SystemExit as exc:  # argparse's usage error: the subcommand takes no --tol
+            code = exc.code
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
