@@ -3,6 +3,8 @@
 Both families give closed-form masses for every cylinder, exact entropies,
 and stationary two-sided sampling (backward steps use the time-reversed
 kernel, so a sampled window is an exact stationary law, not an approximation).
+Each measure computes its log tables (``ln`` of the weights, or of ``P`` and
+``pi``) once, when it is built; word masses and the cover backends read them.
 
 The second half of the module is the covering backend used by the Katok-type
 entropy estimators: the minimal number of window cylinders whose total mass
@@ -12,7 +14,12 @@ are provided, tried in this order:
 
 1. mass spectrum — group cylinders into equal-mass classes (symbol
    compositions for Bernoulli, run-length classes for binary Markov) and
-   aggregate counts in the log domain; works at any window length,
+   aggregate counts in the log domain; works at any window length.  The
+   binary Markov classes come from one broadcast pass over every
+   (start, end, run count) class, in which a zero self-transition pins each
+   run of its symbol to length 1, so such a chain has about ``2 L`` classes
+   at window length ``L``; equal masses are then merged with one
+   ``logaddexp.reduceat`` per array,
 2. full enumeration when the support admits at most ``2**22`` words,
 3. best-first prefix expansion under a node budget (masses are
    monotone under extension, so words are emitted in exact descending
@@ -107,6 +114,14 @@ def stationary(P) -> np.ndarray:
     return pi
 
 
+def _log_table(p: np.ndarray) -> np.ndarray:
+    """Read-only ln p, with ln 0 = -inf (no divide-by-zero warning)."""
+    with np.errstate(divide="ignore"):
+        table = np.log(p)
+    table.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True)
 class BernoulliMeasure:
     """Product measure: independent symbols drawn from ``weights``."""
@@ -124,6 +139,7 @@ class BernoulliMeasure:
         if abs(w.sum() - 1.0) > ROW_SUM_TOL:
             raise BadMeasure(f"weights must sum to 1 within {ROW_SUM_TOL}, got {w.sum()!r}")
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
+        object.__setattr__(self, "_log_weights", _log_table(w))
 
     @property
     def alphabet_size(self) -> int:
@@ -148,6 +164,8 @@ class MarkovMeasure:
         mat = np.asarray(self.P, dtype=float)
         object.__setattr__(self, "P", tuple(tuple(float(x) for x in row) for row in mat))
         object.__setattr__(self, "pi", tuple(float(x) for x in pi))
+        object.__setattr__(self, "_log_P", _log_table(mat))
+        object.__setattr__(self, "_log_pi", _log_table(pi))
 
     @property
     def alphabet_size(self) -> int:
@@ -217,14 +235,10 @@ def log_word_mass(mu: Measure, symbols) -> float:
     _require_symbols(mu, w)
     if w.size == 0:
         return 0.0
-    with np.errstate(divide="ignore"):
-        if isinstance(mu, BernoulliMeasure):
-            logs = np.log(np.asarray(mu.weights))
-            return float(logs[w].sum())
-        if isinstance(mu, MarkovMeasure):
-            logP = np.log(np.asarray(mu.P))
-            logpi = np.log(np.asarray(mu.pi))
-            return float(logpi[w[0]] + logP[w[:-1], w[1:]].sum())
+    if isinstance(mu, BernoulliMeasure):
+        return float(mu._log_weights[w].sum())
+    if isinstance(mu, MarkovMeasure):
+        return float(mu._log_pi[w[0]] + mu._log_P[w[:-1], w[1:]].sum())
     raise BadMeasure(f"unsupported measure type {type(mu).__name__}")
 
 
@@ -378,59 +392,59 @@ def _bernoulli_spectrum(mu: BernoulliMeasure, length: int):
 def _markov_spectrum(mu: MarkovMeasure, length: int):
     if mu.alphabet_size != 2:
         return None
-    logpi = np.log(np.asarray(mu.pi))
-    with np.errstate(divide="ignore"):
-        logP = np.log(np.asarray(mu.P))
+    logpi, logP = mu._log_pi, mu._log_P
     if length == 1:
         return logpi.copy(), np.zeros(2)
     L = length
     lgfact = _lgfact_table(L)
+    # One row per run-count class, in (start, end) blocks (0,0), (0,1), (1,0),
+    # (1,1): start symbol s, zero-run count r0, one-run count r1 and the
+    # boundary counts n01, n10.  Within a block the classes ascend.
+    v = np.arange((L - 1) // 2 + 1)
+    u = np.arange(1, L // 2 + 1)
+    s = np.repeat([0, 1], v.size + u.size)
+    r0 = np.concatenate((v + 1, u, u, v))
+    r1 = np.concatenate((v, u, u, v + 1))
+    n01 = np.concatenate((v, u, u - 1, v))
+    n10 = np.concatenate((v, u - 1, u, v))
+    # zero count n0 ranges over lo..hi; a symbol with no runs has count 0
+    lo = np.where(r1 > 0, r0, L)
+    hi = np.where(r0 > 0, L - r1, 0)
+    # a zero self-transition forces every run of that symbol to length 1
+    if logP[0, 0] == -np.inf:
+        hi = np.minimum(hi, r0)
+    if logP[1, 1] == -np.inf:
+        lo = np.maximum(lo, L - r1)
+    size = np.maximum(hi - lo + 1, 0)
 
-    def runs_count(n: np.ndarray, r: int) -> np.ndarray:
-        # compositions of n symbols into r nonempty runs
-        if r == 0:
-            return np.where(n == 0, 0.0, -np.inf)
-        return np.where(n >= r, _log_choose(lgfact, np.maximum(n - 1, 0), r - 1), -np.inf)
+    def per_word_class(a: np.ndarray) -> np.ndarray:
+        return np.repeat(a, size)
 
-    def trans_term(count: np.ndarray, log_p: float) -> np.ndarray:
-        if not math.isfinite(log_p):
-            return np.where(count > 0, -np.inf, 0.0)
-        return count * log_p
+    n0 = np.arange(size.sum()) - per_word_class(np.cumsum(size) - size - lo)
+    n1 = L - n0
+    r0, r1 = per_word_class(r0), per_word_class(r1)
 
-    masses, counts = [], []
-    # (start, end) -> (zero-run count r0, one-run count r1, boundary counts)
-    for s, e in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        if s == e:
-            v_max = (L - 1) // 2
-            combos = [((v + 1, v) if s == 0 else (v, v + 1), v, v) for v in range(v_max + 1)]
-        else:
-            combos = [
-                ((u, u), u if s == 0 else u - 1, u if s == 1 else u - 1)
-                for u in range(1, L // 2 + 1)
-            ]
-        for (r0, r1), n01, n10 in combos:
-            if r0 == 0:
-                n0 = np.array([0])
-            elif r1 == 0:
-                n0 = np.array([L])
-            else:
-                n0 = np.arange(r0, L - r1 + 1)
-            if n0.size == 0:
-                continue
-            n1 = L - n0
-            log_count = runs_count(n0, r0) + runs_count(n1, r1)
-            log_mass = (
-                logpi[s]
-                + trans_term(n0 - r0, logP[0, 0])
-                + trans_term(np.full(n0.shape, n01), logP[0, 1])
-                + trans_term(np.full(n0.shape, n10), logP[1, 0])
-                + trans_term(n1 - r1, logP[1, 1])
-            )
-            keep = np.isfinite(log_count) & np.isfinite(log_mass)
-            if keep.any():
-                masses.append(log_mass[keep])
-                counts.append(log_count[keep])
-    return np.concatenate(masses), np.concatenate(counts)
+    def runs_count(n: np.ndarray, r: np.ndarray) -> np.ndarray:
+        # compositions of n symbols into r nonempty runs (r = 0 only when n = 0)
+        return np.where(
+            r > 0, _log_choose(lgfact, np.maximum(n - 1, 0), np.maximum(r - 1, 0)), 0.0
+        )
+
+    log_count = runs_count(n0, r0)
+    log_count += runs_count(n1, r1)
+    # added left to right in this fixed order: float addition is not
+    # associative, and the cover's tie groups depend on the exact values;
+    # after the clamps a zero-probability transition has count 0 and adds nothing
+    log_mass = per_word_class(logpi[s])
+    for count, log_p in (
+        (n0 - r0, logP[0, 0]),
+        (per_word_class(n01), logP[0, 1]),
+        (per_word_class(n10), logP[1, 0]),
+        (n1 - r1, logP[1, 1]),
+    ):
+        if math.isfinite(log_p):
+            log_mass += count * log_p
+    return log_mass, log_count
 
 
 def log_mass_spectrum(mu: Measure, length: int):
@@ -468,18 +482,15 @@ def support_word_count(mu: Measure, length: int) -> int:
 
 
 def _start_log_weights(mu: Measure) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        if isinstance(mu, BernoulliMeasure):
-            return np.log(np.asarray(mu.weights))
-        return np.log(np.asarray(mu.pi))
+    if isinstance(mu, BernoulliMeasure):
+        return mu._log_weights
+    return mu._log_pi
 
 
 def _step_log_weights(mu: Measure) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        if isinstance(mu, BernoulliMeasure):
-            w = np.log(np.asarray(mu.weights))
-            return np.tile(w, (mu.alphabet_size, 1))
-        return np.log(np.asarray(mu.P))
+    if isinstance(mu, BernoulliMeasure):
+        return np.tile(mu._log_weights, (mu.alphabet_size, 1))
+    return mu._log_P
 
 
 def enumerate_log_masses(mu: Measure, length: int) -> np.ndarray:
@@ -517,10 +528,9 @@ def _merge_equal_mass(log_mass: np.ndarray, log_count: np.ndarray):
     if lm.size <= 1:
         return lm, lc
     keys = np.round(lm / _COVER_SLACK).astype(np.int64)
-    boundaries = np.flatnonzero(np.diff(keys)) + 1
-    groups = np.split(np.arange(lm.size), boundaries)
-    merged_lc = np.array([float(np.logaddexp.reduce(lc[g])) for g in groups])
-    merged_tot = np.array([float(np.logaddexp.reduce(lm[g] + lc[g])) for g in groups])
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(keys)) + 1))
+    merged_lc = np.logaddexp.reduceat(lc, starts)
+    merged_tot = np.logaddexp.reduceat(lm + lc, starts)
     return merged_tot - merged_lc, merged_lc
 
 

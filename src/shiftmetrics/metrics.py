@@ -294,9 +294,10 @@ def check_quasi_metric(sample: FiniteSample, K: float) -> list[tuple[int, int, i
     n = len(sample)
     out = []
     for k in range(n):
-        bound = K * np.maximum(R[:, k][:, None], R[None, k, :]) + VERIFY_TOL
-        viol = np.argwhere(R > bound)
-        for i, j in viol:
+        viol = R > K * np.maximum(R[:, k][:, None], R[None, k, :]) + VERIFY_TOL
+        if not viol.any():
+            continue
+        for i, j in np.argwhere(viol):
             if i != j and i != k and j != k:
                 out.append((int(i), int(j), int(k)))
     return out

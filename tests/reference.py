@@ -32,7 +32,7 @@ from shiftmetrics.errors import (
     SaturatedDistances,
     ShiftMetricsError,
 )
-from shiftmetrics.measures import _require_symbols
+from shiftmetrics.measures import _COVER_SLACK, _lgfact_table, _log_choose, _require_symbols
 from shiftmetrics.metrics import ONE_SIDED, VERIFY_TOL
 
 
@@ -293,3 +293,103 @@ def cylinder_mass(mu: Measure, word: Word) -> float:
         P = np.asarray(mu.P)
         return float(mu.pi[w[0]] * np.prod(P[w[:-1], w[1:]]))
     raise BadMeasure(f"unsupported measure type {type(mu).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# the K-relaxed triangle test
+# ---------------------------------------------------------------------------
+
+
+def reference_check_quasi_metric(sample: FiniteSample, K: float) -> list[tuple[int, int, int]]:
+    """Violating triples (i, j, k) from every k's full mask, k then (i, j) ascending."""
+    R = sample.matrix
+    out = []
+    for k in range(len(sample)):
+        bound = K * np.maximum(R[:, k][:, None], R[None, k, :]) + VERIFY_TOL
+        for i, j in np.argwhere(R > bound):
+            if i != j and i != k and j != k:
+                out.append((int(i), int(j), int(k)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# exact cover kernels: run-length spectrum and equal-mass merge
+# ---------------------------------------------------------------------------
+
+
+def reference_markov_spectrum(mu: MarkovMeasure, length: int):
+    """Run-length classes of a two-state chain, one class at a time.
+
+    Classes come in (start, end) blocks, then by run count, then by zero
+    count ascending; classes of mass 0 are dropped after they are built.
+    """
+    if mu.alphabet_size != 2:
+        return None
+    logpi = np.log(np.asarray(mu.pi))
+    with np.errstate(divide="ignore"):
+        logP = np.log(np.asarray(mu.P))
+    if length == 1:
+        return logpi.copy(), np.zeros(2)
+    L = length
+    lgfact = _lgfact_table(L)
+
+    def runs_count(n: np.ndarray, r: int) -> np.ndarray:
+        # compositions of n symbols into r nonempty runs
+        if r == 0:
+            return np.where(n == 0, 0.0, -np.inf)
+        return np.where(n >= r, _log_choose(lgfact, np.maximum(n - 1, 0), r - 1), -np.inf)
+
+    def trans_term(count: np.ndarray, log_p: float) -> np.ndarray:
+        if not math.isfinite(log_p):
+            return np.where(count > 0, -np.inf, 0.0)
+        return count * log_p
+
+    masses, counts = [], []
+    # (start, end) -> (zero-run count r0, one-run count r1, boundary counts)
+    for s, e in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        if s == e:
+            v_max = (L - 1) // 2
+            combos = [((v + 1, v) if s == 0 else (v, v + 1), v, v) for v in range(v_max + 1)]
+        else:
+            combos = [
+                ((u, u), u if s == 0 else u - 1, u if s == 1 else u - 1)
+                for u in range(1, L // 2 + 1)
+            ]
+        for (r0, r1), n01, n10 in combos:
+            if r0 == 0:
+                n0 = np.array([0])
+            elif r1 == 0:
+                n0 = np.array([L])
+            else:
+                n0 = np.arange(r0, L - r1 + 1)
+            if n0.size == 0:
+                continue
+            n1 = L - n0
+            log_count = runs_count(n0, r0) + runs_count(n1, r1)
+            log_mass = (
+                logpi[s]
+                + trans_term(n0 - r0, logP[0, 0])
+                + trans_term(np.full(n0.shape, n01), logP[0, 1])
+                + trans_term(np.full(n0.shape, n10), logP[1, 0])
+                + trans_term(n1 - r1, logP[1, 1])
+            )
+            keep = np.isfinite(log_count) & np.isfinite(log_mass)
+            if keep.any():
+                masses.append(log_mass[keep])
+                counts.append(log_count[keep])
+    return np.concatenate(masses), np.concatenate(counts)
+
+
+def reference_merge_equal_mass(log_mass: np.ndarray, log_count: np.ndarray):
+    """Sort classes by descending mass and merge ties group by group."""
+    order = np.argsort(-log_mass)
+    lm = log_mass[order]
+    lc = log_count[order]
+    if lm.size <= 1:
+        return lm, lc
+    keys = np.round(lm / _COVER_SLACK).astype(np.int64)
+    boundaries = np.flatnonzero(np.diff(keys)) + 1
+    groups = np.split(np.arange(lm.size), boundaries)
+    merged_lc = np.array([float(np.logaddexp.reduce(lc[g])) for g in groups])
+    merged_tot = np.array([float(np.logaddexp.reduce(lm[g] + lc[g])) for g in groups])
+    return merged_tot - merged_lc, merged_lc

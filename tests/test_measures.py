@@ -332,6 +332,16 @@ class TestMassSpectrum:
                 GOLDEN_SPACE, length
             )
 
+    @pytest.mark.parametrize(
+        "P",
+        [((0.5, 0.5), (1.0, 0.0)), ((0.0, 1.0), (0.4, 0.6)), ((0.0, 1.0), (1.0, 0.0))],
+    )
+    def test_zero_self_transition_prunes_classes(self, P):
+        # a zero self-transition leaves one zero count per run-count class:
+        # about 2L classes at window length L, not about L^2 / 4
+        lm, lc = log_mass_spectrum(MarkovMeasure(P), 1243)
+        assert lm.size == lc.size <= 2 * 1243
+
     def test_unavailable_spectra(self):
         assert log_mass_spectrum(BernoulliMeasure((0.2, 0.3, 0.5)), 5) is None
         assert log_mass_spectrum(THREE_STATE, 5) is None

@@ -1,7 +1,8 @@
 """Differential tests: the batch word counts and point walk, the
-table-driven sampler, the vectorised admissibility check and the cylinder
-windows of every estimator ladder against the scalar code they replaced,
-and the power-iteration spectral solvers against a dense eigensolver.
+table-driven sampler, the vectorised admissibility check, the cylinder
+windows of every estimator ladder and the exact cover kernels against the
+scalar code they replaced, and the power-iteration spectral solvers against
+a dense eigensolver.
 
 The references below are kept here only as oracles.
 ``reference_count_words`` is the exact transfer-matrix power count made
@@ -16,7 +17,11 @@ the counting estimators used before every ladder was built from
 per pair), ``reference_shifted_rho_table`` (one binary search per pair) and
 ``reference_verify_hyperbolicity`` (one pair folded in at a time) in
 ``reference.py`` are the pair-at-a-time metric code that the batch rho
-kernels replaced.  The fast versions must agree exactly.
+kernels replaced; ``reference_check_quasi_metric`` searches every k's full
+mask for violations.  ``reference_markov_spectrum`` (one run-count class at
+a time) and ``reference_merge_equal_mass`` (one reduction per tie group) are
+the cover kernels that the broadcast spectrum and the ``reduceat`` merge
+replaced.  The fast versions must agree exactly.
 """
 import itertools
 import math
@@ -26,7 +31,10 @@ import pytest
 
 from reference import (
     orbit_closed_sample,
+    reference_check_quasi_metric,
     reference_from_points,
+    reference_markov_spectrum,
+    reference_merge_equal_mass,
     reference_shifted_rho_table,
     reference_verify_hyperbolicity,
 )
@@ -37,9 +45,13 @@ from shiftmetrics import (
     MatherParams,
     MetricParams,
     RadiusLadder,
+    check_quasi_metric,
     count_words,
+    enumerate_log_masses,
+    log_mass_spectrum,
     make_space,
     mather_n0,
+    minimal_cover_log_count,
     p_of_log_r,
     p_of_r,
     point_from_window,
@@ -59,7 +71,7 @@ from shiftmetrics import (
 from shiftmetrics import metrics
 from shiftmetrics.errors import DifferentSpaces, HypothesisViolated, SaturatedDistances, ShiftMetricsError
 from shiftmetrics.estimators import DEFAULT_LADDER, KINDS
-from shiftmetrics.measures import reversed_kernel
+from shiftmetrics.measures import _cover_from_sorted, _markov_spectrum, _merge_equal_mass, reversed_kernel
 from shiftmetrics.metrics import ONE_SIDED, PAIR_CHUNK
 from shiftmetrics.shiftspace import ShiftSpace
 
@@ -575,3 +587,101 @@ def test_hyperbolicity_refuses_an_empty_pair_list():
     mp = MatherParams(gamma=0.05, n0=4, k1=1.2, k2=1.2)
     with pytest.raises(HypothesisViolated, match="at least one pair"):
         verify_hyperbolicity([], mp, RHO_PARAMS["two-sided"])
+
+
+# ---------------------------------------------------------------------------
+# the K-relaxed triangle test
+# ---------------------------------------------------------------------------
+
+
+def violating_samples():
+    """Symmetric random matrices (many violations) and a passing symbolic sample."""
+    rng = np.random.default_rng(7)
+    out = []
+    for n in (3, 5, 12, 30):
+        R = rng.random((n, n))
+        R = np.maximum(R, R.T)
+        np.fill_diagonal(R, 0.0)
+        out.append(FiniteSample.from_matrix(R))
+    out.append(FiniteSample.from_points(SAMPLED, RHO_PARAMS["skewed"]))
+    return out
+
+
+QUASI_SAMPLES = violating_samples()
+
+
+@pytest.mark.parametrize("index", range(len(QUASI_SAMPLES)))
+@pytest.mark.parametrize("K", [1.0, 2.0, 4.0])
+def test_quasi_metric_triples_keep_their_order(index, K):
+    sample = QUASI_SAMPLES[index]
+    assert check_quasi_metric(sample, K) == reference_check_quasi_metric(sample, K)
+
+
+def test_quasi_metric_samples_fail_and_pass():
+    # the random matrices must produce triples (the largest even at K = 4),
+    # and the symbolic sample none
+    assert all(check_quasi_metric(sample, 1.0) for sample in QUASI_SAMPLES[:-1])
+    assert check_quasi_metric(QUASI_SAMPLES[-2], 4.0)
+    assert check_quasi_metric(QUASI_SAMPLES[-1], 1.0) == []
+
+
+# ---------------------------------------------------------------------------
+# exact cover kernels
+# ---------------------------------------------------------------------------
+
+#: two-state chains: each zero self-transition alone, both, and neither
+TWO_STATE_CHAINS = {
+    "p00=0": MarkovMeasure(((0.0, 1.0), (0.4, 0.6))),
+    "p11=0": MEASURES["markov(golden)"],
+    "positive": MarkovMeasure(((0.3, 0.7), (0.6, 0.4))),
+    "flip": MarkovMeasure(((0.0, 1.0), (1.0, 0.0))),
+}
+
+
+@pytest.mark.parametrize("chain", sorted(TWO_STATE_CHAINS))
+@pytest.mark.parametrize("length", [*range(1, 41), 301, 901, 1243])
+def test_markov_spectrum_reproduces_the_run_length_loop(chain, length):
+    mu = TWO_STATE_CHAINS[chain]
+    fast_mass, fast_count = _markov_spectrum(mu, length)
+    slow_mass, slow_count = reference_markov_spectrum(mu, length)
+    assert_bitwise(fast_mass, slow_mass)
+    assert_bitwise(fast_count, slow_count)
+
+
+def merge_inputs():
+    """Enumerations (all-zero counts, large tie groups) and spectra."""
+    out = {}
+    for name, mu in (("bernoulli(.2,.3,.5)", MEASURES["bernoulli(.2,.3,.5)"]), ("markov(3)", MARKOV_3)):
+        for length in (9, 12):
+            masses = enumerate_log_masses(mu, length)
+            out[f"{name}-enumerated-{length}"] = (masses, np.zeros(masses.shape))
+    out["golden-spectrum-901"] = log_mass_spectrum(MEASURES["markov(golden)"], 901)
+    out["bernoulli(.3,.7)-spectrum-1243"] = log_mass_spectrum(MEASURES["bernoulli(.3,.7)"], 1243)
+    out["positive-spectrum-301"] = log_mass_spectrum(TWO_STATE_CHAINS["positive"], 301)
+    return out
+
+
+MERGE_INPUTS = merge_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(MERGE_INPUTS))
+def test_merge_reproduces_the_per_group_reduction(name):
+    log_mass, log_count = MERGE_INPUTS[name]
+    fast_mass, fast_count = _merge_equal_mass(log_mass, log_count)
+    slow_mass, slow_count = reference_merge_equal_mass(log_mass, log_count)
+    assert_bitwise(fast_mass, slow_mass)
+    assert_bitwise(fast_count, slow_count)
+
+
+def test_merge_inputs_hold_tie_groups():
+    # the enumerations must exercise the multi-entry groups, not only singletons
+    for name, (log_mass, log_count) in MERGE_INPUTS.items():
+        if "enumerated" in name:
+            assert _merge_equal_mass(log_mass, log_count)[0].size < log_mass.size // 10, name
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.25, 0.9])
+def test_golden_cover_equals_the_reference_spectrum_cover(delta):
+    golden = MEASURES["markov(golden)"]
+    slow = _cover_from_sorted(*reference_markov_spectrum(golden, 1243), delta)
+    assert minimal_cover_log_count(golden, 1243, delta) == slow
