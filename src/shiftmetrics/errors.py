@@ -54,15 +54,6 @@ class RadiusOutOfRange(ShiftMetricsError):
     """Radius must lie strictly between 0 and 1 (after any rescaling)."""
 
 
-class RadiiOutOfOrder(ShiftMetricsError):
-    """Radius arguments must satisfy the documented ordering."""
-
-
-class NoIntegerSolution(ShiftMetricsError):
-    """No integer window-matching solution exists in the admissible
-    interval; typically the radius is not small enough."""
-
-
 class ConstraintViolated(ShiftMetricsError):
     """A parameter left its hypothesis range (for example r >= 3/k)."""
 

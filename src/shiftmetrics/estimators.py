@@ -302,54 +302,6 @@ def pointwise_dimension(
     return _mass_slope(mu, x, _ball_ladder(params, ladder, -1.0))
 
 
-def topological_entropy_spanning(
-    space: ShiftSpace, params: MetricParams, r1: float, nm_range: Iterable[int]
-) -> SlopeEstimate:
-    """Topological entropy from minimal spanning cardinalities.
-
-    The minimal number of radius-r1 Bowen balls spanning window depth
-    n + m = t equals the exact count of admissible words on the associated
-    cylinder window, so the slope of ln(count) against t is exact up to
-    regression; the reference radius r1 only moves the intercept.
-    """
-    return _read_words(space, _bowen_ladder(params, r1, nm_range))
-
-
-def neutralized_topological(
-    space: ShiftSpace,
-    params: MetricParams,
-    r: float,
-    nm_range: Iterable[int],
-    r1: float = DEFAULT_R1,
-) -> SlopeEstimate:
-    """Entropy with Bowen balls of shrinking radius e^{-(n+m) r}.
-
-    The radius decay enlarges the window once per unit of r per ln-base, so
-    the slope approaches (1 + r k) times the classical entropy.  Requires
-    0 <= r < 3/k; r = 0 degenerates to the classical fixed-radius estimator.
-    """
-    return _read_words(space, _shrinking_ladder(params, r, nm_range, r1))
-
-
-def katok_entropy(
-    mu: Measure,
-    params: MetricParams,
-    delta: float,
-    r1: float,
-    nm_range: Iterable[int],
-    r: float = 0.0,
-) -> SlopeEstimate:
-    """Katok entropy: growth of the minimal (1 - delta)-mass cylinder cover.
-
-    Cylinders over a fixed window partition the space, so the minimal cover
-    is the greedy descending-mass count, computed exactly by the covering
-    backend.  ``r > 0`` switches to the shrinking-radius variant (radius
-    e^{-(n+m) r} instead of the fixed r1); the slope is then expected to be
-    delta-independent as well.
-    """
-    return estimate_kind("katok", None, params, mu, nm_range, r, r1, delta)
-
-
 def brin_katok_local(
     mu: Measure,
     x: Point,

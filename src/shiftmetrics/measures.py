@@ -335,6 +335,8 @@ def measure_from_json(spec) -> Measure:
         extra = set(spec) - {"type", "weights"}
         if extra or "weights" not in spec:
             raise BadMeasure(f"bernoulli spec needs exactly 'weights', got keys {sorted(spec)}")
+        if not isinstance(spec["weights"], (list, tuple)):
+            raise BadMeasure(f"'weights' must be an array, got {spec['weights']!r}")
         return BernoulliMeasure(tuple(spec["weights"]))
     if kind == "markov":
         if "pi" in spec:
@@ -342,7 +344,10 @@ def measure_from_json(spec) -> Measure:
         extra = set(spec) - {"type", "P"}
         if extra or "P" not in spec:
             raise BadMeasure(f"markov spec needs exactly 'P', got keys {sorted(spec)}")
-        return MarkovMeasure(tuple(tuple(row) for row in spec["P"]))
+        P = spec["P"]
+        if not isinstance(P, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in P):
+            raise BadMeasure(f"'P' must be an array of arrays, got {P!r}")
+        return MarkovMeasure(tuple(tuple(row) for row in P))
     raise BadMeasure(f"unknown measure type {kind!r} (expected 'bernoulli' or 'markov')")
 
 

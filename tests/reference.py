@@ -4,16 +4,25 @@ None of this is library code: each function or class here is a second,
 independent route to a value the package computes on a fast path, kept only
 to cross-check that path.  The module name does not match ``test_*.py``, so
 pytest does not collect it.
+
+The last section holds the oracles of the window arithmetic in
+``shiftmetrics.cylinders``: the three-valued membership tests ``in_ball``,
+``in_bowen_ball``, ``in_neutralized_ball`` and ``in_alpha_ball`` (acceptance
+criterion 11 checks every window against them), and the window-matching
+lemmas ``open_ball_as_bowen``, ``neutralized_match`` and ``alpha_match``
+with their sandwich windows (criterion 12 reads their limit ratios).
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from shiftmetrics import (
     BernoulliMeasure,
+    CylinderIndex,
     FiniteSample,
     HyperbolicityReport,
     MarkovMeasure,
@@ -22,12 +31,20 @@ from shiftmetrics import (
     MetricParams,
     Point,
     Word,
+    alpha_window,
+    ball_window,
+    neutralized_window,
+    p_of_log_r,
+    p_of_r,
+    require_alpha_regime,
     rho,
     shift_point,
 )
 from shiftmetrics.errors import (
     BadMeasure,
+    ConstraintViolated,
     DifferentSpaces,
+    HorizonExceeded,
     HypothesisViolated,
     SaturatedDistances,
     ShiftMetricsError,
@@ -39,6 +56,15 @@ from shiftmetrics.metrics import ONE_SIDED, VERIFY_TOL
 class SampleNotOrbitClosed(ShiftMetricsError):
     """A shifted point required by the construction is missing from the
     finite sample."""
+
+
+class RadiiOutOfOrder(ShiftMetricsError):
+    """Radius arguments must satisfy the documented ordering."""
+
+
+class NoIntegerSolution(ShiftMetricsError):
+    """No integer window-matching solution exists in the admissible
+    interval; typically the radius is not small enough."""
 
 
 # ---------------------------------------------------------------------------
@@ -393,3 +419,244 @@ def reference_merge_equal_mass(log_mass: np.ndarray, log_count: np.ndarray):
     merged_lc = np.array([float(np.logaddexp.reduce(lc[g])) for g in groups])
     merged_tot = np.array([float(np.logaddexp.reduce(lm[g] + lc[g])) for g in groups])
     return merged_tot - merged_lc, merged_lc
+
+
+# ---------------------------------------------------------------------------
+# ball membership and window-matching lemmas (oracles of ``cylinders``)
+# ---------------------------------------------------------------------------
+
+
+def _rho_below(x: Point, y: Point, bound: float, params: MetricParams):
+    """True / False / None (undecidable within the available windows).
+
+    An inexact value is a lower bound on the true distance, so "already at
+    or above the threshold" is decidable even without full resolution.
+    """
+    rv = rho(x, y, params)
+    if rv.value >= bound:
+        return False
+    return True if rv.exact else None
+
+
+def _conjunction(checks) -> bool:
+    """All-of over three-valued memberships: one False decides, otherwise
+    any undecidable constraint makes the whole test undecidable."""
+    undecided = False
+    for c in checks:
+        if c is False:
+            return False
+        undecided = undecided or c is None
+    if undecided:
+        raise HorizonExceeded(
+            "membership undecidable: some constraint is unresolved below its bound"
+        )
+    return True
+
+
+def in_ball(x: Point, y: Point, r: float, params: MetricParams) -> bool:
+    return _conjunction([_rho_below(x, y, r, params)])
+
+
+def in_bowen_ball(
+    x: Point, y: Point, n: int, m: int, r: float, params: MetricParams
+) -> bool:
+    return _conjunction(
+        _rho_below(shift_point(x, i), shift_point(y, i), r, params)
+        for i in range(-n, m + 1)
+    )
+
+
+def in_neutralized_ball(
+    x: Point, y: Point, n: int, m: int, r: float, params: MetricParams
+) -> bool:
+    return in_bowen_ball(x, y, n, m, math.exp(-(n + m) * r), params)
+
+
+def in_alpha_ball(
+    x: Point, y: Point, n: int, m: int, alpha: float, r: float, params: MetricParams
+) -> bool:
+    return _conjunction(
+        _rho_below(
+            shift_point(x, i), shift_point(y, i), math.exp(-abs(i) * alpha) * r, params
+        )
+        for i in range(-n, m + 1)
+    )
+
+
+# ---------------------------------------------------------------------------
+# ball matching: expressing one ball family through another
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OpenBallMatch:
+    """Depths (n, m) with B(x, r) = Bowen ball B(x, -n, m, r1), plus the
+    growth ratio (n+m)/ln(1/r) whose r -> 0 limit is 1/ln a + 1/ln b."""
+
+    n: int
+    m: int
+    ratio: float
+
+
+def open_ball_as_bowen(r: float, r1: float, params: MetricParams) -> OpenBallMatch:
+    """Depths n = q(r) - q(r1), m = p(r) - p(r1) converting the open r-ball
+    into a Bowen ball at base radius r1."""
+    if not (0.0 < r <= r1 < 1.0):
+        raise RadiiOutOfOrder(f"need 0 < r <= r1 < 1, got r={r}, r1={r1}")
+    m = p_of_r(r, params.b) - p_of_r(r1, params.b)
+    n = 0 if params.mode == ONE_SIDED else p_of_r(r, params.a) - p_of_r(r1, params.a)
+    return OpenBallMatch(n=n, m=m, ratio=(n + m) / math.log(1.0 / r))
+
+
+@dataclass(frozen=True)
+class NeutralizedMatch:
+    """Solution (m2, n2) of the neutralized matching equations at rate r2.
+
+    ``h = m2 + n2`` solves m2 = p(r) - p(e^{-h r2}) and
+    n2 + j = q(r) - q(e^{-h r2}) for a residual j with |j| <= 2.
+    ``ambiguous_j`` reports whether other admissible h values produce a
+    different residual.  The ratio h/ln(1/r) tends to k/(1 + r2 k).
+    """
+
+    m2: int
+    n2: int
+    j: int
+    h: int
+    ratio: float
+    ambiguous_j: bool
+
+
+def neutralized_match(r: float, r2: float, params: MetricParams) -> NeutralizedMatch:
+    """Find the smallest admissible h and split it into (m2, n2)."""
+    k = params.k()
+    if not (0.0 < r2 < 3.0 / k):
+        raise ConstraintViolated(
+            f"rate must lie in (0, 3/k) = (0, {3.0 / k:.6g}), got {r2}"
+        )
+    if not (0.0 < r < math.exp(-2.0 * r2)):
+        raise ConstraintViolated(
+            f"need r < e^(-2 r2) = {math.exp(-2.0 * r2):.6g}, got {r}"
+        )
+    L = math.log(1.0 / r)
+    lo = (k * L - 2.0) / (1.0 + k * r2)
+    hi = (k * L + 2.0) / (1.0 + k * r2)
+    pr = p_of_r(r, params.b)
+    qr = p_of_r(r, params.a)
+    solutions = []
+    for h in range(math.floor(lo) + 1, math.ceil(hi)):
+        if not (lo < h < hi) or h < 1:
+            continue
+        ph = p_of_log_r(-h * r2, params.b)
+        qh = p_of_log_r(-h * r2, params.a)
+        m2 = pr - ph
+        j = (pr + qr - ph - qh) - h
+        n2 = qr - qh - j
+        if abs(j) <= 2 and m2 >= 1 and n2 >= 1:
+            solutions.append((h, m2, n2, j))
+    if not solutions:
+        raise NoIntegerSolution(
+            f"no admissible integer depth for r={r}, r2={r2}; decrease r"
+        )
+    h, m2, n2, j = solutions[0]
+    js = {s[3] for s in solutions}
+    return NeutralizedMatch(
+        m2=m2, n2=n2, j=j, h=h, ratio=h / L, ambiguous_j=len(js) > 1
+    )
+
+
+def neutralized_sandwich_windows(
+    match: NeutralizedMatch, r: float, r2: float, params: MetricParams
+) -> tuple[CylinderIndex, CylinderIndex, CylinderIndex]:
+    """Windows of the inner/middle/outer sets in the neutralized sandwich
+
+        B(x, -(n2+2), m2, e^{-(h+2) r2})  <=  B(x, r)  <=
+        B(x, -(n2-2), m2, e^{-(h-2) r2})
+
+    (window containment runs the opposite way).  Raises ConstraintViolated
+    when n2 < 2 or h < 3, i.e. r was not small enough to form the outer set.
+    """
+    if match.n2 < 2 or match.h < 3:
+        raise ConstraintViolated(
+            f"sandwich needs n2 >= 2 and h >= 3, got n2={match.n2}, h={match.h}"
+        )
+    inner = neutralized_window(match.n2 + 2, match.m2, r2, params)
+    mid = ball_window(r, params)
+    outer = neutralized_window(match.n2 - 2, match.m2, r2, params)
+    if not (inner.contains(mid) and mid.contains(outer)):
+        raise ConstraintViolated(
+            f"sandwich containment failed: {inner}, {mid}, {outer}"
+        )
+    return inner, mid, outer
+
+
+@dataclass(frozen=True)
+class AlphaMatch:
+    """Depths (n3, m3) matching the open r-ball by alpha-estimation balls
+    at base radius r3, with per-side residuals j1, j2 in [-1, 1]:
+
+        m3 + j1 = p(r) - p(e^{-m3 alpha} r3)
+        n3 + j2 = q(r) - q(e^{-n3 alpha} r3)
+
+    The ratio (n3+m3)/ln(1/r) tends to 1/(ln a + alpha) + 1/(ln b + alpha).
+    """
+
+    m3: int
+    n3: int
+    j1: int
+    j2: int
+    ratio: float
+
+
+def _alpha_side_match(target: int, L: float, L3: float, alpha: float, exponent, log_base: float):
+    """Smallest positive integer m with exponent residual in [-1, 1]; ``target``
+    is p(r) or q(r), ``exponent`` the same bracket on a log radius."""
+    center = (L - L3) / (log_base + alpha)
+    for m in range(max(1, math.floor(center) - 3), math.ceil(center) + 4):
+        j = target - exponent(-m * alpha - L3) - m
+        if abs(j) <= 1:
+            return m, j
+    raise NoIntegerSolution(
+        f"no integer depth near {center:.3f} with residual in [-1, 1]"
+    )
+
+
+def alpha_match(r: float, r3: float, alpha: float, params: MetricParams) -> AlphaMatch:
+    """Solve the two matching equations; one-sided mode solves only the
+    forward one and reports n3 = 0, j2 = 0."""
+    require_alpha_regime(alpha, params)
+    if not (0.0 < r < r3 < 1.0):
+        raise RadiiOutOfOrder(f"need 0 < r < r3 < 1, got r={r}, r3={r3}")
+    L = math.log(1.0 / r)
+    L3 = math.log(1.0 / r3)
+    m3, j1 = _alpha_side_match(
+        p_of_r(r, params.b), L, L3, alpha, lambda ls: p_of_log_r(ls, params.b), params.log_b
+    )
+    if params.mode == ONE_SIDED:
+        n3, j2 = 0, 0
+    else:
+        n3, j2 = _alpha_side_match(
+            p_of_r(r, params.a), L, L3, alpha, lambda ls: p_of_log_r(ls, params.a), params.log_a
+        )
+    return AlphaMatch(m3=m3, n3=n3, j1=j1, j2=j2, ratio=(m3 + n3) / L)
+
+
+def alpha_sandwich_windows(
+    match: AlphaMatch, r: float, r3: float, alpha: float, params: MetricParams
+) -> tuple[CylinderIndex, CylinderIndex, CylinderIndex]:
+    """Windows of the alpha sandwich
+
+        B(x, -(n3+1), m3+1, alpha, r3)  <=  B(x, r)  <=
+        B(x, -(n3-1), m3-1, alpha, r3).
+    """
+    if match.n3 < 1 or match.m3 < 1:
+        raise ConstraintViolated(
+            f"sandwich needs positive depths, got n3={match.n3}, m3={match.m3}"
+        )
+    inner = alpha_window(match.n3 + 1, match.m3 + 1, alpha, r3, params)
+    mid = ball_window(r, params)
+    outer = alpha_window(match.n3 - 1, match.m3 - 1, alpha, r3, params)
+    if not (inner.contains(mid) and mid.contains(outer)):
+        raise ConstraintViolated(
+            f"sandwich containment failed: {inner}, {mid}, {outer}"
+        )
+    return inner, mid, outer

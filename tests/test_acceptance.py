@@ -7,36 +7,34 @@ import time
 import numpy as np
 import pytest
 
-from reference import from_words
+from reference import (
+    alpha_match,
+    from_words,
+    in_alpha_ball,
+    in_ball,
+    in_bowen_ball,
+    in_neutralized_ball,
+    neutralized_match,
+)
 from shiftmetrics import (
     BernoulliMeasure,
     MarkovMeasure,
     MetricParams,
     RadiusLadder,
-    agrees_on,
-    alpha_ball_to_cylinder,
     alpha_estimation_entropy,
-    alpha_match,
+    alpha_window,
     average_over_typical,
-    ball_to_cylinder,
-    bowen_ball_to_cylinder,
+    ball_window,
+    bowen_window,
     box_dimension,
     brin_katok_local,
     check_quasi_metric,
-    in_alpha_ball,
-    in_ball,
-    in_bowen_ball,
-    in_neutralized_ball,
-    katok_entropy,
     make_space,
     mather_n0,
-    neutralized_ball_to_cylinder,
-    neutralized_match,
-    neutralized_topological,
+    neutralized_window,
     p_of_r,
     point_from_window,
     pointwise_dimension,
-    q_of_r,
     sample_point,
     sample_points,
     sample_typical,
@@ -48,7 +46,7 @@ from shiftmetrics import (
 )
 from shiftmetrics.cli import main
 from shiftmetrics.errors import AlphaTooLarge, NoSolution
-from shiftmetrics.estimators import DEFAULT_R1
+from shiftmetrics.estimators import DEFAULT_R1, estimate_kind
 from shiftmetrics.metrics import ONE_SIDED
 
 P13 = MetricParams(1.3, 1.3)
@@ -130,7 +128,8 @@ def test_criterion_04_local_entropy_exact_on_uniform():
 def test_criterion_05_neutralized_identity_and_guard(capsys):
     rels = []
     for r in (0.05, 0.2):
-        est = neutralized_topological(FULL2, P13, r, range(20, 121, 10))
+        depths = range(20, 121, 10)
+        est = estimate_kind("neutralized_topological", FULL2, P13, None, depths, rate=r)
         target = (1.0 + r * K) * LN2
         rels.append(abs(est.slope - target) / target)
     code = main(["neutralized", "--r", "0.5", "--a", "1.3", "--b", "1.3"])
@@ -253,24 +252,24 @@ def test_criterion_11_ball_cylinder_round_trips():
         cut = int(rng.integers(-60, 61))
         y = perturbed(cut)
         r = float(np.exp(rng.uniform(math.log(2.0**-30), math.log(0.4))))
-        cyl = ball_to_cylinder(base, r, P13)
-        if in_ball(base, y, r, P13) != agrees_on(base, y, cyl):
+        cyl = ball_window(r, P13)
+        if in_ball(base, y, r, P13) != base.agrees_with(y, cyl.lo, cyl.hi):
             mismatches["ball"] += 1
         n, m = int(rng.integers(0, 13)), int(rng.integers(0, 13))
         r1 = float(rng.uniform(0.1, 0.9))
-        cyl = bowen_ball_to_cylinder(base, n, m, r1, P13)
-        if in_bowen_ball(base, y, n, m, r1, P13) != agrees_on(base, y, cyl):
+        cyl = bowen_window(n, m, r1, P13)
+        if in_bowen_ball(base, y, n, m, r1, P13) != base.agrees_with(y, cyl.lo, cyl.hi):
             mismatches["bowen"] += 1
         n, m = int(rng.integers(0, 13)), int(rng.integers(1, 13))
         r2 = float(rng.uniform(0.01, 0.35))
-        cyl = neutralized_ball_to_cylinder(base, n, m, r2, P13)
-        if in_neutralized_ball(base, y, n, m, r2, P13) != agrees_on(base, y, cyl):
+        cyl = neutralized_window(n, m, r2, P13)
+        if in_neutralized_ball(base, y, n, m, r2, P13) != base.agrees_with(y, cyl.lo, cyl.hi):
             mismatches["neutralized"] += 1
         n, m = int(rng.integers(0, 13)), int(rng.integers(0, 13))
         alpha = float(rng.uniform(0.0, 0.25))
         r3 = float(rng.uniform(0.1, 0.9))
-        cyl = alpha_ball_to_cylinder(base, n, m, alpha, r3, P13)
-        if in_alpha_ball(base, y, n, m, alpha, r3, P13) != agrees_on(base, y, cyl):
+        cyl = alpha_window(n, m, alpha, r3, P13)
+        if in_alpha_ball(base, y, n, m, alpha, r3, P13) != base.agrees_with(y, cyl.lo, cyl.hi):
             mismatches["alpha"] += 1
     check(
         "criterion 11: ball <-> cylinder round-trips, 10^4 per correspondence",
@@ -281,7 +280,7 @@ def test_criterion_11_ball_cylinder_round_trips():
 
 def test_criterion_12_limit_ratios():
     r = 2.0**-40
-    classical = (p_of_r(r, 1.3) + q_of_r(r, 1.3)) / math.log(1.0 / r)
+    classical = (p_of_r(r, P13.b) + p_of_r(r, P13.a)) / math.log(1.0 / r)
     rel_classical = abs(classical - K) / K
     m2 = neutralized_match(r, 0.05, P13)
     target2 = K / (1.0 + 0.05 * K)
@@ -316,7 +315,8 @@ def test_criterion_13_ordering_chain_and_delta_invariance():
     spreads = []
     for mu, depths in ((SKEWED, range(250, 701, 45)), (GOLDEN_MARKOV, range(300, 901, 60))):
         slopes = [
-            katok_entropy(mu, P13, d, DEFAULT_R1, depths).slope for d in (0.1, 0.25, 0.4)
+            estimate_kind("katok", None, P13, mu, depths, r1=DEFAULT_R1, delta=d).slope
+            for d in (0.1, 0.25, 0.4)
         ]
         spreads.append((max(slopes) - min(slopes)) / min(slopes))
     check(

@@ -271,10 +271,22 @@ class TestExitCodes:
         assert main(["dim", "--space", "sft:" + str(tmp_path / "nope.sft")]) == 2
         assert main(["katok", "--measure", str(tmp_path / "nope.json")]) == 2
 
-    def test_bad_measure_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ('{"type": "markov", "P": [[0.5, 0.5], [1.0, 0.0]], "pi": [0.5, 0.5]}', "'pi'"),
+            ('{"type": "bernoulli", "weights": 5}', "'weights' must be an array"),
+            ('{"type": "bernoulli", "weights": null}', "'weights' must be an array"),
+            ('{"type": "markov", "P": [1, 2]}', "'P' must be an array of arrays"),
+        ],
+        ids=["pi", "weights-number", "weights-null", "P-flat"],
+    )
+    def test_bad_measure_json(self, spec, message, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text('{"type": "markov", "P": [[0.5, 0.5], [1.0, 0.0]], "pi": [0.5, 0.5]}')
+        path.write_text(spec)
         assert main(["brin-katok", "--measure", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
     def test_nan_measure_weights(self, tmp_path, capsys):
         path = tmp_path / "nan.json"

@@ -1,5 +1,6 @@
-"""Tests for the exact cylinder calculus: radius exponents, ball windows,
-membership equivalence, and the ball-matching constructions."""
+"""Tests for the exact cylinder calculus: radius exponents and ball windows,
+checked against the membership tests and ball-matching lemmas of
+``reference``."""
 import math
 from fractions import Fraction
 
@@ -8,33 +9,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftmetrics import (
-    CylinderIndex,
-    MetricParams,
-    RadiusLadder,
-    agrees_on,
-    alpha_ball_to_cylinder,
+from reference import (
+    RadiiOutOfOrder,
     alpha_match,
     alpha_sandwich_windows,
-    alpha_window,
-    ball_to_cylinder,
-    ball_window,
-    bowen_ball_to_cylinder,
-    bowen_window,
     in_alpha_ball,
     in_ball,
     in_bowen_ball,
     in_neutralized_ball,
-    make_space,
-    neutralized_ball_to_cylinder,
     neutralized_match,
     neutralized_sandwich_windows,
-    neutralized_window,
     open_ball_as_bowen,
+)
+from shiftmetrics import (
+    CylinderIndex,
+    MetricParams,
+    RadiusLadder,
+    alpha_window,
+    ball_window,
+    bowen_window,
+    make_space,
+    neutralized_window,
     p_of_log_r,
     p_of_r,
     point_from_window,
-    q_of_r,
     sample_point,
 )
 from shiftmetrics.errors import (
@@ -42,8 +40,6 @@ from shiftmetrics.errors import (
     ConstraintViolated,
     HorizonExceeded,
     HypothesisViolated,
-    NoIntegerSolution,
-    RadiiOutOfOrder,
     RadiusOutOfRange,
 )
 
@@ -87,8 +83,7 @@ class TestRadiusExponents:
         assert -p * math.log(1.3) < -800.0 <= -(p - 1) * math.log(1.3)
 
     def test_q_is_p_with_other_base(self):
-        assert q_of_r(0.1, 1.3) == p_of_r(0.1, 1.3)
-        assert q_of_r(2.0**-40, 1.3) == 106
+        assert p_of_r(2.0**-40, 1.3) == 106
 
     @pytest.mark.parametrize("r", [0.0, -0.5, 1.0, 1.5, math.nan])
     def test_radius_out_of_range(self, r):
@@ -112,10 +107,9 @@ class TestRadiusExponents:
         with pytest.raises(RadiusOutOfRange, match=match):
             p_of_log_r(log_r, b)
 
-    @pytest.mark.parametrize("bracket", [p_of_r, q_of_r])
-    def test_exact_radius_that_underflows(self, bracket):
+    def test_exact_radius_that_underflows(self):
         with pytest.raises(RadiusOutOfRange, match="underflows"):
-            bracket(Fraction(1, 10**400), 2)
+            p_of_r(Fraction(1, 10**400), 2)
 
     def test_exact_subnormal_radius(self):
         r = Fraction(1, 10**320)
@@ -214,15 +208,9 @@ class TestRadiusLadder:
 class TestToCylinder:
     def test_horizon_guard(self):
         x = sample_point(FULL2, 5, seed=0)
+        w = ball_window(0.1, P13)  # [-8, 8]
         with pytest.raises(HorizonExceeded):
-            ball_to_cylinder(x, 0.1, P13)  # needs [-8, 8]
-
-    def test_all_variants_attach(self):
-        x = sample_point(FULL2, 40, seed=0)
-        assert ball_to_cylinder(x, 0.1, P13) == ball_window(0.1, P13)
-        assert bowen_ball_to_cylinder(x, 3, 4, 0.1, P13) == bowen_window(3, 4, 0.1, P13)
-        assert neutralized_ball_to_cylinder(x, 10, 10, 0.05, P13) == neutralized_window(10, 10, 0.05, P13)
-        assert alpha_ball_to_cylinder(x, 5, 5, 0.1, 0.5, P13) == alpha_window(5, 5, 0.1, 0.5, P13)
+            x.agrees_with(x, w.lo, w.hi)
 
 
 def flip_outside(x, window, horizon):
@@ -251,14 +239,14 @@ class TestMembershipEquivalence:
     def _roundtrip(self, window, member):
         x = sample_point(FULL2, self.HORIZON, seed=101)
         y_in = flip_outside(x, window, self.HORIZON)
-        assert agrees_on(x, y_in, window) and member(x, y_in)
+        assert x.agrees_with(y_in, window.lo, window.hi) and member(x, y_in)
         y_hi = flip_inside(x, window, self.HORIZON, window.hi)
-        assert not agrees_on(x, y_hi, window) and not member(x, y_hi)
+        assert not x.agrees_with(y_hi, window.lo, window.hi) and not member(x, y_hi)
         y_lo = flip_inside(x, window, self.HORIZON, window.lo)
-        assert not agrees_on(x, y_lo, window) and not member(x, y_lo)
+        assert not x.agrees_with(y_lo, window.lo, window.hi) and not member(x, y_lo)
         for seed in range(300, 340):
             y = sample_point(FULL2, self.HORIZON, seed=seed)
-            assert agrees_on(x, y, window) == member(x, y)
+            assert x.agrees_with(y, window.lo, window.hi) == member(x, y)
 
     def test_ball(self):
         r = 0.1
@@ -308,7 +296,7 @@ class TestMembershipEquivalence:
         x = sample_point(FULL2, 60, seed=s1)
         y = sample_point(FULL2, 60, seed=s2)
         w = ball_window(r, P13)
-        assert agrees_on(x, y, w) == in_ball(x, y, r, P13)
+        assert x.agrees_with(y, w.lo, w.hi) == in_ball(x, y, r, P13)
 
 
 #: (base, radius) pairs where ln r sits on or next to a multiple of ln b, so
@@ -326,12 +314,12 @@ class TestExactRadiusBracket:
     def test_ball_window_is_the_ball(self, b, r):
         params = MetricParams(a=b, b=b)
         window = ball_window(r, params)
-        assert window.length == p_of_r(r, b) + q_of_r(r, b) - 1
+        assert window.length == p_of_r(r, params.b) + p_of_r(r, params.a) - 1
         horizon = window.hi + 10
         x = sample_point(FULL2, horizon, seed=7)
         for t in range(-horizon, horizon + 1):
             y = flip_inside(x, window, horizon, t)
-            assert agrees_on(x, y, window) == in_ball(x, y, r, params), t
+            assert x.agrees_with(y, window.lo, window.hi) == in_ball(x, y, r, params), t
 
     @pytest.mark.parametrize("b, r", BOUNDARY_RADII)
     def test_undiscounted_alpha_window_is_the_bowen_window(self, b, r):

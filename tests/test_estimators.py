@@ -16,17 +16,14 @@ from shiftmetrics import (
     average_over_typical,
     box_dimension,
     brin_katok_local,
-    katok_entropy,
     make_space,
     neutralized_brin_katok,
-    neutralized_topological,
     point_from_window,
     pointwise_dimension,
     relation_report,
     sample_typical,
     solve_relation_5_23,
     standard_bundle,
-    topological_entropy_spanning,
     verify_identities,
 )
 from shiftmetrics.errors import (
@@ -81,29 +78,29 @@ class TestBoxDimension:
 
 class TestSpanningEntropy:
     def test_full_shift_exact(self):
-        est = topological_entropy_spanning(FULL2, PARAMS, DEFAULT_R1, range(10, 61, 5))
+        est = estimate_kind("entropy", FULL2, PARAMS, None, range(10, 61, 5))
         assert abs(est.slope - LN2) < 1e-12
         assert est.residual_rms < 1e-10
 
     def test_golden_matches_log_phi(self):
-        est = topological_entropy_spanning(GOLDEN, PARAMS, DEFAULT_R1, range(10, 61, 5))
+        est = estimate_kind("entropy", GOLDEN, PARAMS, None, range(10, 61, 5))
         assert rel(est.slope, LN_PHI) < 1e-5
 
     @pytest.mark.parametrize("r1", [0.5, 0.13])
     def test_reference_radius_only_moves_intercept(self, r1):
-        base = topological_entropy_spanning(FULL2, PARAMS, DEFAULT_R1, range(10, 61, 5))
-        other = topological_entropy_spanning(FULL2, PARAMS, r1, range(10, 61, 5))
+        base = estimate_kind("entropy", FULL2, PARAMS, None, range(10, 61, 5))
+        other = estimate_kind("entropy", FULL2, PARAMS, None, range(10, 61, 5), r1=r1)
         assert abs(base.slope - other.slope) < 1e-9
 
     def test_subsampling_stability(self):
-        dense = topological_entropy_spanning(FULL2, PARAMS, DEFAULT_R1, range(10, 61, 5))
-        sparse = topological_entropy_spanning(FULL2, PARAMS, DEFAULT_R1, range(10, 61, 10))
+        dense = estimate_kind("entropy", FULL2, PARAMS, None, range(10, 61, 5))
+        sparse = estimate_kind("entropy", FULL2, PARAMS, None, range(10, 61, 10))
         assert abs(dense.slope - sparse.slope) <= dense.residual_rms + 1e-12
 
     @pytest.mark.parametrize("bad", [[5], [0, 3], []])
     def test_bad_depths_rejected(self, bad):
         with pytest.raises(HypothesisViolated):
-            topological_entropy_spanning(FULL2, PARAMS, DEFAULT_R1, bad)
+            estimate_kind("entropy", FULL2, PARAMS, None, bad)
 
 
 class TestPointwiseDimension:
@@ -162,28 +159,30 @@ class TestBrinKatok:
         assert est.saturated
 
 
+def neutralized_topological(r: float, depths=range(20, 121, 10)):
+    return estimate_kind("neutralized_topological", FULL2, PARAMS, None, depths, rate=r)
+
+
 class TestNeutralized:
     @pytest.mark.parametrize("r,freeze", [(0.05, 0.005), (0.2, 0.005)])
     def test_full_shift_scaling(self, r, freeze):
-        est = neutralized_topological(FULL2, PARAMS, r, range(20, 121, 10))
+        est = neutralized_topological(r)
         assert rel(est.slope, (1.0 + r * K) * LN2) < freeze
 
     def test_rate_bound_enforced(self):
         with pytest.raises(ConstraintViolated):
-            neutralized_topological(FULL2, PARAMS, 0.5, range(20, 121, 10))
+            neutralized_topological(0.5)
         with pytest.raises(ConstraintViolated):
-            neutralized_topological(FULL2, PARAMS, -0.1, range(20, 121, 10))
+            neutralized_topological(-0.1)
 
     def test_zero_rate_degenerates_to_spanning(self):
-        neutral = neutralized_topological(FULL2, PARAMS, 0.0, range(10, 61, 5))
-        classic = topological_entropy_spanning(FULL2, PARAMS, DEFAULT_R1, range(10, 61, 5))
+        neutral = neutralized_topological(0.0, range(10, 61, 5))
+        classic = estimate_kind("entropy", FULL2, PARAMS, None, range(10, 61, 5))
         assert neutral == classic
 
     def test_rate_monotonicity(self):
         rates = [0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35]
-        slopes = [
-            neutralized_topological(FULL2, PARAMS, r, range(20, 121, 10)).slope for r in rates
-        ]
+        slopes = [neutralized_topological(r).slope for r in rates]
         assert all(s2 > s1 for s1, s2 in zip(slopes, slopes[1:]))
         for r, s in zip(rates, slopes):
             assert rel(s, (1.0 + r * K) * LN2) < 0.02
@@ -211,12 +210,12 @@ class TestNeutralized:
 
 class TestKatok:
     def test_uniform_exact(self):
-        est = katok_entropy(UNIFORM2, PARAMS, 0.25, DEFAULT_R1, range(40, 201, 20))
+        est = estimate_kind("katok", None, PARAMS, UNIFORM2, range(40, 201, 20), delta=0.25)
         assert abs(est.slope - LN2) < 1e-9
 
     def test_delta_invariance_skewed(self):
         slopes = [
-            katok_entropy(SKEWED, PARAMS, d, DEFAULT_R1, range(250, 701, 45)).slope
+            estimate_kind("katok", None, PARAMS, SKEWED, range(250, 701, 45), delta=d).slope
             for d in (0.1, 0.25, 0.4)
         ]
         for s in slopes:
@@ -225,7 +224,7 @@ class TestKatok:
 
     def test_delta_invariance_golden_markov(self):
         slopes = [
-            katok_entropy(GOLDEN_MARKOV, PARAMS, d, DEFAULT_R1, range(300, 901, 60)).slope
+            estimate_kind("katok", None, PARAMS, GOLDEN_MARKOV, range(300, 901, 60), delta=d).slope
             for d in (0.1, 0.25, 0.4)
         ]
         for s in slopes:
@@ -233,23 +232,23 @@ class TestKatok:
         assert (max(slopes) - min(slopes)) / min(slopes) < 0.02
 
     def test_shrinking_radius_variant(self):
-        est = katok_entropy(
-            GOLDEN_MARKOV, PARAMS, 0.25, DEFAULT_R1, range(300, 901, 60), r=0.05
+        est = estimate_kind(
+            "katok", None, PARAMS, GOLDEN_MARKOV, range(300, 901, 60), rate=0.05, delta=0.25
         )
         assert rel(est.slope, (1.0 + 0.05 * K) * H_GOLDEN_MARKOV) < 0.02
 
     def test_delta_validation(self):
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(HypothesisViolated):
-                katok_entropy(UNIFORM2, PARAMS, bad, DEFAULT_R1, range(40, 201, 20))
+                estimate_kind("katok", None, PARAMS, UNIFORM2, range(40, 201, 20), delta=bad)
 
     def test_nan_delta(self):
         with pytest.raises(HypothesisViolated, match="delta must be finite, got nan"):
-            katok_entropy(UNIFORM2, PARAMS, math.nan, DEFAULT_R1, range(40, 201, 20))
+            estimate_kind("katok", None, PARAMS, UNIFORM2, range(40, 201, 20), delta=math.nan)
 
     def test_rate_bound(self):
         with pytest.raises(ConstraintViolated):
-            katok_entropy(UNIFORM2, PARAMS, 0.25, DEFAULT_R1, range(40, 201, 20), r=0.5)
+            estimate_kind("katok", None, PARAMS, UNIFORM2, range(40, 201, 20), rate=0.5)
 
 
 class TestAlphaEstimation:
@@ -260,7 +259,7 @@ class TestAlphaEstimation:
 
     def test_zero_alpha_reduces_to_classical(self):
         discounted = alpha_estimation_entropy(FULL2, PARAMS, 0.0, range(10, 61, 5))
-        classic = topological_entropy_spanning(FULL2, PARAMS, DEFAULT_R1, range(10, 61, 5))
+        classic = estimate_kind("entropy", FULL2, PARAMS, None, range(10, 61, 5))
         assert abs(discounted.slope - classic.slope) < 1e-12
 
     def test_alpha_bound(self):

@@ -274,6 +274,9 @@ class TestMeasureJson:
             {"type": "bernoulli", "weights": [0.5, 0.5], "extra": 1},
             "not json at all {",
             [1, 2, 3],
+            {"type": "bernoulli", "weights": 5},
+            {"type": "bernoulli", "weights": None},
+            {"type": "markov", "P": [1, 2]},
         ],
     )
     def test_bad_specs_rejected(self, bad):

@@ -55,8 +55,6 @@ from shiftmetrics import (
     p_of_log_r,
     p_of_r,
     point_from_window,
-    q_of_log_r,
-    q_of_r,
     sample_point,
     sample_points,
     sample_typical,
@@ -190,13 +188,13 @@ def reference_cover_length_at_radius(params: MetricParams, r: float) -> int:
     """Window length of the cylinder equal to a radius-r ball."""
     if params.mode == ONE_SIDED:
         return p_of_r(r, params.b)
-    return p_of_r(r, params.b) + q_of_r(r, params.a) - 1
+    return p_of_r(r, params.b) + p_of_r(r, params.a) - 1
 
 
 def reference_cover_length_at_log_radius(params: MetricParams, log_r: float) -> int:
     if params.mode == ONE_SIDED:
         return p_of_log_r(log_r, params.b)
-    return p_of_log_r(log_r, params.b) + q_of_log_r(log_r, params.a) - 1
+    return p_of_log_r(log_r, params.b) + p_of_log_r(log_r, params.a) - 1
 
 
 def reference_length(kind: str, params: MetricParams, step, rate: float, r1: float) -> int:
