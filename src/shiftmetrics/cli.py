@@ -613,11 +613,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Flags that only a measure run reads; a run that takes --measure refuses them without it.
+_MEASURE_ONLY = ("--horizon", "--n-points", "--delta")
+
+
 def config_from_args(ns: argparse.Namespace) -> RunConfig:
     scalar, named = _parse_tolerances(getattr(ns, "tol", []))
     fields = {f.name for f in dataclasses.fields(RunConfig)}
     kwargs = {k: v for k, v in vars(ns).items() if k in fields and k not in ("tol", "tolerances")}
-    return RunConfig(**kwargs, tol=scalar, tolerances=named)
+    config = RunConfig(**kwargs, tol=scalar, tolerances=named)
+    if config.measure is None and "--measure" in _SUBCOMMANDS[config.quantity][2].split():
+        for flag in _MEASURE_ONLY:
+            if flag[2:].replace("-", "_") in kwargs:
+                raise HypothesisViolated(f"{config.quantity} reads {flag} only with --measure PATH")
+    return config
 
 
 def main(argv: list[str] | None = None) -> int:

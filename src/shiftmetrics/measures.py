@@ -12,15 +12,19 @@ reaches ``1 - delta``.  Because cylinders of a fixed window partition the
 space, the optimum is the greedy descending-mass count.  Three exact routes
 are provided, tried in this order:
 
-1. mass spectrum — group cylinders into equal-mass classes (symbol
-   compositions for Bernoulli, run-length classes for binary Markov) and
-   aggregate counts in the log domain; works at any window length.  The
-   binary Markov classes come from one broadcast pass over every
+1. mass spectrum — group cylinders into equal-mass classes and aggregate
+   counts in the log domain.  A Bernoulli measure's classes are its type
+   classes: how many symbols of each distinct support weight a word holds,
+   so there are ``C(L + k - 1, k - 1)`` classes for ``k`` distinct weights
+   at window length ``L``; past ``ENUMERATION_LIMIT`` classes the measure
+   goes to prefix expansion.  The binary Markov classes (run-length
+   classes) come from one broadcast pass over every
    (start, end, run count) class, in which a zero self-transition pins each
    run of its symbol to length 1, so such a chain has about ``2 L`` classes
    at window length ``L``; equal masses are then merged with one
    ``logaddexp.reduceat`` per array,
-2. full enumeration when the support admits at most ``2**22`` words,
+2. full enumeration (Markov chains on three or more states) when the
+   support admits at most ``2**22`` words,
 3. best-first prefix expansion under a node budget (masses are
    monotone under extension, so words are emitted in exact descending
    order); past the budget the call refuses with ``WindowTooLarge``.
@@ -48,7 +52,8 @@ from .shiftspace import POWER_ITER_CAP, Point, ShiftSpace, count_words, make_spa
 
 STATIONARY_TOL = 1e-12
 ROW_SUM_TOL = 1e-12
-#: Most support words a cover enumerates, and most nodes its prefix expansion pops.
+#: Most support words a cover enumerates, most Bernoulli type classes it builds,
+#: and most nodes its prefix expansion pops.
 ENUMERATION_LIMIT = 2**22
 #: Counts below this are recovered exactly by rounding exp(log_count).
 _EXACT_COUNT_LIMIT = float(2**40)
@@ -375,23 +380,43 @@ def _log_choose(lgfact: np.ndarray, n: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _bernoulli_spectrum(mu: BernoulliMeasure, length: int):
-    sup = mu.support
-    w = np.asarray(mu.weights)[list(sup)]
-    if len(sup) == 1:
-        return np.array([length * math.log(w[0])]), np.array([0.0])
-    if np.max(w) - np.min(w) < 1e-15:
-        # uniform on the support: a single class of |support|^length words
-        return (
-            np.array([length * math.log(w[0])]),
-            np.array([length * math.log(len(sup))]),
-        )
-    if len(sup) == 2:
-        lgfact = _lgfact_table(length)
-        j = np.arange(length + 1)
-        log_mass = (length - j) * math.log(w[0]) + j * math.log(w[1])
-        log_count = _log_choose(lgfact, np.full(length + 1, length), j)
-        return log_mass, log_count
-    return None
+    # type classes: support symbols grouped by weight (within 1e-15), in
+    # first-occurrence order; a class is a composition of the length over the groups
+    weights: list[float] = []
+    sizes: list[int] = []
+    for x in (mu.weights[i] for i in mu.support):
+        for g, y in enumerate(weights):
+            if abs(x - y) < 1e-15:
+                sizes[g] += 1
+                break
+        else:
+            weights.append(x)
+            sizes.append(1)
+    if math.comb(length + len(weights) - 1, len(weights) - 1) > ENUMERATION_LIMIT:
+        return None
+    # one row per class, n_{k-1} varying slowest: each pass splits every
+    # row's rest of the length as n = 0..rest for the next group down
+    rest = np.array([length])
+    split: list[np.ndarray] = []  # n_{k-1}, n_{k-2}, ... so far
+    for _ in weights[1:]:
+        reps = rest + 1
+        n = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        split = [np.repeat(c, reps) for c in split] + [n]
+        rest = np.repeat(rest, reps) - n
+    parts = [rest, *split[::-1]]
+    # ln mass = sum n_i ln w_i; ln count = ln L! - sum ln n_i! + sum n_i ln m_i.
+    # Each sum runs in a fixed order (the factorials from the last group
+    # down), because the cover's tie groups read the exact values.
+    lgfact = _lgfact_table(length)
+    log_mass = np.zeros(rest.shape)
+    for n, x in zip(parts, weights):
+        log_mass += n * math.log(x)
+    log_count = np.full(rest.shape, lgfact[length])
+    for n in parts[::-1]:
+        log_count -= lgfact[n]
+    for n, m in zip(parts, sizes):
+        log_count += n * math.log(m)
+    return log_mass, log_count
 
 
 def _markov_spectrum(mu: MarkovMeasure, length: int):
@@ -456,11 +481,11 @@ def log_mass_spectrum(mu: Measure, length: int):
     """Equal-mass cylinder classes of a window of the given length.
 
     Returns ``(log_mass, log_count)`` arrays covering every positive-mass
-    word exactly once, or ``None`` when no closed-form class structure is
-    available (then callers fall back to enumeration or prefix expansion).
-    Available for: any Bernoulli with at most two distinct support weights,
-    uniform Bernoulli on any support, and two-symbol Markov chains
-    (run-length classes).
+    word exactly once, or ``None`` when no class structure is available
+    (then callers fall back to enumeration or prefix expansion).
+    Available for: every Bernoulli measure whose type classes number at
+    most ``ENUMERATION_LIMIT``, and two-symbol Markov chains (run-length
+    classes).
     """
     if length < 0:
         raise InadmissibleWord(f"window length must be >= 0, got {length}")

@@ -339,7 +339,7 @@ def reference_check_quasi_metric(sample: FiniteSample, K: float) -> list[tuple[i
 
 
 # ---------------------------------------------------------------------------
-# exact cover kernels: run-length spectrum and equal-mass merge
+# exact cover kernels: closed-form spectra and equal-mass merge
 # ---------------------------------------------------------------------------
 
 
@@ -404,6 +404,29 @@ def reference_markov_spectrum(mu: MarkovMeasure, length: int):
                 masses.append(log_mass[keep])
                 counts.append(log_count[keep])
     return np.concatenate(masses), np.concatenate(counts)
+
+
+def reference_bernoulli_spectrum(mu: BernoulliMeasure, length: int):
+    """Closed-form classes of three Bernoulli families: one support symbol,
+    uniform weights on the support, and a two-symbol support; ``None`` for
+    every other measure."""
+    sup = mu.support
+    w = np.asarray(mu.weights)[list(sup)]
+    if len(sup) == 1:
+        return np.array([length * math.log(w[0])]), np.array([0.0])
+    if np.max(w) - np.min(w) < 1e-15:
+        # uniform on the support: a single class of |support|^length words
+        return (
+            np.array([length * math.log(w[0])]),
+            np.array([length * math.log(len(sup))]),
+        )
+    if len(sup) == 2:
+        lgfact = _lgfact_table(length)
+        j = np.arange(length + 1)
+        log_mass = (length - j) * math.log(w[0]) + j * math.log(w[1])
+        log_count = _log_choose(lgfact, np.full(length + 1, length), j)
+        return log_mass, log_count
+    return None
 
 
 def reference_merge_equal_mass(log_mass: np.ndarray, log_count: np.ndarray):

@@ -336,3 +336,22 @@ def test_criterion_14_one_sided_alpha_identity():
         rel <= 0.02 and abs(target - 0.9574) < 0.001,
         f"slope {est.slope:.4f} vs {target:.4f} (rel {rel:.2e})",
     )
+
+
+def test_criterion_15_katok_on_a_three_weight_bernoulli(tmp_path):
+    measure = tmp_path / "bernoulli-235.json"
+    measure.write_text('{"type": "bernoulli", "weights": [0.2, 0.3, 0.5]}', encoding="utf-8")
+    runs = {}
+    for quantity in ("katok", "relations"):
+        out = tmp_path / f"{quantity}.json"
+        t0 = time.perf_counter()
+        code = main([quantity, "--space", "full:3", "--measure", str(measure), "--out", str(out)])
+        runs[quantity] = (code, time.perf_counter() - t0)
+    katok = json.loads((tmp_path / "katok.json").read_text(encoding="utf-8"))["relations"][0]
+    check(
+        "criterion 15: default katok and relations on full:3 Bernoulli(.2,.3,.5)",
+        all(code == 0 and elapsed < 10.0 for code, elapsed in runs.values())
+        and katok["rel_error"] <= 0.02,
+        ", ".join(f"{q} exit {c} in {t:.2f}s" for q, (c, t) in runs.items())
+        + f"; katok rel error {katok['rel_error']:.2e}",
+    )

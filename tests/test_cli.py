@@ -223,6 +223,34 @@ def test_unread_flag_is_usage_error(quantity, flag, value, capsys):
     assert captured.out == ""
 
 
+#: (argv, flag): space-only runs of subcommands that take --measure, given a flag
+#: that only a measure run reads
+MEASURE_ONLY_FLAGS = [
+    (["dim", "--space", "full:2", "--horizon", "5", "--n-points", "7"], "--horizon"),
+    (["dim", "--n-points", "7"], "--n-points"),
+    (["entropy", "--horizon", "5"], "--horizon"),
+    (["neutralized", "--n-points", "0"], "--n-points"),
+    (["estimation", "--horizon", "9"], "--horizon"),
+    (["relations", "--space", "full:2", "--delta", "0.9"], "--delta"),
+    (["relations", "--n-points", "2"], "--n-points"),
+    (["katok", "--delta", "0.1"], "--delta"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", MEASURE_ONLY_FLAGS, ids=[" ".join(a) for a, _ in MEASURE_ONLY_FLAGS])
+def test_measure_only_flag_without_measure_is_refused(argv, flag, capsys):
+    # each of these used to exit 0 (katok: refuse for the missing measure) and
+    # record a setting the space-only run never read
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"reads {flag} only with --measure" in captured.err
+    assert captured.out == ""
+
+
+def test_seed_stays_accepted_without_measure(capsys):
+    assert main(["dim", "--space", "full:2", "--seed", "3", "--j-max", "12"]) == 0
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path, skewed_measure):
         args = [

@@ -30,10 +30,12 @@ INPUTS = {
     "golden.sft": "2\n1 1\n1 0\n",
     "markov.json": '{"type": "markov", "P": [[0.5, 0.5], [1.0, 0.0]]}',
     "skewed.json": '{"type": "bernoulli", "weights": [0.3, 0.7]}',
+    "three.json": '{"type": "bernoulli", "weights": [0.2, 0.3, 0.5]}',
 }
 GOLDEN = "sft:$INPUTS/golden.sft"
 MARKOV = "$INPUTS/markov.json"
 SKEWED = "$INPUTS/skewed.json"
+THREE = "$INPUTS/three.json"
 
 #: case name -> (argv, expected exit code); ``$INPUTS`` stands for the input directory
 CASES = {
@@ -50,6 +52,11 @@ CASES = {
     ),
     "katok": (
         ["katok", "--measure", SKEWED, "--t-min", "300", "--t-max", "420", "--t-step", "60"],
+        0,
+    ),
+    "katok-three-symbol": (
+        ["katok", "--space", "full:3", "--measure", THREE,
+         "--t-min", "4", "--t-max", "12", "--t-step", "1"],
         0,
     ),
     "katok-rate": (

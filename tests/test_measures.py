@@ -346,7 +346,7 @@ class TestMassSpectrum:
         assert lm.size == lc.size <= 2 * 1243
 
     def test_unavailable_spectra(self):
-        assert log_mass_spectrum(BernoulliMeasure((0.2, 0.3, 0.5)), 5) is None
+        assert log_mass_spectrum(BernoulliMeasure((0.2, 0.3, 0.5)), 5) is not None
         assert log_mass_spectrum(THREE_STATE, 5) is None
 
 
@@ -388,6 +388,12 @@ class TestMinimalCover:
     def test_budget_refusal(self, monkeypatch):
         monkeypatch.setattr(measures, "ENUMERATION_LIMIT", 5000)
         with pytest.raises(WindowTooLarge, match="5000-node budget"):
+            minimal_cover_log_count(THREE_STATE, 40, 0.1)
+
+    def test_too_many_type_classes_fall_back_to_prefix_expansion(self, monkeypatch):
+        # C(42, 2) = 861 type classes at L = 40 exceed the limit of 50
+        monkeypatch.setattr(measures, "ENUMERATION_LIMIT", 50)
+        with pytest.raises(WindowTooLarge, match="50-node budget"):
             minimal_cover_log_count(BernoulliMeasure((0.2, 0.3, 0.5)), 40, 0.1)
 
     @pytest.mark.parametrize("delta", [0.0, 1.0, -0.2])

@@ -19,9 +19,10 @@ per pair), ``reference_shifted_rho_table`` (one binary search per pair) and
 ``reference.py`` are the pair-at-a-time metric code that the batch rho
 kernels replaced; ``reference_check_quasi_metric`` searches every k's full
 mask for violations.  ``reference_markov_spectrum`` (one run-count class at
-a time) and ``reference_merge_equal_mass`` (one reduction per tie group) are
-the cover kernels that the broadcast spectrum and the ``reduceat`` merge
-replaced.  The fast versions must agree exactly.
+a time), ``reference_bernoulli_spectrum`` (three closed-form special cases)
+and ``reference_merge_equal_mass`` (one reduction per tie group) are the
+cover kernels that the broadcast spectrum, the type-class spectrum and the
+``reduceat`` merge replaced.  The fast versions must agree exactly.
 """
 import itertools
 import math
@@ -31,6 +32,7 @@ import pytest
 
 from reference import (
     orbit_closed_sample,
+    reference_bernoulli_spectrum,
     reference_check_quasi_metric,
     reference_from_points,
     reference_markov_spectrum,
@@ -66,10 +68,16 @@ from shiftmetrics import (
     verify_hyperbolicity,
     word_counts,
 )
-from shiftmetrics import metrics
+from shiftmetrics import measures, metrics
 from shiftmetrics.errors import DifferentSpaces, HypothesisViolated, SaturatedDistances, ShiftMetricsError
 from shiftmetrics.estimators import DEFAULT_LADDER, KINDS
-from shiftmetrics.measures import _cover_from_sorted, _markov_spectrum, _merge_equal_mass, reversed_kernel
+from shiftmetrics.measures import (
+    _bernoulli_spectrum,
+    _cover_from_sorted,
+    _markov_spectrum,
+    _merge_equal_mass,
+    reversed_kernel,
+)
 from shiftmetrics.metrics import ONE_SIDED, PAIR_CHUNK
 from shiftmetrics.shiftspace import ShiftSpace
 
@@ -644,6 +652,66 @@ def test_markov_spectrum_reproduces_the_run_length_loop(chain, length):
     slow_mass, slow_count = reference_markov_spectrum(mu, length)
     assert_bitwise(fast_mass, slow_mass)
     assert_bitwise(fast_count, slow_count)
+
+
+#: the Bernoulli families the closed-form spectrum covered
+CLOSED_FORM_BERNOULLI = {
+    "(.3,.7)": BernoulliMeasure((0.3, 0.7)),
+    "(.7,.3)": BernoulliMeasure((0.7, 0.3)),
+    "(.5,.5)": BernoulliMeasure((0.5, 0.5)),
+    "uniform(3)": BernoulliMeasure((1 / 3, 1 / 3, 1 / 3)),
+    "(1,0)": BernoulliMeasure((1.0, 0.0)),
+    "(0,.4,.6)": BernoulliMeasure((0.0, 0.4, 0.6)),
+}
+#: measures it left to enumeration, with the longest enumerated window each
+#: is checked at (4**10 words bounds the four-symbol case)
+TYPE_CLASS_BERNOULLI = {
+    "(.2,.3,.5)": (BernoulliMeasure((0.2, 0.3, 0.5)), 12),
+    "(.25,.25,.5)": (BernoulliMeasure((0.25, 0.25, 0.5)), 12),
+    "(.1,.2,.3,.4)": (BernoulliMeasure((0.1, 0.2, 0.3, 0.4)), 10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_BERNOULLI))
+@pytest.mark.parametrize("length", [*range(1, 41), 301, 901, 1243])
+def test_type_classes_reproduce_the_closed_forms(name, length):
+    mu = CLOSED_FORM_BERNOULLI[name]
+    fast_mass, fast_count = _bernoulli_spectrum(mu, length)
+    slow_mass, slow_count = reference_bernoulli_spectrum(mu, length)
+    assert fast_mass.tobytes() == slow_mass.tobytes()
+    assert fast_count.tobytes() == slow_count.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(TYPE_CLASS_BERNOULLI))
+def test_type_class_cover_equals_the_enumerated_cover(name):
+    mu, longest = TYPE_CLASS_BERNOULLI[name]
+    assert reference_bernoulli_spectrum(mu, 2) is None
+    for length in range(1, longest + 1):
+        masses = enumerate_log_masses(mu, length)
+        for delta in (0.05, 0.25, 0.9):
+            slow = _cover_from_sorted(masses, np.zeros(masses.shape), delta)
+            assert minimal_cover_log_count(mu, length, delta) == slow, (length, delta)
+
+
+@pytest.mark.parametrize("name", sorted(TYPE_CLASS_BERNOULLI))
+@pytest.mark.parametrize("length", [1, 7, 40, 120])
+def test_type_class_count_is_the_composition_count(name, length):
+    mu, _ = TYPE_CLASS_BERNOULLI[name]
+    k = len(set(mu.weights) - {0.0})
+    log_mass, log_count = _bernoulli_spectrum(mu, length)
+    assert log_mass.shape == log_count.shape == (math.comb(length + k - 1, k - 1),)
+    # the classes hold every word of the support exactly once
+    total = float(np.logaddexp.reduce(log_count))
+    assert total == pytest.approx(length * math.log(len(mu.support)), rel=1e-12)
+
+
+def test_type_classes_past_the_limit_are_not_built(monkeypatch):
+    mu = TYPE_CLASS_BERNOULLI["(.1,.2,.3,.4)"][0]
+    # C(304, 3) = 4,594,600 classes exceed ENUMERATION_LIMIT = 2**22
+    assert _bernoulli_spectrum(mu, 301) is None
+    monkeypatch.setattr(measures, "ENUMERATION_LIMIT", math.comb(43, 3))
+    assert _bernoulli_spectrum(mu, 40)[0].size == math.comb(43, 3)
+    assert _bernoulli_spectrum(mu, 41) is None
 
 
 def merge_inputs():
