@@ -40,7 +40,8 @@ from .errors import (
 )
 from .measures import (
     Measure,
-    log_word_mass,
+    _block_log_mass,
+    _require_symbols,
     minimal_cover_log_count,
     sample_typical,
     supported_on,
@@ -267,10 +268,14 @@ def _read_words(space: ShiftSpace, ladder: _Ladder) -> SlopeEstimate:
 
 
 def _mass_slope(mu: Measure, x: Point, ladder: _Ladder) -> SlopeEstimate:
-    """Read a ladder at the point x, dropping windows beyond its horizon."""
+    """Read a ladder at the point x, dropping windows beyond its horizon.
+
+    The point's symbols are checked against the measure once, not per depth.
+    """
+    _require_symbols(mu, x.window())
 
     def information(window: CylinderIndex) -> float:
-        lm = log_word_mass(mu, x.window(window.lo, window.hi))
+        lm = _block_log_mass(mu, x.window(window.lo, window.hi))
         if lm == -math.inf:
             raise BadMeasure("the point leaves the support of the measure")
         return -lm

@@ -9,25 +9,30 @@ Each measure computes its log tables (``ln`` of the weights, or of ``P`` and
 The second half of the module is the covering backend used by the Katok-type
 entropy estimators: the minimal number of window cylinders whose total mass
 reaches ``1 - delta``.  Because cylinders of a fixed window partition the
-space, the optimum is the greedy descending-mass count.  Three exact routes
+space, the optimum is the greedy descending-mass count.  Two exact routes
 are provided, tried in this order:
 
 1. mass spectrum — group cylinders into equal-mass classes and aggregate
    counts in the log domain.  A Bernoulli measure's classes are its type
    classes: how many symbols of each distinct support weight a word holds,
    so there are ``C(L + k - 1, k - 1)`` classes for ``k`` distinct weights
-   at window length ``L``; past ``ENUMERATION_LIMIT`` classes the measure
-   goes to prefix expansion.  The binary Markov classes (run-length
+   at window length ``L``.  The binary Markov classes (run-length
    classes) come from one broadcast pass over every
    (start, end, run count) class, in which a zero self-transition pins each
    run of its symbol to length 1, so such a chain has about ``2 L`` classes
-   at window length ``L``; equal masses are then merged with one
-   ``logaddexp.reduceat`` per array,
-2. full enumeration (Markov chains on three or more states) when the
-   support admits at most ``2**22`` words,
-3. best-first prefix expansion under a node budget (masses are
+   at window length ``L``.  Every other chain's classes are its
+   transition-count classes: the start state and how often the word takes
+   each positive edge, built by one sorted merge per symbol appended; there
+   are at most ``M C(L + e - 2, e - 1)`` of them for ``M`` states and ``e``
+   positive edges, and never more than the support words.  Past
+   ``ENUMERATION_LIMIT`` classes (for a chain: when both that bound and
+   the support word count exceed it) the measure goes to prefix expansion.
+   Equal masses are then merged with one ``logaddexp.reduceat`` per array,
+2. best-first prefix expansion under a node budget (masses are
    monotone under extension, so words are emitted in exact descending
-   order); past the budget the call refuses with ``WindowTooLarge``.
+   order).  A call that would pop more than the budget refuses with
+   ``WindowTooLarge``: before popping when the heaviest possible word
+   already shows it, otherwise once the budget runs out.
 """
 from __future__ import annotations
 
@@ -52,8 +57,9 @@ from .shiftspace import POWER_ITER_CAP, Point, ShiftSpace, count_words, make_spa
 
 STATIONARY_TOL = 1e-12
 ROW_SUM_TOL = 1e-12
-#: Most support words a cover enumerates, most Bernoulli type classes it builds,
-#: and most nodes its prefix expansion pops.
+#: Most mass classes a cover builds (for a chain's transition-count classes,
+#: the smaller of their bound and the support word count), and most nodes its
+#: prefix expansion pops.
 ENUMERATION_LIMIT = 2**22
 #: Counts below this are recovered exactly by rounding exp(log_count).
 _EXACT_COUNT_LIMIT = float(2**40)
@@ -240,6 +246,11 @@ def log_word_mass(mu: Measure, symbols) -> float:
     _require_symbols(mu, w)
     if w.size == 0:
         return 0.0
+    return _block_log_mass(mu, w)
+
+
+def _block_log_mass(mu: Measure, w: np.ndarray) -> float:
+    """``log_word_mass`` of a nonempty int64 block whose symbols are checked."""
     if isinstance(mu, BernoulliMeasure):
         return float(mu._log_weights[w].sum())
     if isinstance(mu, MarkovMeasure):
@@ -419,9 +430,58 @@ def _bernoulli_spectrum(mu: BernoulliMeasure, length: int):
     return log_mass, log_count
 
 
+def _transition_count_spectrum(mu: MarkovMeasure, length: int):
+    # A word's mass is pi_s prod P_ij^N_ij, so its class is its start s and
+    # its transition counts N over the positive edges (Whittle 1955).
+    m = mu.alphabet_size
+    src, dst = np.nonzero(np.isfinite(mu._log_P))  # positive edges, row-major
+    e = src.size
+    if (
+        m * math.comb(length + e - 2, e - 1) > ENUMERATION_LIMIT
+        and support_word_count(mu, length) > ENUMERATION_LIMIT
+    ):
+        return None
+    # exact integer keys: the digits are the start (radix m), then each
+    # edge's count (radix L: a count is at most L - 1), packed mixed-radix
+    # into as many int64 words as they need, so no alphabet overflows
+    word, place = [], []
+    w, span = 0, 1
+    for radix in [m] + [length] * e:
+        if span * radix > 2**63:
+            w, span = w + 1, 1
+        word.append(w)
+        place.append(span)
+        span *= radix
+    edge_word = np.array(word[1:])
+    edge_place = np.array(place[1:], dtype=np.int64)
+    first_edge = np.searchsorted(src, np.arange(m))
+    degree = np.bincount(src, minlength=m)
+    keys = np.zeros((m, w + 1), dtype=np.int64)
+    keys[:, 0] = np.arange(m)
+    # (s, N) fixes the last state, so merged classes share it; counts stay
+    # exact in float64 below 2**53
+    last = np.arange(m)
+    counts = np.ones(m)
+    for _ in range(length - 1):
+        reps = degree[last]
+        edge = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps - first_edge[last], reps)
+        keys = np.repeat(keys, reps, axis=0)
+        keys[np.arange(edge.size), edge_word[edge]] += edge_place[edge]
+        # on one key word argsort is about 4x faster than lexsort
+        order = np.argsort(keys[:, 0]) if w == 0 else np.lexsort(keys.T)
+        keys, last, counts = keys[order], dst[edge[order]], np.repeat(counts, reps)[order]
+        starts = np.flatnonzero(np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1))))
+        keys, last, counts = keys[starts], last[starts], np.add.reduceat(counts, starts)
+    # ln mass = ln pi_s + sum N_ij ln P_ij, added in the fixed edge order
+    log_mass = mu._log_pi[keys[:, 0] % m]
+    for j in range(e):
+        log_mass += keys[:, edge_word[j]] // place[j + 1] % length * mu._log_P[src[j], dst[j]]
+    return log_mass, np.log(counts)
+
+
 def _markov_spectrum(mu: MarkovMeasure, length: int):
     if mu.alphabet_size != 2:
-        return None
+        return _transition_count_spectrum(mu, length)
     logpi, logP = mu._log_pi, mu._log_P
     if length == 1:
         return logpi.copy(), np.zeros(2)
@@ -481,11 +541,13 @@ def log_mass_spectrum(mu: Measure, length: int):
     """Equal-mass cylinder classes of a window of the given length.
 
     Returns ``(log_mass, log_count)`` arrays covering every positive-mass
-    word exactly once, or ``None`` when no class structure is available
-    (then callers fall back to enumeration or prefix expansion).
-    Available for: every Bernoulli measure whose type classes number at
-    most ``ENUMERATION_LIMIT``, and two-symbol Markov chains (run-length
-    classes).
+    word exactly once, or ``None`` when the classes would number more than
+    ``ENUMERATION_LIMIT`` (then the cover goes to prefix expansion).
+    Bernoulli measures give their type classes, two-state chains their
+    run-length classes, and every other chain its transition-count classes
+    (start state and count of each positive edge), which are built when
+    either their bound ``M C(L + e - 2, e - 1)`` or the support word count
+    is within the limit.
     """
     if length < 0:
         raise InadmissibleWord(f"window length must be >= 0, got {length}")
@@ -613,6 +675,16 @@ def _pq_cover_log_count(mu: Measure, length: int, delta: float) -> float:
             serial += 1
     heapq.heapify(heap)
     target = (1.0 - delta) * (1.0 - _COVER_SLACK)
+    # every word taken is popped, and none weighs more than
+    # max start * (max step)^(L - 1); the margin keeps rounding from
+    # refusing a case the expansion would finish
+    log_max_mass = float(np.max(start) + (length - 1) * np.max(step))
+    log_pops = math.log(target) - log_max_mass
+    if log_pops > math.log(ENUMERATION_LIMIT) + 1e-6 * (1.0 + abs(log_max_mass)):
+        raise WindowTooLarge(
+            f"prefix expansion would exceed the {ENUMERATION_LIMIT}-node budget "
+            f"at window length {length}: a cover takes at least e^{log_pops:.1f} words"
+        )
     covered = 0.0
     taken = 0
     pops = 0
@@ -644,10 +716,10 @@ def minimal_cover_log_count(mu: Measure, length: int, delta: float) -> float:
 
     Cylinders of a fixed window partition the space, so the minimum is
     achieved by taking cylinders in descending mass order.  The count is
-    computed exactly via the mass spectrum when the measure admits one, via
-    full enumeration when the support has at most ``ENUMERATION_LIMIT``
-    words, and via best-first prefix expansion otherwise; ``WindowTooLarge``
-    signals that the expansion popped more than ``ENUMERATION_LIMIT`` nodes.
+    computed exactly via the mass spectrum when the measure's classes
+    number at most ``ENUMERATION_LIMIT``, and via best-first prefix
+    expansion otherwise; ``WindowTooLarge`` signals that the expansion
+    would pop more than ``ENUMERATION_LIMIT`` nodes.
     """
     if not math.isfinite(delta):
         raise HypothesisViolated(f"delta must be finite, got {delta}")
@@ -660,7 +732,4 @@ def minimal_cover_log_count(mu: Measure, length: int, delta: float) -> float:
     spectrum = log_mass_spectrum(mu, length)
     if spectrum is not None:
         return _cover_from_sorted(spectrum[0], spectrum[1], delta)
-    if support_word_count(mu, length) <= ENUMERATION_LIMIT:
-        log_masses = enumerate_log_masses(mu, length)
-        return _cover_from_sorted(log_masses, np.zeros(log_masses.shape), delta)
     return _pq_cover_log_count(mu, length, delta)

@@ -3,6 +3,7 @@ import argparse
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -403,6 +404,24 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "measure support is not admissible in the space" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "space,measure",
+        [
+            ("full:4", '{"type": "bernoulli", "weights": [0.1, 0.2, 0.3, 0.4]}'),
+            ("full:3", '{"type": "markov", "P": [[0.2, 0.5, 0.3], [0.4, 0.1, 0.5], [0.3, 0.3, 0.4]]}'),
+        ],
+    )
+    def test_default_katok_past_the_node_budget_refuses_fast(self, space, measure, tmp_path, capsys):
+        # too many classes and words at L = 301: prefix expansion is the only
+        # route, and its heaviest word already shows it would overrun its budget
+        path = tmp_path / "measure.json"
+        path.write_text(measure, encoding="utf-8")
+        t0 = time.perf_counter()
+        assert main(["katok", "--space", space, "--measure", str(path)]) == 2
+        assert time.perf_counter() - t0 < 2.0
+        message = capsys.readouterr().err
+        assert "4194304-node budget at window length 301" in message
 
     def test_alpha_guard(self, capsys):
         assert main(["estimation", "--alpha", "0.3"]) == 2

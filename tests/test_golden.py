@@ -31,11 +31,15 @@ INPUTS = {
     "markov.json": '{"type": "markov", "P": [[0.5, 0.5], [1.0, 0.0]]}',
     "skewed.json": '{"type": "bernoulli", "weights": [0.3, 0.7]}',
     "three.json": '{"type": "bernoulli", "weights": [0.2, 0.3, 0.5]}',
+    "markov-three.json": (
+        '{"type": "markov", "P": [[0.2, 0.5, 0.3], [0.4, 0.1, 0.5], [0.3, 0.3, 0.4]]}'
+    ),
 }
 GOLDEN = "sft:$INPUTS/golden.sft"
 MARKOV = "$INPUTS/markov.json"
 SKEWED = "$INPUTS/skewed.json"
 THREE = "$INPUTS/three.json"
+MARKOV_THREE = "$INPUTS/markov-three.json"
 
 #: case name -> (argv, expected exit code); ``$INPUTS`` stands for the input directory
 CASES = {
@@ -56,6 +60,11 @@ CASES = {
     ),
     "katok-three-symbol": (
         ["katok", "--space", "full:3", "--measure", THREE,
+         "--t-min", "4", "--t-max", "12", "--t-step", "1"],
+        0,
+    ),
+    "katok-three-state-markov": (
+        ["katok", "--space", "full:3", "--measure", MARKOV_THREE,
          "--t-min", "4", "--t-max", "12", "--t-step", "1"],
         0,
     ),

@@ -44,6 +44,7 @@ SKEWED = BernoulliMeasure((0.3, 0.7))
 GOLDEN_MARKOV = MarkovMeasure(((0.5, 0.5), (1.0, 0.0)))
 POSITIVE_MARKOV = MarkovMeasure(((0.3, 0.7), (0.6, 0.4)))
 THREE_STATE = MarkovMeasure(((0.2, 0.8, 0.0), (0.5, 0.0, 0.5), (1.0, 0.0, 0.0)))
+MARKOV_3 = MarkovMeasure(((0.2, 0.5, 0.3), (0.4, 0.1, 0.5), (0.3, 0.3, 0.4)))
 GOLDEN_SPACE = make_space(2, [[1, 1], [1, 0]])
 
 
@@ -307,6 +308,8 @@ class TestMassSpectrum:
             (SKEWED, (1, 2, 6, 11)),
             (GOLDEN_MARKOV, (1, 2, 3, 5, 9, 12)),
             (POSITIVE_MARKOV, (1, 2, 5, 10)),
+            (THREE_STATE, (1, 2, 5, 13)),
+            (MARKOV_3, (1, 2, 5, 11)),
         ],
     )
     def test_spectrum_multiset_equals_enumeration(self, mu, lengths):
@@ -346,8 +349,13 @@ class TestMassSpectrum:
         assert lm.size == lc.size <= 2 * 1243
 
     def test_unavailable_spectra(self):
+        # past ENUMERATION_LIMIT classes: C(304, 3) type classes at L = 301, and
+        # for the chain both 3 C(203, 4) transition-count classes and the
+        # support words at L = 200
         assert log_mass_spectrum(BernoulliMeasure((0.2, 0.3, 0.5)), 5) is not None
-        assert log_mass_spectrum(THREE_STATE, 5) is None
+        assert log_mass_spectrum(BernoulliMeasure((0.1, 0.2, 0.3, 0.4)), 301) is None
+        assert log_mass_spectrum(THREE_STATE, 5) is not None
+        assert log_mass_spectrum(THREE_STATE, 200) is None
 
 
 class TestMinimalCover:

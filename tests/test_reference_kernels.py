@@ -22,7 +22,9 @@ mask for violations.  ``reference_markov_spectrum`` (one run-count class at
 a time), ``reference_bernoulli_spectrum`` (three closed-form special cases)
 and ``reference_merge_equal_mass`` (one reduction per tie group) are the
 cover kernels that the broadcast spectrum, the type-class spectrum and the
-``reduceat`` merge replaced.  The fast versions must agree exactly.
+``reduceat`` merge replaced, and ``enumerate_log_masses`` fed to
+``_cover_from_sorted`` is the word-by-word cover that the transition-count
+spectrum replaced.  The fast versions must agree exactly.
 """
 import itertools
 import math
@@ -69,7 +71,13 @@ from shiftmetrics import (
     word_counts,
 )
 from shiftmetrics import measures, metrics
-from shiftmetrics.errors import DifferentSpaces, HypothesisViolated, SaturatedDistances, ShiftMetricsError
+from shiftmetrics.errors import (
+    DifferentSpaces,
+    HypothesisViolated,
+    SaturatedDistances,
+    ShiftMetricsError,
+    WindowTooLarge,
+)
 from shiftmetrics.estimators import DEFAULT_LADDER, KINDS
 from shiftmetrics.measures import (
     _bernoulli_spectrum,
@@ -691,6 +699,72 @@ def test_type_class_cover_equals_the_enumerated_cover(name):
         for delta in (0.05, 0.25, 0.9):
             slow = _cover_from_sorted(masses, np.zeros(masses.shape), delta)
             assert minimal_cover_log_count(mu, length, delta) == slow, (length, delta)
+
+
+def relabellings(P):
+    """The chain under every permutation of its states."""
+    P = np.asarray(P)
+    return [P[np.ix_(perm, perm)] for perm in itertools.permutations(range(len(P)))]
+
+
+#: chains on three or more states, each with the longest window its
+#: transition-count cover is checked at against the enumerated cover; the
+#: five-state chain's 25 edge counts need two int64 key words from L = 6
+TRANSITION_COUNT_CHAINS = {
+    **{
+        f"markov(3)-relabelled-{i}": (MarkovMeasure(tuple(map(tuple, P))), 13)
+        for i, P in enumerate(relabellings(MARKOV_3.P))
+    },
+    "three-state": (MarkovMeasure(((0.2, 0.8, 0.0), (0.5, 0.0, 0.5), (1.0, 0.0, 0.0))), 13),
+    "four-state-with-zero": (
+        MarkovMeasure(
+            (
+                (0.1, 0.4, 0.0, 0.5),
+                (0.3, 0.3, 0.2, 0.2),
+                (0.25, 0.25, 0.25, 0.25),
+                (0.6, 0.1, 0.2, 0.1),
+            )
+        ),
+        10,
+    ),
+    "five-state": (
+        MarkovMeasure(
+            (
+                (0.1, 0.2, 0.3, 0.15, 0.25),
+                (0.3, 0.1, 0.2, 0.25, 0.15),
+                (0.2, 0.2, 0.2, 0.2, 0.2),
+                (0.05, 0.45, 0.1, 0.3, 0.1),
+                (0.4, 0.1, 0.15, 0.05, 0.3),
+            )
+        ),
+        7,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSITION_COUNT_CHAINS))
+def test_transition_count_cover_equals_the_enumerated_cover(name):
+    mu, longest = TRANSITION_COUNT_CHAINS[name]
+    for length in range(1, longest + 1):
+        masses = enumerate_log_masses(mu, length)
+        for delta in (0.05, 0.1, 0.25, 0.4, 0.9):
+            slow = _cover_from_sorted(masses, np.zeros(masses.shape), delta)
+            assert minimal_cover_log_count(mu, length, delta) == slow, (length, delta)
+
+
+def test_no_cover_enumerates_words(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cover enumerated words")
+
+    monkeypatch.setattr(measures, "enumerate_log_masses", refuse)
+    cases = [(mu, 12) for mu in MEASURES.values()]
+    cases += [(mu, longest) for mu, longest in TRANSITION_COUNT_CHAINS.values()]
+    cases += [(TYPE_CLASS_BERNOULLI["(.1,.2,.3,.4)"][0], 10), (MarkovMeasure(((1.0,),)), 40)]
+    for mu, length in cases:
+        assert math.isfinite(minimal_cover_log_count(mu, length, 0.25))
+    # past every class limit the cover goes to prefix expansion, which refuses
+    with pytest.raises(WindowTooLarge, match="node budget at window length 301"):
+        minimal_cover_log_count(MARKOV_3, 301, 0.25)
 
 
 @pytest.mark.parametrize("name", sorted(TYPE_CLASS_BERNOULLI))
