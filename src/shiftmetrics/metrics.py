@@ -13,6 +13,7 @@ comparability sandwich on sampled pairs.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -218,10 +219,12 @@ class FiniteSample:
 
     ``matrix[i, j]`` is symmetric with zero diagonal; ``exact[i, j]`` records
     whether the entry is an exact distance or only a saturation bound.
+    ``matrix`` is a read-only copy of the input, so ``closure``, computed
+    from it once, stays its closure.
     """
 
     def __init__(self, matrix: np.ndarray, exact: np.ndarray):
-        matrix = np.asarray(matrix, dtype=float)
+        matrix = np.array(matrix, dtype=float)
         n = matrix.shape[0]
         if matrix.shape != (n, n):
             raise HypothesisViolated(f"dissimilarity matrix must be square, got {matrix.shape}")
@@ -233,11 +236,48 @@ class FiniteSample:
             raise HypothesisViolated("diagonal must be zero")
         if np.any(matrix < 0.0):
             raise HypothesisViolated("dissimilarities must be nonnegative")
+        matrix.setflags(write=False)
         self.matrix = matrix
         self.exact = np.asarray(exact, dtype=bool)
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
+
+    @functools.cached_property
+    def closure(self) -> np.ndarray:
+        """Minimax closure C(i,j) = min over chains i..j of the largest link.
+
+        C is the largest ultrametric below the matrix (the single-linkage
+        tree of Gower & Ross 1969), and it equals the matrix on symbolic
+        samples.  It is read off Prim's minimum spanning tree in n vector
+        steps: a vertex v joining the tree by an edge of weight w to u gets
+        C(v, t) = max(w, C(u, t)) for every tree vertex t.  Only min and
+        max are taken, so every entry is exactly one of the matrix's.  It is
+        computed once per sample and shared by `check_quasi_metric` and
+        `frink_metrize`.
+        """
+        R = self.matrix
+        n = len(self)
+        T = np.zeros((n, n))  # C with rows and columns in joining order
+        if n < 2:
+            return T
+        position = np.zeros(n, dtype=np.intp)  # joining order of each vertex
+        parent = np.zeros(n, dtype=np.intp)
+        free = np.ones(n, dtype=bool)
+        free[0] = False
+        link = R[0].copy()  # lightest edge from each free vertex into the tree
+        link[0] = np.inf
+        for size in range(1, n):
+            v = int(link.argmin())
+            np.maximum(link[v], T[position[parent[v]], :size], out=T[size, :size])
+            T[:size, size] = T[size, :size]
+            position[v] = size
+            free[v] = False
+            link[v] = np.inf
+            closer = free & (R[v] < link)
+            parent[closer] = v
+            link[closer] = R[v, closer]
+        return T[np.ix_(position, position)]
 
     @classmethod
     def from_points(cls, points: Sequence[Point], params: MetricParams) -> "FiniteSample":
@@ -278,26 +318,44 @@ class FiniteSample:
         return cls(matrix, np.ones(matrix.shape, dtype=bool))
 
 
+def _uncertified_rows(matrix: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Indices of the rows holding some entry above ``bound``."""
+    return np.flatnonzero((matrix > bound).any(axis=1))
+
+
 def check_quasi_metric(sample: FiniteSample, K: float) -> list[tuple[int, int, int]]:
     """List triples (i, j, k) with rho(i,j) > K * max(rho(i,k), rho(k,j)) + VERIFY_TOL.
 
     An empty list means the K-relaxed two-point triangle test holds.  K = 1
     is the ultrametric test.  Saturated entries are refused because a bound
-    cannot certify an inequality.
+    cannot certify an inequality, and so is a K that is not finite and
+    >= 0 (NaN would pass every sample, and a negative K voids the test).
+
+    The triples come in the order k, then (i, j) ascending, but only rows
+    that the minimax closure C (`FiniteSample.closure`) cannot certify are
+    scanned: max(rho(i,k), rho(k,j)) >= C(i,j) for every k, and rounding is
+    monotone, so a row with rho(i,j) <= K * C(i,j) + VERIFY_TOL for all j
+    holds no triple.  On symbolic samples rho = C and no row is scanned.
     """
+    if not (math.isfinite(K) and K >= 0.0):
+        raise HypothesisViolated(f"K must be finite and >= 0, got {K}")
     if not sample.exact.all():
         bad = np.argwhere(~sample.exact)
         raise SaturatedDistances(
             f"{len(bad)} sample entries are only bounds (first: {tuple(bad[0])})"
         )
     R = sample.matrix
-    n = len(sample)
+    rows = _uncertified_rows(R, K * sample.closure + VERIFY_TOL)
+    if rows.size == 0:
+        return []
+    scanned = R[rows]
     out = []
-    for k in range(n):
-        viol = R > K * np.maximum(R[:, k][:, None], R[None, k, :]) + VERIFY_TOL
+    for k in range(len(sample)):
+        viol = scanned > K * np.maximum(scanned[:, k][:, None], R[None, k, :]) + VERIFY_TOL
         if not viol.any():
             continue
-        for i, j in np.argwhere(viol):
+        for r, j in np.argwhere(viol):
+            i = rows[r]
             if i != j and i != k and j != k:
                 out.append((int(i), int(j), int(k)))
     return out
@@ -310,24 +368,43 @@ def frink_metrize(sample: FiniteSample) -> np.ndarray:
     matrix.  Inputs failing the K=2 relaxed triangle test are refused; on
     the rest the classical chain bound guarantees D <= rho <= 4 D, and both
     comparisons and the triangle inequality of D are asserted on the output.
+
+    The minimax closure C of rho bounds every chain sum from below (a
+    float sum of nonnegative terms is at least their maximum), so C <= D <=
+    rho and an entry with rho = C is never shortened.  Floyd-Warshall
+    therefore runs, with pivots 0..n-1 in order, only on the rows holding
+    some rho > C, and D is bit for bit the full shortest-path matrix.  The
+    triangle inequality of D is checked on the same rows: on every other
+    row D = C, and C(i,j) <= max(D(i,k), D(k,j)) <= D(i,k) + D(k,j) in
+    floats.
     """
     viol = check_quasi_metric(sample, 2.0)
     if viol:
         raise QuasiMetricViolated(
             f"{len(viol)} triples fail the K=2 test (first: {viol[0]})"
         )
-    D = sample.matrix.copy()
-    n = len(sample)
-    for k in range(n):
-        np.minimum(D, D[:, k][:, None] + D[None, k, :], out=D)
-    # triangle inequality of the shortest-path matrix (exact up to roundoff)
-    for k in range(n):
-        if np.any(D > D[:, k][:, None] + D[None, k, :] + VERIFY_TOL):
-            raise SandwichViolated("shortest-path output violated the triangle inequality")
-    if np.any(D > sample.matrix + VERIFY_TOL):
+    R, C = sample.matrix, sample.closure
+    rows = _uncertified_rows(R, C)
+    scanned = R[rows]  # D on ``rows``; every other row of D is rho's
+    where = np.full(len(sample), -1)
+    where[rows] = np.arange(rows.size)
+
+    def row(k: int) -> np.ndarray:
+        return scanned[where[k]] if where[k] >= 0 else R[k]
+
+    if rows.size:
+        for k in range(len(sample)):
+            np.minimum(scanned, scanned[:, k][:, None] + row(k)[None, :], out=scanned)
+        # triangle inequality of the shortest-path matrix (exact up to roundoff)
+        for k in range(len(sample)):
+            if np.any(scanned > scanned[:, k][:, None] + row(k)[None, :] + VERIFY_TOL):
+                raise SandwichViolated("shortest-path output violated the triangle inequality")
+    D = R.copy()
+    D[rows] = scanned
+    if np.any(D > R + VERIFY_TOL):
         raise SandwichViolated("D <= rho failed")
-    if np.any(sample.matrix > 4.0 * D + VERIFY_TOL):
-        worst = float(np.max(sample.matrix - 4.0 * D))
+    if np.any(R > 4.0 * D + VERIFY_TOL):
+        worst = float(np.max(R - 4.0 * D))
         raise SandwichViolated(f"rho <= 4 D failed by {worst:.3e}")
     return D
 

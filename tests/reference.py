@@ -46,6 +46,8 @@ from shiftmetrics.errors import (
     DifferentSpaces,
     HorizonExceeded,
     HypothesisViolated,
+    QuasiMetricViolated,
+    SandwichViolated,
     SaturatedDistances,
     ShiftMetricsError,
 )
@@ -328,6 +330,11 @@ def cylinder_mass(mu: Measure, word: Word) -> float:
 
 def reference_check_quasi_metric(sample: FiniteSample, K: float) -> list[tuple[int, int, int]]:
     """Violating triples (i, j, k) from every k's full mask, k then (i, j) ascending."""
+    if not sample.exact.all():
+        bad = np.argwhere(~sample.exact)
+        raise SaturatedDistances(
+            f"{len(bad)} sample entries are only bounds (first: {tuple(bad[0])})"
+        )
     R = sample.matrix
     out = []
     for k in range(len(sample)):
@@ -336,6 +343,39 @@ def reference_check_quasi_metric(sample: FiniteSample, K: float) -> list[tuple[i
             if i != j and i != k and j != k:
                 out.append((int(i), int(j), int(k)))
     return out
+
+
+def reference_minimax_closure(matrix: np.ndarray) -> np.ndarray:
+    """min over chains of the largest link, by the min-max Floyd-Warshall loop."""
+    C = np.array(matrix, dtype=float)
+    for k in range(len(C)):
+        np.minimum(C, np.maximum(C[:, k][:, None], C[None, k, :]), out=C)
+    return C
+
+
+def reference_frink_metrize(sample: FiniteSample) -> np.ndarray:
+    """Chain metrization with three full n**3 loops: the K=2 test over every
+    k, Floyd-Warshall over every row, and the triangle recheck of D over
+    every row."""
+    viol = reference_check_quasi_metric(sample, 2.0)
+    if viol:
+        raise QuasiMetricViolated(
+            f"{len(viol)} triples fail the K=2 test (first: {viol[0]})"
+        )
+    D = sample.matrix.copy()
+    n = len(sample)
+    for k in range(n):
+        np.minimum(D, D[:, k][:, None] + D[None, k, :], out=D)
+    # triangle inequality of the shortest-path matrix (exact up to roundoff)
+    for k in range(n):
+        if np.any(D > D[:, k][:, None] + D[None, k, :] + VERIFY_TOL):
+            raise SandwichViolated("shortest-path output violated the triangle inequality")
+    if np.any(D > sample.matrix + VERIFY_TOL):
+        raise SandwichViolated("D <= rho failed")
+    if np.any(sample.matrix > 4.0 * D + VERIFY_TOL):
+        worst = float(np.max(sample.matrix - 4.0 * D))
+        raise SandwichViolated(f"rho <= 4 D failed by {worst:.3e}")
+    return D
 
 
 # ---------------------------------------------------------------------------

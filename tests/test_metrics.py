@@ -245,6 +245,15 @@ class TestFiniteSample:
         fs = from_words(words, lo=-1, params=p)
         assert fs.matrix[0, 1] == 0.0
 
+    def test_matrix_is_a_read_only_copy(self):
+        # the cached closure must stay the closure of the matrix
+        R = np.array([[0.0, 1.0], [1.0, 0.0]])
+        fs = FiniteSample.from_matrix(R)
+        R[0, 1] = R[1, 0] = 5.0
+        assert fs.matrix[0, 1] == 1.0 and fs.closure[0, 1] == 1.0
+        with pytest.raises(ValueError):
+            fs.matrix[0, 1] = 2.0
+
     @pytest.mark.parametrize("mat", [
         [[0.0, 1.0]],                        # not square
         [[0.0, 1.0], [0.5, 0.0]],            # asymmetric
@@ -280,6 +289,17 @@ class TestCheckQuasiMetric:
         fs = FiniteSample.from_points(pts, p)
         with pytest.raises(SaturatedDistances):
             check_quasi_metric(fs, 2.0)
+
+    @pytest.mark.parametrize(
+        "K", [math.nan, math.inf, -math.inf, -0.5], ids=["nan", "inf", "-inf", "negative"]
+    )
+    def test_poisoning_K_refused(self, K):
+        # NaN used to pass every sample, inf met inf * 0, and K < 0 voids the test
+        fs = FiniteSample.from_matrix(
+            [[0.0, 1.0, 0.3], [1.0, 0.0, 0.3], [0.3, 0.3, 0.0]]
+        )
+        with pytest.raises(HypothesisViolated, match=f"K must be finite and >= 0, got {K}"):
+            check_quasi_metric(fs, K)
 
 
 class TestFrinkMetrize:

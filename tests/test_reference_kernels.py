@@ -18,7 +18,12 @@ per pair), ``reference_shifted_rho_table`` (one binary search per pair) and
 ``reference_verify_hyperbolicity`` (one pair folded in at a time) in
 ``reference.py`` are the pair-at-a-time metric code that the batch rho
 kernels replaced; ``reference_check_quasi_metric`` searches every k's full
-mask for violations.  ``reference_markov_spectrum`` (one run-count class at
+mask for violations, ``reference_frink_metrize`` runs the K-test,
+Floyd-Warshall and the triangle recheck over every row, and
+``reference_minimax_closure``, the min-max Floyd-Warshall loop, checks
+the closure read off Prim's tree; ``reference_walk`` also pins each seed's uniforms to
+``default_rng(seed)``, which the one-generator seed hash must reproduce.
+``reference_markov_spectrum`` (one run-count class at
 a time), ``reference_bernoulli_spectrum`` (three closed-form special cases)
 and ``reference_merge_equal_mass`` (one reduction per tie group) are the
 cover kernels that the broadcast spectrum, the type-class spectrum and the
@@ -33,12 +38,15 @@ import numpy as np
 import pytest
 
 from reference import (
+    from_words,
     orbit_closed_sample,
     reference_bernoulli_spectrum,
     reference_check_quasi_metric,
+    reference_frink_metrize,
     reference_from_points,
     reference_markov_spectrum,
     reference_merge_equal_mass,
+    reference_minimax_closure,
     reference_shifted_rho_table,
     reference_verify_hyperbolicity,
 )
@@ -52,6 +60,7 @@ from shiftmetrics import (
     check_quasi_metric,
     count_words,
     enumerate_log_masses,
+    frink_metrize,
     log_mass_spectrum,
     make_space,
     mather_n0,
@@ -74,10 +83,12 @@ from shiftmetrics import measures, metrics
 from shiftmetrics.errors import (
     DifferentSpaces,
     HypothesisViolated,
+    QuasiMetricViolated,
     SaturatedDistances,
     ShiftMetricsError,
     WindowTooLarge,
 )
+from shiftmetrics.cli import _synthetic_quasi_sample
 from shiftmetrics.estimators import DEFAULT_LADDER, KINDS
 from shiftmetrics.measures import (
     _bernoulli_spectrum,
@@ -87,7 +98,7 @@ from shiftmetrics.measures import (
     reversed_kernel,
 )
 from shiftmetrics.metrics import ONE_SIDED, PAIR_CHUNK
-from shiftmetrics.shiftspace import ShiftSpace
+from shiftmetrics.shiftspace import SAMPLE_CHUNK, ShiftSpace, _seeded_uniforms
 
 SEEDS = range(200)
 HORIZON = 40
@@ -348,18 +359,45 @@ WALK_SPACES = {
 }
 
 
+#: seeds of one to seven 32-bit words around the word and pool boundaries of
+#: NumPy's seed hash (four words fill its pool; more mix in afterwards)
+LARGE_SEEDS = [
+    2**32 - 1,
+    2**32,
+    2**64 - 1,
+    2**64 + 5,
+    2**127 + 12345,
+    2**128 - 1,
+    2**128,
+    2**200,
+]
+#: NumPy integer seeds, which ``default_rng`` takes too
+NUMPY_SEEDS = [np.int64(7), np.uint64(2**64 - 1), np.uint32(9), np.int8(3)]
+#: more than three chunks; the second mixes one-word and many-word seeds
+WALK_SEEDS = [*SEEDS, *LARGE_SEEDS, *NUMPY_SEEDS, *range(len(SEEDS), 3 * SAMPLE_CHUNK)]
+
+
 @pytest.mark.parametrize("horizon", [0, 1, 7, 60, 192])
 @pytest.mark.parametrize("name", sorted(WALK_SPACES))
 def test_batch_walk_reproduces_the_scalar_walk(name, horizon):
     space = WALK_SPACES[name]
-    points = sample_points(space, horizon, SEEDS)
-    assert len(points) == len(SEEDS)
-    for seed, x in zip(SEEDS, points):
+    points = sample_points(space, horizon, WALK_SEEDS)
+    assert len(points) == len(WALK_SEEDS) > 3 * SAMPLE_CHUNK
+    for seed, x in zip(WALK_SEEDS, points):
         assert x.symbols.dtype == np.int64
         assert x.symbols.tobytes() == reference_walk(space, horizon, seed).tobytes(), seed
         assert (x.center, x.horizon, x.space) == (horizon, horizon, space)
-    for seed in SEEDS[:: len(SEEDS) // 4]:
-        assert sample_point(space, horizon, seed) == points[seed]
+    for i in range(0, len(WALK_SEEDS), len(WALK_SEEDS) // 5):
+        assert sample_point(space, horizon, WALK_SEEDS[i]) == points[i]
+
+
+@pytest.mark.parametrize("n", [1, 386])
+def test_seeded_uniforms_reproduce_default_rng(n):
+    seeds = [0, 1, *LARGE_SEEDS, 2**300 + 7, 5, 123_456_789]
+    out = np.empty((len(seeds), n))
+    _seeded_uniforms(seeds, out)
+    for seed, row in zip(seeds, out):
+        assert row.tobytes() == np.random.default_rng(seed).random(n).tobytes(), seed
 
 
 def random_primitive(m: int, rng) -> np.ndarray:
@@ -608,8 +646,20 @@ def test_hyperbolicity_refuses_an_empty_pair_list():
 # ---------------------------------------------------------------------------
 
 
+def near_ultrametric(n: int, seed: int, factor: float = 3.0) -> np.ndarray:
+    """A random ultrametric on n points with one pair raised ``factor``-fold:
+    the rows of that pair are the only ones its closure cannot certify."""
+    points = sample_points(GOLDEN_SPACE, 30, range(seed, seed + n))
+    U = FiniteSample.from_points(points, RHO_PARAMS["two-sided"]).matrix
+    i, j = np.argwhere(U > 0)[np.random.default_rng(seed).integers(np.count_nonzero(U))]
+    R = U.copy()
+    R[i, j] = R[j, i] = factor * U[i, j]
+    return R
+
+
 def violating_samples():
-    """Symmetric random matrices (many violations) and a passing symbolic sample."""
+    """Symmetric random matrices (many violations), a passing symbolic
+    sample, and a near-ultrametric matrix with one raised pair."""
     rng = np.random.default_rng(7)
     out = []
     for n in (3, 5, 12, 30):
@@ -618,14 +668,16 @@ def violating_samples():
         np.fill_diagonal(R, 0.0)
         out.append(FiniteSample.from_matrix(R))
     out.append(FiniteSample.from_points(SAMPLED, RHO_PARAMS["skewed"]))
+    out.append(FiniteSample.from_matrix(near_ultrametric(30, 4)))
     return out
 
 
 QUASI_SAMPLES = violating_samples()
+RANDOM, SYMBOLIC, NEAR_ULTRAMETRIC = QUASI_SAMPLES[:4], QUASI_SAMPLES[4], QUASI_SAMPLES[5]
 
 
 @pytest.mark.parametrize("index", range(len(QUASI_SAMPLES)))
-@pytest.mark.parametrize("K", [1.0, 2.0, 4.0])
+@pytest.mark.parametrize("K", [0.0, 0.5, 1.0, 2.0, 4.0])
 def test_quasi_metric_triples_keep_their_order(index, K):
     sample = QUASI_SAMPLES[index]
     assert check_quasi_metric(sample, K) == reference_check_quasi_metric(sample, K)
@@ -633,10 +685,93 @@ def test_quasi_metric_triples_keep_their_order(index, K):
 
 def test_quasi_metric_samples_fail_and_pass():
     # the random matrices must produce triples (the largest even at K = 4),
-    # and the symbolic sample none
-    assert all(check_quasi_metric(sample, 1.0) for sample in QUASI_SAMPLES[:-1])
-    assert check_quasi_metric(QUASI_SAMPLES[-2], 4.0)
-    assert check_quasi_metric(QUASI_SAMPLES[-1], 1.0) == []
+    # the symbolic sample none, and the raised pair of the near-ultrametric
+    # matrix triples at K = 2 from its two rows only
+    assert all(check_quasi_metric(sample, 1.0) for sample in RANDOM)
+    assert check_quasi_metric(RANDOM[-1], 4.0)
+    assert check_quasi_metric(SYMBOLIC, 1.0) == []
+    triples = check_quasi_metric(NEAR_ULTRAMETRIC, 2.0)
+    raised = {i for i, j, k in triples}
+    assert len(raised) == 2 and check_quasi_metric(NEAR_ULTRAMETRIC, 4.0) == []
+    R, C = NEAR_ULTRAMETRIC.matrix, NEAR_ULTRAMETRIC.closure
+    assert set(np.flatnonzero((R > C).any(axis=1))) == raised
+
+
+# ---------------------------------------------------------------------------
+# the minimax closure and chain metrization
+# ---------------------------------------------------------------------------
+
+
+def rounded(n: int, seed: int, decimals: int) -> np.ndarray:
+    """A random symmetric matrix rounded to ``decimals``, so entries tie."""
+    R = np.round(np.random.default_rng(seed).random((n, n)), decimals)
+    R = np.maximum(R, R.T)
+    np.fill_diagonal(R, 0.0)
+    return R
+
+
+def word_samples():
+    """Criterion 9's whole-word samples: every binary word of each length."""
+    params = MetricParams(1.3, 1.3)
+    return {
+        f"words-{length}": from_words(
+            [tuple((idx >> t) & 1 for t in range(length)) for idx in range(2**length)],
+            -(length // 2),
+            params,
+        )
+        for length in range(1, 8)
+    }
+
+
+FRINK_SAMPLES = {
+    **{
+        f"symbolic-{mode}": FiniteSample.from_points(
+            sample_points(GOLDEN_SPACE, 60, range(100, 160)), params
+        )
+        for mode, params in RHO_PARAMS.items()
+    },
+    **{
+        f"synthetic-{seed}": _synthetic_quasi_sample(60, np.random.default_rng(seed))
+        for seed in (0, 3, 17)
+    },
+    **{f"random-{i}": sample for i, sample in enumerate(RANDOM)},
+    **{f"size-{n}": FiniteSample.from_matrix(rounded(n, n, 2)) for n in range(4)},
+    # ties: many equal links, some failing the K = 2 test and some passing
+    **{f"ties-{d}": FiniteSample.from_matrix(rounded(25, d, d)) for d in (0, 1)},
+    "ties-shifted": FiniteSample.from_matrix(rounded(25, 2, 1) + 1.0 - np.eye(25)),
+    "near-ultrametric": NEAR_ULTRAMETRIC,
+    # raised less than 2-fold: passes the K = 2 test, chains run on two rows
+    "near-ultrametric-1.5": FiniteSample.from_matrix(near_ultrametric(40, 9, 1.5)),
+    **word_samples(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRINK_SAMPLES))
+def test_frink_metrize_reproduces_the_three_loops(name):
+    sample = FRINK_SAMPLES[name]
+    assert_bitwise(
+        outcome(lambda: frink_metrize(sample)), outcome(lambda: reference_frink_metrize(sample))
+    )
+
+
+def test_frink_samples_reach_every_outcome():
+    results = {name: outcome(lambda: frink_metrize(s)) for name, s in FRINK_SAMPLES.items()}
+    assert isinstance(results["synthetic-0"], np.ndarray)
+    assert results["random-3"][0] is QuasiMetricViolated
+    assert results["near-ultrametric"][0] is QuasiMetricViolated
+    assert isinstance(results["ties-shifted"], np.ndarray)
+    D = results["near-ultrametric-1.5"]
+    # the raised pair, shortened by a chain
+    assert (D < FRINK_SAMPLES["near-ultrametric-1.5"].matrix).sum() == 2
+
+
+@pytest.mark.parametrize("name", sorted(FRINK_SAMPLES))
+def test_closure_is_the_minimax_chain(name):
+    sample = FRINK_SAMPLES[name]
+    C = sample.closure
+    assert C.tobytes() == reference_minimax_closure(sample.matrix).tobytes()
+    if name.startswith(("symbolic", "words")):
+        assert C.tobytes() == sample.matrix.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from shiftmetrics.shiftspace import (
     make_space,
     point_from_window,
     sample_point,
+    sample_points,
     shift_point,
     top_entropy_oracle,
 )
@@ -176,6 +177,26 @@ class TestSamplePoint:
         x = sample_point(golden, 12, seed)
         w = x.window()
         assert golden.is_admissible(list(w))
+
+    def test_none_seed_refused(self, golden):
+        # None would draw OS entropy, and the point would not reproduce
+        with pytest.raises(TypeError, match="seed must be an integer, got None"):
+            sample_points(golden, 4, [0, None])
+
+    @pytest.mark.parametrize("seed", [1.5, "3", np.float64(2.0), [1, 2]])
+    def test_non_integer_seed_refused(self, golden, seed):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            sample_points(golden, 4, [seed])
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3), -(2**70)])
+    def test_negative_seed_refused(self, golden, seed):
+        with pytest.raises(ValueError, match=f"seed must be >= 0, got {int(seed)}"):
+            sample_points(golden, 4, [seed])
+
+    def test_numpy_integer_and_bool_seeds_accepted(self, golden):
+        points = sample_points(golden, 6, [np.int64(5), np.uint64(5), np.int16(5), True, False])
+        assert points[:3] == [sample_point(golden, 6, 5)] * 3
+        assert points[3:] == [sample_point(golden, 6, 1), sample_point(golden, 6, 0)]
 
     def test_thousand_seeds_no_forbidden_factor(self, golden):
         for seed in range(1000):
