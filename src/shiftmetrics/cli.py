@@ -166,14 +166,14 @@ def _relation_row(rep: RelationReport) -> dict:
 
 def _count_relation(name: str, violations: int) -> RelationReport:
     v = float(violations)
-    return RelationReport(name, v, 0.0, v, violations == 0, 0.0)
+    return RelationReport(name, v, 0.0, v, tolerance=0.0)
 
 
 def _estimate_dict(est: SlopeEstimate) -> dict:
     d = dataclasses.asdict(est)
     d["ladder"] = list(d["ladder"])
     del d["points"], d["point_slopes"]
-    return d
+    return {**d, "spread": est.spread, "flagged": est.flagged}
 
 
 def _k_formula(params: MetricParams) -> str:
@@ -352,12 +352,7 @@ def _run_metric_verify(config, space, params, mu):
         _count_relation("sandwich: d~/4 <= rho <= 4 d~", report.sandwich_violations),
         _count_relation("expansion: shifted margin >= min(d~, eps')", report.expansion_failures),
         RelationReport(
-            "eps' > 0",
-            report.eps_prime,
-            0.0,
-            0.0 if report.eps_prime > 0 else 1.0,
-            report.eps_prime > 0,
-            0.0,
+            "eps' > 0", report.eps_prime, 0.0, 0.0 if report.eps_prime > 0 else 1.0, tolerance=0.0
         ),
     ]
     estimate = dataclasses.asdict(report)
@@ -420,20 +415,10 @@ def _run_frink(config, space, params, mu):
     relations = [
         _count_relation("frink: triangle inequality of D to 1e-12", failures),
         RelationReport(
-            "frink: D <= rho",
-            worst_direct,
-            0.0,
-            max(0.0, worst_direct),
-            worst_direct <= 1e-12,
-            1e-12,
+            "frink: D <= rho", worst_direct, 0.0, max(0.0, worst_direct), tolerance=1e-12
         ),
         RelationReport(
-            "frink: rho <= 4 D",
-            worst_sandwich,
-            0.0,
-            max(0.0, worst_sandwich),
-            worst_sandwich <= 1e-12,
-            1e-12,
+            "frink: rho <= 4 D", worst_sandwich, 0.0, max(0.0, worst_sandwich), tolerance=1e-12
         ),
     ]
     estimate = {
@@ -540,7 +525,7 @@ def run(config: RunConfig) -> int:
         "config": _resolved_config(config, space, params, mu),
         "estimate": _estimate_dict(estimate) if isinstance(estimate, SlopeEstimate) else estimate,
         "target": target,
-        "relations": [dataclasses.asdict(rep) for rep in relations],
+        "relations": [{**dataclasses.asdict(rep), "passed": rep.passed} for rep in relations],
         "rows": rows,
         "error": error,
         "passed": passed,

@@ -16,7 +16,8 @@ closed-form products of entropies and scale constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
+from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -69,12 +70,11 @@ DEFAULT_RATES = {"r": 0.05, "alpha": 0.1}
 class SlopeEstimate:
     """Least-squares slope with fit diagnostics.
 
-    ``spread`` is the |first-half slope - second-half slope| of the ladder;
-    ``flagged`` marks a spread above ``SPREAD_TOL`` relative to the slope.
     ``saturated`` records that at least one requested window did not fit the
     available horizon and was dropped.  ``points`` holds the (x, y) pairs
     the fit used; ``point_slopes`` holds the per-point slopes an average
-    over typical points reduced, in sampling order.
+    over typical points reduced, in sampling order.  ``spread`` and
+    ``flagged`` are read off these on demand.
     """
 
     slope: float
@@ -82,8 +82,6 @@ class SlopeEstimate:
     residual_rms: float
     ladder: tuple
     saturated: bool
-    spread: float = 0.0
-    flagged: bool = False
     points: tuple = ()
     point_slopes: tuple = ()
 
@@ -91,22 +89,49 @@ class SlopeEstimate:
         if not self.residual_rms >= 0.0:
             raise ValueError(f"residual_rms must be >= 0, got {self.residual_rms}")
 
+    @cached_property
+    def spread(self) -> float:
+        """Max minus min of ``point_slopes`` for an average; for a fit of 4 or
+        more points, |first-half slope - second-half slope| with the halves
+        taken in x order; else 0."""
+        if self.point_slopes:
+            slopes = np.array(self.point_slopes)
+            return float(slopes.max() - slopes.min()) if len(slopes) > 1 else 0.0
+        if len(self.points) < 4:
+            return 0.0
+        x = np.asarray([p[0] for p in self.points], dtype=float)
+        y = np.asarray([p[1] for p in self.points], dtype=float)
+        order = np.argsort(x)
+        half = x.size // 2
+        parts = []
+        for sel in (order[:half], order[half:]):
+            Ah = np.vstack([x[sel], np.ones(sel.size)]).T
+            ch, *_ = np.linalg.lstsq(Ah, y[sel], rcond=None)
+            parts.append(float(ch[0]))
+        return abs(parts[1] - parts[0])
+
+    @property
+    def flagged(self) -> bool:
+        """The spread exceeds ``SPREAD_TOL`` relative to the slope."""
+        return self.spread > SPREAD_TOL * max(abs(self.slope), 1e-12)
+
 
 @dataclass(frozen=True)
 class RelationReport:
-    """One verified identity: measured lhs vs closed-form rhs."""
+    """One verified identity: measured lhs vs closed-form rhs; it passes
+    when ``rel_error <= tolerance``."""
 
     name: str
     lhs: float
     rhs: float
     rel_error: float
-    passed: bool
+    _: KW_ONLY
     tolerance: float
     value: float | None = None
 
-    def __post_init__(self):
-        if self.passed != (self.rel_error <= self.tolerance):
-            raise ValueError("passed must equal (rel_error <= tolerance)")
+    @property
+    def passed(self) -> bool:
+        return self.rel_error <= self.tolerance
 
 
 def relation_report(
@@ -123,7 +148,7 @@ def relation_report(
         rel = max(0.0, (lhs - rhs) / scale)
     else:
         rel = abs(lhs - rhs) / scale
-    return RelationReport(name, lhs, rhs, rel, rel <= tolerance, tolerance, value)
+    return RelationReport(name, lhs, rhs, rel, tolerance=tolerance, value=value)
 
 
 def _fit_slope(
@@ -141,19 +166,7 @@ def _fit_slope(
     slope, intercept = float(coef[0]), float(coef[1])
     resid = y - A @ coef
     rms = float(np.sqrt(np.mean(resid**2)))
-    spread = 0.0
-    if x.size >= 4:
-        order = np.argsort(x)
-        half = x.size // 2
-        parts = []
-        for sel in (order[:half], order[half:]):
-            Ah = np.vstack([x[sel], np.ones(sel.size)]).T
-            ch, *_ = np.linalg.lstsq(Ah, y[sel], rcond=None)
-            parts.append(float(ch[0]))
-        spread = abs(parts[1] - parts[0])
-    flagged = spread > SPREAD_TOL * max(abs(slope), 1e-12)
-    points = tuple(zip(xs, ys))
-    return SlopeEstimate(slope, intercept, rms, ladder, saturated, spread, flagged, points)
+    return SlopeEstimate(slope, intercept, rms, ladder, saturated, tuple(zip(xs, ys)))
 
 
 def _split_depth(params: MetricParams, total: int) -> tuple[int, int]:
@@ -369,17 +382,12 @@ def _typical_points(
 
 def _average(estimates: list[SlopeEstimate]) -> SlopeEstimate:
     """Reduce per-point estimates in order (see ``average_over_typical``)."""
-    slopes = np.array([e.slope for e in estimates])
-    spread = float(slopes.max() - slopes.min()) if len(estimates) > 1 else 0.0
-    mean_slope = float(slopes.mean())
     return SlopeEstimate(
-        slope=mean_slope,
+        slope=float(np.mean([e.slope for e in estimates])),
         intercept=float(np.mean([e.intercept for e in estimates])),
         residual_rms=float(np.sqrt(np.mean([e.residual_rms**2 for e in estimates]))),
         ladder=estimates[0].ladder,
         saturated=any(e.saturated for e in estimates),
-        spread=spread,
-        flagged=spread > SPREAD_TOL * max(abs(mean_slope), 1e-12),
         point_slopes=tuple(e.slope for e in estimates),
     )
 
@@ -719,10 +727,10 @@ def estimate_kind(
 ) -> SlopeEstimate:
     """Estimate one bundle kind's slope over ``ladder``.
 
-    Kinds estimated at typical points average over ``points`` when given;
-    otherwise over ``n_points`` points of ``mu`` in ``space``, sampled to
-    ``horizon``, or when that is not given to the smallest horizon that
-    holds every window of the ladder, plus 8.
+    Kinds estimated at typical points average over ``points`` when given
+    (at least one); otherwise over ``n_points`` points of ``mu`` in
+    ``space``, sampled to ``horizon``, or when that is not given to the
+    smallest horizon that holds every window of the ladder, plus 8.
     """
     spec = KINDS[kind]
     steps = spec.ladder(params, ladder, rate, r1)
@@ -736,6 +744,8 @@ def estimate_kind(
         return _mass_slope(mu, x, steps)
 
     if points is not None:
+        if not points:
+            raise HypothesisViolated("points must hold at least one typical point, got none")
         return _average([estimator(x) for x in points])
     if horizon is None:
         horizon = max(max(-w.lo, w.hi) for w in steps.windows) + 8

@@ -53,7 +53,15 @@ from .errors import (
     Reducible,
     WindowTooLarge,
 )
-from .shiftspace import POWER_ITER_CAP, Point, ShiftSpace, count_words, make_space, point_from_window
+from .shiftspace import (
+    POWER_ITER_CAP,
+    Point,
+    ShiftSpace,
+    _seed_value,
+    count_words,
+    make_space,
+    point_from_window,
+)
 
 STATIONARY_TOL = 1e-12
 ROW_SUM_TOL = 1e-12
@@ -288,11 +296,13 @@ def sample_typical(mu: Measure, horizon: int, seed, space: ShiftSpace | None = N
     through ``rng.choice``'s normalised CDF of the law it is drawn from
     (``searchsorted(cdf, u, side="right")``).  The result is therefore
     deterministic per seed and identical to drawing each symbol with
-    ``rng.choice(m, p=law)`` in that order.
+    ``rng.choice(m, p=law)`` in that order.  Seeds must be integers >= 0
+    (NumPy integers and bools too); ``None``, which would draw OS entropy,
+    is refused, as in ``sample_points``.
     """
     if horizon < 1:
         raise HorizonExceeded(f"horizon must be >= 1, got {horizon}")
-    u = np.random.default_rng(seed).random(2 * horizon + 1)
+    u = np.random.default_rng(_seed_value(seed)).random(2 * horizon + 1)
     if isinstance(mu, BernoulliMeasure):
         drawn = _choice_cdf(mu.weights).searchsorted(u, side="right")
         window = np.concatenate((drawn[:horizon:-1], drawn[: horizon + 1]))

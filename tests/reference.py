@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from shiftmetrics.errors import (
     SaturatedDistances,
     ShiftMetricsError,
 )
+from shiftmetrics.estimators import SPREAD_TOL
 from shiftmetrics.measures import _COVER_SLACK, _lgfact_table, _log_choose, _require_symbols
 from shiftmetrics.metrics import ONE_SIDED, VERIFY_TOL
 
@@ -321,6 +322,74 @@ def cylinder_mass(mu: Measure, word: Word) -> float:
         P = np.asarray(mu.P)
         return float(mu.pi[w[0]] * np.prod(P[w[:-1], w[1:]]))
     raise BadMeasure(f"unsupported measure type {type(mu).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# eager slope fits: every diagnostic computed and stored with the slope
+# ---------------------------------------------------------------------------
+
+
+class EagerSlope(NamedTuple):
+    """The fields of a slope estimate with its spread and flag stored."""
+
+    slope: float
+    intercept: float
+    residual_rms: float
+    ladder: tuple
+    saturated: bool
+    spread: float = 0.0
+    flagged: bool = False
+    points: tuple = ()
+    point_slopes: tuple = ()
+
+
+def reference_fit_slope(
+    xs: Sequence[float],
+    ys: Sequence[float],
+    ladder: tuple,
+    saturated: bool,
+) -> EagerSlope:
+    """Least-squares fit plus the x-sorted half-ladder spread, both halves
+    fitted on every call."""
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    if x.size < 2:
+        raise HorizonExceeded(f"need at least two usable ladder points, got {x.size}")
+    A = np.vstack([x, np.ones_like(x)]).T
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    slope, intercept = float(coef[0]), float(coef[1])
+    resid = y - A @ coef
+    rms = float(np.sqrt(np.mean(resid**2)))
+    spread = 0.0
+    if x.size >= 4:
+        order = np.argsort(x)
+        half = x.size // 2
+        parts = []
+        for sel in (order[:half], order[half:]):
+            Ah = np.vstack([x[sel], np.ones(sel.size)]).T
+            ch, *_ = np.linalg.lstsq(Ah, y[sel], rcond=None)
+            parts.append(float(ch[0]))
+        spread = abs(parts[1] - parts[0])
+    flagged = spread > SPREAD_TOL * max(abs(slope), 1e-12)
+    points = tuple(zip(xs, ys))
+    return EagerSlope(slope, intercept, rms, ladder, saturated, spread, flagged, points)
+
+
+def reference_average(estimates) -> EagerSlope:
+    """Reduce per-point estimates in order, with the max-minus-min spread."""
+    slopes = np.array([e.slope for e in estimates])
+    spread = float(slopes.max() - slopes.min()) if len(estimates) > 1 else 0.0
+    mean_slope = float(slopes.mean())
+    return EagerSlope(
+        slope=mean_slope,
+        intercept=float(np.mean([e.intercept for e in estimates])),
+        residual_rms=float(np.sqrt(np.mean([e.residual_rms**2 for e in estimates]))),
+        ladder=estimates[0].ladder,
+        saturated=any(e.saturated for e in estimates),
+        spread=spread,
+        flagged=spread > SPREAD_TOL * max(abs(mean_slope), 1e-12),
+        point_slopes=tuple(e.slope for e in estimates),
+    )
 
 
 # ---------------------------------------------------------------------------

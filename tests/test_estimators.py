@@ -1,9 +1,12 @@
 """Tests for the regression estimators and the identity verifier."""
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from reference import EagerSlope, reference_average, reference_fit_slope
 from shiftmetrics import (
     BernoulliMeasure,
     BundleEntry,
@@ -35,7 +38,14 @@ from shiftmetrics.errors import (
     IncompatibleInputs,
     NoSolution,
 )
-from shiftmetrics.estimators import DEFAULT_R1, KINDS, _fit_slope, estimate_kind
+from shiftmetrics.estimators import (
+    DEFAULT_R1,
+    KINDS,
+    _average,
+    _fit_slope,
+    estimate_kind,
+    kind_ladder,
+)
 from shiftmetrics.metrics import ONE_SIDED
 
 PARAMS = MetricParams(1.3, 1.3)
@@ -331,7 +341,9 @@ class TestFitDiagnostics:
             SlopeEstimate(1.0, 0.0, -1.0, (), False)
 
     def test_report_consistency_enforced(self):
-        with pytest.raises(ValueError):
+        assert not RelationReport("x", 1.0, 1.0, 0.5, tolerance=0.1).passed
+        # the old positional form, with the verdict before the tolerance
+        with pytest.raises(TypeError):
             RelationReport("x", 1.0, 1.0, 0.5, True, 0.1)
 
     def test_ordered_report_one_sided(self):
@@ -339,6 +351,76 @@ class TestFitDiagnostics:
         assert relation_report("le", 1.05, 1.0, 0.02, ordered=True).rel_error == pytest.approx(
             0.05
         )
+
+
+def assert_same_estimate(new, ref):
+    """Every field and diagnostic equal bit for bit, with the same type."""
+    for name in EagerSlope._fields:
+        a, b = getattr(new, name), getattr(ref, name)
+        assert type(a) is type(b) and repr(a) == repr(b), name
+
+
+class TestDerivedDiagnostics:
+    """``spread``, ``flagged`` and ``passed`` are read off the stored numbers,
+    and equal what the eager fit and average stored."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 13])
+    @pytest.mark.parametrize("shape", ["noisy", "curved", "linear"])
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_fit_matches_eager_fit(self, n, shape, direction):
+        rng = np.random.default_rng(n)
+        xs = [direction * float(v) for v in np.sort(rng.uniform(1.0, 40.0, n))]
+        ys = {
+            "noisy": [0.7 * x + float(e) for x, e in zip(xs, rng.normal(0.0, 0.3, n))],
+            "curved": [x * x for x in xs],
+            "linear": [2.0 * x + 1.0 for x in xs],
+        }[shape]
+        key = tuple(range(n))
+        new, ref = _fit_slope(xs, ys, key, False), reference_fit_slope(xs, ys, key, False)
+        assert_same_estimate(new, ref)
+
+    @pytest.mark.parametrize("horizon, saturated", [(40, True), (60, True), (120, False)])
+    def test_pointwise_ladder_matches_eager_fit(self, horizon, saturated):
+        # x = ln r decreases along the ladder; a short horizon saturates it
+        x = sample_typical(SKEWED, horizon, 5)
+        est = pointwise_dimension(SKEWED, x, PARAMS, LADDER)
+        assert est.points[0][0] > est.points[-1][0]
+        assert est.saturated is saturated
+        xs, ys = zip(*est.points)
+        ref = reference_fit_slope(list(xs), list(ys), est.ladder, est.saturated)
+        assert_same_estimate(est, ref)
+
+    @pytest.mark.parametrize("n_points", [1, 100])
+    def test_average_matches_eager_average(self, n_points):
+        per_point = [
+            brin_katok_local(GOLDEN_MARKOV, x, PARAMS, DEFAULT_R1, range(20, 101, 8))
+            for x in (sample_typical(GOLDEN_MARKOV, 60, seed) for seed in range(n_points))
+        ]
+        assert_same_estimate(_average(per_point), reference_average(per_point))
+
+    def test_average_spread_reads_point_slopes(self):
+        est = _average([SlopeEstimate(s, 0.0, 0.0, (), False) for s in (1.0, 1.5, 0.25)])
+        assert est.spread == 1.25 and est.flagged
+
+    def test_diagnostics_are_not_fields(self):
+        names = {f.name for f in dataclasses.fields(SlopeEstimate)}
+        assert not names & {"spread", "flagged"}
+        assert "passed" not in {f.name for f in dataclasses.fields(RelationReport)}
+        with pytest.raises(TypeError):
+            SlopeEstimate(1.0, 0.0, 0.0, (), False, spread=0.5)
+
+    @pytest.mark.parametrize(
+        "rel, passed", [(0.02, True), (0.0200001, False), (math.nan, False), (0.0, True)]
+    )
+    def test_relation_passes_iff_rel_at_most_tol(self, rel, passed):
+        assert RelationReport("x", 1.0, 1.0, rel, tolerance=0.02).passed is passed
+
+    def test_empty_points_refused(self):
+        ladder = kind_ladder("brin_katok")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HypothesisViolated, match="at least one typical point"):
+                estimate_kind("brin_katok", GOLDEN, PARAMS, GOLDEN_MARKOV, ladder, points=[])
 
 
 class TestRelationSolver:

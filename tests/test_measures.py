@@ -252,6 +252,29 @@ class TestSampling:
         with pytest.raises(HorizonExceeded):
             sample_typical(UNIFORM2, 0, 1)
 
+    @pytest.mark.parametrize("mu", [SKEWED, GOLDEN_MARKOV])
+    def test_none_seed_refused(self, mu):
+        # None would draw OS entropy, and the point would not reproduce
+        with pytest.raises(TypeError, match="seed must be an integer, got None"):
+            sample_typical(mu, 4, None)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", np.float64(2.0), [1, 2]])
+    def test_non_integer_seed_refused(self, seed):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            sample_typical(GOLDEN_MARKOV, 4, seed)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3), -(2**70)])
+    def test_negative_seed_refused(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be >= 0, got {int(seed)}"):
+            sample_typical(SKEWED, 4, seed)
+
+    @pytest.mark.parametrize("mu", [SKEWED, GOLDEN_MARKOV])
+    def test_numpy_integer_and_bool_seeds_accepted(self, mu):
+        for seed in (np.int64(5), np.uint64(5), np.int16(5)):
+            assert sample_typical(mu, 6, seed) == sample_typical(mu, 6, 5)
+        assert sample_typical(mu, 6, True) == sample_typical(mu, 6, 1)
+        assert sample_typical(mu, 6, False) == sample_typical(mu, 6, 0)
+
 
 class TestMeasureJson:
     def test_bernoulli_round_trip(self):
