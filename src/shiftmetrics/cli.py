@@ -123,18 +123,27 @@ def parse_space(spec: str) -> ShiftSpace:
         return make_space(m)
     if kind == "sft":
         with open(rest, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [(k, ln.strip()) for k, ln in enumerate(fh, 1) if ln.strip()]
         if not lines:
             raise HypothesisViolated(f"SFT file {rest!r} is empty")
         try:
-            m = int(lines[0])
-            rows = [[int(v) for v in ln.split()] for ln in lines[1 : m + 1]]
+            m = int(lines[0][1])
+            rows = [[int(v) for v in ln.split()] for _, ln in lines[1:]]
         except ValueError:
             raise HypothesisViolated(f"SFT file {rest!r}: line 1 = M, then M rows of 0/1")
+        if len(rows) > m >= 0:
+            raise HypothesisViolated(
+                f"SFT file {rest!r} line {lines[m + 1][0]}: a row past the M={m} matrix rows"
+            )
         if len(rows) != m:
             raise HypothesisViolated(
                 f"SFT file {rest!r} declares M={m} but has {len(rows)} matrix rows"
             )
+        for (k, _), row in zip(lines[1:], rows):
+            if len(row) != m:
+                raise HypothesisViolated(
+                    f"SFT file {rest!r} line {k}: expected M={m} entries, got {len(row)}"
+                )
         return make_space(m, rows)
     raise HypothesisViolated(f"space spec must be full:M or sft:PATH, got {spec!r}")
 

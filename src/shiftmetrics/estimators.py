@@ -169,14 +169,6 @@ def _fit_slope(
     return SlopeEstimate(slope, intercept, rms, ladder, saturated, tuple(zip(xs, ys)))
 
 
-def _split_depth(params: MetricParams, total: int) -> tuple[int, int]:
-    """Split n + m = total between backward and forward depth."""
-    if params.mode == ONE_SIDED:
-        return 0, total
-    n = total // 2
-    return n, total - n
-
-
 def _depth_values(nm_range: Iterable[int]) -> tuple[int, ...]:
     vals = tuple(int(t) for t in nm_range)
     if not vals or any(t < 1 for t in vals):
@@ -219,10 +211,15 @@ def _depth_ladder(
     params: MetricParams,
     nm_range: Iterable[int],
     window_of_depth: Callable[[int, int], CylinderIndex],
+    theta: float = 0.5,
 ) -> _Ladder:
-    """Windows of depth n + m = t, fitted against t."""
+    """Windows of depth n + m = t with backward depth n = floor(t * theta)
+    (one-sided: n = 0), fitted against t."""
     depths = _depth_values(nm_range)
-    windows = tuple(window_of_depth(*_split_depth(params, t)) for t in depths)
+    if params.mode == ONE_SIDED:
+        theta = 0.0
+    splits = ((math.floor(t * theta), t) for t in depths)
+    windows = tuple(window_of_depth(n, t - n) for n, t in splits)
     return _Ladder(tuple(float(t) for t in depths), windows, 1.0, depths)
 
 
@@ -252,8 +249,17 @@ def _shrinking_ladder(
 def _alpha_ladder(
     params: MetricParams, alpha: float, nm_range: Iterable[int], r3: float
 ) -> _Ladder:
+    """Depths split so that n (ln a + alpha) = m (ln b + alpha): the window
+    length then grows like t k / k_alpha, the k_alpha of r + 1/k = 1/k_alpha
+    (theta is exactly 0.5 when a = b)."""
     require_alpha_regime(alpha, params)
-    return _depth_ladder(params, nm_range, lambda n, m: alpha_window(n, m, alpha, r3, params))
+    theta = 0.5
+    if params.mode != ONE_SIDED:
+        fwd, bwd = params.log_b + alpha, params.log_a + alpha
+        theta = fwd / (bwd + fwd)
+    return _depth_ladder(
+        params, nm_range, lambda n, m: alpha_window(n, m, alpha, r3, params), theta
+    )
 
 
 def _read(

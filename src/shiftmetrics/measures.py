@@ -242,23 +242,9 @@ def _require_symbols(mu: Measure, symbols: np.ndarray) -> None:
         )
 
 
-def log_word_mass(mu: Measure, symbols) -> float:
-    """ln of the cylinder mass of a symbol block; -inf when the mass is 0.
-
-    The block is anchor-free: stationarity makes the mass depend only on the
-    symbols, never on where the window sits.
-    """
-    w = np.asarray(symbols, dtype=np.int64)
-    if w.ndim != 1:
-        raise InadmissibleWord(f"expected a 1-d symbol block, got shape {w.shape}")
-    _require_symbols(mu, w)
-    if w.size == 0:
-        return 0.0
-    return _block_log_mass(mu, w)
-
-
 def _block_log_mass(mu: Measure, w: np.ndarray) -> float:
-    """``log_word_mass`` of a nonempty int64 block whose symbols are checked."""
+    """ln of the (anchor-free, by stationarity) cylinder mass of a nonempty
+    int64 block whose symbols are checked; -inf when the mass is 0."""
     if isinstance(mu, BernoulliMeasure):
         return float(mu._log_weights[w].sum())
     if isinstance(mu, MarkovMeasure):
@@ -343,6 +329,14 @@ def supported_on(mu: Measure, space: ShiftSpace) -> bool:
     raise BadMeasure(f"unsupported measure type {type(mu).__name__}")
 
 
+def _require_numbers(key: str, entries) -> None:
+    """Refuse an entry that is not a JSON number: NumPy would read "0.3" as
+    0.3 and true as 1.0."""
+    for index, v in enumerate(entries):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise BadMeasure(f"{key}[{index}] must be a JSON number, got {v!r}")
+
+
 def measure_from_json(spec) -> Measure:
     """Parse ``{"type": "bernoulli", "weights": [...]}`` or
     ``{"type": "markov", "P": [[...], ...]}`` (dict or JSON text).
@@ -363,6 +357,7 @@ def measure_from_json(spec) -> Measure:
             raise BadMeasure(f"bernoulli spec needs exactly 'weights', got keys {sorted(spec)}")
         if not isinstance(spec["weights"], (list, tuple)):
             raise BadMeasure(f"'weights' must be an array, got {spec['weights']!r}")
+        _require_numbers("'weights'", spec["weights"])
         return BernoulliMeasure(tuple(spec["weights"]))
     if kind == "markov":
         if "pi" in spec:
@@ -373,6 +368,8 @@ def measure_from_json(spec) -> Measure:
         P = spec["P"]
         if not isinstance(P, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in P):
             raise BadMeasure(f"'P' must be an array of arrays, got {P!r}")
+        for i, row in enumerate(P):
+            _require_numbers(f"'P'[{i}]", row)
         return MarkovMeasure(tuple(tuple(row) for row in P))
     raise BadMeasure(f"unknown measure type {kind!r} (expected 'bernoulli' or 'markov')")
 

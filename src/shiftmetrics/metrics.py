@@ -96,90 +96,6 @@ class MetricParams:
             )
 
 
-@dataclass(frozen=True)
-class DisagreementTimes:
-    """First forward/backward coordinates where two windows differ.
-
-    A saturated side reports the sentinel ``common_horizon + 1`` together
-    with ``resolved_* = False``: no disagreement was found inside the common
-    window, so the true time is only bounded below.
-    """
-
-    n_plus: int
-    n_minus: int
-    resolved_plus: bool
-    resolved_minus: bool
-    common_horizon: int
-
-    @property
-    def resolved(self) -> tuple[bool, bool]:
-        return (self.resolved_plus, self.resolved_minus)
-
-
-@dataclass(frozen=True)
-class RhoValue:
-    """Distance value plus exactness flag.
-
-    ``exact`` is True when the value equals the distance of every extension
-    of the two windows: either both disagreement times resolved, the windows
-    are literally equal on the common window (value 0 by convention), or the
-    resolved side already dominates anything the unresolved side could add.
-    Otherwise the value is a lower bound on the true distance.
-    """
-
-    value: float
-    exact: bool
-
-
-def disagreement_times(x: Point, y: Point) -> DisagreementTimes:
-    """Compute n_plus = min{t >= 0 : x_t != y_t} and the backward twin.
-
-    Index 0 participates in both searches.  Sides with no disagreement in
-    the common window saturate at ``common_horizon + 1``.
-    """
-    if x.space != y.space:
-        raise DifferentSpaces(f"points live in {x.space!r} and {y.space!r}")
-    hc = min(x.horizon, y.horizon)
-    xw = x.window(-hc, hc)
-    yw = y.window(-hc, hc)
-    mism = xw != yw
-    fw = np.flatnonzero(mism[hc:])
-    bw = np.flatnonzero(mism[hc::-1])
-    n_plus = int(fw[0]) if fw.size else hc + 1
-    n_minus = int(bw[0]) if bw.size else hc + 1
-    return DisagreementTimes(
-        n_plus=n_plus,
-        n_minus=n_minus,
-        resolved_plus=bool(fw.size),
-        resolved_minus=bool(bw.size),
-        common_horizon=hc,
-    )
-
-
-def rho(x: Point, y: Point, params: MetricParams) -> RhoValue:
-    """rho(x, y) = max(a**-n_minus, b**-n_plus), one-sided: b**-n_plus only.
-
-    Saturated sides contribute 0, which makes the value a lower bound; the
-    flag is still exact when the resolved side dominates the largest value
-    the unresolved side could contribute.
-    """
-    dt = disagreement_times(x, y)
-    sat = dt.common_horizon + 1
-    plus = params.b ** (-dt.n_plus) if dt.resolved_plus else 0.0
-    if params.mode == ONE_SIDED:
-        # one-sided distance only sees forward coordinates, so forward-window
-        # equality is equality as far as the sample can tell: 0, exact
-        return RhoValue(plus, True) if dt.resolved_plus else RhoValue(0.0, True)
-    minus = params.a ** (-dt.n_minus) if dt.resolved_minus else 0.0
-    value = max(plus, minus)
-    if not dt.resolved_plus and not dt.resolved_minus:
-        # literally equal on the common window
-        return RhoValue(0.0, True)
-    exact_plus = dt.resolved_plus or value >= params.b ** (-sat)
-    exact_minus = dt.resolved_minus or value >= params.a ** (-sat)
-    return RhoValue(value, exact_plus and exact_minus)
-
-
 def _padded(windows: Sequence[np.ndarray], half: int, fill=-1) -> np.ndarray:
     """Stack odd-length windows centred on coordinate 0 into one array of
     width ``2 * half + 1``, padded with ``fill`` outside each window."""
@@ -198,7 +114,7 @@ def _first_disagreement(mism: np.ndarray, hc: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _rho_row(fw: np.ndarray, bw: np.ndarray, hc: np.ndarray, pow_b: np.ndarray, pow_a: np.ndarray | None):
-    """`rho` values and exactness flags of one point against many, given the
+    """rho values and exactness flags of one point against many, given the
     forward (coordinates 0, 1, ...) and backward (0, -1, ...) mismatches."""
     n_plus, res_p = _first_disagreement(fw, hc)
     plus = np.where(res_p, pow_b[n_plus], 0.0)
@@ -281,12 +197,12 @@ class FiniteSample:
 
     @classmethod
     def from_points(cls, points: Sequence[Point], params: MetricParams) -> "FiniteSample":
-        """The rho matrix of ``points``, entry for entry what `rho` gives.
-
-        The windows are stacked into one array, padded with -1 outside each
+        """The rho matrix of ``points``; a side with no disagreement on a
+        pair's common window adds 0, and the entry is flagged inexact unless
+        the other side already reaches the most that side could add.  The
+        windows are stacked into one array, padded with -1 outside each
         point's horizon, and each row i is compared with rows i+1..n-1 in one
-        broadcast step.  The powers come from tables of ``b ** -k`` and
-        ``a ** -k``, the same Python float powers `rho` takes.
+        broadcast step, with powers from tables of ``b ** -k`` and ``a ** -k``.
         """
         n = len(points)
         mat = np.zeros((n, n))
@@ -452,18 +368,23 @@ def mather_n0(params: MetricParams, gamma: float) -> MatherParams:
     return MatherParams(gamma=gamma, n0=n0, k1=scale * params.a, k2=scale * params.b)
 
 
-def _shifted_blocks(pairs: Sequence[tuple[Point, Point]], params: MetricParams, max_shift: int):
-    """Yield ``(start, tables)`` for blocks of ``PAIR_CHUNK`` pairs in order;
-    row k of ``tables`` is the `shifted_rho_table` of pair ``start + k``."""
-    for start in range(0, len(pairs), PAIR_CHUNK):
-        yield start, _shifted_block(pairs[start : start + PAIR_CHUNK], params, max_shift)
+def shifted_rho_tables(
+    pairs: Sequence[tuple[Point, Point]], params: MetricParams, max_shift: int
+) -> np.ndarray:
+    """Row k: rho(shift(x,j), shift(y,j)) for j in [-max_shift, max_shift],
+    (x, y) = ``pairs[k]``; all pairs are scanned at once (callers chunk).
 
-
-def _shifted_block(block, params: MetricParams, max_shift: int) -> np.ndarray:
-    # a refused pair ends the block; the pairs before it still raise first
+    A running minimum and maximum over each pair's mismatch mask give the
+    next and previous disagreement of every coordinate, and the shifted
+    times follow.  The first pair, in order, that mixes spaces
+    (``DifferentSpaces``), whose common horizon is below ``max_shift``, or
+    whose shifts are unresolved (``SaturatedDistances``; a pair literally
+    equal on its common window yields zeros instead) raises.
+    """
+    # a refused pair ends the scan; the unresolved pairs before it raise first
     refusal = None
     masks = []
-    for x, y in block:
+    for x, y in pairs:
         if x.space != y.space:
             refusal = DifferentSpaces("pair from different spaces")
             break
@@ -507,32 +428,6 @@ def _shifted_block(block, params: MetricParams, max_shift: int) -> np.ndarray:
     if refusal is not None:
         raise refusal
     return tables
-
-
-def shifted_rho_tables(
-    pairs: Sequence[tuple[Point, Point]], params: MetricParams, max_shift: int
-) -> np.ndarray:
-    """Row k: rho(shift(x,j), shift(y,j)) for j in [-max_shift, max_shift],
-    (x, y) = ``pairs[k]``.
-
-    Blocks of ``PAIR_CHUNK`` pairs are scanned at once: a running minimum
-    and maximum over each pair's mismatch mask give the next and previous
-    disagreement of every coordinate, and the shifted disagreement times
-    follow from them.  The first pair, in order, that mixes spaces
-    (``DifferentSpaces``), whose common horizon is below ``max_shift``, or
-    whose shifts are unresolved (``SaturatedDistances``; a pair literally
-    equal on its common window yields zeros instead) raises what the
-    one-pair case would.
-    """
-    out = np.empty((len(pairs), 2 * max_shift + 1))
-    for start, tables in _shifted_blocks(pairs, params, max_shift):
-        out[start : start + len(tables)] = tables
-    return out
-
-
-def shifted_rho_table(x: Point, y: Point, params: MetricParams, max_shift: int) -> np.ndarray:
-    """rho(shift(x,j), shift(y,j)) for j in [-max_shift, max_shift]."""
-    return shifted_rho_tables([(x, y)], params, max_shift)[0]
 
 
 @dataclass(frozen=True)
@@ -587,8 +482,8 @@ def verify_hyperbolicity(
     On symbolic samples the chain metric is rho itself (the ultrametric
     inequality makes every chain at least as long as the direct edge), so
     every shifted distance comes from one disagreement scan per pair.  Each
-    block of pairs is reduced to its d~ at shifts 0 and +-1 and its rho
-    before the next block is scanned.
+    block of ``PAIR_CHUNK`` pairs is reduced to its d~ at shifts 0 and +-1
+    and its rho before the next block is scanned.
     """
     if len(pairs) == 0:
         raise HypothesisViolated("verify_hyperbolicity needs at least one pair")
@@ -596,7 +491,8 @@ def verify_hyperbolicity(
     w1 = mp.k1 ** -np.arange(n0, dtype=float)
     w2 = mp.k2 ** -np.arange(n0, dtype=float)
     d0, dp, dm, rho0 = (np.empty(len(pairs)) for _ in range(4))
-    for start, tables in _shifted_blocks(pairs, params, n0 + 1):
+    for start in range(0, len(pairs), PAIR_CHUNK):
+        tables = shifted_rho_tables(pairs[start : start + PAIR_CHUNK], params, n0 + 1)
         block = slice(start, start + len(tables))
         d0[block] = _d_tilde_from_tables(tables, 0, mp, w1, w2)
         dp[block] = _d_tilde_from_tables(tables, 1, mp, w1, w2)

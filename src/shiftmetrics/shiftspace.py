@@ -32,20 +32,6 @@ ENTROPY_TOL = 1e-12
 POWER_ITER_CAP = 200_000
 
 
-@dataclass(frozen=True)
-class Word:
-    """A finite admissible word anchored at an absolute index.
-
-    ``symbols[t]`` is the symbol at coordinate ``anchor + t``.
-    """
-
-    symbols: tuple[int, ...]
-    anchor: int
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-
 class ShiftSpace:
     """Full M-shift or 0/1-transition subshift with dead states trimmed."""
 
@@ -199,19 +185,18 @@ def _padded(alphabet_size: int, neighbours: dict[int, tuple[int, ...]]):
 class Point:
     """Finite-window point: coordinates -horizon..horizon are known.
 
-    The backing array is shared between a point and its shifts; treat it as
-    read-only.  ``symbols[center + t]`` holds coordinate ``t``.
+    ``symbols`` is exactly that window, read-only, so ``symbols[horizon +
+    t]`` holds coordinate ``t``.
     """
 
     space: ShiftSpace
     symbols: np.ndarray
-    center: int
     horizon: int
 
     def __getitem__(self, t: int) -> int:
         if abs(t) > self.horizon:
             raise HorizonExceeded(f"coordinate {t} outside window [-{self.horizon}, {self.horizon}]")
-        return int(self.symbols[self.center + t])
+        return int(self.symbols[self.horizon + t])
 
     def window(self, lo: int | None = None, hi: int | None = None) -> np.ndarray:
         """Read-only view of coordinates lo..hi (defaults: the full window)."""
@@ -221,10 +206,7 @@ class Point:
             raise HorizonExceeded(
                 f"window [{lo}, {hi}] outside available [-{self.horizon}, {self.horizon}]"
             )
-        return self.symbols[self.center + lo : self.center + hi + 1]
-
-    def word(self, lo: int, hi: int) -> Word:
-        return Word(tuple(int(c) for c in self.window(lo, hi)), lo)
+        return self.symbols[self.horizon + lo : self.horizon + hi + 1]
 
     def agrees_with(self, other: "Point", lo: int, hi: int) -> bool:
         return bool(np.array_equal(self.window(lo, hi), other.window(lo, hi)))
@@ -337,7 +319,7 @@ def point_from_window(space: ShiftSpace, symbols: Sequence[int]) -> Point:
     arr = np.array(symbols, dtype=np.int64)
     arr.setflags(write=False)
     h = (len(arr) - 1) // 2
-    return Point(space, arr, h, h)
+    return Point(space, arr, h)
 
 
 #: seeds that ``sample_points`` draws uniforms for and walks at once (bounds its
@@ -477,7 +459,7 @@ def sample_points(space: ShiftSpace, horizon: int, seeds: Iterable[int]) -> list
             k = (u[:, horizon + t] * space._n_pred[prev]).astype(np.int64)
             rows[:, horizon - t] = space._pred[prev, k]
         rows.setflags(write=False)
-        points.extend(Point(space, row, horizon, horizon) for row in rows)
+        points.extend(Point(space, row, horizon) for row in rows)
     return points
 
 
@@ -485,16 +467,3 @@ def sample_point(space: ShiftSpace, horizon: int, seed: int) -> Point:
     """The seeded admissible point of ``sample_points`` for one seed."""
     return sample_points(space, horizon, (seed,))[0]
 
-
-def shift_point(x: Point, i: int) -> Point:
-    """Apply the shift map i times: new coordinate t holds old coordinate t + i.
-
-    The window shrinks by |i| on both sides; shifting past the horizon raises
-    ``HorizonExceeded``.
-    """
-    new_h = x.horizon - abs(i)
-    if new_h < 0:
-        raise HorizonExceeded(
-            f"shift by {i} needs symbols beyond the horizon {x.horizon}"
-        )
-    return Point(x.space, x.symbols, x.center + i, new_h)

@@ -5,6 +5,11 @@ independent route to a value the package computes on a fast path, kept only
 to cross-check that path.  The module name does not match ``test_*.py``, so
 pytest does not collect it.
 
+The first section holds the scalar distance ``rho`` with its disagreement
+times, ``shift_point`` and anchored ``Word``s: the package computes rho only
+in batch (``FiniteSample.from_points``, ``shifted_rho_tables``), and these
+are the pair-at-a-time definitions those kernels are checked against.
+
 The last section holds the oracles of the window arithmetic in
 ``shiftmetrics.cylinders``: the three-valued membership tests ``in_ball``,
 ``in_bowen_ball``, ``in_neutralized_ball`` and ``in_alpha_ball`` (acceptance
@@ -30,15 +35,13 @@ from shiftmetrics import (
     Measure,
     MetricParams,
     Point,
-    Word,
     alpha_window,
     ball_window,
     neutralized_window,
     p_of_log_r,
     p_of_r,
     require_alpha_regime,
-    rho,
-    shift_point,
+    shifted_rho_tables,
 )
 from shiftmetrics.errors import (
     BadMeasure,
@@ -46,14 +49,21 @@ from shiftmetrics.errors import (
     DifferentSpaces,
     HorizonExceeded,
     HypothesisViolated,
+    InadmissibleWord,
     QuasiMetricViolated,
     SandwichViolated,
     SaturatedDistances,
     ShiftMetricsError,
 )
 from shiftmetrics.estimators import SPREAD_TOL
-from shiftmetrics.measures import _COVER_SLACK, _lgfact_table, _log_choose, _require_symbols
-from shiftmetrics.metrics import ONE_SIDED, VERIFY_TOL
+from shiftmetrics.measures import (
+    _COVER_SLACK,
+    _block_log_mass,
+    _lgfact_table,
+    _log_choose,
+    _require_symbols,
+)
+from shiftmetrics.metrics import ONE_SIDED, PAIR_CHUNK, VERIFY_TOL
 
 
 class SampleNotOrbitClosed(ShiftMetricsError):
@@ -68,6 +78,131 @@ class RadiiOutOfOrder(ShiftMetricsError):
 class NoIntegerSolution(ShiftMetricsError):
     """No integer window-matching solution exists in the admissible
     interval; typically the radius is not small enough."""
+
+
+# ---------------------------------------------------------------------------
+# shifted points, anchored words and the scalar distance
+# ---------------------------------------------------------------------------
+
+
+def shift_point(x: Point, i: int) -> Point:
+    """Apply the shift map i times: new coordinate t holds old coordinate t + i.
+
+    The window shrinks by |i| on both sides, and the new point's symbols are
+    a read-only view of the old ones; shifting past the horizon raises
+    ``HorizonExceeded``.
+    """
+    new_h = x.horizon - abs(i)
+    if new_h < 0:
+        raise HorizonExceeded(
+            f"shift by {i} needs symbols beyond the horizon {x.horizon}"
+        )
+    symbols = x.window(i - new_h, i + new_h)
+    symbols.setflags(write=False)
+    return Point(x.space, symbols, new_h)
+
+
+@dataclass(frozen=True)
+class Word:
+    """A finite admissible word anchored at an absolute index.
+
+    ``symbols[t]`` is the symbol at coordinate ``anchor + t``.
+    """
+
+    symbols: tuple[int, ...]
+    anchor: int
+
+    def __len__(self) -> int:
+        return len(self.symbols)
+
+
+def point_word(x: Point, lo: int, hi: int) -> Word:
+    """The word of x on coordinates lo..hi, anchored at lo."""
+    return Word(tuple(int(c) for c in x.window(lo, hi)), lo)
+
+
+@dataclass(frozen=True)
+class DisagreementTimes:
+    """First forward/backward coordinates where two windows differ.
+
+    A saturated side reports the sentinel ``common_horizon + 1`` together
+    with ``resolved_* = False``: no disagreement was found inside the common
+    window, so the true time is only bounded below.
+    """
+
+    n_plus: int
+    n_minus: int
+    resolved_plus: bool
+    resolved_minus: bool
+    common_horizon: int
+
+    @property
+    def resolved(self) -> tuple[bool, bool]:
+        return (self.resolved_plus, self.resolved_minus)
+
+
+@dataclass(frozen=True)
+class RhoValue:
+    """Distance value plus exactness flag.
+
+    ``exact`` is True when the value equals the distance of every extension
+    of the two windows: either both disagreement times resolved, the windows
+    are literally equal on the common window (value 0 by convention), or the
+    resolved side already dominates anything the unresolved side could add.
+    Otherwise the value is a lower bound on the true distance.
+    """
+
+    value: float
+    exact: bool
+
+
+def disagreement_times(x: Point, y: Point) -> DisagreementTimes:
+    """Compute n_plus = min{t >= 0 : x_t != y_t} and the backward twin.
+
+    Index 0 participates in both searches.  Sides with no disagreement in
+    the common window saturate at ``common_horizon + 1``.
+    """
+    if x.space != y.space:
+        raise DifferentSpaces(f"points live in {x.space!r} and {y.space!r}")
+    hc = min(x.horizon, y.horizon)
+    xw = x.window(-hc, hc)
+    yw = y.window(-hc, hc)
+    mism = xw != yw
+    fw = np.flatnonzero(mism[hc:])
+    bw = np.flatnonzero(mism[hc::-1])
+    n_plus = int(fw[0]) if fw.size else hc + 1
+    n_minus = int(bw[0]) if bw.size else hc + 1
+    return DisagreementTimes(
+        n_plus=n_plus,
+        n_minus=n_minus,
+        resolved_plus=bool(fw.size),
+        resolved_minus=bool(bw.size),
+        common_horizon=hc,
+    )
+
+
+def rho(x: Point, y: Point, params: MetricParams) -> RhoValue:
+    """rho(x, y) = max(a**-n_minus, b**-n_plus), one-sided: b**-n_plus only.
+
+    Saturated sides contribute 0, which makes the value a lower bound; the
+    flag is still exact when the resolved side dominates the largest value
+    the unresolved side could contribute.
+    """
+    dt = disagreement_times(x, y)
+    sat = dt.common_horizon + 1
+    plus = params.b ** (-dt.n_plus) if dt.resolved_plus else 0.0
+    if params.mode == ONE_SIDED:
+        # one-sided distance only sees forward coordinates, so forward-window
+        # equality is equality as far as the sample can tell: 0, exact
+        return RhoValue(plus, True) if dt.resolved_plus else RhoValue(0.0, True)
+    minus = params.a ** (-dt.n_minus) if dt.resolved_minus else 0.0
+    value = max(plus, minus)
+    if not dt.resolved_plus and not dt.resolved_minus:
+        # literally equal on the common window
+        return RhoValue(0.0, True)
+    exact_plus = dt.resolved_plus or value >= params.b ** (-sat)
+    exact_minus = dt.resolved_minus or value >= params.a ** (-sat)
+    return RhoValue(value, exact_plus and exact_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +333,18 @@ def reference_shifted_rho_table(
     return np.maximum(plus, minus)
 
 
+def chunked_shifted_rho_tables(
+    pairs: Sequence[tuple[Point, Point]], params: MetricParams, max_shift: int
+) -> np.ndarray:
+    """``shifted_rho_tables`` called on blocks of ``PAIR_CHUNK`` pairs, as
+    ``verify_hyperbolicity`` calls it, and the blocks' rows collected."""
+    out = np.empty((len(pairs), 2 * max_shift + 1))
+    for start in range(0, len(pairs), PAIR_CHUNK):
+        block = pairs[start : start + PAIR_CHUNK]
+        out[start : start + len(block)] = shifted_rho_tables(block, params, max_shift)
+    return out
+
+
 def _d_tilde_from_table(tab: np.ndarray, t: int, mp: MatherParams, w1: np.ndarray, w2: np.ndarray) -> float:
     n0 = mp.n0
     c = (tab.size - 1) // 2
@@ -303,6 +450,21 @@ def from_words(words: Sequence[Sequence[int]], lo: int, params: MetricParams) ->
 # ---------------------------------------------------------------------------
 # product-form cylinder masses
 # ---------------------------------------------------------------------------
+
+
+def log_word_mass(mu: Measure, symbols) -> float:
+    """ln of the cylinder mass of a symbol block; -inf when the mass is 0.
+
+    The block is anchor-free: stationarity makes the mass depend only on the
+    symbols, never on where the window sits.
+    """
+    w = np.asarray(symbols, dtype=np.int64)
+    if w.ndim != 1:
+        raise InadmissibleWord(f"expected a 1-d symbol block, got shape {w.shape}")
+    _require_symbols(mu, w)
+    if w.size == 0:
+        return 0.0
+    return _block_log_mass(mu, w)
 
 
 def cylinder_mass(mu: Measure, word: Word) -> float:

@@ -355,3 +355,26 @@ def test_criterion_15_katok_on_a_three_weight_bernoulli(tmp_path):
         ", ".join(f"{q} exit {c} in {t:.2f}s" for q, (c, t) in runs.items())
         + f"; katok rel error {katok['rel_error']:.2e}",
     )
+
+
+def test_criterion_16_alpha_identity_with_two_exponents(tmp_path):
+    # the paper's setting log b > 0 > -log a with a != b: the alpha ladder
+    # must split each depth so both sides' windows grow alike
+    space = tmp_path / "golden.sft"
+    space.write_text("2\n1 1\n1 0\n", encoding="utf-8")
+    measure = tmp_path / "markov.json"
+    measure.write_text('{"type": "markov", "P": [[0.5, 0.5], [1.0, 0.0]]}', encoding="utf-8")
+    grid = [("1.3", "1.3", []), ("1.2", "1.9", []), ("1.9", "1.2", []),
+            ("1.1", "2.0", ["--alpha", "0.05"])]
+    runs = {}
+    for a, b, extra in grid:
+        for target in ([], ["--space", f"sft:{space}", "--measure", str(measure)]):
+            out = tmp_path / "estimation.json"
+            code = main(["estimation", "--a", a, "--b", b, *extra, *target, "--out", str(out)])
+            rel_error = json.loads(out.read_text(encoding="utf-8"))["relations"][0]["rel_error"]
+            runs[(a, b, "measure" if target else "space")] = (code, rel_error)
+    check(
+        "criterion 16: alpha identity at a != b, space and measure",
+        all(code == 0 for code, _ in runs.values()),
+        "; ".join(f"{k}: exit {c}, rel {r:.2e}" for k, (c, r) in runs.items()),
+    )

@@ -72,6 +72,25 @@ class TestSpaceParsing:
         with pytest.raises(HypothesisViolated):
             parse_space("sft:" + str(path))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2\n1 1\n1 0\n0 0\n", "line 4: a row past the M=2 matrix rows"),
+            ("2\n1 1\n\n1 0\n1 1\n", "line 5: a row past the M=2 matrix rows"),
+            ("2\n1 1 1\n1 0\n", "line 2: expected M=2 entries, got 3"),
+            ("2\n1 1\n1\n", "line 3: expected M=2 entries, got 1"),
+        ],
+        ids=["extra-row", "extra-row-after-blank", "long-row", "short-row"],
+    )
+    def test_rows_must_match_the_alphabet(self, text, message, tmp_path, capsys):
+        path = tmp_path / "bad.sft"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(HypothesisViolated, match=message):
+            parse_space("sft:" + str(path))
+        assert main(["dim", "--space", "sft:" + str(path), "--j-max", "12"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err and message in err
+
 
 class TestSpecExamples:
     def test_dim_full_two_shift(self, tmp_path):
@@ -307,8 +326,19 @@ class TestExitCodes:
             ('{"type": "bernoulli", "weights": 5}', "'weights' must be an array"),
             ('{"type": "bernoulli", "weights": null}', "'weights' must be an array"),
             ('{"type": "markov", "P": [1, 2]}', "'P' must be an array of arrays"),
+            ('{"type": "bernoulli", "weights": ["0.3", "0.7"]}',
+             "'weights'[0] must be a JSON number, got '0.3'"),
+            ('{"type": "bernoulli", "weights": [0.5, true]}',
+             "'weights'[1] must be a JSON number, got True"),
+            ('{"type": "markov", "P": [[0.5, 0.5], [1.0, false]]}',
+             "'P'[1][1] must be a JSON number, got False"),
+            ('{"type": "markov", "P": [[0.5, "0.5"], [1.0, 0.0]]}',
+             "'P'[0][1] must be a JSON number, got '0.5'"),
+            ('{"type": "bernoulli", "weights": [null, 1.0]}',
+             "'weights'[0] must be a JSON number, got None"),
         ],
-        ids=["pi", "weights-number", "weights-null", "P-flat"],
+        ids=["pi", "weights-number", "weights-null", "P-flat", "weights-string",
+             "weights-bool", "P-bool", "P-string", "weights-entry-null"],
     )
     def test_bad_measure_json(self, spec, message, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -262,10 +262,18 @@ class TestKatok:
 
 
 class TestAlphaEstimation:
-    def test_topological_full_shift(self):
-        est = alpha_estimation_entropy(FULL2, PARAMS, 0.1, range(20, 121, 10))
-        target = K * LN2 / PARAMS.k_alpha(0.1)
-        assert rel(est.slope, target) < 0.01
+    @pytest.mark.parametrize(
+        "a, b, alpha",
+        [(1.3, 1.3, 0.1), (1.2, 1.9, 0.1), (1.9, 1.2, 0.1), (1.1, 2.0, 0.05),
+         (1.5, 3.0, 0.3), (2.0, 1.05, 0.04)],
+    )
+    def test_topological_full_shift(self, a, b, alpha):
+        # ln N = L ln 2 on full:2, so slope / ln 2 is the exact window-length
+        # slope; with a != b it reaches k / k_alpha only if the depth split
+        # balances n (ln a + alpha) = m (ln b + alpha)
+        params = MetricParams(a, b)
+        est = alpha_estimation_entropy(FULL2, params, alpha, range(20, 121, 10))
+        assert rel(est.slope / LN2, params.k() / params.k_alpha(alpha)) < 0.01
 
     def test_zero_alpha_reduces_to_classical(self):
         discounted = alpha_estimation_entropy(FULL2, PARAMS, 0.0, range(10, 61, 5))

@@ -89,6 +89,12 @@ CASES = {
          "--b", "1.3", "--t-max", "60"],
         0,
     ),
+    "estimation-two-exponents": (["estimation", "--a", "1.2", "--b", "1.9"], 0),
+    "estimation-two-exponents-measure": (
+        ["estimation", "--space", GOLDEN, "--measure", MARKOV, "--n-points", "3",
+         "--a", "1.2", "--b", "1.9"],
+        0,
+    ),
     "metric-verify": (["metric-verify", "--space", GOLDEN, "--n-points", "20"], 0),
     "frink": (["frink", "--n-samples", "2", "--sample-size", "20", "--seed", "1"], 0),
     "relations-space": (["relations", "--space", GOLDEN], 0),

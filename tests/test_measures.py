@@ -7,17 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import cylinder_mass
+from reference import Word, cylinder_mass, log_word_mass
 from shiftmetrics import (
     BernoulliMeasure,
     MarkovMeasure,
     MeasureReport,
-    Word,
     count_words,
     entropy_oracle,
     enumerate_log_masses,
     log_mass_spectrum,
-    log_word_mass,
     make_space,
     measure_from_json,
     measure_to_json,
@@ -283,6 +281,13 @@ class TestMeasureJson:
         assert mu == SKEWED
         assert measure_to_json(mu) == spec
 
+    def test_integer_entries_are_numbers(self):
+        assert measure_from_json('{"type": "bernoulli", "weights": [1, 0]}').weights == (1.0, 0.0)
+        assert measure_from_json({"type": "markov", "P": [[0, 1], [1, 0]]}).P == (
+            (0.0, 1.0),
+            (1.0, 0.0),
+        )
+
     def test_markov_round_trip(self):
         spec = {"type": "markov", "P": [[0.5, 0.5], [1.0, 0.0]]}
         mu = measure_from_json(spec)
@@ -301,6 +306,10 @@ class TestMeasureJson:
             {"type": "bernoulli", "weights": 5},
             {"type": "bernoulli", "weights": None},
             {"type": "markov", "P": [1, 2]},
+            {"type": "bernoulli", "weights": ["0.3", "0.7"]},
+            {"type": "bernoulli", "weights": [True, False]},
+            {"type": "markov", "P": [["0.5", "0.5"], [True, False]]},
+            {"type": "markov", "P": [[0.5, 0.5], [1, [0.0]]]},
         ],
     )
     def test_bad_specs_rejected(self, bad):

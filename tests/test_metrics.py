@@ -12,24 +12,23 @@ from reference import (
     RhoOracle,
     SampleNotOrbitClosed,
     SampleOracle,
+    disagreement_times,
     from_words,
     mather_metric,
     orbit_closed_sample,
+    rho,
+    shift_point,
 )
 from shiftmetrics import (
     FiniteSample,
     MatherParams,
     MetricParams,
     check_quasi_metric,
-    disagreement_times,
     frink_metrize,
     make_space,
     mather_n0,
     point_from_window,
-    rho,
     sample_point,
-    shift_point,
-    shifted_rho_table,
     shifted_rho_tables,
     verify_hyperbolicity,
 )
@@ -369,7 +368,7 @@ class TestShiftedRhoTable:
     def test_matches_direct_evaluation(self):
         x = sample_point(GOLDEN, 120, seed=11)
         y = sample_point(GOLDEN, 120, seed=12)
-        tab = shifted_rho_table(x, y, P13, 30)
+        tab = shifted_rho_tables([(x, y)], P13, 30)[0]
         for j in (-30, -7, -1, 0, 1, 13, 30):
             rv = rho(shift_point(x, j), shift_point(y, j), P13)
             assert rv.exact
@@ -377,21 +376,21 @@ class TestShiftedRhoTable:
 
     def test_equal_points_give_zeros(self):
         x = sample_point(FULL2, 50, seed=4)
-        tab = shifted_rho_table(x, x, P13, 10)
+        tab = shifted_rho_tables([(x, x)], P13, 10)[0]
         assert np.all(tab == 0.0)
 
     def test_shift_budget_exceeds_horizon(self):
         x = sample_point(FULL2, 20, seed=1)
         y = sample_point(FULL2, 20, seed=2)
         with pytest.raises(SaturatedDistances):
-            shifted_rho_table(x, y, P13, 25)
+            shifted_rho_tables([(x, y)], P13, 25)
 
     def test_unresolved_shift_refused(self):
         # disagreements only at {-5, +3}: shifting to +7 leaves the forward
         # search empty inside the common window
         x, y = pair_with_disagreements(3, 5)
         with pytest.raises(SaturatedDistances):
-            shifted_rho_table(x, y, P13, 10)
+            shifted_rho_tables([(x, y)], P13, 10)
 
 
 class TestOracles:

@@ -1,11 +1,29 @@
 """The package's public surface: what ``__init__`` imports is what it exports,
-and every name the benchmark tracer reads still exists."""
+every name the benchmark tracer reads still exists, and every exported
+function is reached by some report."""
 import ast
 import importlib
 import importlib.util
+import inspect
+import sys
+import tempfile
 from pathlib import Path
 
 import shiftmetrics
+from test_golden import CASES, render, write_inputs
+
+#: exported functions that no golden report calls, and why each stays
+KEPT = {
+    "pointwise_dimension": "hooked by the benchmark tracer",
+    "brin_katok_local": "hooked by the benchmark tracer",
+    "neutralized_brin_katok": "hooked by the benchmark tracer",
+    "alpha_estimation_entropy": "hooked by the benchmark tracer",
+    "enumerate_log_masses": "hooked by the benchmark tracer",
+    "count_words": "hooked by the benchmark tracer",
+    "sample_point": "hooked by the benchmark tracer",
+    "box_dimension": "the README quickstart calls it",
+    "support_word_count": "runs only past the transition-count bound",
+}
 
 
 def test_public_surface_is_consistent():
@@ -40,3 +58,31 @@ def test_benchmark_tracer_names_resolve():
     for table in (tracer.PRIVATE, classmethods):
         names += [(layer, name) for layer, listed in table.items() for name in listed]
     assert [f"{layer}.{name}" for layer, name in names if not resolves(layer, name)] == []
+
+
+def test_every_exported_function_is_reached_by_a_report():
+    """Test-only code belongs in ``tests/reference.py``: each golden case is
+    rendered once under a profiler, and every plain function in
+    ``__all__`` must be called by some case or be listed in ``KEPT``."""
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = write_inputs(Path(tmp))
+        previous = sys.getprofile()
+        sys.setprofile(record)
+        try:
+            for name in CASES:
+                render(name, "json", inputs)
+        finally:
+            sys.setprofile(previous)
+    functions = {
+        name: obj
+        for name in shiftmetrics.__all__
+        if inspect.isfunction(obj := getattr(shiftmetrics, name))
+    }
+    unreached = sorted(name for name, f in functions.items() if f.__code__ not in called)
+    assert unreached == sorted(KEPT)

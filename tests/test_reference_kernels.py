@@ -38,6 +38,7 @@ import numpy as np
 import pytest
 
 from reference import (
+    chunked_shifted_rho_tables,
     from_words,
     orbit_closed_sample,
     reference_bernoulli_spectrum,
@@ -49,6 +50,7 @@ from reference import (
     reference_minimax_closure,
     reference_shifted_rho_table,
     reference_verify_hyperbolicity,
+    shift_point,
 )
 from shiftmetrics import (
     BernoulliMeasure,
@@ -71,15 +73,13 @@ from shiftmetrics import (
     sample_point,
     sample_points,
     sample_typical,
-    shift_point,
-    shifted_rho_table,
     shifted_rho_tables,
     stationary,
     top_entropy_oracle,
     verify_hyperbolicity,
     word_counts,
 )
-from shiftmetrics import measures, metrics
+from shiftmetrics import measures
 from shiftmetrics.errors import (
     DifferentSpaces,
     HypothesisViolated,
@@ -166,7 +166,7 @@ def test_sampler_reproduces_the_choice_stream(name):
             x = sample_typical(mu, HORIZON, seed, space)
             assert x.symbols.dtype == np.int64
             assert x.symbols.tobytes() == expected, (name, seed, space)
-            assert (x.center, x.horizon) == (HORIZON, HORIZON)
+            assert x.horizon == HORIZON and x.symbols.size == 2 * HORIZON + 1
             assert x.space == (space or make_space(mu.alphabet_size))
 
 
@@ -386,7 +386,8 @@ def test_batch_walk_reproduces_the_scalar_walk(name, horizon):
     for seed, x in zip(WALK_SEEDS, points):
         assert x.symbols.dtype == np.int64
         assert x.symbols.tobytes() == reference_walk(space, horizon, seed).tobytes(), seed
-        assert (x.center, x.horizon, x.space) == (horizon, horizon, space)
+        assert (x.horizon, x.space) == (horizon, space)
+        assert x.symbols.size == 2 * horizon + 1
     for i in range(0, len(WALK_SEEDS), len(WALK_SEEDS) // 5):
         assert sample_point(space, horizon, WALK_SEEDS[i]) == points[i]
 
@@ -509,15 +510,6 @@ def test_saturated_samples_hold_both_exactness_flags():
         assert exact.any() and not exact.all(), sample
 
 
-def test_rho_matrix_makes_no_scalar_rho_call(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("scalar rho called")
-
-    monkeypatch.setattr(metrics, "rho", refuse)
-    monkeypatch.setattr(metrics, "disagreement_times", refuse)
-    FiniteSample.from_points(SAMPLED, RHO_PARAMS["two-sided"])
-
-
 def test_rho_matrix_names_the_first_pair_from_another_space():
     other = sample_points(FULL_2, 30, range(3))
     for points in (SAMPLED[:3] + other, other[:1] + SAMPLED[:4] + other[1:], SAMPLED[:1] + other):
@@ -537,13 +529,12 @@ def test_shifted_tables_reproduce_the_binary_search(sample, params, max_shift):
     # every pair alone, then the whole list, which refuses at its first bad pair
     for pair in pairs:
         assert_bitwise(
-            outcome(lambda: shifted_rho_table(*pair, p, max_shift)),
+            outcome(lambda: shifted_rho_tables([pair], p, max_shift)[0]),
             outcome(lambda: reference_shifted_rho_table(*pair, p, max_shift)),
         )
-    assert_bitwise(
-        outcome(lambda: shifted_rho_tables(pairs, p, max_shift)),
-        outcome(lambda: reference_tables(pairs, p, max_shift)),
-    )
+    slow = outcome(lambda: reference_tables(pairs, p, max_shift))
+    assert_bitwise(outcome(lambda: shifted_rho_tables(pairs, p, max_shift)), slow)
+    assert_bitwise(outcome(lambda: chunked_shifted_rho_tables(pairs, p, max_shift)), slow)
 
 
 def unresolved_pair():
@@ -561,7 +552,7 @@ def test_shifted_table_refusals(params):
         (SaturatedDistances, *unresolved_pair(), 5),
     ]
     for expected, x, y, max_shift in cases:
-        fast = outcome(lambda: shifted_rho_table(x, y, p, max_shift))
+        fast = outcome(lambda: shifted_rho_tables([(x, y)], p, max_shift)[0])
         assert fast == outcome(lambda: reference_shifted_rho_table(x, y, p, max_shift))
         assert fast[0] is expected
 
@@ -601,6 +592,7 @@ def test_many_pairs_refuse_at_their_first_bad_pair(placement, params):
     fast = outcome(lambda: shifted_rho_tables(pairs, p, 8))
     assert isinstance(fast, tuple)
     assert fast == outcome(lambda: reference_tables(pairs, p, 8))
+    assert outcome(lambda: chunked_shifted_rho_tables(pairs, p, 8)) == fast
     mp = MatherParams(gamma=0.05, n0=7, k1=1.2, k2=1.2)
     assert outcome(lambda: verify_hyperbolicity(pairs, mp, p)) == fast
     assert outcome(lambda: reference_verify_hyperbolicity(pairs, mp, p)) == fast
@@ -609,8 +601,9 @@ def test_many_pairs_refuse_at_their_first_bad_pair(placement, params):
 def test_many_pairs_span_blocks():
     pairs = long_pair_list({})
     p = RHO_PARAMS["two-sided"]
-    assert_bitwise(shifted_rho_tables(pairs, p, 8), reference_tables(pairs, p, 8))
-    assert_bitwise(shifted_rho_tables([], p, 8), reference_tables([], p, 8))
+    for kernel in (shifted_rho_tables, chunked_shifted_rho_tables):
+        assert_bitwise(kernel(pairs, p, 8), reference_tables(pairs, p, 8))
+        assert_bitwise(kernel([], p, 8), reference_tables([], p, 8))
 
 
 @pytest.mark.parametrize("params", sorted(RHO_PARAMS))

