@@ -56,9 +56,7 @@ def main(argv=None) -> int:
     kind, ladders = SWEEPS[args.quantity]
     spec = KINDS[kind]
     rate = getattr(args, spec.rate) if spec.rate else 0.0
-    identity = spec.identity
-    h = top_entropy_oracle(space)
-    target = identity.rhs_scale(params, rate) * h / identity.lhs_scale(params, rate)
+    target = spec.target(params, rate, top_entropy_oracle(space))
 
     print(f"{args.quantity} on {args.space}: target {target:.6f}")
     for label, ladder in ladders:

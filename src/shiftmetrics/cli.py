@@ -224,7 +224,7 @@ class _Quantity(NamedTuple):
 
 
 #: Each slope quantity's kinds; ``estimators.KINDS`` holds their estimators,
-#: identities, with their target formulas and tolerances, and default depths.
+#: identities, with their targets and tolerances, and default depths.
 _SLOPES = {
     "dim": _Quantity("box_dimension", "pointwise_dimension"),
     "entropy": _Quantity("entropy", "brin_katok"),
@@ -261,8 +261,8 @@ def _run_slope(config, space, params, mu):
             )
     else:
         kind = quantity.rated_measure if rate and quantity.rated_measure else quantity.measure
-    identity = KINDS[kind].identity
-    _check_tolerances(config, [identity.name], headline=True)
+    spec = KINDS[kind]
+    _check_tolerances(config, [spec.name], headline=True)
     ladder = kind_ladder(
         kind, config.j_min, config.j_max, config.t_min, config.t_max, config.t_step
     )
@@ -279,16 +279,15 @@ def _run_slope(config, space, params, mu):
         config.n_points,
         config.seed,
     )
-    h = entropy_oracle(mu).entropy if identity.measure else top_entropy_oracle(space)
-    rhs = identity.rhs_scale(params, rate) * h
+    h = entropy_oracle(mu).entropy if spec.measure else top_entropy_oracle(space)
     target = {
-        "name": identity.name,
-        "value": rhs / identity.lhs_scale(params, rate),
-        "formula": identity.formula.format(k=_k_formula(params)),
+        "name": spec.name,
+        "value": spec.target(params, rate, h),
+        "formula": spec.formula.format(k=_k_formula(params)),
     }
-    tol = config.tolerances.get(identity.name, config.tol)
-    tol = identity.tolerance if tol is None else tol
-    rel = identity.check(est.slope, params, rate, h, tol)
+    tol = config.tolerances.get(spec.name, config.tol)
+    tol = spec.tolerance if tol is None else tol
+    rel = spec.check(est.slope, params, rate, h, tol)
     # entropy --measure is the local entropy, and its rows say so
     label = "brin-katok" if kind == "brin_katok" else config.quantity
     return est, target, [rel], _slope_rows(label, est)

@@ -15,8 +15,10 @@ participate and how the per-shift radius s depends on i:
     neutralized ball    -n <= i <= m,    s = e^{-(n+m)r}
     alpha ball          -n <= i <= m,    s = e^{-|i|alpha} r
 
-Windows are computed as the exact union of the per-shift windows, which
-collapses to the familiar closed forms whenever those apply.  A given radius
+Each window is read off its end shifts, [-n - behind(-n), m + ahead(m)]
+with (behind, ahead) = (q(s)-1, p(s)-1) at that shift: for these four
+families (the alpha ball in the regime ``alpha_window`` enforces) that is
+the union of the per-shift windows.  A given radius
 r is bracketed exactly (``p_of_r``); only the derived radii e^{-(n+m)r} and
 e^{-|i|alpha} r, which may underflow, are bracketed from their logarithms.
 This module is the only place that turns radii and depths into windows.
@@ -38,12 +40,7 @@ def p_of_r(r, b) -> int:
     comparisons in whatever exact arithmetic the type supports, so the
     boundary r = b**-j lands on the strict side (p = j + 1) reliably.
     """
-    if not (0 < r < 1):
-        raise RadiusOutOfRange(f"radius must be finite and in (0, 1), got {r}")
-    if float(r) == 0.0:
-        raise RadiusOutOfRange(
-            f"radius underflows to the float 0.0; radii below {math.ulp(0.0)!r} cannot be bracketed"
-        )
+    _require_radius(r)
     # an exact r within 2**-53 of 1 rounds to the float 1.0, whose ln is not negative
     p = p_of_log_r(math.log(float(r)), b) if float(r) < 1.0 else 1
     while b ** (-p) >= r:
@@ -51,6 +48,15 @@ def p_of_r(r, b) -> int:
     while p > 1 and b ** (-(p - 1)) < r:
         p -= 1
     return p
+
+
+def _require_radius(r) -> None:
+    if not (0 < r < 1):
+        raise RadiusOutOfRange(f"radius must be finite and in (0, 1), got {r}")
+    if float(r) == 0.0:
+        raise RadiusOutOfRange(
+            f"radius underflows to the float 0.0; radii below {math.ulp(0.0)!r} cannot be bracketed"
+        )
 
 
 def p_of_log_r(log_r: float, b) -> int:
@@ -82,10 +88,6 @@ class CylinderIndex:
     @property
     def length(self) -> int:
         return self.hi - self.lo + 1
-
-    def contains(self, other: "CylinderIndex") -> bool:
-        """Window containment; the cylinder order is the reverse of this."""
-        return self.lo <= other.lo and self.hi >= other.hi
 
 
 @dataclass(frozen=True)
@@ -131,28 +133,17 @@ def _reach(params: MetricParams, bracket, radius) -> tuple[int, int]:
     return behind, ahead
 
 
-def _union_window(shifts, reaches) -> CylinderIndex:
-    """Union over shifts i of the per-shift windows [i - behind, i + ahead].
-
-    The union is always a contiguous interval because each per-shift window
-    contains its own shift index.
-    """
-    pairs = list(zip(shifts, reaches))
-    return CylinderIndex(
-        min(i - behind for i, (behind, _) in pairs), max(i + ahead for i, (_, ahead) in pairs)
-    )
-
-
 def ball_window(r: float, params: MetricParams) -> CylinderIndex:
     """Fixed window of the open ball: [-(q(r)-1), p(r)-1] (one-sided: lo=0)."""
-    return _union_window((0,), (_reach(params, p_of_r, r),))
+    behind, ahead = _reach(params, p_of_r, r)
+    return CylinderIndex(-behind, ahead)
 
 
 def bowen_window(n: int, m: int, r: float, params: MetricParams) -> CylinderIndex:
     """Fixed window of the (-n, m) Bowen ball: ball window widened by n, m."""
     _require_depths(n, m)
-    reach = _reach(params, p_of_r, r)
-    return _union_window((-n, m), (reach, reach))
+    behind, ahead = _reach(params, p_of_r, r)
+    return CylinderIndex(-n - behind, m + ahead)
 
 
 def neutralized_window(n: int, m: int, r: float, params: MetricParams) -> CylinderIndex:
@@ -162,30 +153,31 @@ def neutralized_window(n: int, m: int, r: float, params: MetricParams) -> Cylind
         raise RadiusOutOfRange(f"neutralization rate must be positive, got {r}")
     if n + m == 0:
         raise RadiusOutOfRange("n + m = 0 gives radius e^0 = 1, not < 1")
-    reach = _reach(params, p_of_log_r, -(n + m) * r)
-    return _union_window((-n, m), (reach, reach))
+    behind, ahead = _reach(params, p_of_log_r, -(n + m) * r)
+    return CylinderIndex(-n - behind, m + ahead)
 
 
 def alpha_window(n: int, m: int, alpha: float, r: float, params: MetricParams) -> CylinderIndex:
-    """Fixed window of the two-sided alpha-estimation ball.
+    """Fixed window of the two-sided alpha-estimation ball, for
+    0 <= alpha < min(ln a, ln b) (one-sided: alpha < ln b).
 
-    Exact union over shifts of the per-shift windows at radii e^{-|i|alpha}r.
-    For alpha < min(ln a, ln b) this equals the closed form
-    [-n - floor((n alpha + ln(1/r))/ln a), m + floor((m alpha + ln(1/r))/ln b)];
-    outside that regime the interior shifts can reach further and the union
-    is still the correct window.  At alpha = 0 it is the Bowen window.
+    In that regime a step away from shift 0 adds alpha < ln a to ln(1/s),
+    so it moves the per-shift window's low end by at most q's one step, and
+    the low end of the union is the one at shift -n; the high end is the one
+    at shift m, and the window is the closed form
+    [-n - floor((n alpha + ln(1/r))/ln a), m + floor((m alpha + ln(1/r))/ln b)].
+    At alpha = 0 it is the Bowen window.
     """
     _require_depths(n, m)
-    if alpha < 0.0:
-        raise HypothesisViolated(f"alpha must be >= 0, got {alpha}")
-    reach = _reach(params, p_of_r, r)
-    lr = math.log(r)
-    shifts = range(-n, m + 1)
-    reaches = (
-        reach if i == 0 or not alpha else _reach(params, p_of_log_r, lr - abs(i) * alpha)
-        for i in shifts
-    )
-    return _union_window(shifts, reaches)
+    require_alpha_regime(alpha, params)
+    _require_radius(r)
+
+    def reach(i: int) -> tuple[int, int]:
+        if i == 0 or not alpha:
+            return _reach(params, p_of_r, r)
+        return _reach(params, p_of_log_r, math.log(r) - abs(i) * alpha)
+
+    return CylinderIndex(-n - reach(-n)[0], m + reach(m)[1])
 
 
 def _require_depths(n: int, m: int) -> None:

@@ -482,27 +482,6 @@ def _space_label(space: ShiftSpace) -> str:
     return f"sft:{space.alphabet_size}:{bits}"
 
 
-@dataclass(frozen=True)
-class Identity:
-    """``slope * lhs_scale(params, rate) = rhs_scale(params, rate) * h``, with h
-    the measure entropy when ``measure`` is set, else the topological one.
-    ``formula`` spells out the target ``rhs / lhs_scale``; ``{k}`` stands for
-    the formula of k.  ``tolerance`` is the default relative tolerance."""
-
-    name: str
-    measure: bool
-    lhs_scale: Callable[[MetricParams, float], float]
-    rhs_scale: Callable[[MetricParams, float], float]
-    formula: str
-    tolerance: float
-
-    def check(
-        self, slope: float, params: MetricParams, rate: float, h: float, tolerance: float
-    ) -> RelationReport:
-        lhs = slope * self.lhs_scale(params, rate)
-        return relation_report(self.name, lhs, self.rhs_scale(params, rate) * h, tolerance)
-
-
 def _one(params: MetricParams, rate: float) -> float:
     return 1.0
 
@@ -521,19 +500,47 @@ def _k_alpha(params: MetricParams, rate: float) -> float:
 
 @dataclass(frozen=True)
 class Kind:
-    """How one bundle kind is estimated, and the identity its slope satisfies.
+    """One bundle kind: the identity its slope satisfies, and how it is estimated.
 
+    The identity ``name`` is ``slope * lhs_scale(params, rate) =
+    rhs_scale(params, rate) * h``, with h the measure entropy when
+    ``measure`` holds, else the topological one; ``formula`` spells out its
+    ``target``, with ``{k}`` standing for the formula of k.
     ``ladder(params, ladder, rate, r1)`` checks the rate and ladder and
     returns the cylinder windows of every ladder step; ``reads`` says how
     they are read: ``"words"`` on the space, ``"cover"`` on the measure, or
     ``"mass"`` at each typical point of the measure.
     """
 
-    identity: Identity
+    name: str
+    formula: str
+    lhs_scale: Callable[[MetricParams, float], float]
+    rhs_scale: Callable[[MetricParams, float], float]
     rate: str | None  # the rate the kind takes: "r", "alpha" or none
     depths: tuple | None  # default (t_min, t_max, t_step); None: DEFAULT_LADDER
     ladder: Callable[..., _Ladder]
     reads: str
+
+    @property
+    def measure(self) -> bool:
+        """Covers and masses are of the measure; only words are of the space."""
+        return self.reads != "words"
+
+    @property
+    def tolerance(self) -> float:
+        """The default relative tolerance: ``MEASURE_TOL`` for masses at
+        typical points, ``COUNT_TOL`` for word and cover counts."""
+        return MEASURE_TOL if self.reads == "mass" else COUNT_TOL
+
+    def target(self, params: MetricParams, rate: float, h: float) -> float:
+        """The slope the identity predicts, ``rhs_scale * h / lhs_scale``."""
+        return self.rhs_scale(params, rate) * h / self.lhs_scale(params, rate)
+
+    def check(
+        self, slope: float, params: MetricParams, rate: float, h: float, tolerance: float
+    ) -> RelationReport:
+        lhs = slope * self.lhs_scale(params, rate)
+        return relation_report(self.name, lhs, self.rhs_scale(params, rate) * h, tolerance)
 
 
 #: Every bundle kind, in ``standard_bundle`` order.  The default depths are
@@ -543,116 +550,100 @@ class Kind:
 #: long windows.
 KINDS = {
     "box_dimension": Kind(
-        Identity("box-dimension = k * entropy", False, _one, _k, "({k}) * h_top", COUNT_TOL),
+        "box-dimension = k * entropy",
+        "({k}) * h_top",
+        _one,
+        _k,
         None,
         None,
         lambda p, radii, q, r1: _ball_ladder(p, radii, 1.0),
         "words",
     ),
     "entropy": Kind(
-        Identity(
-            "spanning-entropy = oracle entropy", False, _one, _one, "ln(spectral radius)", COUNT_TOL
-        ),
+        "spanning-entropy = oracle entropy",
+        "ln(spectral radius)",
+        _one,
+        _one,
         None,
         (10, 60, 5),
         lambda p, depths, q, r1: _bowen_ladder(p, r1, depths),
         "words",
     ),
     "neutralized_topological": Kind(
-        Identity(
-            "neutralized-topological = (1 + r k) * entropy",
-            False,
-            _one,
-            _shrunk_k,
-            "(1 + r k) * h_top",
-            COUNT_TOL,
-        ),
+        "neutralized-topological = (1 + r k) * entropy",
+        "(1 + r k) * h_top",
+        _one,
+        _shrunk_k,
         "r",
         (20, 120, 10),
         lambda p, depths, q, r1: _shrinking_ladder(p, q, depths, r1),
         "words",
     ),
     "alpha_topological": Kind(
-        Identity(
-            "alpha-entropy * k_alpha = k * entropy",
-            False,
-            _k_alpha,
-            _k,
-            "k * h_top / k_alpha",
-            COUNT_TOL,
-        ),
+        "alpha-entropy * k_alpha = k * entropy",
+        "k * h_top / k_alpha",
+        _k_alpha,
+        _k,
         "alpha",
         (20, 120, 10),
         lambda p, depths, q, r1: _alpha_ladder(p, q, depths, r1),
         "words",
     ),
     "pointwise_dimension": Kind(
-        Identity(
-            "pointwise-dimension = k * measure-entropy", True, _one, _k, "({k}) * h_mu", MEASURE_TOL
-        ),
+        "pointwise-dimension = k * measure-entropy",
+        "({k}) * h_mu",
+        _one,
+        _k,
         None,
         None,
         lambda p, radii, q, r1: _ball_ladder(p, radii, -1.0),
         "mass",
     ),
     "brin_katok": Kind(
-        Identity(
-            "brin-katok = measure-entropy",
-            True,
-            _one,
-            _one,
-            "entropy rate of the measure",
-            MEASURE_TOL,
-        ),
+        "brin-katok = measure-entropy",
+        "entropy rate of the measure",
+        _one,
+        _one,
         None,
         (20, 200, 12),
         lambda p, depths, q, r1: _bowen_ladder(p, r1, depths),
         "mass",
     ),
     "katok": Kind(
-        Identity("katok = measure-entropy", True, _one, _one, "h_mu", COUNT_TOL),
+        "katok = measure-entropy",
+        "h_mu",
+        _one,
+        _one,
         None,
         (300, 900, 60),
         lambda p, depths, q, r1: _shrinking_ladder(p, q, depths, r1),
         "cover",
     ),
     "neutralized_brin_katok": Kind(
-        Identity(
-            "neutralized-brin-katok = (1 + r k) * measure-entropy",
-            True,
-            _one,
-            _shrunk_k,
-            "(1 + r k) * h_mu",
-            MEASURE_TOL,
-        ),
+        "neutralized-brin-katok = (1 + r k) * measure-entropy",
+        "(1 + r k) * h_mu",
+        _one,
+        _shrunk_k,
         "r",
         (20, 200, 12),
         lambda p, depths, q, r1: _shrinking_ladder(p, q, depths),
         "mass",
     ),
     "neutralized_katok": Kind(
-        Identity(
-            "katok = (1 + r k) * measure-entropy",
-            True,
-            _one,
-            _shrunk_k,
-            "(1 + r k) * h_mu",
-            COUNT_TOL,
-        ),
+        "katok = (1 + r k) * measure-entropy",
+        "(1 + r k) * h_mu",
+        _one,
+        _shrunk_k,
         "r",
         (300, 900, 60),
         lambda p, depths, q, r1: _shrinking_ladder(p, q, depths, r1),
         "cover",
     ),
     "alpha_brin_katok": Kind(
-        Identity(
-            "alpha-brin-katok * k_alpha = k * measure-entropy",
-            True,
-            _k_alpha,
-            _k,
-            "k * h_mu / k_alpha",
-            MEASURE_TOL,
-        ),
+        "alpha-brin-katok * k_alpha = k * measure-entropy",
+        "k * h_mu / k_alpha",
+        _k_alpha,
+        _k,
         "alpha",
         (20, 120, 10),
         lambda p, depths, q, r1: _alpha_ladder(p, q, depths, r1),
@@ -689,10 +680,10 @@ CHAINS = (
     ),
 )
 #: Kinds estimated from a measure rather than from the space.
-MEASURE_KINDS = frozenset(kind for kind, spec in KINDS.items() if spec.identity.measure)
-#: Each relation's default tolerance: its identity's own, and COUNT_TOL for every chain.
+MEASURE_KINDS = frozenset(kind for kind, spec in KINDS.items() if spec.measure)
+#: Each relation's default tolerance: its kind's own, and COUNT_TOL for every chain.
 DEFAULT_TOLERANCES = {
-    **{spec.identity.name: spec.identity.tolerance for spec in KINDS.values()},
+    **{spec.name: spec.tolerance for spec in KINDS.values()},
     **{name: COUNT_TOL for name, _, _ in CHAINS},
 }
 
@@ -761,7 +752,7 @@ def estimate_kind(
 def identity_names(kinds: Iterable[str]) -> list[str]:
     """Names of the relations ``verify_identities`` reports on a bundle of these kinds."""
     kinds = set(kinds)
-    return [KINDS[kind].identity.name for kind in HEADLINE_KINDS if kind in kinds] + [
+    return [KINDS[kind].name for kind in HEADLINE_KINDS if kind in kinds] + [
         name for name, small, large in CHAINS if {small, large} <= kinds
     ]
 
@@ -800,12 +791,9 @@ def verify_identities(
     reports = []
     for kind in HEADLINE_KINDS:
         if kind in by_kind:
-            identity = KINDS[kind].identity
-            h = h_mu if identity.measure else h_top
-            entry = by_kind[kind]
-            reports.append(
-                identity.check(entry.estimate.slope, params, entry.rate, h, tol[identity.name])
-            )
+            spec, entry = KINDS[kind], by_kind[kind]
+            h = h_mu if spec.measure else h_top
+            reports.append(spec.check(entry.estimate.slope, params, entry.rate, h, tol[spec.name]))
     for name, small, large in CHAINS:
         if small in by_kind and large in by_kind:
             lhs, rhs = by_kind[small].estimate.slope, by_kind[large].estimate.slope

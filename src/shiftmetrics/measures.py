@@ -190,10 +190,6 @@ class MarkovMeasure:
     def alphabet_size(self) -> int:
         return len(self.P)
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(range(len(self.P)))
-
 
 Measure = BernoulliMeasure | MarkovMeasure
 
@@ -369,6 +365,10 @@ def measure_from_json(spec) -> Measure:
         if not isinstance(P, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in P):
             raise BadMeasure(f"'P' must be an array of arrays, got {P!r}")
         for i, row in enumerate(P):
+            if len(row) != len(P):
+                raise BadMeasure(
+                    f"'P'[{i}] must have {len(P)} entries, one per row of 'P', got {len(row)}"
+                )
             _require_numbers(f"'P'[{i}]", row)
         return MarkovMeasure(tuple(tuple(row) for row in P))
     raise BadMeasure(f"unknown measure type {kind!r} (expected 'bernoulli' or 'markov')")

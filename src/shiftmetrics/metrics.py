@@ -24,11 +24,12 @@ from .errors import (
     DifferentSpaces,
     GammaTooLarge,
     HypothesisViolated,
+    NoConvergence,
     QuasiMetricViolated,
     SandwichViolated,
     SaturatedDistances,
 )
-from .shiftspace import Point
+from .shiftspace import POWER_ITER_CAP, Point
 
 TWO_SIDED = "two-sided"
 ONE_SIDED = "one-sided"
@@ -348,24 +349,29 @@ def mather_n0(params: MetricParams, gamma: float) -> MatherParams:
     """Smallest window depth n0 with 4**(-1/n0) * a > a - gamma (and same
     for b); the weights are k1 = 4**(-1/n0) * a, k2 = 4**(-1/n0) * b.
 
+    n0 grows like ln 4 * max(a, b) / gamma, and the search stops at
+    ``POWER_ITER_CAP`` depths.
+
     Raises
     ------
     GammaTooLarge
         Unless 0 < gamma < min(a, b) - 1.
+    NoConvergence
+        When no depth up to ``POWER_ITER_CAP`` qualifies (a tiny gamma).
     """
     params.require_chain_regime()
     # the reduced margins a - gamma, b - gamma must themselves stay expanding
     if not (gamma > 0.0 and params.a - gamma > 1.0 and params.b - gamma > 1.0):
         limit = min(params.a, params.b) - 1.0
         raise GammaTooLarge(f"gamma must be finite and in (0, {limit:.6g}), got {gamma}")
-    n0 = 1
-    while not (
-        4.0 ** (-1.0 / n0) * params.a > params.a - gamma
-        and 4.0 ** (-1.0 / n0) * params.b > params.b - gamma
-    ):
-        n0 += 1
-    scale = 4.0 ** (-1.0 / n0)
-    return MatherParams(gamma=gamma, n0=n0, k1=scale * params.a, k2=scale * params.b)
+    for n0 in range(1, POWER_ITER_CAP + 1):
+        scale = 4.0 ** (-1.0 / n0)
+        if scale * params.a > params.a - gamma and scale * params.b > params.b - gamma:
+            return MatherParams(gamma=gamma, n0=n0, k1=scale * params.a, k2=scale * params.b)
+    raise NoConvergence(
+        f"gamma = {gamma!r} needs a window depth n0 beyond the cap "
+        f"POWER_ITER_CAP = {POWER_ITER_CAP}; use a larger gamma"
+    )
 
 
 def shifted_rho_tables(
@@ -432,7 +438,8 @@ def shifted_rho_tables(
 
 @dataclass(frozen=True)
 class HyperbolicityReport:
-    """Outcome of `verify_hyperbolicity` over a pair sample."""
+    """Counts and margins of `verify_hyperbolicity` over a pair sample; the
+    CLI's ``metric-verify`` relations are the verdict on them."""
 
     pairs_checked: int
     lipschitz_forward_violations: int
@@ -444,16 +451,6 @@ class HyperbolicityReport:
     threshold: float
     worst_lipschitz_margin: float
     worst_sandwich_margin: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.lipschitz_forward_violations == 0
-            and self.lipschitz_backward_violations == 0
-            and self.sandwich_violations == 0
-            and self.expansion_failures == 0
-            and self.eps_prime > 0.0
-        )
 
 
 def _d_tilde_from_tables(tables: np.ndarray, t: int, mp: MatherParams, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:

@@ -59,17 +59,15 @@ class ShiftSpace:
         self._alive_mask = np.zeros(alphabet_size, dtype=bool)
         self._alive_mask[alive] = True
         if self.transition is None:
-            self._out = {s: tuple(alive) for s in alive}
+            out = {s: tuple(alive) for s in alive}
             self._in = {s: tuple(alive) for s in alive}
         else:
-            self._out = {
-                s: tuple(t for t in alive if self.transition[s, t]) for s in alive
-            }
+            out = {s: tuple(t for t in alive if self.transition[s, t]) for s in alive}
             self._in = {
                 t: tuple(s for s in alive if self.transition[s, t]) for t in alive
             }
         # neighbour tables of the batch walk in ``sample_points``
-        self._succ, self._n_succ = _padded(alphabet_size, self._out)
+        self._succ, self._n_succ = _padded(alphabet_size, out)
         self._pred, self._n_pred = _padded(alphabet_size, self._in)
 
     @staticmethod
@@ -111,9 +109,6 @@ class ShiftSpace:
         if self.transition is None:
             return True
         return bool(self.transition[i, j])
-
-    def out_symbols(self, s: int) -> tuple[int, ...]:
-        return self._out[s]
 
     def in_symbols(self, s: int) -> tuple[int, ...]:
         return self._in[s]
@@ -192,11 +187,6 @@ class Point:
     space: ShiftSpace
     symbols: np.ndarray
     horizon: int
-
-    def __getitem__(self, t: int) -> int:
-        if abs(t) > self.horizon:
-            raise HorizonExceeded(f"coordinate {t} outside window [-{self.horizon}, {self.horizon}]")
-        return int(self.symbols[self.horizon + t])
 
     def window(self, lo: int | None = None, hi: int | None = None) -> np.ndarray:
         """Read-only view of coordinates lo..hi (defaults: the full window)."""

@@ -11,7 +11,8 @@ in batch (``FiniteSample.from_points``, ``shifted_rho_tables``), and these
 are the pair-at-a-time definitions those kernels are checked against.
 
 The last section holds the oracles of the window arithmetic in
-``shiftmetrics.cylinders``: the three-valued membership tests ``in_ball``,
+``shiftmetrics.cylinders``: the per-shift union ``alpha_union_window`` that
+``alpha_window`` reads off its end shifts, the three-valued membership tests ``in_ball``,
 ``in_bowen_ball``, ``in_neutralized_ball`` and ``in_alpha_ball`` (acceptance
 criterion 11 checks every window against them), and the window-matching
 lemmas ``open_ball_as_bowen``, ``neutralized_match`` and ``alpha_match``
@@ -43,6 +44,7 @@ from shiftmetrics import (
     require_alpha_regime,
     shifted_rho_tables,
 )
+from shiftmetrics.cylinders import _reach
 from shiftmetrics.errors import (
     BadMeasure,
     ConstraintViolated,
@@ -83,6 +85,11 @@ class NoIntegerSolution(ShiftMetricsError):
 # ---------------------------------------------------------------------------
 # shifted points, anchored words and the scalar distance
 # ---------------------------------------------------------------------------
+
+
+def coordinate(x: Point, t: int) -> int:
+    """The symbol of x at coordinate t; ``HorizonExceeded`` past its horizon."""
+    return int(x.window(t, t)[0])
 
 
 def shift_point(x: Point, i: int) -> Point:
@@ -720,6 +727,37 @@ def reference_merge_equal_mass(log_mass: np.ndarray, log_count: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+def window_contains(wide: CylinderIndex, narrow: CylinderIndex) -> bool:
+    """Window containment; the cylinder order is the reverse of this."""
+    return wide.lo <= narrow.lo and wide.hi >= narrow.hi
+
+
+def alpha_union_window(
+    n: int, m: int, alpha: float, r: float, params: MetricParams
+) -> CylinderIndex:
+    """Fixed window of the alpha-estimation ball as the exact union over all
+    shifts -n..m of the per-shift windows [i - behind, i + ahead] at radii
+    e^{-|i|alpha} r (contiguous, since each contains its own shift i).
+
+    For alpha < min(ln a, ln b) this is ``alpha_window``; outside that
+    regime the interior shifts can reach further than the end shifts, and
+    the union is still the ball's window.
+    """
+    if n < 0 or m < 0:
+        raise HypothesisViolated(f"depths must be nonnegative, got n={n}, m={m}")
+    if alpha < 0.0:
+        raise HypothesisViolated(f"alpha must be >= 0, got {alpha}")
+    reach = _reach(params, p_of_r, r)
+    lr = math.log(r)
+    pairs = [
+        (i, reach if i == 0 or not alpha else _reach(params, p_of_log_r, lr - abs(i) * alpha))
+        for i in range(-n, m + 1)
+    ]
+    return CylinderIndex(
+        min(i - behind for i, (behind, _) in pairs), max(i + ahead for i, (_, ahead) in pairs)
+    )
+
+
 def _rho_below(x: Point, y: Point, bound: float, params: MetricParams):
     """True / False / None (undecidable within the available windows).
 
@@ -876,7 +914,7 @@ def neutralized_sandwich_windows(
     inner = neutralized_window(match.n2 + 2, match.m2, r2, params)
     mid = ball_window(r, params)
     outer = neutralized_window(match.n2 - 2, match.m2, r2, params)
-    if not (inner.contains(mid) and mid.contains(outer)):
+    if not (window_contains(inner, mid) and window_contains(mid, outer)):
         raise ConstraintViolated(
             f"sandwich containment failed: {inner}, {mid}, {outer}"
         )
@@ -949,7 +987,7 @@ def alpha_sandwich_windows(
     inner = alpha_window(match.n3 + 1, match.m3 + 1, alpha, r3, params)
     mid = ball_window(r, params)
     outer = alpha_window(match.n3 - 1, match.m3 - 1, alpha, r3, params)
-    if not (inner.contains(mid) and mid.contains(outer)):
+    if not (window_contains(inner, mid) and window_contains(mid, outer)):
         raise ConstraintViolated(
             f"sandwich containment failed: {inner}, {mid}, {outer}"
         )

@@ -227,7 +227,10 @@ def test_criterion_10_hyperbolicity():
     report = verify_hyperbolicity(pairs, mp, P13)
     check(
         "criterion 10: hyperbolicity on 10^4 golden-mean pairs",
-        mp.n0 == 36 and report.passed and report.eps_prime > 0.0,
+        mp.n0 == 36
+        and report.lipschitz_forward_violations == report.lipschitz_backward_violations == 0
+        and report.sandwich_violations == report.expansion_failures == 0
+        and report.eps_prime > 0.0,
         f"n0 {mp.n0}; lipschitz {report.lipschitz_forward_violations}+"
         f"{report.lipschitz_backward_violations}, sandwich {report.sandwich_violations}, "
         f"expansion {report.expansion_failures}; eps' {report.eps_prime:.4f}",
@@ -377,4 +380,37 @@ def test_criterion_16_alpha_identity_with_two_exponents(tmp_path):
         "criterion 16: alpha identity at a != b, space and measure",
         all(code == 0 for code, _ in runs.values()),
         "; ".join(f"{k}: exit {c}, rel {r:.2e}" for k, (c, r) in runs.items()),
+    )
+
+
+def test_criterion_17_relations_with_two_exponents(tmp_path):
+    # the full identity suite in the paper's setting a != b; (1.3, 1.3) is
+    # covered by the golden cases, and at (1.1, 2.0) the default alpha = 0.1
+    # is not below ln 1.1
+    golden = tmp_path / "golden.sft"
+    golden.write_text("2\n1 1\n1 0\n", encoding="utf-8")
+    markov = tmp_path / "markov.json"
+    markov.write_text('{"type": "markov", "P": [[0.5, 0.5], [1.0, 0.0]]}', encoding="utf-8")
+    bernoulli = tmp_path / "bernoulli-235.json"
+    bernoulli.write_text('{"type": "bernoulli", "weights": [0.2, 0.3, 0.5]}', encoding="utf-8")
+    grid = [("1.2", "1.9", []), ("1.9", "1.2", []), ("1.1", "2.0", ["--alpha", "0.05"])]
+    inputs = [(f"sft:{golden}", markov), ("full:3", bernoulli)]
+    runs = {}
+    for a, b, extra in grid:
+        for space, measure in inputs:
+            out = tmp_path / "relations.json"
+            argv = ["relations", "--a", a, "--b", b, *extra, "--space", space]
+            t0 = time.perf_counter()
+            code = main([*argv, "--measure", str(measure), "--out", str(out)])
+            elapsed = time.perf_counter() - t0
+            failed = [
+                rep["name"]
+                for rep in json.loads(out.read_text(encoding="utf-8"))["relations"]
+                if not rep["passed"]
+            ]
+            runs[(a, b, measure.stem)] = (code, failed, elapsed)
+    check(
+        "criterion 17: relations at a != b, golden Markov and full:3 Bernoulli",
+        all(code == 0 and not failed and t < 10.0 for code, failed, t in runs.values()),
+        "; ".join(f"{k}: exit {c}, failed {f or 'none'}, {t:.2f}s" for k, (c, f, t) in runs.items()),
     )

@@ -336,9 +336,14 @@ class TestExitCodes:
              "'P'[0][1] must be a JSON number, got '0.5'"),
             ('{"type": "bernoulli", "weights": [null, 1.0]}',
              "'weights'[0] must be a JSON number, got None"),
+            ('{"type": "markov", "P": [[0.5, 0.5], [1.0]]}',
+             "'P'[1] must have 2 entries, one per row of 'P', got 1"),
+            ('{"type": "markov", "P": [[0.5, 0.3, 0.2], [1.0, 0.0]]}',
+             "'P'[0] must have 2 entries, one per row of 'P', got 3"),
         ],
         ids=["pi", "weights-number", "weights-null", "P-flat", "weights-string",
-             "weights-bool", "P-bool", "P-string", "weights-entry-null"],
+             "weights-bool", "P-bool", "P-string", "weights-entry-null", "P-ragged-short",
+             "P-ragged-long"],
     )
     def test_bad_measure_json(self, spec, message, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -385,6 +390,16 @@ class TestExitCodes:
     def test_gamma_too_large(self, capsys):
         assert main(["metric-verify", "--gamma", "0.4"]) == 2
         assert "gamma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gamma", ["1e-9", "1e-17"])
+    def test_gamma_past_the_depth_cap_is_refused_at_once(self, gamma, capsys):
+        # n0 ~ ln 4 * a / gamma: the search used to run ~1.8e9 steps at 1e-9,
+        # and forever at 1e-17, where a - gamma rounds to a
+        start = time.perf_counter()
+        assert main(["metric-verify", "--n-points", "10", "--gamma", gamma]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert f"gamma = {float(gamma)!r}" in err and "POWER_ITER_CAP = 200000" in err
 
     @pytest.mark.parametrize(
         "args, message",

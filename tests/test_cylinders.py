@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import (
     RadiiOutOfOrder,
     alpha_match,
     alpha_sandwich_windows,
+    alpha_union_window,
     in_alpha_ball,
     in_ball,
     in_bowen_ball,
@@ -20,6 +21,7 @@ from reference import (
     neutralized_match,
     neutralized_sandwich_windows,
     open_ball_as_bowen,
+    window_contains,
 )
 from shiftmetrics import (
     CylinderIndex,
@@ -165,18 +167,50 @@ class TestWindows:
 
     def test_alpha_window_beyond_regime_uses_union(self):
         # alpha > ln a: interior forward shifts reach further backward than
-        # the -n endpoint, so the union is wider than the display form
+        # the -n endpoint, so the union is wider than the display form;
+        # alpha_window refuses the input, and the oracle's union shows why
         p = MetricParams(a=1.2, b=1.9)
         n, m, alpha, r = 1, 25, 0.35, 0.5
-        w = alpha_window(n, m, alpha, r, p)
+        with pytest.raises(AlphaTooLarge, match="alpha must be finite and in"):
+            alpha_window(n, m, alpha, r, p)
+        w = alpha_union_window(n, m, alpha, r, p)
         display_lo = -n - math.floor((n * alpha + math.log(1 / r)) / math.log(1.2))
         assert w.lo == -26 < -6 == display_lo
+
+    @pytest.mark.parametrize("alpha", [-0.1, math.nan])
+    def test_alpha_window_refuses_negative_or_nan_alpha(self, alpha):
+        with pytest.raises(AlphaTooLarge):
+            alpha_window(3, 4, alpha, 0.5, P13)
+
+    @pytest.mark.parametrize("r", [0.0, 1.0, 1.5, math.nan])
+    def test_alpha_window_refuses_radius_outside_unit_interval(self, r):
+        with pytest.raises(RadiusOutOfRange, match="radius must be finite and in"):
+            alpha_window(3, 4, 0.1, r, P13)
+
+    @given(
+        st.floats(1.02, 4.2),
+        st.floats(1.02, 4.2),
+        st.sampled_from(["two-sided", "one-sided"]),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.floats(1e-12, 0.999),
+        st.integers(0, 80),
+        st.integers(0, 80),
+    )
+    @example(1.3, 1.3, "two-sided", 1.0 - 2.0**-53, 0.5, 40, 40)
+    @example(1.2, 1.9, "two-sided", 1.0 - 1e-15, 2.0**-20, 80, 3)
+    @example(1.9, 1.2, "one-sided", 1.0 - 1e-15, 0.9, 5, 80)
+    @settings(max_examples=400, deadline=None)
+    def test_end_shifts_match_the_union_in_regime(self, a, b, mode, frac, r, n, m):
+        params = MetricParams(a, b, mode)
+        limit = params.log_b if mode == "one-sided" else min(params.log_a, params.log_b)
+        alpha = frac * limit
+        assert alpha_window(n, m, alpha, r, params) == alpha_union_window(n, m, alpha, r, params)
 
     def test_nesting_in_r(self):
         lad = RadiusLadder.geometric(1, 30)
         windows = [ball_window(r, P13) for r in lad]
         for wide, narrow in zip(windows[1:], windows[:-1]):
-            assert wide.contains(narrow)
+            assert window_contains(wide, narrow)
 
     def test_growth_ratio_limit(self):
         r = 2.0**-40
@@ -276,10 +310,11 @@ class TestMembershipEquivalence:
         )
 
     def test_alpha_beyond_display_regime(self):
+        # outside the regime alpha_window refuses; the oracle's union is the ball
         p = MetricParams(a=1.2, b=1.9)
         n, m, alpha, r = 1, 25, 0.35, 0.5
         self._roundtrip(
-            alpha_window(n, m, alpha, r, p),
+            alpha_union_window(n, m, alpha, r, p),
             lambda x, y: in_alpha_ball(x, y, n, m, alpha, r, p),
         )
 
@@ -382,7 +417,7 @@ class TestNeutralizedMatch:
     def test_sandwich_windows_frozen(self):
         match = neutralized_match(2.0**-40, 0.05, P13)
         inner, mid, outer = neutralized_sandwich_windows(match, 2.0**-40, 0.05, P13)
-        assert inner.contains(mid) and mid.contains(outer)
+        assert window_contains(inner, mid) and window_contains(mid, outer)
         assert (mid.lo, mid.hi) == (-105, 105)
 
     def test_sandwich_membership(self):
@@ -436,7 +471,7 @@ class TestAlphaMatch:
         r, r3, alpha = 2.0**-40, 0.9, 0.1
         match = alpha_match(r, r3, alpha, P13)
         inner, mid, outer = alpha_sandwich_windows(match, r, r3, alpha, P13)
-        assert inner.contains(mid) and mid.contains(outer)
+        assert window_contains(inner, mid) and window_contains(mid, outer)
 
     def test_sandwich_membership(self):
         r, r3, alpha = 2.0**-7, 0.9, 0.1

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference import EagerSlope, reference_average, reference_fit_slope
 from shiftmetrics import (
@@ -275,6 +277,17 @@ class TestAlphaEstimation:
         est = alpha_estimation_entropy(FULL2, params, alpha, range(20, 121, 10))
         assert rel(est.slope / LN2, params.k() / params.k_alpha(alpha)) < 0.01
 
+    @given(st.floats(1.02, 4.2), st.floats(1.02, 4.2), st.floats(0.01, 0.95))
+    @settings(max_examples=60, deadline=None)
+    def test_topological_identity_at_random_exponents(self, a, b, frac):
+        # the paper's two-exponent regime: any admissible (a, b, alpha), not a grid
+        params = MetricParams(a, b)
+        alpha = frac * min(params.log_a, params.log_b)
+        spec = KINDS["alpha_topological"]
+        depths = kind_ladder("alpha_topological")
+        est = estimate_kind("alpha_topological", FULL2, params, None, depths, alpha)
+        assert spec.check(est.slope, params, alpha, LN2, spec.tolerance).passed
+
     def test_zero_alpha_reduces_to_classical(self):
         discounted = alpha_estimation_entropy(FULL2, PARAMS, 0.0, range(10, 61, 5))
         classic = estimate_kind("entropy", FULL2, PARAMS, None, range(10, 61, 5))
@@ -300,6 +313,35 @@ class TestAlphaEstimation:
         )
         target = K * H_GOLDEN_MARKOV / PARAMS.k_alpha(0.1)
         assert rel(est.slope, target) < 0.05
+
+
+class TestKinds:
+    def test_tolerance_and_side_follow_the_reading(self):
+        # 2% for word and cover counts, 5% for masses at typical points;
+        # covers and masses are of the measure
+        assert {kind: spec.tolerance for kind, spec in KINDS.items()} == {
+            "box_dimension": 0.02,
+            "entropy": 0.02,
+            "neutralized_topological": 0.02,
+            "alpha_topological": 0.02,
+            "pointwise_dimension": 0.05,
+            "brin_katok": 0.05,
+            "katok": 0.02,
+            "neutralized_brin_katok": 0.05,
+            "neutralized_katok": 0.02,
+            "alpha_brin_katok": 0.05,
+        }
+        space_kinds = {kind for kind, spec in KINDS.items() if not spec.measure}
+        assert space_kinds == {
+            "box_dimension", "entropy", "neutralized_topological", "alpha_topological"
+        }
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_the_target_meets_its_own_identity(self, kind):
+        spec, params = KINDS[kind], MetricParams(1.2, 1.9)
+        rate = 0.1 if spec.rate else 0.0
+        slope = spec.target(params, rate, LN2)
+        assert spec.check(slope, params, rate, LN2, 0.0).rel_error == pytest.approx(0.0, abs=1e-15)
 
 
 class TestAveraging:

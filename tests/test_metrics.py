@@ -12,6 +12,7 @@ from reference import (
     RhoOracle,
     SampleNotOrbitClosed,
     SampleOracle,
+    coordinate,
     disagreement_times,
     from_words,
     mather_metric,
@@ -36,6 +37,7 @@ from shiftmetrics.errors import (
     DifferentSpaces,
     GammaTooLarge,
     HypothesisViolated,
+    NoConvergence,
     QuasiMetricViolated,
     SaturatedDistances,
 )
@@ -198,7 +200,7 @@ class TestRho:
         dt1 = disagreement_times(shift_point(x, -1), shift_point(y, -1))
         if not (dt0.resolved_plus and dt1.resolved_plus):
             return  # saturated somewhere: the identity is about resolved times
-        if x[-1] == y[-1]:
+        if coordinate(x, -1) == coordinate(y, -1):
             assert dt1.n_plus == dt0.n_plus + 1
         else:
             assert dt1.n_plus == 0
@@ -354,6 +356,21 @@ class TestMatherN0:
         assert mp.k1 > 1.4 - 0.2
         assert mp.k2 > 1.7 - 0.2
 
+    @pytest.mark.parametrize("a, b", [(1.3, 1.3), (1.2, 1.9)])
+    def test_n0_on_a_gamma_grid(self, a, b):
+        # the unbounded one-step search, on gammas where it ends quickly
+        params = MetricParams(a, b)
+        for gamma in np.geomspace(1e-4, min(a, b) - 1, 40, endpoint=False).tolist():
+            n0 = 1
+            while not (4.0 ** (-1 / n0) * a > a - gamma and 4.0 ** (-1 / n0) * b > b - gamma):
+                n0 += 1
+            assert mather_n0(params, gamma).n0 == n0, gamma
+
+    @pytest.mark.parametrize("gamma", [1e-9, 1e-17])
+    def test_gamma_past_the_depth_cap(self, gamma):
+        with pytest.raises(NoConvergence, match="POWER_ITER_CAP"):
+            mather_n0(P13, gamma)
+
     @pytest.mark.parametrize("gamma", [0.0, -0.1, 0.3, 1.0, math.nan, math.inf])
     def test_gamma_out_of_range(self, gamma):
         with pytest.raises(GammaTooLarge, match="gamma must be finite and in"):
@@ -425,7 +442,9 @@ class TestVerifyHyperbolicity:
                for s in rng.integers(0, 2**31, 30)]
         pairs = [(a, b) for a, b in itertools.combinations(pts, 2)]
         rep = verify_hyperbolicity(pairs, mp, P13)
-        assert rep.passed
+        assert rep.lipschitz_forward_violations == rep.lipschitz_backward_violations == 0
+        assert rep.sandwich_violations == rep.expansion_failures == 0
+        assert rep.eps_prime > 0.0
         assert rep.pairs_checked == len(pairs)
         assert rep.escape_pairs > 0
         assert rep.eps_prime >= rep.threshold
@@ -440,7 +459,10 @@ class TestVerifyHyperbolicity:
         mp = MatherParams(gamma=0.05, n0=4, k1=1.2, k2=1.2)
         pts = [sample_point(FULL2, 60, seed=s) for s in (1, 2, 3, 4)]
         pairs = [(a, b) for a, b in itertools.combinations(pts, 2)]
-        assert verify_hyperbolicity(pairs, mp, P13).passed
+        rep = verify_hyperbolicity(pairs, mp, P13)
+        assert rep.lipschitz_forward_violations == rep.lipschitz_backward_violations == 0
+        assert rep.sandwich_violations == rep.expansion_failures == 0
+        assert rep.eps_prime > 0.0
         closed = orbit_closed_sample(pts, n_shifts=5)
         oracles = (
             RhoOracle(P13),

@@ -1,7 +1,8 @@
 """The package's public surface: what ``__init__`` imports is what it exports,
 every name the benchmark tracer reads still exists, and every exported
-function is reached by some report."""
+function and method is reached by some report."""
 import ast
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -12,7 +13,7 @@ from pathlib import Path
 import shiftmetrics
 from test_golden import CASES, render, write_inputs
 
-#: exported functions that no golden report calls, and why each stays
+#: exported functions and class methods that no golden report calls, and why each stays
 KEPT = {
     "pointwise_dimension": "hooked by the benchmark tracer",
     "brin_katok_local": "hooked by the benchmark tracer",
@@ -23,6 +24,7 @@ KEPT = {
     "sample_point": "hooked by the benchmark tracer",
     "box_dimension": "the README quickstart calls it",
     "support_word_count": "runs only past the transition-count bound",
+    "Point.agrees_with": "README \"API changes\" names it as the replacement for agrees_on",
 }
 
 
@@ -62,8 +64,9 @@ def test_benchmark_tracer_names_resolve():
 
 def test_every_exported_function_is_reached_by_a_report():
     """Test-only code belongs in ``tests/reference.py``: each golden case is
-    rendered once under a profiler, and every plain function in
-    ``__all__`` must be called by some case or be listed in ``KEPT``."""
+    rendered once under a profiler, and every plain function in ``__all__``
+    and every method and property of a class in it must be called by some
+    case or be listed in ``KEPT``."""
     called = set()
 
     def record(frame, event, arg):
@@ -84,5 +87,26 @@ def test_every_exported_function_is_reached_by_a_report():
         for name in shiftmetrics.__all__
         if inspect.isfunction(obj := getattr(shiftmetrics, name))
     }
+    for name in shiftmetrics.__all__:
+        if inspect.isclass(cls := getattr(shiftmetrics, name)):
+            functions.update(_methods(cls))
     unreached = sorted(name for name, f in functions.items() if f.__code__ not in called)
     assert unreached == sorted(KEPT)
+
+
+def _methods(cls):
+    """Each method and property ``cls`` defines, as ``Class.name``.  Dunder
+    protocol methods other than ``__getitem__`` (the generated ``__init__``,
+    ``__eq__``, ``__hash__``, ``__repr__``, ``__post_init__``, ...) are exempt
+    as a group: they run whenever an instance is built or compared."""
+    for name, attr in vars(cls).items():
+        if name.startswith("__") and name.endswith("__") and name != "__getitem__":
+            continue
+        if isinstance(attr, property):
+            attr = attr.fget
+        elif isinstance(attr, functools.cached_property):
+            attr = attr.func
+        elif isinstance(attr, (classmethod, staticmethod)):
+            attr = attr.__func__
+        if inspect.isfunction(attr):
+            yield f"{cls.__name__}.{name}", attr

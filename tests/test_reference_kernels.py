@@ -337,16 +337,17 @@ def test_word_counts_match_the_matrix_powers(name):
 
 def reference_walk(space: ShiftSpace, horizon: int, seed: int) -> np.ndarray:
     """The symbol-by-symbol seeded walk: uniform start, then uniform steps
-    forward over out-edges and backward over in-edges."""
+    forward over out-edges and backward over in-edges, both read off
+    ``space.allows`` rather than the sampler's neighbour tables."""
     u = np.random.default_rng(seed).random(2 * horizon + 2)
     alive = space.alive_states
     buf = [0] * (2 * horizon + 1)
     buf[horizon] = alive[int(u[0] * len(alive))]
     for t in range(1, horizon + 1):
-        choices = space.out_symbols(buf[horizon + t - 1])
+        choices = [s for s in alive if space.allows(buf[horizon + t - 1], s)]
         buf[horizon + t] = choices[int(u[t] * len(choices))]
     for t in range(1, horizon + 1):
-        choices = space.in_symbols(buf[horizon - t + 1])
+        choices = [s for s in alive if space.allows(s, buf[horizon - t + 1])]
         buf[horizon - t] = choices[int(u[horizon + t] * len(choices))]
     return np.array(buf, dtype=np.int64)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import point_word, shift_point
+from reference import coordinate, point_word, shift_point
 from shiftmetrics import errors, shiftspace
 from shiftmetrics.shiftspace import (
     count_words,
@@ -209,7 +209,7 @@ class TestShiftPoint:
         x = sample_point(full2, 10, 0)
         y = shift_point(x, 4)
         assert y.horizon == 6
-        assert all(y[t] == x[t + 4] for t in range(-6, 7))
+        assert all(coordinate(y, t) == coordinate(x, t + 4) for t in range(-6, 7))
         # the shifted window is a read-only view, exactly [-6, 6]
         assert y.symbols.size == 13 and np.shares_memory(y.symbols, x.symbols)
         assert not y.symbols.flags.writeable
@@ -236,7 +236,7 @@ class TestPointWindow:
         with pytest.raises(errors.InadmissibleWord):
             point_from_window(golden, [0, 1, 1, 0, 0])
         x = point_from_window(golden, [0, 1, 0, 0, 1])
-        assert x.horizon == 2 and x[0] == 0
+        assert x.horizon == 2 and coordinate(x, 0) == 0
 
     @pytest.mark.parametrize("word", [[0, 1.5, 0], (0, 1.5, 0), np.array([0.0, 1.5, 0.0])])
     def test_non_integer_symbol_is_refused_not_truncated(self, golden, word):
