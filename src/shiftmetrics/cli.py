@@ -34,7 +34,6 @@ from .estimators import (
     MEASURE_KINDS,
     RelationReport,
     SlopeEstimate,
-    _space_label,
     estimate_kind,
     identity_names,
     kind_ladder,
@@ -474,7 +473,7 @@ _SUBCOMMANDS = {
 
 def _resolved_config(config: RunConfig, space: ShiftSpace, params: MetricParams, mu) -> dict:
     d = dataclasses.asdict(config)
-    d["resolved_space"] = _space_label(space)
+    d["resolved_space"] = space.label
     d["resolved_measure"] = measure_to_json(mu) if mu is not None else None
     d["k"] = params.k()
     return d

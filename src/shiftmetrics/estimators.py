@@ -475,13 +475,6 @@ class BundleEntry:
     rate: float = 0.0
 
 
-def _space_label(space: ShiftSpace) -> str:
-    if space.is_full:
-        return f"full:{space.alphabet_size}"
-    bits = "".join(str(int(v)) for row in space.transition for v in row)
-    return f"sft:{space.alphabet_size}:{bits}"
-
-
 def _one(params: MetricParams, rate: float) -> float:
     return 1.0
 
@@ -820,7 +813,7 @@ def standard_bundle(
     """Estimate every kind in ``KINDS`` at its default ladder and label it;
     the measure kinds only when ``mu`` is given, all at the same ``n_points``
     typical points, sampled once to horizon 160."""
-    label = _space_label(space)
+    label = space.label
     points = None
     if mu is not None:
         require_supported(mu, space)

@@ -3,8 +3,9 @@
 Both families give closed-form masses for every cylinder, exact entropies,
 and stationary two-sided sampling (backward steps use the time-reversed
 kernel, so a sampled window is an exact stationary law, not an approximation).
-Each measure computes its log tables (``ln`` of the weights, or of ``P`` and
-``pi``) once, when it is built; word masses and the cover backends read them.
+Each measure takes its log tables (``_log_pi``, ``_log_P``) once, when it is
+built: ``ln pi`` and ``ln P`` for a chain, ``ln w`` and ``ln w`` on every row for
+a Bernoulli measure (the chain whose rows all equal its weights).
 
 The second half of the module is the covering backend used by the Katok-type
 entropy estimators: the minimal number of window cylinders whose total mass
@@ -158,7 +159,8 @@ class BernoulliMeasure:
         if abs(w.sum() - 1.0) > ROW_SUM_TOL:
             raise BadMeasure(f"weights must sum to 1 within {ROW_SUM_TOL}, got {w.sum()!r}")
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
-        object.__setattr__(self, "_log_weights", _log_table(w))
+        object.__setattr__(self, "_log_pi", _log_table(w))
+        object.__setattr__(self, "_log_P", _log_table(np.tile(w, (w.size, 1))))
 
     @property
     def alphabet_size(self) -> int:
@@ -242,7 +244,7 @@ def _block_log_mass(mu: Measure, w: np.ndarray) -> float:
     """ln of the (anchor-free, by stationarity) cylinder mass of a nonempty
     int64 block whose symbols are checked; -inf when the mass is 0."""
     if isinstance(mu, BernoulliMeasure):
-        return float(mu._log_weights[w].sum())
+        return float(mu._log_pi[w].sum())
     if isinstance(mu, MarkovMeasure):
         return float(mu._log_pi[w[0]] + mu._log_P[w[:-1], w[1:]].sum())
     raise BadMeasure(f"unsupported measure type {type(mu).__name__}")
@@ -307,22 +309,16 @@ def sample_typical(mu: Measure, horizon: int, seed, space: ShiftSpace | None = N
     return point_from_window(space, window)
 
 
+def _positive_pattern(mu: Measure) -> np.ndarray:
+    """The transitions of positive probability out of states of positive
+    mass (a zero-weight Bernoulli symbol's row is never entered)."""
+    return np.isfinite(mu._log_pi)[:, None] & np.isfinite(mu._log_P)
+
+
 def supported_on(mu: Measure, space: ShiftSpace) -> bool:
     """True when every positive-probability transition is admissible."""
-    if mu.alphabet_size > space.alphabet_size:
-        return False
-    if isinstance(mu, BernoulliMeasure):
-        sup = mu.support
-        return all(space.allows(i, j) for i in sup for j in sup)
-    if isinstance(mu, MarkovMeasure):
-        P = np.asarray(mu.P)
-        return all(
-            space.allows(i, j)
-            for i in range(mu.alphabet_size)
-            for j in range(mu.alphabet_size)
-            if P[i, j] > 0
-        )
-    raise BadMeasure(f"unsupported measure type {type(mu).__name__}")
+    m = mu.alphabet_size
+    return m <= space.alphabet_size and not (_positive_pattern(mu) & ~space.adjacency[:m, :m]).any()
 
 
 def _require_numbers(key: str, entries) -> None:
@@ -571,33 +567,14 @@ def support_word_count(mu: Measure, length: int) -> int:
     """Exact number of positive-mass words of the given length."""
     if length == 0:
         return 1
-    if isinstance(mu, BernoulliMeasure):
-        return len(mu.support) ** length
-    if isinstance(mu, MarkovMeasure):
-        P = np.asarray(mu.P)
-        indicator = (P > 0).astype(int)
-        return count_words(make_space(mu.alphabet_size, indicator), length)
-    raise BadMeasure(f"unsupported measure type {type(mu).__name__}")
-
-
-def _start_log_weights(mu: Measure) -> np.ndarray:
-    if isinstance(mu, BernoulliMeasure):
-        return mu._log_weights
-    return mu._log_pi
-
-
-def _step_log_weights(mu: Measure) -> np.ndarray:
-    if isinstance(mu, BernoulliMeasure):
-        return np.tile(mu._log_weights, (mu.alphabet_size, 1))
-    return mu._log_P
+    return count_words(make_space(mu.alphabet_size, _positive_pattern(mu)), length)
 
 
 def enumerate_log_masses(mu: Measure, length: int) -> np.ndarray:
     """Log masses of every positive-mass word of the given length (unsorted)."""
     if length == 0:
         return np.array([0.0])
-    start = _start_log_weights(mu)
-    step = _step_log_weights(mu)
+    start, step = mu._log_pi, mu._log_P
     masses = {
         s: np.array([float(start[s])])
         for s in range(mu.alphabet_size)
@@ -671,8 +648,7 @@ def _cover_from_sorted(log_mass: np.ndarray, log_count: np.ndarray, delta: float
 
 def _pq_cover_log_count(mu: Measure, length: int, delta: float) -> float:
     """Best-first prefix expansion; exact because extension never raises mass."""
-    start = _start_log_weights(mu)
-    step = _step_log_weights(mu)
+    start, step = mu._log_pi, mu._log_P
     m = mu.alphabet_size
     heap: list[tuple[float, int, int, int]] = []
     serial = 0

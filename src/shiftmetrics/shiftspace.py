@@ -33,7 +33,12 @@ POWER_ITER_CAP = 200_000
 
 
 class ShiftSpace:
-    """Full M-shift or 0/1-transition subshift with dead states trimmed."""
+    """Full M-shift or 0/1-transition subshift with dead states trimmed.
+
+    Beside the input ``transition`` (None for the full shift) it keeps one
+    table, the read-only bool ``adjacency``: (i, j) is set when ij is
+    admissible among alive states.  Every other view is read off it.
+    """
 
     def __init__(self, alphabet_size: int, transition=None):
         if not isinstance(alphabet_size, int) or alphabet_size < 1:
@@ -41,7 +46,7 @@ class ShiftSpace:
         self.alphabet_size = alphabet_size
         if transition is None:
             self.transition = None
-            self.alive_states = tuple(range(alphabet_size))
+            adj = np.ones((alphabet_size, alphabet_size), dtype=bool)
         else:
             mat = np.asarray(transition)
             if mat.ndim != 2 or mat.shape != (alphabet_size, alphabet_size):
@@ -51,42 +56,35 @@ class ShiftSpace:
             if not np.isin(mat, (0, 1)).all():
                 raise BadMatrix("transition entries must be 0 or 1")
             self.transition = mat.astype(np.int64)
-            self.alive_states = self._trim(self.transition)
-            if not self.alive_states:
-                raise AllStatesDead("every state was trimmed; the subshift is empty")
-        alive = list(self.alive_states)
-        self._alive_pos = {s: i for i, s in enumerate(alive)}
-        self._alive_mask = np.zeros(alphabet_size, dtype=bool)
-        self._alive_mask[alive] = True
-        if self.transition is None:
-            out = {s: tuple(alive) for s in alive}
-            self._in = {s: tuple(alive) for s in alive}
-        else:
-            out = {s: tuple(t for t in alive if self.transition[s, t]) for s in alive}
-            self._in = {
-                t: tuple(s for s in alive if self.transition[s, t]) for t in alive
-            }
+            adj = self.transition.astype(bool)
+        alive = np.ones(alphabet_size, dtype=bool)
+        while True:  # keep the states with an in- and an out-edge among those kept
+            adj &= alive & alive[:, None]
+            kept = adj.any(axis=0) & adj.any(axis=1)
+            if np.array_equal(kept, alive):
+                break
+            alive = kept
+        if not alive.any():
+            raise AllStatesDead("every state was trimmed; the subshift is empty")
+        adj.setflags(write=False)
+        self.adjacency = adj
+        self.alive_states = tuple(np.flatnonzero(alive).tolist())
+        self._alive_mask = alive
         # neighbour tables of the batch walk in ``sample_points``
-        self._succ, self._n_succ = _padded(alphabet_size, out)
-        self._pred, self._n_pred = _padded(alphabet_size, self._in)
-
-    @staticmethod
-    def _trim(mat: np.ndarray) -> tuple[int, ...]:
-        alive = set(range(mat.shape[0]))
-        changed = True
-        while changed:
-            changed = False
-            for s in list(alive):
-                has_out = any(mat[s, t] for t in alive)
-                has_in = any(mat[t, s] for t in alive)
-                if not (has_out and has_in):
-                    alive.discard(s)
-                    changed = True
-        return tuple(sorted(alive))
+        self._succ, self._n_succ = _padded(adj)
+        self._pred, self._n_pred = _padded(adj.T)
 
     @property
     def is_full(self) -> bool:
         return self.transition is None
+
+    @property
+    def label(self) -> str:
+        """``full:M``, or ``sft:M:`` and the input matrix's entries row by row."""
+        if self.is_full:
+            return f"full:{self.alphabet_size}"
+        bits = "".join(str(int(v)) for row in self.transition for v in row)
+        return f"sft:{self.alphabet_size}:{bits}"
 
     def _key(self):
         tbytes = None if self.transition is None else self.transition.tobytes()
@@ -101,17 +99,6 @@ class ShiftSpace:
     def __repr__(self) -> str:
         kind = "full" if self.is_full else "sft"
         return f"ShiftSpace({kind}, M={self.alphabet_size}, alive={len(self.alive_states)})"
-
-    def allows(self, i: int, j: int) -> bool:
-        """True when the two-letter word ij is admissible among alive states."""
-        if i not in self._alive_pos or j not in self._alive_pos:
-            return False
-        if self.transition is None:
-            return True
-        return bool(self.transition[i, j])
-
-    def in_symbols(self, s: int) -> tuple[int, ...]:
-        return self._in[s]
 
     def _symbol_indices(self, symbols) -> np.ndarray | None:
         """The word as an int64 vector of alphabet indices, or None when some
@@ -145,9 +132,7 @@ class ShiftSpace:
         w = self._symbol_indices(symbols)
         if w is None or not self._alive_mask[w].all():
             return False
-        if self.transition is None:
-            return True
-        return bool(self.transition[w[:-1], w[1:]].all())
+        return bool(self.adjacency[w[:-1], w[1:]].all())
 
     def require_admissible(self, symbols: Sequence[int]) -> None:
         if not self.is_admissible(symbols):
@@ -164,15 +149,15 @@ def _integer_value(c) -> int | None:
     return v if v == c else None
 
 
-def _padded(alphabet_size: int, neighbours: dict[int, tuple[int, ...]]):
-    """Neighbour lists as a zero-padded (M, max degree) int64 table and the
-    int64 degree of every symbol (0 for a trimmed one)."""
-    width = max(len(v) for v in neighbours.values())
-    table = np.zeros((alphabet_size, width), dtype=np.int64)
-    degree = np.zeros(alphabet_size, dtype=np.int64)
-    for s, v in neighbours.items():
-        table[s, : len(v)] = v
-        degree[s] = len(v)
+def _padded(adj: np.ndarray):
+    """The column indices of each row of ``adj``, ascending, as a
+    zero-padded (M, max degree) int64 table, and the int64 degree of every
+    row (0 for a trimmed symbol)."""
+    degree = adj.sum(axis=1, dtype=np.int64)
+    width = int(degree.max())
+    # a stable sort puts each row's set columns first, in ascending order
+    order = np.argsort(~adj, axis=1, kind="stable")[:, :width]
+    table = np.where(np.arange(width) < degree[:, None], order, 0).astype(np.int64)
     return table, degree
 
 
@@ -181,12 +166,18 @@ class Point:
     """Finite-window point: coordinates -horizon..horizon are known.
 
     ``symbols`` is exactly that window, read-only, so ``symbols[horizon +
-    t]`` holds coordinate ``t``.
+    t]`` holds coordinate ``t``; the horizon is read off its length.
     """
 
     space: ShiftSpace
     symbols: np.ndarray
-    horizon: int
+
+    def __post_init__(self):
+        if self.symbols.ndim != 1 or self.symbols.size % 2 != 1:
+            raise HorizonExceeded(
+                f"a point's window must be 1-D of odd length, got shape {self.symbols.shape}"
+            )
+        object.__setattr__(self, "horizon", (self.symbols.size - 1) // 2)
 
     def window(self, lo: int | None = None, hi: int | None = None) -> np.ndarray:
         """Read-only view of coordinates lo..hi (defaults: the full window)."""
@@ -243,7 +234,8 @@ def word_counts(space: ShiftSpace, lengths: Iterable[int]) -> tuple[int, ...]:
     if space.is_full:
         return tuple(space.alphabet_size**length for length in lengths)
     alive = space.alive_states
-    preds = [[space._alive_pos[s] for s in space.in_symbols(t)] for t in alive]
+    adj = space.adjacency[np.ix_(alive, alive)]
+    preds = [np.flatnonzero(column).tolist() for column in adj.T]
     wanted = set(lengths)
     counts = {0: 1}
     ending = [1] * len(alive)
@@ -277,7 +269,7 @@ def top_entropy_oracle(space: ShiftSpace) -> float:
     if space.is_full:
         return math.log(space.alphabet_size)
     alive = space.alive_states
-    A = space.transition[np.ix_(alive, alive)].astype(float) + np.eye(len(alive))
+    A = space.adjacency[np.ix_(alive, alive)].astype(float) + np.eye(len(alive))
     v = np.ones(A.shape[0])
     v /= v.sum()
     lam_prev = None
@@ -303,13 +295,10 @@ def point_from_window(space: ShiftSpace, symbols: Sequence[int]) -> Point:
     """
     if not isinstance(symbols, np.ndarray):
         symbols = list(symbols)
-    if len(symbols) % 2 != 1:
-        raise HorizonExceeded(f"window length must be odd, got {len(symbols)}")
     space.require_admissible(symbols)
     arr = np.array(symbols, dtype=np.int64)
     arr.setflags(write=False)
-    h = (len(arr) - 1) // 2
-    return Point(space, arr, h)
+    return Point(space, arr)
 
 
 #: seeds that ``sample_points`` draws uniforms for and walks at once (bounds its
@@ -449,7 +438,7 @@ def sample_points(space: ShiftSpace, horizon: int, seeds: Iterable[int]) -> list
             k = (u[:, horizon + t] * space._n_pred[prev]).astype(np.int64)
             rows[:, horizon - t] = space._pred[prev, k]
         rows.setflags(write=False)
-        points.extend(Point(space, row, horizon) for row in rows)
+        points.extend(Point(space, row) for row in rows)
     return points
 
 

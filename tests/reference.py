@@ -10,6 +10,13 @@ times, ``shift_point`` and anchored ``Word``s: the package computes rho only
 in batch (``FiniteSample.from_points``, ``shifted_rho_tables``), and these
 are the pair-at-a-time definitions those kernels are checked against.
 
+The spaces-and-supports section reads a space's graph and a measure's
+support off their inputs alone, as the oracles of ``ShiftSpace.adjacency``,
+``supported_on`` and ``support_word_count``: the one-state-at-a-time trim
+``trimmed_states`` (with ``reference_alive_states``), ``allows`` on the
+input ``transition``, and the per-family loops ``reference_supported_on``
+and ``reference_support_word_count``.
+
 The last section holds the oracles of the window arithmetic in
 ``shiftmetrics.cylinders``: the per-shift union ``alpha_union_window`` that
 ``alpha_window`` reads off its end shifts, the three-valued membership tests ``in_ball``,
@@ -20,6 +27,7 @@ with their sandwich windows (criterion 12 reads their limit ratios).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -36,6 +44,7 @@ from shiftmetrics import (
     Measure,
     MetricParams,
     Point,
+    ShiftSpace,
     alpha_window,
     ball_window,
     neutralized_window,
@@ -106,7 +115,7 @@ def shift_point(x: Point, i: int) -> Point:
         )
     symbols = x.window(i - new_h, i + new_h)
     symbols.setflags(write=False)
-    return Point(x.space, symbols, new_h)
+    return Point(x.space, symbols)
 
 
 @dataclass(frozen=True)
@@ -452,6 +461,74 @@ def from_words(words: Sequence[Sequence[int]], lo: int, params: MetricParams) ->
     mat = np.maximum(mat, mat.T)  # symmetric by construction; defensive
     np.fill_diagonal(mat, 0.0)
     return FiniteSample(mat, np.ones((n, n), dtype=bool))
+
+
+# ---------------------------------------------------------------------------
+# the graph of a space and the support of a measure, read off their inputs
+# ---------------------------------------------------------------------------
+
+
+def trimmed_states(transition) -> tuple[int, ...]:
+    """The states of a 0/1 matrix left once every state without an in- or an
+    out-edge among the states left is removed, one state at a time."""
+    mat = np.asarray(transition)
+    alive = set(range(mat.shape[0]))
+    changed = True
+    while changed:
+        changed = False
+        for s in list(alive):
+            has_out = any(mat[s, t] for t in alive)
+            has_in = any(mat[t, s] for t in alive)
+            if not (has_out and has_in):
+                alive.discard(s)
+                changed = True
+    return tuple(sorted(alive))
+
+
+@functools.lru_cache(maxsize=256)
+def reference_alive_states(space: ShiftSpace) -> tuple[int, ...]:
+    """``trimmed_states`` of the input ``transition``; every symbol of a full
+    shift.  Cached, since the scalar walks ask it once per symbol."""
+    if space.transition is None:
+        return tuple(range(space.alphabet_size))
+    return trimmed_states(space.transition)
+
+
+def allows(space: ShiftSpace, i: int, j: int) -> bool:
+    """True when the two-letter word ij is admissible among alive states,
+    computed from ``space.transition`` alone."""
+    alive = reference_alive_states(space)
+    if i not in alive or j not in alive:
+        return False
+    return space.transition is None or bool(space.transition[i, j])
+
+
+def reference_supported_on(mu: Measure, space: ShiftSpace) -> bool:
+    """Every pair of support symbols (Bernoulli) or every positive entry of
+    ``P`` (Markov) checked with ``allows``."""
+    if mu.alphabet_size > space.alphabet_size:
+        return False
+    if isinstance(mu, BernoulliMeasure):
+        sup = mu.support
+        return all(allows(space, i, j) for i in sup for j in sup)
+    P = np.asarray(mu.P)
+    m = mu.alphabet_size
+    return all(allows(space, i, j) for i in range(m) for j in range(m) if P[i, j] > 0)
+
+
+def reference_support_word_count(mu: Measure, length: int) -> int:
+    """|support|^length (Bernoulli), or the sum of the entries of the
+    (length - 1)-th power of the positive pattern of ``P`` (Markov)."""
+    if length == 0:
+        return 1
+    if isinstance(mu, BernoulliMeasure):
+        return len(mu.support) ** length
+    positive = (np.asarray(mu.P) > 0).tolist()
+    m = mu.alphabet_size
+    ending = [1] * m
+    for _ in range(length - 1):
+        ending = [sum(ending[s] for s in range(m) if positive[s][t]) for t in range(m)]
+    return sum(ending)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reference import Word, coordinate, cylinder_mass, log_word_mass
+from reference import (
+    Word,
+    coordinate,
+    cylinder_mass,
+    log_word_mass,
+    reference_support_word_count,
+    reference_supported_on,
+)
 from shiftmetrics import (
     BernoulliMeasure,
     MarkovMeasure,
@@ -28,6 +35,7 @@ from shiftmetrics import (
     top_entropy_oracle,
 )
 from shiftmetrics.errors import (
+    AllStatesDead,
     BadMeasure,
     HorizonExceeded,
     HypothesisViolated,
@@ -331,6 +339,53 @@ class TestSupportedOn:
 
     def test_alphabet_mismatch(self):
         assert not supported_on(THREE_STATE, make_space(2))
+
+    def test_zero_weight_symbol_on_a_trimmed_state(self):
+        # symbol 2 has an out-edge but no in-edge, so it is trimmed; the
+        # measure never enters it, so its row of ln P does not count
+        space = make_space(3, [[1, 1, 0], [1, 1, 0], [1, 0, 0]])
+        assert space.alive_states == (0, 1)
+        mu = BernoulliMeasure((0.5, 0.5, 0.0))
+        assert supported_on(mu, space)
+        assert reference_supported_on(mu, space)
+        assert support_word_count(mu, 5) == reference_support_word_count(mu, 5) == 32
+
+
+@st.composite
+def random_measures(draw):
+    """A Bernoulli measure (zero weights included) or an irreducible chain:
+    the cycle 0 -> 1 -> ... -> 0 plus random edges, with random weights."""
+    m = draw(st.integers(min_value=1, max_value=4))
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+        assume(sum(weights))
+        return BernoulliMeasure(tuple(k / sum(weights) for k in weights))
+    rows = []
+    for i in range(m):
+        ks = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+        ks[(i + 1) % m] = max(ks[(i + 1) % m], 1)
+        rows.append(tuple(k / sum(ks) for k in ks))
+    return MarkovMeasure(tuple(rows))
+
+
+@given(
+    random_measures(),
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda m: st.lists(
+            st.lists(st.integers(0, 1), min_size=m, max_size=m), min_size=m, max_size=m
+        )
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_support_checks_match_the_per_family_loops(mu, transition):
+    try:
+        space = make_space(len(transition), transition)
+    except AllStatesDead:
+        assume(False)
+    assert supported_on(mu, space) == reference_supported_on(mu, space)
+    assert supported_on(mu, make_space(mu.alphabet_size))
+    for length in range(6):
+        assert support_word_count(mu, length) == reference_support_word_count(mu, length)
 
 
 class TestMassSpectrum:

@@ -110,3 +110,27 @@ def _methods(cls):
             attr = attr.__func__
         if inspect.isfunction(attr):
             yield f"{cls.__name__}.{name}", attr
+
+
+#: attributes only the module that builds them reads: a space's input matrix
+#: and walk tables, and a measure's log tables
+PRIVATE_VIEWS = {
+    "shiftspace.py": {"transition", "_succ", "_pred", "_n_succ", "_n_pred", "_alive_mask"},
+    "measures.py": {"_log_pi", "_log_P"},
+}
+
+
+def test_graph_and_log_tables_stay_in_their_modules():
+    """No ``src/`` module reads another module's tables: the graph format
+    stays in ``shiftspace`` (other modules read ``adjacency`` or ``label``)
+    and the log tables in ``measures``."""
+    reads = []
+    for path in sorted(Path(shiftmetrics.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            for owner, names in PRIVATE_VIEWS.items():
+                if node.attr in names and path.name != owner:
+                    reads.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert reads == []

@@ -38,9 +38,11 @@ import numpy as np
 import pytest
 
 from reference import (
+    allows,
     chunked_shifted_rho_tables,
     from_words,
     orbit_closed_sample,
+    reference_alive_states,
     reference_bernoulli_spectrum,
     reference_check_quasi_metric,
     reference_frink_metrize,
@@ -152,9 +154,9 @@ def reference_is_admissible(space: ShiftSpace, symbols) -> bool:
     seq = list(symbols)
     if any((not isinstance(int(c), int)) or c < 0 or c >= space.alphabet_size for c in seq):
         return False
-    if any(c not in space._alive_pos for c in seq):
+    if any(c not in reference_alive_states(space) for c in seq):
         return False
-    return all(space.allows(seq[t], seq[t + 1]) for t in range(len(seq) - 1))
+    return all(allows(space, seq[t], seq[t + 1]) for t in range(len(seq) - 1))
 
 
 @pytest.mark.parametrize("name", sorted(MEASURES))
@@ -311,7 +313,7 @@ def reference_count_words(space: ShiftSpace, length: int) -> int:
         return 1
     if space.is_full:
         return space.alphabet_size**length
-    alive = space.alive_states
+    alive = reference_alive_states(space)
     sub = [[int(space.transition[s, t]) for t in alive] for s in alive]
     return sum(map(sum, _mat_pow(sub, length - 1)))
 
@@ -338,16 +340,16 @@ def test_word_counts_match_the_matrix_powers(name):
 def reference_walk(space: ShiftSpace, horizon: int, seed: int) -> np.ndarray:
     """The symbol-by-symbol seeded walk: uniform start, then uniform steps
     forward over out-edges and backward over in-edges, both read off
-    ``space.allows`` rather than the sampler's neighbour tables."""
+    ``reference.allows`` rather than the sampler's neighbour tables."""
     u = np.random.default_rng(seed).random(2 * horizon + 2)
-    alive = space.alive_states
+    alive = reference_alive_states(space)
     buf = [0] * (2 * horizon + 1)
     buf[horizon] = alive[int(u[0] * len(alive))]
     for t in range(1, horizon + 1):
-        choices = [s for s in alive if space.allows(buf[horizon + t - 1], s)]
+        choices = [s for s in alive if allows(space, buf[horizon + t - 1], s)]
         buf[horizon + t] = choices[int(u[t] * len(choices))]
     for t in range(1, horizon + 1):
-        choices = [s for s in alive if space.allows(s, buf[horizon - t + 1])]
+        choices = [s for s in alive if allows(space, s, buf[horizon - t + 1])]
         buf[horizon - t] = choices[int(u[horizon + t] * len(choices))]
     return np.array(buf, dtype=np.int64)
 

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import coordinate, point_word, shift_point
+from reference import allows, coordinate, point_word, shift_point, trimmed_states
 from shiftmetrics import errors, shiftspace
 from shiftmetrics.shiftspace import (
     count_words,
@@ -49,8 +49,8 @@ class TestMakeSpace:
 
     def test_golden_alive(self, golden):
         assert golden.alive_states == (0, 1)
-        assert golden.allows(0, 1) and golden.allows(1, 0)
-        assert not golden.allows(1, 1)
+        assert allows(golden, 0, 1) and allows(golden, 1, 0)
+        assert not allows(golden, 1, 1)
 
     def test_dead_state_trimmed(self):
         # state 0 has no incoming edge and is removed; state 1 self-loops
@@ -73,6 +73,56 @@ class TestMakeSpace:
     def test_structural_equality(self, golden):
         assert golden == make_space(2, GOLDEN)
         assert golden != make_space(2)
+
+    def test_full_shift_adjacency_is_all_true(self):
+        for M in range(1, 8):
+            sp = make_space(M)
+            assert sp.adjacency.shape == (M, M) and sp.adjacency.all()
+            assert not sp.adjacency.flags.writeable
+
+
+SQUARE_01 = st.integers(min_value=1, max_value=7).flatmap(
+    lambda m: st.lists(
+        st.lists(st.integers(min_value=0, max_value=1), min_size=m, max_size=m),
+        min_size=m,
+        max_size=m,
+    )
+)
+
+
+@given(SQUARE_01)
+@example([[0]])
+@example([[0] * 7] * 7)
+@example([[1] * 7] * 7)
+@example([[1, 1, 0, 1], [1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0]])
+@settings(max_examples=300, deadline=None)
+def test_space_tables_match_the_input_oracle(transition):
+    """Every table of a space against the one-state-at-a-time trim of its
+    input matrix and ``allows`` read off that matrix."""
+    M = len(transition)
+    alive = trimmed_states(np.array(transition))
+    if not alive:
+        with pytest.raises(errors.AllStatesDead):
+            make_space(M, transition)
+        return
+    sp = make_space(M, transition)
+    assert sp.alive_states == alive
+    expected = np.array([[allows(sp, i, j) for j in range(M)] for i in range(M)])
+    assert np.array_equal(sp.adjacency, expected)
+    for s in range(M):
+        succ = sp._succ[s, : sp._n_succ[s]].tolist()
+        pred = sp._pred[s, : sp._n_pred[s]].tolist()
+        assert succ == [t for t in range(M) if allows(sp, s, t)]
+        assert pred == [t for t in range(M) if allows(sp, t, s)]
+    ending = [1] * len(alive)
+    counts = [1]
+    for length in range(1, 12):
+        if length > 1:
+            ending = [
+                sum(e for s, e in zip(alive, ending) if allows(sp, s, t)) for t in alive
+            ]
+        counts.append(sum(ending))
+    assert shiftspace.word_counts(sp, range(12)) == tuple(counts)
 
 
 class TestCountWords:
@@ -252,6 +302,17 @@ class TestPointWindow:
         x = point_from_window(full2, [1, 0, 1])
         w = point_word(x, -1, 1)
         assert w.symbols == (1, 0, 1) and w.anchor == -1
+
+    @pytest.mark.parametrize("symbols", [np.array([0, 1, 0, 1]), np.zeros((3, 3), dtype=np.int64)])
+    def test_point_refuses_a_window_not_1d_of_odd_length(self, full2, symbols):
+        with pytest.raises(errors.HorizonExceeded, match="1-D of odd length"):
+            shiftspace.Point(full2, symbols)
+
+    def test_point_reads_its_horizon_off_the_window(self, full2):
+        x = shiftspace.Point(full2, np.array([0, 1, 0, 1, 1]))
+        assert x.horizon == 2 and x.window(-2, 2).tolist() == [0, 1, 0, 1, 1]
+        with pytest.raises(TypeError):
+            shiftspace.Point(full2, np.array([0, 1, 0, 1, 1]), 7)
 
     def test_window_bounds_checked(self, full2):
         x = point_from_window(full2, [1, 0, 1])
