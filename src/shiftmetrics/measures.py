@@ -55,7 +55,6 @@ from .errors import (
     WindowTooLarge,
 )
 from .shiftspace import (
-    POWER_ITER_CAP,
     Point,
     ShiftSpace,
     _seed_value,
@@ -64,7 +63,6 @@ from .shiftspace import (
     point_from_window,
 )
 
-STATIONARY_TOL = 1e-12
 ROW_SUM_TOL = 1e-12
 #: Most mass classes a cover builds (for a chain's transition-count classes,
 #: the smaller of their bound and the support word count), and most nodes its
@@ -95,10 +93,12 @@ def _strongly_connected(positive: np.ndarray) -> bool:
 def stationary(P) -> np.ndarray:
     """Unique stationary vector of an irreducible row-stochastic matrix.
 
-    Power iteration runs on the lazy kernel (P + I)/2, which has the same
-    fixed point but no periodicity, until successive iterates agree to
-    ``STATIONARY_TOL``.  Uniqueness is guarded by a strong-connectivity check
-    on the positive-entry digraph; reducible input raises ``Reducible``.
+    pi is read by GTH state reduction (Grassmann, Taksar & Heyman 1985):
+    states n-1, ..., 1 are folded one at a time into the states below them,
+    then unfolded from pi_0 = 1.  No step subtracts, so every entry is exact
+    to rounding however slowly the chain mixes.  Uniqueness is guarded by a
+    strong-connectivity check on the positive-entry digraph; reducible input
+    raises ``Reducible``.
     """
     mat = np.asarray(P, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
@@ -111,23 +111,16 @@ def stationary(P) -> np.ndarray:
     if not np.all(np.abs(rows - 1.0) <= ROW_SUM_TOL):
         raise BadMeasure(f"rows must sum to 1 within {ROW_SUM_TOL}, got sums {rows}")
     n = mat.shape[0]
-    if n == 1:
-        return np.array([1.0])
     if not _strongly_connected(mat > 0):
         raise Reducible("positive-entry digraph is not strongly connected")
-    lazy = 0.5 * (mat + np.eye(n))
-    pi = np.full(n, 1.0 / n)
-    for _ in range(POWER_ITER_CAP):
-        nxt = pi @ lazy
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - pi)) <= STATIONARY_TOL:
-            pi = nxt
-            break
-        pi = nxt
-    else:
-        raise NoConvergence(
-            f"stationary iteration did not reach {STATIONARY_TOL} in {POWER_ITER_CAP} steps"
-        )
+    Q = mat.copy()
+    for k in range(n - 1, 0, -1):
+        Q[:k, k] /= Q[k, :k].sum()
+        Q[:k, :k] += np.outer(Q[:k, k], Q[k, :k])
+    pi = np.ones(n)
+    for k in range(1, n):
+        pi[k] = pi[:k] @ Q[:k, k]
+    pi /= pi.sum()
     residual = np.max(np.abs(pi @ mat - pi))
     if residual > 1e-10:
         raise NoConvergence(f"stationary residual {residual} exceeds 1e-10")
@@ -228,7 +221,7 @@ def entropy_oracle(mu: Measure) -> MeasureReport:
         h = float(-(pi @ _xlogx(P).sum(axis=1)))
         return MeasureReport(
             max(h, 0.0),
-            "stationary transition entropy -sum pi_i P_ij ln P_ij; pi by power iteration",
+            "stationary transition entropy -sum pi_i P_ij ln P_ij; pi by GTH state reduction",
         )
     raise BadMeasure(f"unsupported measure type {type(mu).__name__}")
 

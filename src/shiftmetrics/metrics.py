@@ -29,10 +29,13 @@ from .errors import (
     SandwichViolated,
     SaturatedDistances,
 )
-from .shiftspace import POWER_ITER_CAP, Point
+from .shiftspace import Point
 
 TWO_SIDED = "two-sided"
 ONE_SIDED = "one-sided"
+
+#: most window depths ``mather_n0`` tries
+POWER_ITER_CAP = 200_000
 
 #: additive slack for exact-inequality verification
 VERIFY_TOL = 1e-12

@@ -23,13 +23,7 @@ from .errors import (
     BadMatrix,
     HorizonExceeded,
     InadmissibleWord,
-    NoConvergence,
 )
-
-#: Relative tolerance of ``top_entropy_oracle``'s power iteration.
-ENTROPY_TOL = 1e-12
-#: Step cap of the power iterations here and in ``measures.stationary``.
-POWER_ITER_CAP = 200_000
 
 
 class ShiftSpace:
@@ -253,37 +247,18 @@ def count_words(space: ShiftSpace, length: int) -> int:
 
 
 def top_entropy_oracle(space: ShiftSpace) -> float:
-    """Topological entropy: log of the transfer-matrix spectral radius.
+    """Topological entropy: log of the trimmed adjacency's spectral radius.
 
-    Full shifts return ln(M) directly.  For a subshift the spectral radius of
-    the trimmed matrix T is found by power iteration on T + I (the diagonal
-    shift removes periodicity without moving the leading eigenvector) to a
-    relative tolerance, then shifted back.
-
-    Raises
-    ------
-    NoConvergence
-        If ``POWER_ITER_CAP`` steps pass before two successive eigenvalue
-        estimates agree to ``ENTROPY_TOL`` (pathological/degenerate matrix).
+    Full shifts return ln(M) directly.  A subshift returns ln of the largest
+    real part among the eigenvalues of its trimmed adjacency: the spectral
+    radius of a nonnegative matrix is itself an eigenvalue, so periodic and
+    reducible subshifts are covered too.
     """
     if space.is_full:
         return math.log(space.alphabet_size)
     alive = space.alive_states
-    A = space.adjacency[np.ix_(alive, alive)].astype(float) + np.eye(len(alive))
-    v = np.ones(A.shape[0])
-    v /= v.sum()
-    lam_prev = None
-    for it in range(POWER_ITER_CAP):
-        w = A @ v
-        lam = w.sum() / v.sum()
-        v = w / w.sum()
-        if lam_prev is not None and abs(lam - lam_prev) <= ENTROPY_TOL * abs(lam) and it >= 5:
-            return math.log(lam - 1.0)
-        lam_prev = lam
-    raise NoConvergence(
-        f"power iteration did not reach rel tol {ENTROPY_TOL} in {POWER_ITER_CAP} iterations; "
-        f"last={lam_prev}"
-    )
+    A = space.adjacency[np.ix_(alive, alive)].astype(float)
+    return math.log(np.linalg.eigvals(A).real.max())
 
 
 def point_from_window(space: ShiftSpace, symbols: Sequence[int]) -> Point:

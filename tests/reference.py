@@ -17,6 +17,12 @@ support off their inputs alone, as the oracles of ``ShiftSpace.adjacency``,
 input ``transition``, and the per-family loops ``reference_supported_on``
 and ``reference_support_word_count``.
 
+The Perron section holds the power iterations that ``top_entropy_oracle``
+and ``stationary`` replaced with a direct solve: ``power_top_entropy`` on
+T + I and ``power_stationary`` on the lazy kernel (P + I)/2, with
+``perron_bracket``, a power iteration whose stopping rule is a certified
+bracket on the spectral radius.
+
 The last section holds the oracles of the window arithmetic in
 ``shiftmetrics.cylinders``: the per-shift union ``alpha_union_window`` that
 ``alpha_window`` reads off its end shifts, the three-valued membership tests ``in_ball``,
@@ -61,6 +67,7 @@ from shiftmetrics.errors import (
     HorizonExceeded,
     HypothesisViolated,
     InadmissibleWord,
+    NoConvergence,
     QuasiMetricViolated,
     SandwichViolated,
     SaturatedDistances,
@@ -529,6 +536,86 @@ def reference_support_word_count(mu: Measure, length: int) -> int:
     for _ in range(length - 1):
         ending = [sum(ending[s] for s in range(m) if positive[s][t]) for t in range(m)]
     return sum(ending)
+
+
+# ---------------------------------------------------------------------------
+# the Perron data by power iteration
+# ---------------------------------------------------------------------------
+
+#: Relative tolerance of ``power_top_entropy``.
+ENTROPY_TOL = 1e-12
+#: Stopping tolerance of ``power_stationary``.
+STATIONARY_TOL = 1e-12
+#: Step cap of both power iterations.
+POWER_ITER_CAP = 200_000
+
+
+def power_top_entropy(space: ShiftSpace) -> float:
+    """ln of the spectral radius of the trimmed matrix T, by power iteration
+    on T + I (the diagonal shift removes periodicity without moving the
+    leading eigenvector) to a relative tolerance, then shifted back."""
+    if space.is_full:
+        return math.log(space.alphabet_size)
+    alive = space.alive_states
+    A = space.adjacency[np.ix_(alive, alive)].astype(float) + np.eye(len(alive))
+    v = np.ones(A.shape[0])
+    v /= v.sum()
+    lam_prev = None
+    for it in range(POWER_ITER_CAP):
+        w = A @ v
+        lam = w.sum() / v.sum()
+        v = w / w.sum()
+        if lam_prev is not None and abs(lam - lam_prev) <= ENTROPY_TOL * abs(lam) and it >= 5:
+            return math.log(lam - 1.0)
+        lam_prev = lam
+    raise NoConvergence(
+        f"power iteration did not reach rel tol {ENTROPY_TOL} in {POWER_ITER_CAP} iterations; "
+        f"last={lam_prev}"
+    )
+
+
+def perron_bracket(transition, rel: float = 1e-12) -> tuple[float, float]:
+    """Collatz-Wielandt bounds min_i (Av)_i / v_i <= rho(A) <= max_i (Av)_i / v_i
+    of a primitive 0/1 matrix, for v from power iteration on A + I, once they
+    are within ``rel`` of each other.  Unlike the stopping rule of
+    ``power_top_entropy``, which compares two successive estimates and can stop
+    where the estimates turn, the bracket holds for every positive v."""
+    A = np.asarray(transition, dtype=float)
+    v = np.ones(A.shape[0])
+    for _ in range(POWER_ITER_CAP):
+        w = A @ v
+        ratios = w / v
+        lo, hi = ratios.min(), ratios.max()
+        if hi - lo <= rel * hi:
+            return float(lo), float(hi)
+        v = (w + v) / (w + v).max()
+    raise NoConvergence(f"Collatz-Wielandt bounds did not meet in {POWER_ITER_CAP} steps")
+
+
+def power_stationary(P) -> np.ndarray:
+    """Stationary vector of an irreducible row-stochastic matrix, by power
+    iteration on the lazy kernel (P + I)/2, which has the same fixed point
+    but no periodicity, until successive iterates agree to
+    ``STATIONARY_TOL``."""
+    mat = np.asarray(P, dtype=float)
+    n = mat.shape[0]
+    lazy = 0.5 * (mat + np.eye(n))
+    pi = np.full(n, 1.0 / n)
+    for _ in range(POWER_ITER_CAP):
+        nxt = pi @ lazy
+        nxt /= nxt.sum()
+        if np.max(np.abs(nxt - pi)) <= STATIONARY_TOL:
+            pi = nxt
+            break
+        pi = nxt
+    else:
+        raise NoConvergence(
+            f"stationary iteration did not reach {STATIONARY_TOL} in {POWER_ITER_CAP} steps"
+        )
+    residual = np.max(np.abs(pi @ mat - pi))
+    if residual > 1e-10:
+        raise NoConvergence(f"stationary residual {residual} exceeds 1e-10")
+    return pi
 
 
 # ---------------------------------------------------------------------------

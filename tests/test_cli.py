@@ -302,6 +302,16 @@ class TestExitCodes:
         assert report["passed"] is False
         assert report["relations"][0]["passed"] is False
 
+    def test_reducible_sft_gets_a_verdict(self, tmp_path):
+        # words of 1 1 / 0 1 grow like L + 1: the entropy oracle reads 0 and
+        # the counting slope misses it, a failed verdict rather than a refusal
+        path = tmp_path / "reducible.sft"
+        path.write_text("2\n1 1\n0 1\n", encoding="utf-8")
+        code, report = run_json(tmp_path, ["entropy", "--space", "sft:" + str(path)])
+        assert code == 1
+        assert report["passed"] is False
+        assert report["target"]["value"] == 0.0
+
     def test_no_solution_is_exit_one(self, tmp_path, capsys):
         code, report = run_json(tmp_path, ["solve-5-23", "--a", "1.3", "--b", "1.9", "--r", "0.3"])
         assert code == 1

@@ -54,16 +54,38 @@ MARKOV_3 = MarkovMeasure(((0.2, 0.5, 0.3), (0.4, 0.1, 0.5), (0.3, 0.3, 0.4)))
 GOLDEN_SPACE = make_space(2, [[1, 1], [1, 0]])
 
 
+def assert_within_ulps(actual, expected, ulps):
+    for a, e in zip(actual, expected, strict=True):
+        assert abs(a - e) <= ulps * math.ulp(e), (a, e)
+
+
 class TestStationary:
     def test_golden_chain_fixed_point(self):
         pi = stationary([[0.5, 0.5], [1.0, 0.0]])
-        assert np.allclose(pi, [2.0 / 3.0, 1.0 / 3.0], atol=1e-10)
+        assert_within_ulps(pi, [2 / 3, 1 / 3], 1)
+
+    @pytest.mark.parametrize(
+        "P, pi, ulps",
+        [
+            (((0.9999, 1e-4), (3e-4, 0.9997)), (0.75, 0.25), 1),
+            (((1 - 1e-6, 1e-6), (2e-6, 1 - 2e-6)), (2 / 3, 1 / 3), 1),
+            (
+                ((1 - 1e-9, 1e-9, 0.0), (0.0, 1 - 1e-9, 1e-9), (3e-9, 0.0, 1 - 3e-9)),
+                (3 / 7, 3 / 7, 1 / 7),
+                2,
+            ),
+        ],
+    )
+    def test_slowly_mixing_chains_are_exact(self, P, pi, ulps):
+        # state reduction never subtracts, so its error does not grow with the
+        # mixing time (a lazy power iteration stalls or stops short here)
+        assert_within_ulps(MarkovMeasure(P).pi, pi, ulps)
 
     def test_symmetric_chain(self):
         assert np.allclose(stationary([[0.5, 0.5], [0.5, 0.5]]), [0.5, 0.5], atol=1e-12)
 
     def test_periodic_chain_converges(self):
-        # plain power iteration would oscillate here; the lazy kernel must not
+        # plain power iteration would oscillate here; state reduction does not iterate
         assert np.allclose(stationary([[0.0, 1.0], [1.0, 0.0]]), [0.5, 0.5], atol=1e-10)
 
     def test_identity_is_reducible(self):

@@ -1,8 +1,8 @@
 """Differential tests: the batch word counts and point walk, the
 table-driven sampler, the vectorised admissibility check, the cylinder
 windows of every estimator ladder and the exact cover kernels against the
-scalar code they replaced, and the power-iteration spectral solvers against
-a dense eigensolver.
+scalar code they replaced, and the direct spectral solvers against a dense
+eigensolver and against the power iterations they replaced.
 
 The references below are kept here only as oracles.
 ``reference_count_words`` is the exact transfer-matrix power count made
@@ -36,12 +36,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from reference import (
     allows,
     chunked_shifted_rho_tables,
     from_words,
     orbit_closed_sample,
+    perron_bracket,
+    power_stationary,
+    power_top_entropy,
     reference_alive_states,
     reference_bernoulli_spectrum,
     reference_check_quasi_metric,
@@ -404,16 +409,22 @@ def test_seeded_uniforms_reproduce_default_rng(n):
         assert row.tobytes() == np.random.default_rng(seed).random(n).tobytes(), seed
 
 
+def has_positive_power(mat: np.ndarray) -> bool:
+    """Primitivity: squaring the support until the exponent passes Wielandt's
+    bound (m - 1)^2 + 1 leaves no zero."""
+    m = mat.shape[0]
+    power, exponent = (mat > 0).astype(np.int64), 1
+    while exponent < (m - 1) ** 2 + 1:
+        power = (power @ power > 0).astype(np.int64)
+        exponent *= 2
+    return bool(power.all())
+
+
 def random_primitive(m: int, rng) -> np.ndarray:
     """A random 0/1 matrix with a positive power (and no trimmed state)."""
     while True:
         mat = (rng.random((m, m)) < max(0.15, 2.5 / m)).astype(np.int64)
-        # square the support until the exponent passes Wielandt's bound (m - 1)^2 + 1
-        power, exponent = mat, 1
-        while exponent < (m - 1) ** 2 + 1:
-            power = (power @ power > 0).astype(np.int64)
-            exponent *= 2
-        if power.all():
+        if has_positive_power(mat):
             return mat
 
 
@@ -429,6 +440,49 @@ def test_spectral_solvers_match_the_dense_eigensolver(m):
         values, vectors = np.linalg.eig(P.T)
         pi = np.real(vectors[:, np.argmin(abs(values - 1.0))])
         np.testing.assert_allclose(stationary(P), pi / pi.sum(), rtol=0, atol=1e-10)
+
+
+@st.composite
+def square_matrices(draw, max_m, elements):
+    m = draw(st.integers(min_value=2, max_value=max_m))
+    entries = draw(st.lists(elements, min_size=m * m, max_size=m * m))
+    return np.array(entries).reshape(m, m)
+
+
+@settings(deadline=None)
+@given(square_matrices(7, st.integers(min_value=0, max_value=1)))
+def test_top_entropy_matches_the_certified_power_iteration(mat):
+    assume(has_positive_power(mat))
+    lo, hi = perron_bracket(mat)
+    h = top_entropy_oracle(make_space(len(mat), mat))
+    assert lo * (1 - 1e-13) <= math.exp(h) <= hi * (1 + 1e-13)
+    assert h == pytest.approx(math.log((lo + hi) / 2), rel=1e-10)
+
+
+def test_power_iteration_stopped_where_its_estimate_turned():
+    # the eigenvalues are phi^2, phi^-2 and three others, so h = 2 ln phi;
+    # the T + I estimates rise to 2.618181818... at step 6 and then fall, and
+    # the successive-estimate rule stopped there, 5.6e-5 (relative) high
+    mat = [[0, 1, 1, 0, 1], [1, 0, 0, 1, 0], [0, 1, 1, 0, 0], [0, 1, 1, 1, 1], [0, 1, 0, 1, 0]]
+    space = make_space(5, mat)
+    h = 2 * math.log((1 + math.sqrt(5)) / 2)
+    assert top_entropy_oracle(space) == pytest.approx(h, rel=1e-14)
+    assert power_top_entropy(space) == pytest.approx(h, rel=1e-4)
+    assert power_top_entropy(space) != pytest.approx(h, rel=1e-5)
+
+
+@settings(deadline=None)
+@given(square_matrices(5, st.integers(min_value=0, max_value=9)))
+def test_stationary_matches_the_lazy_power_iteration(weights):
+    rows = weights.sum(axis=1, keepdims=True)
+    assume(rows.all())
+    m = len(weights)
+    reach = np.linalg.matrix_power(weights + np.eye(m, dtype=np.int64) > 0, m - 1)
+    assume(reach.all())  # strongly connected
+    P = weights / rows
+    pi = stationary(P)
+    np.testing.assert_allclose(pi, power_stationary(P), rtol=0, atol=1e-9)
+    assert np.max(np.abs(pi @ P - pi)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -155,23 +155,53 @@ class TestCountWords:
             assert r1 <= r0 + 1e-9
 
 
+def regular_sft(m: int, d: int, rng) -> np.ndarray:
+    """A random 0/1 matrix with ``d`` ones in every row and at least one in
+    every column, so no state is trimmed and the spectral radius is ``d``."""
+    while True:
+        mat = np.zeros((m, m), dtype=np.int64)
+        for row in mat:
+            row[rng.choice(m, size=d, replace=False)] = 1
+        if mat.sum(axis=0).all():
+            return mat
+
+
 class TestTopEntropyOracle:
     def test_full_shifts(self):
         assert top_entropy_oracle(make_space(2)) == pytest.approx(math.log(2), abs=1e-12)
         assert top_entropy_oracle(make_space(3)) == pytest.approx(math.log(3), abs=1e-12)
 
     def test_golden_mean(self, golden):
-        phi = (1 + math.sqrt(5)) / 2
-        assert top_entropy_oracle(golden) == pytest.approx(math.log(phi), abs=1e-9)
+        assert top_entropy_oracle(golden) == math.log((1 + math.sqrt(5)) / 2)
+
+    @pytest.mark.parametrize("m", [16, 24, 32])
+    def test_regular_sfts_give_ln_d(self, m):
+        # an eigen-solve is exact only to a few eps * ||A||: up to 32 ulps of
+        # ln 4 over 600 random draws at these sizes, so the bound is 1e-14
+        # (45 ulps) rather than a fixed ulp count
+        rng = np.random.default_rng(m)
+        for _ in range(5):
+            h = top_entropy_oracle(make_space(m, regular_sft(m, 4, rng)))
+            assert h == pytest.approx(math.log(4), rel=0, abs=1e-14)
 
     def test_period_two_cycle(self):
         sp = make_space(2, [[0, 1], [1, 0]])
         assert top_entropy_oracle(sp) == pytest.approx(0.0, abs=1e-9)
 
-    def test_no_convergence_with_tiny_cap(self, golden, monkeypatch):
-        monkeypatch.setattr(shiftspace, "POWER_ITER_CAP", 3)
-        with pytest.raises(errors.NoConvergence, match="in 3 iterations"):
-            top_entropy_oracle(golden)
+    @pytest.mark.parametrize(
+        "transition, h",
+        [
+            ([[1, 1], [0, 1]], 0.0),
+            ([[1, 1, 0], [0, 1, 1], [0, 0, 1]], 0.0),
+            ([[1, 1, 0, 0], [1, 0, 0, 0], [0, 1, 1, 1], [0, 0, 1, 0]], math.log((1 + 5**0.5) / 2)),
+        ],
+    )
+    def test_reducible_sfts(self, transition, h):
+        # the spectral radius of a nonnegative matrix is an eigenvalue, so a
+        # reducible SFT's entropy is read like any other's
+        sp = make_space(len(transition), transition)
+        assert len(sp.alive_states) == len(transition)
+        assert top_entropy_oracle(sp) == pytest.approx(h, rel=0, abs=1e-12)
 
     def test_growth_rate_matches_counts(self, golden):
         # independent consistency: ln count(L)/L approaches the oracle
