@@ -343,11 +343,8 @@ def _run_solve(config, space, params, mu):
 def _run_metric_verify(config, space, params, mu):
     _require_at_least(config, n_points=1)
     mp = mather_n0(params, config.gamma)
-    horizon = 4 * mp.n0 + 48 if config.horizon is None else config.horizon
-    # pair i is the points of seeds seed + 2i and seed + 2i + 1
-    points = sample_points(space, horizon, range(config.seed, config.seed + 2 * config.n_points))
-    pairs = list(zip(points[0::2], points[1::2]))
-    report = verify_hyperbolicity(pairs, mp, params)
+    report = verify_hyperbolicity(mp, params)
+    # the points sample only the ultrametric row; the hyperbolicity rows hold for every pair
     n_tri = min(40, max(4, config.n_points))
     tri_seed = config.seed + 1_000_000
     tri_points = sample_points(space, 60, range(tri_seed, tri_seed + n_tri))
@@ -443,8 +440,7 @@ def _run_frink(config, space, params, mu):
 _BASE = "--a --b --format --out"
 _SPACE = _BASE + " --space --mode --seed"
 _MEASURE = " --measure --tol"
-_POINTS = " --horizon --n-points"
-_SAMPLED = _SPACE + _MEASURE + _POINTS
+_SAMPLED = _SPACE + _MEASURE + " --horizon --n-points"
 _DEPTH = " --t-min --t-max --t-step --r1"
 
 #: name -> (runner, help line, the flags its run reads); argparse refuses every other flag
@@ -456,7 +452,7 @@ _SUBCOMMANDS = {
     "brin-katok": (_run_slope, "local entropy at typical points", _SAMPLED + _DEPTH),
     "neutralized": (_run_slope, "shrinking-radius entropy", _SAMPLED + _DEPTH + " --r"),
     "estimation": (_run_slope, "discounted-radius entropy", _SAMPLED + _DEPTH + " --alpha"),
-    "metric-verify": (_run_metric_verify, "hyperbolicity checks", _SPACE + _POINTS + " --gamma"),
+    "metric-verify": (_run_metric_verify, "hyperbolicity checks", _SPACE + " --n-points --gamma"),
     "frink": (_run_frink, "chain-metrization sandwich", _SPACE + " --n-samples --sample-size"),
     # standard_bundle samples its points to horizon 160
     "relations": (
@@ -571,7 +567,7 @@ _FLAGS = {
     "--mode": {"choices": [TWO_SIDED, ONE_SIDED]},
     "--measure": {"help": "path to a measure JSON spec"},
     "--horizon": {"type": int, "help": "sampled-point horizon"},
-    "--n-points": {"type": int, "help": "typical points / pairs"},
+    "--n-points": {"type": int, "help": "sampled points"},
     "--format": {"choices": ["json", "csv"]},
     "--out": {"help": "write the report to this file"},
     "--tol": {"action": "append", "metavar": "FLOAT|NAME=FLOAT", "help": "tolerance override"},

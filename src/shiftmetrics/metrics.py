@@ -9,7 +9,8 @@ relaxed two-point triangle test.
 The contraction-margin ("mather") metric d~ maximizes chain distances along a
 finite orbit stretch with geometric weights k1, k2; `verify_hyperbolicity`
 checks the one-step expansion inequality, the Lipschitz bounds, and the
-comparability sandwich on sampled pairs.
+comparability sandwich on every pair, read off the pairs that differ at one
+coordinate.
 """
 from __future__ import annotations
 
@@ -39,9 +40,6 @@ POWER_ITER_CAP = 200_000
 
 #: additive slack for exact-inequality verification
 VERIFY_TOL = 1e-12
-
-#: pairs per block of the shifted-distance kernel (bounds its transient memory)
-PAIR_CHUNK = 64
 
 #: Uniform expansivity bound of the symbolic base model.  The base distance
 #: 2**-min{|i| : x_i != y_i} has separation threshold 1/2, and any pair at
@@ -100,10 +98,10 @@ class MetricParams:
             )
 
 
-def _padded(windows: Sequence[np.ndarray], half: int, fill=-1) -> np.ndarray:
+def _padded(windows: Sequence[np.ndarray], half: int) -> np.ndarray:
     """Stack odd-length windows centred on coordinate 0 into one array of
-    width ``2 * half + 1``, padded with ``fill`` outside each window."""
-    out = np.full((len(windows), 2 * half + 1), fill)
+    width ``2 * half + 1``, padded with -1 outside each window."""
+    out = np.full((len(windows), 2 * half + 1), -1)
     for row, w in zip(out, windows):
         h = (w.size - 1) // 2
         row[half - h : half + h + 1] = w
@@ -377,72 +375,10 @@ def mather_n0(params: MetricParams, gamma: float) -> MatherParams:
     )
 
 
-def shifted_rho_tables(
-    pairs: Sequence[tuple[Point, Point]], params: MetricParams, max_shift: int
-) -> np.ndarray:
-    """Row k: rho(shift(x,j), shift(y,j)) for j in [-max_shift, max_shift],
-    (x, y) = ``pairs[k]``; all pairs are scanned at once (callers chunk).
-
-    A running minimum and maximum over each pair's mismatch mask give the
-    next and previous disagreement of every coordinate, and the shifted
-    times follow.  The first pair, in order, that mixes spaces
-    (``DifferentSpaces``), whose common horizon is below ``max_shift``, or
-    whose shifts are unresolved (``SaturatedDistances``; a pair literally
-    equal on its common window yields zeros instead) raises.
-    """
-    # a refused pair ends the scan; the unresolved pairs before it raise first
-    refusal = None
-    masks = []
-    for x, y in pairs:
-        if x.space != y.space:
-            refusal = DifferentSpaces("pair from different spaces")
-            break
-        hc = min(x.horizon, y.horizon)
-        if max_shift > hc:
-            refusal = SaturatedDistances(f"horizon {hc} cannot support shifts up to {max_shift}")
-            break
-        masks.append(x.window(-hc, hc) != y.window(-hc, hc))
-    js = np.arange(-max_shift, max_shift + 1)
-    tables = np.zeros((len(masks), js.size))
-    if masks:
-        hcs = np.array([(mask.size - 1) // 2 for mask in masks])
-        H = int(hcs.max())
-        mism = _padded(masks, H, False)
-        coords = np.arange(-H, H + 1, dtype=np.int32)
-        # next disagreement at or after each shift j (and, two-sided, the
-        # last one at or before it); each search reads only the columns it
-        # can reach, and one further than ``half`` from j leaves j unresolved
-        ahead = slice(H - max_shift, None)
-        s_fwd = np.minimum.accumulate(
-            np.where(mism[:, ahead], coords[ahead], H + 1)[:, ::-1], axis=1
-        )[:, : -js.size - 1 : -1]
-        half = hcs[:, None] - np.abs(js)
-        ok = s_fwd <= js + half
-        two_sided = params.mode != ONE_SIDED
-        if two_sided:
-            behind = slice(None, H + max_shift + 1)
-            s_bwd = np.maximum.accumulate(
-                np.where(mism[:, behind], coords[behind], -H - 1), axis=1
-            )[:, -js.size :]
-            ok &= s_bwd >= js - half
-        differ = mism.any(axis=1)
-        if (differ & ~ok.all(axis=1)).any():
-            if two_sided:
-                raise SaturatedDistances("a shifted pair is unresolved within its window")
-            raise SaturatedDistances("a shifted pair is unresolved forward")
-        tables = params.b ** (-(s_fwd - js).astype(float))
-        if two_sided:
-            tables = np.maximum(tables, params.a ** (-(js - s_bwd).astype(float)))
-        tables[~differ] = 0.0
-    if refusal is not None:
-        raise refusal
-    return tables
-
-
 @dataclass(frozen=True)
 class HyperbolicityReport:
-    """Counts and margins of `verify_hyperbolicity` over a pair sample; the
-    CLI's ``metric-verify`` relations are the verdict on them."""
+    """Counts and margins of `verify_hyperbolicity` over the single-disagreement
+    pairs; the CLI's ``metric-verify`` relations are the verdict on them."""
 
     pairs_checked: int
     lipschitz_forward_violations: int
@@ -456,48 +392,45 @@ class HyperbolicityReport:
     worst_sandwich_margin: float
 
 
-def _d_tilde_from_tables(tables: np.ndarray, t: int, mp: MatherParams, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """d~ of each row's pair shifted by t, read off its shifted-rho table."""
-    n0 = mp.n0
-    c = (tables.shape[1] - 1) // 2
-    back = tables[:, c + t - n0 + 1 : c + t + 1][:, ::-1]  # D(shift by t-i), i=0..n0-1
-    fwd = tables[:, c + t : c + t + n0]
-    return np.maximum(np.max(back * w1, axis=1), np.max(fwd * w2, axis=1))
+def _single_disagreement_distances(
+    positions: np.ndarray, mp: MatherParams, params: MetricParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """rho, and d~ at shifts 0, +1 and -1, of the pair that differs only at
+    coordinate p, for each p of ``positions`` (two-sided rho).
 
-
-def verify_hyperbolicity(
-    pairs: Sequence[tuple[Point, Point]],
-    mp: MatherParams,
-    params: MetricParams,
-) -> HyperbolicityReport:
-    """Check, for every pair, with d~ the contraction-margin metric:
-
-    (i)   max(d~(shift**-1) / (a - gamma), d~(shift) / (b - gamma))
-          >= min(d~(x, y), eps'), with eps' calibrated as the largest value
-          admitted by the sample and reported;
-    (ii)  d~(shift(x), shift(y)) <= 16 b d~(x, y) and the backward twin with
-          16 a;
-    (iii) d~(x, y) / 4 <= rho(x, y) <= 4 d~(x, y).
-
-    On symbolic samples the chain metric is rho itself (the ultrametric
-    inequality makes every chain at least as long as the direct edge), so
-    every shifted distance comes from one disagreement scan per pair.  Each
-    block of ``PAIR_CHUNK`` pairs is reduced to its d~ at shifts 0 and +-1
-    and its rho before the next block is scanned.
+    At shift j that pair's rho is b**-(p - j) for p >= j and a**-(j - p)
+    behind.  d~ at shift t is the larger maximum of two weighted runs over
+    i = 0..n0-1.  The backward run rho(shift t - i) * k1**-i grows by
+    a / k1 = 4**(1/n0) per step while t - i > p and falls from i = t - p on;
+    the forward run rho(shift t + i) * k2**-i grows by b / k2 up to
+    i = p - t and falls after.  So each run's maximum is one of its two
+    terms next to that switch, clipped to 0..n0-1, and the whole check is
+    O(len(positions)).  Every power has a nonpositive exponent, so far
+    positions underflow to 0 rather than overflow.
     """
-    if len(pairs) == 0:
-        raise HypothesisViolated("verify_hyperbolicity needs at least one pair")
-    n0 = mp.n0
-    w1 = mp.k1 ** -np.arange(n0, dtype=float)
-    w2 = mp.k2 ** -np.arange(n0, dtype=float)
-    d0, dp, dm, rho0 = (np.empty(len(pairs)) for _ in range(4))
-    for start in range(0, len(pairs), PAIR_CHUNK):
-        tables = shifted_rho_tables(pairs[start : start + PAIR_CHUNK], params, n0 + 1)
-        block = slice(start, start + len(tables))
-        d0[block] = _d_tilde_from_tables(tables, 0, mp, w1, w2)
-        dp[block] = _d_tilde_from_tables(tables, 1, mp, w1, w2)
-        dm[block] = _d_tilde_from_tables(tables, -1, mp, w1, w2)
-        rho0[block] = tables[:, n0 + 1]
+    p = np.asarray(positions, dtype=np.int64)
+
+    def rho_at(j) -> np.ndarray:
+        ahead = -np.abs(p - j).astype(float)
+        return np.where(p >= j, params.b**ahead, params.a**ahead)
+
+    def run_max(t: int, k: float, sign: int) -> np.ndarray:
+        # sign -1: the backward run, whose switch is i = t - p; +1: forward, i = p - t
+        switch = sign * (p - t)
+        i = np.clip([switch, switch + sign], 0, mp.n0 - 1)
+        return (rho_at(t + sign * i) * k ** -i.astype(float)).max(axis=0)
+
+    def d_tilde(t: int) -> np.ndarray:
+        return np.maximum(run_max(t, mp.k1, -1), run_max(t, mp.k2, 1))
+
+    return rho_at(0), d_tilde(0), d_tilde(1), d_tilde(-1)
+
+
+def _hyperbolicity_report(
+    positions: np.ndarray, mp: MatherParams, params: MetricParams
+) -> HyperbolicityReport:
+    """The counts and margins of the single-disagreement pairs at ``positions``."""
+    rho0, d0, dp, dm = _single_disagreement_distances(positions, mp, params)
     bound_f = 16.0 * params.b * d0 + VERIFY_TOL
     bound_b = 16.0 * params.a * d0 + VERIFY_TOL
     lip_f = int(np.sum(dp > bound_f))
@@ -506,19 +439,14 @@ def verify_hyperbolicity(
     sandw = int(np.sum((d0 / 4.0 > rho0 + VERIFY_TOL) | (rho0 > 4.0 * d0 + VERIFY_TOL)))
     worst_sand = float(max(np.max(d0 / 4.0 - rho0), np.max(rho0 - 4.0 * d0)))
     lhs = np.maximum(dm / (params.a - mp.gamma), dp / (params.b - mp.gamma))
-    threshold = 0.25 * min(
-        mp.k1 ** (-(n0 - 1)) / params.a, mp.k2 ** (-(n0 - 1)) / params.b
-    )
+    threshold = 0.25 * min(mp.k1 ** (1 - mp.n0) / params.a, mp.k2 ** (1 - mp.n0) / params.b)
     escape = lhs + VERIFY_TOL < d0
-    if escape.any():
-        eps_prime = float(np.min(lhs[escape]))
-    else:
-        eps_prime = threshold
+    eps_prime = float(np.min(lhs[escape])) if escape.any() else threshold
     # the falsifiable form of (i): pairs below the a-priori threshold must
     # not escape, i.e. the inequality holds with eps' = threshold
     failures = int(np.sum(lhs + VERIFY_TOL < np.minimum(d0, threshold)))
     return HyperbolicityReport(
-        pairs_checked=len(pairs),
+        pairs_checked=len(d0),
         lipschitz_forward_violations=lip_f,
         lipschitz_backward_violations=lip_b,
         sandwich_violations=sandw,
@@ -529,3 +457,36 @@ def verify_hyperbolicity(
         worst_lipschitz_margin=worst_lip,
         worst_sandwich_margin=worst_sand,
     )
+
+
+def verify_hyperbolicity(mp: MatherParams, params: MetricParams) -> HyperbolicityReport:
+    """Check, for every pair of points of any subshift, with d~ the
+    contraction-margin metric:
+
+    (i)   max(d~(shift**-1) / (a - gamma), d~(shift) / (b - gamma))
+          >= min(d~(x, y), eps'), with eps' the largest value the pairs
+          admit, reported;
+    (ii)  d~(shift(x), shift(y)) <= 16 b d~(x, y) and the backward twin with
+          16 a;
+    (iii) d~(x, y) / 4 <= rho(x, y) <= 4 d~(x, y).
+
+    On symbolic points the chain metric is rho itself, and a pair's rho at
+    any shift is the maximum, over its disagreement coordinates p, of one
+    value per p.  So d~ at shifts 0 and +-1 and rho are maxima over p of
+    the same quantities for the pair that differs only at p, and each
+    inequality holds for every pair once it holds for every such pair.
+    Past |p| = n0 + 2 every one of them is a fixed multiple of a power of b
+    (or of a), so the 2 n0 + 5 pairs with |p| <= n0 + 2 decide every count
+    and eps'; ``pairs_checked`` counts them.  The two worst margins are
+    maxima over these pairs.
+
+    One-sided rho is refused: it cannot see coordinates below 0, but the
+    backward shifts of d~ read them, so d~ / 4 <= rho fails at p = -1.
+    """
+    if params.mode == ONE_SIDED:
+        raise HypothesisViolated(
+            "hyperbolicity needs two-sided rho: the backward shifts of d~ read "
+            "coordinates below 0, which one-sided rho cannot see"
+        )
+    reach = mp.n0 + 2
+    return _hyperbolicity_report(np.arange(-reach, reach + 1), mp, params)

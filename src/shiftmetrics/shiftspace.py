@@ -280,37 +280,6 @@ def point_from_window(space: ShiftSpace, symbols: Sequence[int]) -> Point:
 #: transient memory)
 SAMPLE_CHUNK = 128
 
-# NumPy's ``SeedSequence`` (numpy/random/bit_generator.pyx): a pool of 4
-# uint32 words mixed from the seed's words by two multiplicative hash chains
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-#: multiplier of PCG64's 128-bit linear congruential step
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK_128 = (1 << 128) - 1
-
-
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """c_0 = init, c_{k+1} = c_k * mult mod 2**32, for k < count: hash call
-    k of a chain xors with c_k and multiplies by c_{k+1}."""
-    out = [init]
-    for _ in range(count):
-        out.append(out[-1] * mult & 0xFFFFFFFF)
-    return np.array(out, dtype=np.uint32)
-
-
-def _hash(values: np.ndarray, consts: np.ndarray, k: int) -> np.ndarray:
-    """Hash calls k, k + 1, ... of a chain, one per column of ``values``."""
-    m = values.shape[1]
-    v = (values ^ consts[k : k + m]) * consts[k + 1 : k + m + 1]
-    return v ^ (v >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return r ^ (r >> 16)
-
 
 def _seed_value(seed) -> int:
     """A seed as a Python int; ``None`` (OS entropy) and non-integers are
@@ -324,71 +293,16 @@ def _seed_value(seed) -> int:
     return value
 
 
-def _pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
-    """``(state, inc)`` of ``PCG64(seed)`` for each seed >= 0.
-
-    The ``SeedSequence`` hash runs on every seed at once in uint32: the
-    seed's little-endian 32-bit words (zero-padded to the pool size, as
-    NumPy pads with hash(0)) are hashed into the pool, the pool words mix
-    pairwise, words past the pool mix into all of it, and
-    ``generate_state(4, uint64)`` reads the pool out through the second
-    chain.  PCG64 then seeds itself from those four words w0..w3:
-    initstate = w0 << 64 | w1, inc = (w2 << 64 | w3) << 1 | 1 and state =
-    ((inc + initstate) * MULT + inc) mod 2**128.
-    """
-    width = max(_POOL_SIZE, -(-max(seeds).bit_length() // 32))
-    words = np.frombuffer(
-        b"".join(s.to_bytes(4 * width, "little") for s in seeds), dtype="<u4"
-    ).reshape(len(seeds), width).astype(np.uint32)
-    consts = _hash_constants(_INIT_A, _MULT_A, 4 * width)
-    pool = _hash(words[:, :_POOL_SIZE], consts, 0)
-    calls = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        pool[:, dst] = _mix(pool[:, dst], _hash(pool[:, [src] * len(dst)], consts, calls))
-        calls += len(dst)
-    for src in range(_POOL_SIZE, width):
-        # a seed of fewer words than ``src + 1`` skips this step
-        mixed = _mix(pool, _hash(words[:, [src] * _POOL_SIZE], consts, calls))
-        calls += _POOL_SIZE
-        has_word = words[:, src:].any(axis=1)
-        pool[has_word] = mixed[has_word]
-    out = _hash(np.tile(pool, 2), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE), 0)
-    w = out[:, 0::2].astype(np.uint64) | out[:, 1::2].astype(np.uint64) << np.uint64(32)
-    states = []
-    for w0, w1, w2, w3 in w.tolist():
-        inc = (w2 << 65 | w3 << 1 | 1) & _MASK_128
-        states.append((((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK_128, inc))
-    return states
-
-
-def _seeded_uniforms(seeds: Sequence[int], out: np.ndarray) -> None:
-    """Fill row r of ``out`` with ``default_rng(seeds[r]).random(out.shape[1])``,
-    bit for bit, from one PCG64 whose state is set to each seed's in turn."""
-    bits = np.random.PCG64(0)
-    gen = np.random.Generator(bits)
-    for row, (state, inc) in zip(out, _pcg64_states(seeds)):
-        bits.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        gen.random(out=row)
-
-
 def sample_points(space: ShiftSpace, horizon: int, seeds: Iterable[int]) -> list[Point]:
     """Seeded admissible points, one per seed, walked together.
 
     Each point is the walk of its own stream ``default_rng(seed).random(2
     * horizon + 2)``: u[0] picks a uniform alive start, u[1..horizon] walk
     forward over out-edges and u[horizon+1..2 horizon] backward over
-    in-edges, each step taking neighbour ``int(u * degree)``.  One PCG64
-    draws every stream (`_seeded_uniforms`): the seeds of a chunk are
-    hashed together and each seed's state is set before its row is drawn.
-    Every step is one NumPy gather over the padded neighbour tables
-    for up to ``SAMPLE_CHUNK`` seeds, writing into the points' final int64
-    rows.  Seeds must be integers >= 0 (NumPy integers and bools too);
+    in-edges, each step taking neighbour ``int(u * degree)``.  Every step
+    is one NumPy gather over the padded neighbour tables for up to
+    ``SAMPLE_CHUNK`` seeds, writing into the points' final int64 rows.
+    Seeds must be integers >= 0 (NumPy integers and bools too);
     ``None``, which would draw OS entropy, is refused.
     """
     if horizon < 0:
@@ -401,7 +315,8 @@ def sample_points(space: ShiftSpace, horizon: int, seeds: Iterable[int]) -> list
     for lo in range(0, len(seeds), SAMPLE_CHUNK):
         chunk = seeds[lo : lo + SAMPLE_CHUNK]
         u = uniforms[: len(chunk)]
-        _seeded_uniforms(chunk, u)
+        for row, seed in zip(u, chunk):
+            np.random.default_rng(seed).random(out=row)
         rows = np.empty((len(chunk), n), dtype=np.int64)
         rows[:, horizon] = alive[(u[:, 0] * len(alive)).astype(np.int64)]
         for t in range(1, horizon + 1):

@@ -7,8 +7,13 @@ pytest does not collect it.
 
 The first section holds the scalar distance ``rho`` with its disagreement
 times, ``shift_point`` and anchored ``Word``s: the package computes rho only
-in batch (``FiniteSample.from_points``, ``shifted_rho_tables``), and these
-are the pair-at-a-time definitions those kernels are checked against.
+in batch (``FiniteSample.from_points``) or for single-disagreement pairs
+(``verify_hyperbolicity``), and these are the pair-at-a-time definitions
+those routes are checked against.  ``reference_shifted_rho_table``,
+``sampled_pair_distances`` and ``reference_verify_hyperbolicity`` check
+sampled pairs one at a time against the package's exhaustive
+hyperbolicity check, and ``table_single_disagreement_distances`` reads
+that check's per-position values off a full table of shifted distances.
 
 The spaces-and-supports section reads a space's graph and a measure's
 support off their inputs alone, as the oracles of ``ShiftSpace.adjacency``,
@@ -57,7 +62,6 @@ from shiftmetrics import (
     p_of_log_r,
     p_of_r,
     require_alpha_regime,
-    shifted_rho_tables,
 )
 from shiftmetrics.cylinders import _reach
 from shiftmetrics.errors import (
@@ -81,7 +85,7 @@ from shiftmetrics.measures import (
     _log_choose,
     _require_symbols,
 )
-from shiftmetrics.metrics import ONE_SIDED, PAIR_CHUNK, VERIFY_TOL
+from shiftmetrics.metrics import ONE_SIDED, VERIFY_TOL
 
 
 class SampleNotOrbitClosed(ShiftMetricsError):
@@ -356,24 +360,42 @@ def reference_shifted_rho_table(
     return np.maximum(plus, minus)
 
 
-def chunked_shifted_rho_tables(
-    pairs: Sequence[tuple[Point, Point]], params: MetricParams, max_shift: int
-) -> np.ndarray:
-    """``shifted_rho_tables`` called on blocks of ``PAIR_CHUNK`` pairs, as
-    ``verify_hyperbolicity`` calls it, and the blocks' rows collected."""
-    out = np.empty((len(pairs), 2 * max_shift + 1))
-    for start in range(0, len(pairs), PAIR_CHUNK):
-        block = pairs[start : start + PAIR_CHUNK]
-        out[start : start + len(block)] = shifted_rho_tables(block, params, max_shift)
-    return out
-
-
-def _d_tilde_from_table(tab: np.ndarray, t: int, mp: MatherParams, w1: np.ndarray, w2: np.ndarray) -> float:
+def _reduce_table(tab: np.ndarray, mp: MatherParams) -> tuple[float, float, float, float]:
+    """rho, and d~ at shifts 0, +1 and -1, read off one pair's table of rho
+    at shifts -(n0+1)..n0+1."""
     n0 = mp.n0
-    c = (tab.size - 1) // 2
-    back = tab[c + t - n0 + 1 : c + t + 1][::-1]  # D(shift by t-i), i=0..n0-1
-    fwd = tab[c + t : c + t + n0]
-    return float(max(np.max(back * w1), np.max(fwd * w2)))
+    w1 = mp.k1 ** -np.arange(n0, dtype=float)
+    w2 = mp.k2 ** -np.arange(n0, dtype=float)
+    c = n0 + 1
+
+    def d_tilde(t: int) -> float:
+        back = tab[c + t - n0 + 1 : c + t + 1][::-1]  # D(shift by t-i), i=0..n0-1
+        fwd = tab[c + t : c + t + n0]
+        return float(max(np.max(back * w1), np.max(fwd * w2)))
+
+    return float(tab[c]), d_tilde(0), d_tilde(1), d_tilde(-1)
+
+
+def sampled_pair_distances(
+    x: Point, y: Point, mp: MatherParams, params: MetricParams
+) -> tuple[float, float, float, float]:
+    """rho(x, y), and d~ at shifts 0, +1 and -1, of a sampled pair."""
+    return _reduce_table(reference_shifted_rho_table(x, y, params, mp.n0 + 1), mp)
+
+
+def table_single_disagreement_distances(
+    positions: np.ndarray, mp: MatherParams, params: MetricParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """rho, and d~ at shifts 0, +1 and -1, of the pair that differs only at
+    each coordinate p of ``positions``, read off its full table of rho at
+    shifts -(n0+1)..n0+1 (max(a**-n_minus, b**-n_plus), a side with no
+    disagreement adding 0), one O(n0) reduction per row."""
+    n0 = mp.n0
+    gap = np.asarray(positions)[:, None] - np.arange(-(n0 + 1), n0 + 2)  # p - j
+    ahead = np.where(gap >= 0, params.b ** -np.abs(gap).astype(float), 0.0)
+    behind = np.where(gap <= 0, params.a ** -np.abs(gap).astype(float), 0.0)
+    rows = [_reduce_table(tab, mp) for tab in np.maximum(ahead, behind)]
+    return tuple(np.array(rows).T)
 
 
 def reference_verify_hyperbolicity(
@@ -382,22 +404,17 @@ def reference_verify_hyperbolicity(
     params: MetricParams,
     tol: float = VERIFY_TOL,
 ) -> HyperbolicityReport:
-    """``verify_hyperbolicity`` one pair at a time, each pair's counts and
-    margins folded in before the next pair's table is made."""
+    """The hyperbolicity counts and margins of sampled pairs, one pair at a
+    time, each pair's counts and margins folded in before the next pair's
+    table is made."""
     n0 = mp.n0
-    w1 = mp.k1 ** -np.arange(n0, dtype=float)
-    w2 = mp.k2 ** -np.arange(n0, dtype=float)
     lip_f = lip_b = sandw = 0
     worst_lip = -math.inf
     worst_sand = -math.inf
     lhs_all = np.empty(len(pairs))
     d0_all = np.empty(len(pairs))
     for idx, (x, y) in enumerate(pairs):
-        tab = reference_shifted_rho_table(x, y, params, n0 + 1)
-        d0 = _d_tilde_from_table(tab, 0, mp, w1, w2)
-        dp = _d_tilde_from_table(tab, 1, mp, w1, w2)
-        dm = _d_tilde_from_table(tab, -1, mp, w1, w2)
-        rho0 = float(tab[(tab.size - 1) // 2])
+        rho0, d0, dp, dm = sampled_pair_distances(x, y, mp, params)
         bound_f = 16.0 * params.b * d0 + tol
         bound_b = 16.0 * params.a * d0 + tol
         if dp > bound_f:

@@ -15,6 +15,7 @@ from reference import (
     in_bowen_ball,
     in_neutralized_ball,
     neutralized_match,
+    reference_verify_hyperbolicity,
 )
 from shiftmetrics import (
     BernoulliMeasure,
@@ -221,19 +222,24 @@ def test_criterion_09_ultrametric_exhaustive():
 
 def test_criterion_10_hyperbolicity():
     mp = mather_n0(P13, 0.05)
-    horizon = 4 * mp.n0 + 48
-    points = sample_points(GOLDEN, horizon, range(20_000))
-    pairs = list(zip(points[0::2], points[1::2]))
-    report = verify_hyperbolicity(pairs, mp, P13)
+    report = verify_hyperbolicity(mp, P13)
+    points = sample_points(GOLDEN, 4 * mp.n0 + 48, range(20_000))
+    sampled = reference_verify_hyperbolicity(list(zip(points[0::2], points[1::2])), mp, P13)
     check(
-        "criterion 10: hyperbolicity on 10^4 golden-mean pairs",
+        "criterion 10: hyperbolicity certificate, and 10^4 golden-mean pairs inside it",
         mp.n0 == 36
-        and report.lipschitz_forward_violations == report.lipschitz_backward_violations == 0
-        and report.sandwich_violations == report.expansion_failures == 0
-        and report.eps_prime > 0.0,
-        f"n0 {mp.n0}; lipschitz {report.lipschitz_forward_violations}+"
-        f"{report.lipschitz_backward_violations}, sandwich {report.sandwich_violations}, "
-        f"expansion {report.expansion_failures}; eps' {report.eps_prime:.4f}",
+        and report.pairs_checked == 2 * mp.n0 + 5
+        and all(
+            r.lipschitz_forward_violations == r.lipschitz_backward_violations == 0
+            and r.sandwich_violations == r.expansion_failures == 0
+            for r in (report, sampled)
+        )
+        and sampled.pairs_checked == 10_000
+        and sampled.eps_prime >= report.eps_prime > 0.0,
+        f"n0 {mp.n0}; {report.pairs_checked} positions; lipschitz "
+        f"{report.lipschitz_forward_violations}+{report.lipschitz_backward_violations}, "
+        f"sandwich {report.sandwich_violations}, expansion {report.expansion_failures}; "
+        f"eps' {report.eps_prime:.4f}, sampled eps' {sampled.eps_prime:.4f}",
     )
 
 

@@ -214,6 +214,7 @@ UNREAD_FLAGS = [
     ("katok", "--horizon", "5"),
     ("katok", "--n-points", "7"),
     ("metric-verify", "--measure", "mu.json"),
+    ("metric-verify", "--horizon", "50"),
     ("metric-verify", "--tol", "0.1"),
     ("frink", "--measure", "mu.json"),
     ("frink", "--horizon", "5"),
@@ -430,11 +431,10 @@ class TestExitCodes:
         assert captured.out == ""
 
     @pytest.mark.parametrize("horizon", ["0", "-3"])
-    @pytest.mark.parametrize("quantity", ["brin-katok", "metric-verify"])
-    def test_horizon_below_one_refused(self, quantity, horizon, skewed_measure, capsys):
+    def test_horizon_below_one_refused(self, horizon, skewed_measure, capsys):
         # a falsy horizon used to be swapped for the default while the report said 0
-        args = [quantity, "--horizon", horizon, "--n-points", "2"]
-        assert main(args + (["--measure", skewed_measure] if quantity == "brin-katok" else [])) == 2
+        args = ["brin-katok", "--horizon", horizon, "--n-points", "2"]
+        assert main(args + ["--measure", skewed_measure]) == 2
         captured = capsys.readouterr()
         assert f"--horizon needs an integer >= 1, got {horizon}" in captured.err
         assert captured.out == ""
@@ -497,10 +497,30 @@ class TestVerificationQuantities:
             ["metric-verify", "--space", "sft:" + golden_sft, "--n-points", "200"],
         )
         assert code == 0
-        assert report["estimate"]["pairs_checked"] == 200
+        # the 2 n0 + 5 single-disagreement pairs, whatever --n-points says
+        assert report["estimate"]["pairs_checked"] == 77
         assert report["estimate"]["n0"] == 36
         assert report["estimate"]["eps_prime"] > 0.0
         assert all(rel["passed"] for rel in report["relations"])
+
+    def test_metric_verify_one_sided_refused(self, capsys):
+        # one-sided rho cannot see the coordinates below 0 that d~ reads
+        assert main(["metric-verify", "--mode", "one-sided"]) == 2
+        captured = capsys.readouterr()
+        assert "hyperbolicity needs two-sided rho" in captured.err
+        assert "coordinates below 0" in captured.err
+        assert captured.out == ""
+
+    def test_metric_verify_small_gamma_is_quick(self, tmp_path):
+        # n0 = 180218: the certificate costs O(n0), with no points of horizon ~4 n0
+        start = time.perf_counter()
+        code, report = run_json(
+            tmp_path, ["metric-verify", "--gamma", "1e-5", "--n-points", "4"]
+        )
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        assert report["estimate"]["n0"] == 180218
+        assert report["estimate"]["pairs_checked"] == 2 * 180218 + 5
 
     def test_frink(self, tmp_path):
         code, report = run_json(

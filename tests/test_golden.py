@@ -96,6 +96,8 @@ CASES = {
         0,
     ),
     "metric-verify": (["metric-verify", "--space", GOLDEN, "--n-points", "20"], 0),
+    # the only case where swapping a and b in the certificate's rho shows
+    "metric-verify-two-exponents": (["metric-verify", "--a", "1.2", "--b", "1.9"], 0),
     "frink": (["frink", "--n-samples", "2", "--sample-size", "20", "--seed", "1"], 0),
     "relations-space": (["relations", "--space", GOLDEN], 0),
     "relations-measure": (["relations", "--measure", SKEWED, "--n-points", "3"], 0),

@@ -17,6 +17,8 @@ from reference import (
     from_words,
     mather_metric,
     orbit_closed_sample,
+    reference_shifted_rho_table,
+    reference_verify_hyperbolicity,
     rho,
     shift_point,
 )
@@ -30,7 +32,6 @@ from shiftmetrics import (
     mather_n0,
     point_from_window,
     sample_point,
-    shifted_rho_tables,
     verify_hyperbolicity,
 )
 from shiftmetrics.errors import (
@@ -41,7 +42,7 @@ from shiftmetrics.errors import (
     QuasiMetricViolated,
     SaturatedDistances,
 )
-from shiftmetrics.metrics import CHAIN_BETA, _d_tilde_from_tables
+from shiftmetrics.metrics import CHAIN_BETA, _single_disagreement_distances
 
 FULL2 = make_space(2)
 GOLDEN = make_space(2, [[1, 1], [1, 0]])
@@ -382,10 +383,12 @@ class TestMatherN0:
 
 
 class TestShiftedRhoTable:
+    """The shifted-distance oracle that sampled pairs are checked with."""
+
     def test_matches_direct_evaluation(self):
         x = sample_point(GOLDEN, 120, seed=11)
         y = sample_point(GOLDEN, 120, seed=12)
-        tab = shifted_rho_tables([(x, y)], P13, 30)[0]
+        tab = reference_shifted_rho_table(x, y, P13, 30)
         for j in (-30, -7, -1, 0, 1, 13, 30):
             rv = rho(shift_point(x, j), shift_point(y, j), P13)
             assert rv.exact
@@ -393,21 +396,21 @@ class TestShiftedRhoTable:
 
     def test_equal_points_give_zeros(self):
         x = sample_point(FULL2, 50, seed=4)
-        tab = shifted_rho_tables([(x, x)], P13, 10)[0]
+        tab = reference_shifted_rho_table(x, x, P13, 10)
         assert np.all(tab == 0.0)
 
     def test_shift_budget_exceeds_horizon(self):
         x = sample_point(FULL2, 20, seed=1)
         y = sample_point(FULL2, 20, seed=2)
         with pytest.raises(SaturatedDistances):
-            shifted_rho_tables([(x, y)], P13, 25)
+            reference_shifted_rho_table(x, y, P13, 25)
 
     def test_unresolved_shift_refused(self):
         # disagreements only at {-5, +3}: shifting to +7 leaves the forward
         # search empty inside the common window
         x, y = pair_with_disagreements(3, 5)
         with pytest.raises(SaturatedDistances):
-            shifted_rho_tables([(x, y)], P13, 10)
+            reference_shifted_rho_table(x, y, P13, 10)
 
 
 class TestOracles:
@@ -434,6 +437,12 @@ class TestOracles:
             so.distance(shift_point(pts[0], 2), shift_point(pts[1], 2))
 
 
+def disagreements(x, y):
+    """The coordinates where x and y differ, within their common window."""
+    h = min(x.horizon, y.horizon)
+    return np.flatnonzero(x.window(-h, h) != y.window(-h, h)) - h
+
+
 class TestVerifyHyperbolicity:
     def test_random_pairs_pass(self):
         mp = mather_n0(P13, 0.05)
@@ -441,46 +450,42 @@ class TestVerifyHyperbolicity:
         pts = [sample_point(GOLDEN, 120, seed=int(s))
                for s in rng.integers(0, 2**31, 30)]
         pairs = [(a, b) for a, b in itertools.combinations(pts, 2)]
-        rep = verify_hyperbolicity(pairs, mp, P13)
-        assert rep.lipschitz_forward_violations == rep.lipschitz_backward_violations == 0
-        assert rep.sandwich_violations == rep.expansion_failures == 0
-        assert rep.eps_prime > 0.0
-        assert rep.pairs_checked == len(pairs)
+        rep = verify_hyperbolicity(mp, P13)
+        sampled = reference_verify_hyperbolicity(pairs, mp, P13)
+        for r in (rep, sampled):
+            assert r.lipschitz_forward_violations == r.lipschitz_backward_violations == 0
+            assert r.sandwich_violations == r.expansion_failures == 0
+            assert r.eps_prime >= r.threshold > 0.0
+        assert sampled.eps_prime >= rep.eps_prime
+        assert rep.pairs_checked == 2 * mp.n0 + 5 == 77
         assert rep.escape_pairs > 0
-        assert rep.eps_prime >= rep.threshold
-        assert rep.threshold == pytest.approx(
+        assert rep.threshold == sampled.threshold == pytest.approx(
             0.25 * mp.k1 ** (-35) / 1.3, rel=1e-12
         )
 
     def test_generic_oracle_agrees_with_fast_path(self):
-        # verify_hyperbolicity reads d~ at shifts -1, 0, +1 off each pair's
-        # row of shifted_rho_tables; both generic oracles must give the
-        # same three values through the definition of d~
+        # a pair's d~ at shifts -1, 0, +1 is the maximum of the certificate's
+        # per-position values over its disagreements; both generic oracles
+        # must give the same three values through the definition of d~
         mp = MatherParams(gamma=0.05, n0=4, k1=1.2, k2=1.2)
         pts = [sample_point(FULL2, 60, seed=s) for s in (1, 2, 3, 4)]
         pairs = [(a, b) for a, b in itertools.combinations(pts, 2)]
-        rep = verify_hyperbolicity(pairs, mp, P13)
-        assert rep.lipschitz_forward_violations == rep.lipschitz_backward_violations == 0
-        assert rep.sandwich_violations == rep.expansion_failures == 0
-        assert rep.eps_prime > 0.0
         closed = orbit_closed_sample(pts, n_shifts=5)
         oracles = (
             RhoOracle(P13),
             SampleOracle(closed, frink_metrize(FiniteSample.from_points(closed, P13))),
         )
-        w1 = mp.k1 ** -np.arange(mp.n0, dtype=float)
-        w2 = mp.k2 ** -np.arange(mp.n0, dtype=float)
-        tables = shifted_rho_tables(pairs, P13, mp.n0 + 1)
-        for t in (-1, 0, 1):
-            fast = _d_tilde_from_tables(tables, t, mp, w1, w2)
-            for (x, y), d in zip(pairs, fast):
+        for x, y in pairs:
+            _, *d_tilde = _single_disagreement_distances(disagreements(x, y), mp, P13)
+            for t, values in zip((0, 1, -1), d_tilde):
                 xs, ys = shift_point(x, t), shift_point(y, t)
                 for oracle in oracles:
-                    assert d == pytest.approx(mather_metric(xs, ys, mp, oracle), rel=1e-12)
+                    assert values.max() == pytest.approx(
+                        mather_metric(xs, ys, mp, oracle), rel=1e-12
+                    )
 
-    def test_short_horizon_refused(self):
-        mp = mather_n0(P13, 0.05)  # n0 = 36
-        x = sample_point(FULL2, 20, seed=1)
-        y = sample_point(FULL2, 20, seed=2)
-        with pytest.raises(SaturatedDistances):
-            verify_hyperbolicity([(x, y)], mp, P13)
+    def test_one_sided_refused(self):
+        # one-sided rho is 0 on a pair that differs only at -1, where d~ is not
+        params = MetricParams(a=1.3, b=1.3, mode="one-sided")
+        with pytest.raises(HypothesisViolated, match="needs two-sided rho"):
+            verify_hyperbolicity(mather_n0(params, 0.05), params)

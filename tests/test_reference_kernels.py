@@ -14,15 +14,18 @@ symbol; ``reference_cover_length_at_radius`` and
 ``reference_cover_length_at_log_radius`` are the closed-form window lengths
 the counting estimators used before every ladder was built from
 ``cylinders`` windows.  ``reference_from_points`` (one scalar ``rho`` call
-per pair), ``reference_shifted_rho_table`` (one binary search per pair) and
-``reference_verify_hyperbolicity`` (one pair folded in at a time) in
-``reference.py`` are the pair-at-a-time metric code that the batch rho
-kernels replaced; ``reference_check_quasi_metric`` searches every k's full
+per pair) in ``reference.py`` is the pair-at-a-time metric code that the
+batch rho kernel replaced; ``table_single_disagreement_distances`` (a full
+shifted table per position) is the reduction that the hyperbolicity
+certificate's closed form replaced, and ``sampled_pair_distances`` with
+``reference_verify_hyperbolicity`` (one binary search and one pair at a
+time) checks sampled pairs against that certificate;
+``reference_check_quasi_metric`` searches every k's full
 mask for violations, ``reference_frink_metrize`` runs the K-test,
 Floyd-Warshall and the triangle recheck over every row, and
 ``reference_minimax_closure``, the min-max Floyd-Warshall loop, checks
 the closure read off Prim's tree; ``reference_walk`` also pins each seed's uniforms to
-``default_rng(seed)``, which the one-generator seed hash must reproduce.
+``default_rng(seed)``.
 ``reference_markov_spectrum`` (one run-count class at
 a time), ``reference_bernoulli_spectrum`` (three closed-form special cases)
 and ``reference_merge_equal_mass`` (one reduction per tie group) are the
@@ -31,8 +34,10 @@ cover kernels that the broadcast spectrum, the type-class spectrum and the
 ``_cover_from_sorted`` is the word-by-word cover that the transition-count
 spectrum replaced.  The fast versions must agree exactly.
 """
+import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,7 +46,6 @@ from hypothesis import strategies as st
 
 from reference import (
     allows,
-    chunked_shifted_rho_tables,
     from_words,
     orbit_closed_sample,
     perron_bracket,
@@ -57,7 +61,9 @@ from reference import (
     reference_minimax_closure,
     reference_shifted_rho_table,
     reference_verify_hyperbolicity,
+    sampled_pair_distances,
     shift_point,
+    table_single_disagreement_distances,
 )
 from shiftmetrics import (
     BernoulliMeasure,
@@ -80,7 +86,6 @@ from shiftmetrics import (
     sample_point,
     sample_points,
     sample_typical,
-    shifted_rho_tables,
     stationary,
     top_entropy_oracle,
     verify_hyperbolicity,
@@ -104,8 +109,8 @@ from shiftmetrics.measures import (
     _merge_equal_mass,
     reversed_kernel,
 )
-from shiftmetrics.metrics import ONE_SIDED, PAIR_CHUNK
-from shiftmetrics.shiftspace import SAMPLE_CHUNK, ShiftSpace, _seeded_uniforms
+from shiftmetrics.metrics import ONE_SIDED, _hyperbolicity_report, _single_disagreement_distances
+from shiftmetrics.shiftspace import SAMPLE_CHUNK, ShiftSpace
 
 SEEDS = range(200)
 HORIZON = 40
@@ -400,15 +405,6 @@ def test_batch_walk_reproduces_the_scalar_walk(name, horizon):
         assert sample_point(space, horizon, WALK_SEEDS[i]) == points[i]
 
 
-@pytest.mark.parametrize("n", [1, 386])
-def test_seeded_uniforms_reproduce_default_rng(n):
-    seeds = [0, 1, *LARGE_SEEDS, 2**300 + 7, 5, 123_456_789]
-    out = np.empty((len(seeds), n))
-    _seeded_uniforms(seeds, out)
-    for seed, row in zip(seeds, out):
-        assert row.tobytes() == np.random.default_rng(seed).random(n).tobytes(), seed
-
-
 def has_positive_power(mat: np.ndarray) -> bool:
     """Primitivity: squaring the support until the exponent passes Wielandt's
     bound (m - 1)^2 + 1 leaves no zero."""
@@ -545,11 +541,6 @@ def assert_bitwise(fast, slow):
     assert fast.tobytes() == slow.tobytes()
 
 
-def reference_tables(pairs, params, max_shift):
-    rows = [reference_shifted_rho_table(x, y, params, max_shift) for x, y in pairs]
-    return np.array(rows).reshape(len(pairs), 2 * max_shift + 1)
-
-
 @pytest.mark.parametrize("sample", sorted(SAMPLES))
 @pytest.mark.parametrize("params", sorted(RHO_PARAMS))
 def test_rho_matrix_reproduces_the_scalar_rho(sample, params):
@@ -577,23 +568,6 @@ def test_rho_matrix_names_the_first_pair_from_another_space():
             assert fast == slow
 
 
-@pytest.mark.parametrize("max_shift", [0, 1, 3, 6])
-@pytest.mark.parametrize("sample", sorted(SAMPLES))
-@pytest.mark.parametrize("params", sorted(RHO_PARAMS))
-def test_shifted_tables_reproduce_the_binary_search(sample, params, max_shift):
-    points, p = SAMPLES[sample], RHO_PARAMS[params]
-    pairs = list(itertools.combinations(points[:16], 2)) + list(zip(points, points[::-1]))
-    # every pair alone, then the whole list, which refuses at its first bad pair
-    for pair in pairs:
-        assert_bitwise(
-            outcome(lambda: shifted_rho_tables([pair], p, max_shift)[0]),
-            outcome(lambda: reference_shifted_rho_table(*pair, p, max_shift)),
-        )
-    slow = outcome(lambda: reference_tables(pairs, p, max_shift))
-    assert_bitwise(outcome(lambda: shifted_rho_tables(pairs, p, max_shift)), slow)
-    assert_bitwise(outcome(lambda: chunked_shifted_rho_tables(pairs, p, max_shift)), slow)
-
-
 def unresolved_pair():
     """Disagreements only at -2 and +3: shifts past +3 find no forward
     disagreement and shifts below -2 no backward one."""
@@ -609,86 +583,88 @@ def test_shifted_table_refusals(params):
         (SaturatedDistances, *unresolved_pair(), 5),
     ]
     for expected, x, y, max_shift in cases:
-        fast = outcome(lambda: shifted_rho_tables([(x, y)], p, max_shift)[0])
-        assert fast == outcome(lambda: reference_shifted_rho_table(x, y, p, max_shift))
-        assert fast[0] is expected
+        assert outcome(lambda: reference_shifted_rho_table(x, y, p, max_shift))[0] is expected
 
 
-def long_pair_list(first_bad: dict[int, tuple]) -> list:
-    """Sampled pairs filling three blocks, with the pairs at the given
-    indices replaced."""
-    points = sample_points(GOLDEN_SPACE, 30, range(4 * PAIR_CHUNK + 40))
+#: (a, b, gamma) of the hyperbolicity certificate, n0 from 5 to 263
+CERTIFICATE_PARAMS = [
+    (1.3, 1.3, 0.05),  # the CLI default, n0 = 36
+    (1.2, 1.9, 0.05),
+    (1.9, 1.2, 0.01),
+    (2.0, 2.0, 0.5),
+    (1.1, 1.1, 0.05),
+    (1.5, 1.5, 0.1),
+    (1.05, 1.7, 0.02),
+]
+
+
+def certificate(a, b, gamma):
+    params = MetricParams(a, b)
+    return mather_n0(params, gamma), params
+
+
+def counted(report):
+    """Everything but the two worst margins, which are maxima over the
+    positions checked."""
+    return dataclasses.replace(
+        report, pairs_checked=0, worst_lipschitz_margin=0.0, worst_sandwich_margin=0.0
+    )
+
+
+@pytest.mark.parametrize("a, b, gamma", CERTIFICATE_PARAMS)
+def test_certificate_reproduces_the_table(a, b, gamma):
+    mp, params = certificate(a, b, gamma)
+    positions = np.arange(-(mp.n0 + 2), mp.n0 + 3)
+    fast = _single_disagreement_distances(positions, mp, params)
+    slow = table_single_disagreement_distances(positions, mp, params)
+    for f, s in zip(fast, slow, strict=True):
+        assert_bitwise(f, s)
+
+
+@pytest.mark.parametrize("a, b, gamma", CERTIFICATE_PARAMS)
+def test_certificate_positions_are_exhaustive(a, b, gamma):
+    mp, params = certificate(a, b, gamma)
+    reach = 6 * mp.n0 + 20
+    wide = _hyperbolicity_report(np.arange(-reach, reach + 1), mp, params)
+    report = verify_hyperbolicity(mp, params)
+    assert report.pairs_checked == 2 * mp.n0 + 5
+    assert counted(wide) == counted(report)
+    assert wide.worst_lipschitz_margin >= report.worst_lipschitz_margin
+    assert wide.worst_sandwich_margin >= report.worst_sandwich_margin
+
+
+@pytest.mark.parametrize("a, b, gamma", CERTIFICATE_PARAMS[:3])
+@pytest.mark.parametrize("space", ["full:2", "golden"])
+def test_sampled_pairs_lie_inside_the_certificate(space, a, b, gamma):
+    # a pair's rho and d~ are maxima over its disagreements of the
+    # single-disagreement values, so no sampled pair can fail where they pass
+    mp, params = certificate(a, b, gamma)
+    points = sample_points(WALK_SPACES[space], 4 * mp.n0 + 48, range(200))
     pairs = list(zip(points[0::2], points[1::2]))
-    for index, pair in first_bad.items():
-        pairs[index] = pair
-    return pairs
+    for x, y in pairs:
+        positions = np.flatnonzero(x.symbols != y.symbols) - x.horizon
+        per_position = _single_disagreement_distances(positions, mp, params)
+        assert_bitwise(
+            np.array([v.max() for v in per_position]),
+            np.array(sampled_pair_distances(x, y, mp, params)),
+        )
+    report = verify_hyperbolicity(mp, params)
+    sampled = reference_verify_hyperbolicity(pairs, mp, params)
+    assert sampled.pairs_checked == len(pairs)
+    assert sampled.lipschitz_forward_violations == sampled.lipschitz_backward_violations == 0
+    assert sampled.sandwich_violations == sampled.expansion_failures == 0
+    assert sampled.eps_prime >= report.eps_prime
 
 
-BAD_PAIRS = {
-    "unresolved": unresolved_pair(),
-    "spaces": (SAMPLED[0], sample_point(FULL_2, 30, 0)),
-    "horizon": tuple(sample_points(GOLDEN_SPACE, 4, range(2))),
-}
-
-
-@pytest.mark.parametrize(
-    "placement",
-    [
-        {3: "spaces", 7: "unresolved"},
-        {3: "unresolved", 7: "spaces"},
-        {PAIR_CHUNK + 5: "unresolved", PAIR_CHUNK + 9: "horizon"},
-        {PAIR_CHUNK - 1: "horizon", PAIR_CHUNK: "spaces"},
-        {2 * PAIR_CHUNK + 1: "spaces", 2 * PAIR_CHUNK + 2: "unresolved"},
-    ],
-    ids=lambda placement: "-".join(f"{k}{v}" for k, v in placement.items()),
-)
-@pytest.mark.parametrize("params", sorted(RHO_PARAMS))
-def test_many_pairs_refuse_at_their_first_bad_pair(placement, params):
-    p = RHO_PARAMS[params]
-    pairs = long_pair_list({index: BAD_PAIRS[kind] for index, kind in placement.items()})
-    fast = outcome(lambda: shifted_rho_tables(pairs, p, 8))
-    assert isinstance(fast, tuple)
-    assert fast == outcome(lambda: reference_tables(pairs, p, 8))
-    assert outcome(lambda: chunked_shifted_rho_tables(pairs, p, 8)) == fast
-    mp = MatherParams(gamma=0.05, n0=7, k1=1.2, k2=1.2)
-    assert outcome(lambda: verify_hyperbolicity(pairs, mp, p)) == fast
-    assert outcome(lambda: reference_verify_hyperbolicity(pairs, mp, p)) == fast
-
-
-def test_many_pairs_span_blocks():
-    pairs = long_pair_list({})
-    p = RHO_PARAMS["two-sided"]
-    for kernel in (shifted_rho_tables, chunked_shifted_rho_tables):
-        assert_bitwise(kernel(pairs, p, 8), reference_tables(pairs, p, 8))
-        assert_bitwise(kernel([], p, 8), reference_tables([], p, 8))
-
-
-@pytest.mark.parametrize("params", sorted(RHO_PARAMS))
-def test_hyperbolicity_report_reproduces_the_pair_loop(params):
-    p = RHO_PARAMS[params]
-    mp = MatherParams(gamma=0.05, n0=4, k1=1.2, k2=1.2)
-    points = sample_points(GOLDEN_SPACE, 60, range(2 * PAIR_CHUNK + 30))
-    for pairs in (
-        list(zip(points[0::2], points[1::2])),
-        list(zip(mixed_horizons(points[:60], 6), points[60:120])),
-        [(points[0], points[0]), (points[1], points[2])],
-        [(points[0], points[0])],
-    ):
-        assert verify_hyperbolicity(pairs, mp, p) == reference_verify_hyperbolicity(pairs, mp, p)
-
-
-def test_hyperbolicity_report_at_the_cli_scale():
-    p = RHO_PARAMS["two-sided"]
-    mp = mather_n0(p, 0.05)
-    points = sample_points(GOLDEN_SPACE, 4 * mp.n0 + 48, range(600))
-    pairs = list(zip(points[0::2], points[1::2]))
-    assert verify_hyperbolicity(pairs, mp, p) == reference_verify_hyperbolicity(pairs, mp, p)
-
-
-def test_hyperbolicity_refuses_an_empty_pair_list():
-    mp = MatherParams(gamma=0.05, n0=4, k1=1.2, k2=1.2)
-    with pytest.raises(HypothesisViolated, match="at least one pair"):
-        verify_hyperbolicity([], mp, RHO_PARAMS["two-sided"])
+def test_certificate_emits_no_warning():
+    # far positions underflow to 0; every power has a nonpositive exponent
+    params = MetricParams(1.3, 1.3)
+    mp = mather_n0(params, 1e-4)
+    reach = 6 * mp.n0 + 20
+    with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        _hyperbolicity_report(np.arange(-reach, reach + 1), mp, params)
+        verify_hyperbolicity(mp, params)
 
 
 # ---------------------------------------------------------------------------
