@@ -427,10 +427,15 @@ def _single_disagreement_distances(
 
 
 def _hyperbolicity_report(
-    positions: np.ndarray, mp: MatherParams, params: MetricParams
+    rho0: np.ndarray,
+    d0: np.ndarray,
+    dp: np.ndarray,
+    dm: np.ndarray,
+    mp: MatherParams,
+    params: MetricParams,
 ) -> HyperbolicityReport:
-    """The counts and margins of the single-disagreement pairs at ``positions``."""
-    rho0, d0, dp, dm = _single_disagreement_distances(positions, mp, params)
+    """The counts and margins of the pairs with rho ``rho0`` and d~ ``d0``,
+    ``dp``, ``dm`` at shifts 0, +1 and -1, one entry per pair."""
     bound_f = 16.0 * params.b * d0 + VERIFY_TOL
     bound_b = 16.0 * params.a * d0 + VERIFY_TOL
     lip_f = int(np.sum(dp > bound_f))
@@ -489,4 +494,5 @@ def verify_hyperbolicity(mp: MatherParams, params: MetricParams) -> Hyperbolicit
             "coordinates below 0, which one-sided rho cannot see"
         )
     reach = mp.n0 + 2
-    return _hyperbolicity_report(np.arange(-reach, reach + 1), mp, params)
+    distances = _single_disagreement_distances(np.arange(-reach, reach + 1), mp, params)
+    return _hyperbolicity_report(*distances, mp, params)

@@ -14,6 +14,10 @@ those routes are checked against.  ``reference_shifted_rho_table``,
 sampled pairs one at a time against the package's exhaustive
 hyperbolicity check, and ``table_single_disagreement_distances`` reads
 that check's per-position values off a full table of shifted distances.
+``shifted_rho_tables`` is the batch form of the shifted table, and
+``sampled_hyperbolicity`` folds its rows through the package's reduction,
+fast enough for the 10^4 pairs of acceptance criterion 10; the
+pair-at-a-time functions are its oracles.
 
 The spaces-and-supports section reads a space's graph and a measure's
 support off their inputs alone, as the oracles of ``ShiftSpace.adjacency``,
@@ -85,7 +89,7 @@ from shiftmetrics.measures import (
     _log_choose,
     _require_symbols,
 )
-from shiftmetrics.metrics import ONE_SIDED, VERIFY_TOL
+from shiftmetrics.metrics import ONE_SIDED, VERIFY_TOL, _hyperbolicity_report
 
 
 class SampleNotOrbitClosed(ShiftMetricsError):
@@ -381,6 +385,118 @@ def sampled_pair_distances(
 ) -> tuple[float, float, float, float]:
     """rho(x, y), and d~ at shifts 0, +1 and -1, of a sampled pair."""
     return _reduce_table(reference_shifted_rho_table(x, y, params, mp.n0 + 1), mp)
+
+
+#: pairs per block of ``sampled_hyperbolicity`` (bounds its transient memory)
+PAIR_CHUNK = 64
+
+
+def shifted_rho_tables(
+    pairs: Sequence[tuple[Point, Point]], params: MetricParams, max_shift: int
+) -> np.ndarray:
+    """Row k: rho(shift(x,j), shift(y,j)) for j in [-max_shift, max_shift],
+    (x, y) = ``pairs[k]``; all pairs are scanned at once (callers chunk).
+
+    The batch form of ``reference_shifted_rho_table``: a running minimum and
+    maximum over each pair's mismatch mask give the next and previous
+    disagreement of every coordinate, and the shifted times follow.  The
+    first pair, in order, that mixes spaces (``DifferentSpaces``), whose
+    common horizon is below ``max_shift``, or whose shifts are unresolved
+    (``SaturatedDistances``; a pair literally equal on its common window
+    yields zeros instead) raises.
+    """
+    # a refused pair ends the scan; the unresolved pairs before it raise first
+    refusal = None
+    masks = []
+    for x, y in pairs:
+        if x.space != y.space:
+            refusal = DifferentSpaces("pair from different spaces")
+            break
+        hc = min(x.horizon, y.horizon)
+        if max_shift > hc:
+            refusal = SaturatedDistances(f"horizon {hc} cannot support shifts up to {max_shift}")
+            break
+        masks.append(x.window(-hc, hc) != y.window(-hc, hc))
+    js = np.arange(-max_shift, max_shift + 1)
+    tables = np.zeros((len(masks), js.size))
+    if masks:
+        hcs = np.array([(mask.size - 1) // 2 for mask in masks])
+        H = int(hcs.max())
+        mism = np.zeros((len(masks), 2 * H + 1), dtype=bool)
+        for row, mask, hc in zip(mism, masks, hcs):
+            row[H - hc : H + hc + 1] = mask
+        coords = np.arange(-H, H + 1, dtype=np.int32)
+        # next disagreement at or after each shift j (and, two-sided, the
+        # last one at or before it); each search reads only the columns it
+        # can reach, and one further than ``half`` from j leaves j unresolved
+        ahead = slice(H - max_shift, None)
+        s_fwd = np.minimum.accumulate(
+            np.where(mism[:, ahead], coords[ahead], H + 1)[:, ::-1], axis=1
+        )[:, : -js.size - 1 : -1]
+        half = hcs[:, None] - np.abs(js)
+        ok = s_fwd <= js + half
+        two_sided = params.mode != ONE_SIDED
+        if two_sided:
+            behind = slice(None, H + max_shift + 1)
+            s_bwd = np.maximum.accumulate(
+                np.where(mism[:, behind], coords[behind], -H - 1), axis=1
+            )[:, -js.size :]
+            ok &= s_bwd >= js - half
+        differ = mism.any(axis=1)
+        if (differ & ~ok.all(axis=1)).any():
+            if two_sided:
+                raise SaturatedDistances("a shifted pair is unresolved within its window")
+            raise SaturatedDistances("a shifted pair is unresolved forward")
+        tables = params.b ** (-(s_fwd - js).astype(float))
+        if two_sided:
+            tables = np.maximum(tables, params.a ** (-(js - s_bwd).astype(float)))
+        tables[~differ] = 0.0
+    if refusal is not None:
+        raise refusal
+    return tables
+
+
+def chunked_shifted_rho_tables(
+    pairs: Sequence[tuple[Point, Point]], params: MetricParams, max_shift: int
+) -> np.ndarray:
+    """``shifted_rho_tables`` called on blocks of ``PAIR_CHUNK`` pairs, as
+    ``sampled_hyperbolicity`` calls it, and the blocks' rows collected."""
+    out = np.empty((len(pairs), 2 * max_shift + 1))
+    for start in range(0, len(pairs), PAIR_CHUNK):
+        block = pairs[start : start + PAIR_CHUNK]
+        out[start : start + len(block)] = shifted_rho_tables(block, params, max_shift)
+    return out
+
+
+def sampled_hyperbolicity(
+    pairs: Sequence[tuple[Point, Point]], mp: MatherParams, params: MetricParams
+) -> HyperbolicityReport:
+    """The hyperbolicity counts and margins of sampled pairs, in batch: each
+    block of ``PAIR_CHUNK`` pairs is reduced to its rho and its d~ at shifts
+    0 and +-1 before the next block is scanned, and the package's reduction
+    folds them.  ``reference_verify_hyperbolicity`` is its pair-at-a-time
+    twin."""
+    if len(pairs) == 0:
+        raise HypothesisViolated("sampled_hyperbolicity needs at least one pair")
+    n0 = mp.n0
+    c = n0 + 1  # column of shift 0
+    w1 = mp.k1 ** -np.arange(n0, dtype=float)
+    w2 = mp.k2 ** -np.arange(n0, dtype=float)
+
+    def d_tilde(tables: np.ndarray, t: int) -> np.ndarray:
+        back = tables[:, c + t - n0 + 1 : c + t + 1][:, ::-1]  # D(shift by t-i), i=0..n0-1
+        fwd = tables[:, c + t : c + t + n0]
+        return np.maximum(np.max(back * w1, axis=1), np.max(fwd * w2, axis=1))
+
+    rho0, d0, dp, dm = (np.empty(len(pairs)) for _ in range(4))
+    for start in range(0, len(pairs), PAIR_CHUNK):
+        tables = shifted_rho_tables(pairs[start : start + PAIR_CHUNK], params, n0 + 1)
+        block = slice(start, start + len(tables))
+        rho0[block] = tables[:, c]
+        d0[block] = d_tilde(tables, 0)
+        dp[block] = d_tilde(tables, 1)
+        dm[block] = d_tilde(tables, -1)
+    return _hyperbolicity_report(rho0, d0, dp, dm, mp, params)
 
 
 def table_single_disagreement_distances(

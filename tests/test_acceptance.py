@@ -15,7 +15,7 @@ from reference import (
     in_bowen_ball,
     in_neutralized_ball,
     neutralized_match,
-    reference_verify_hyperbolicity,
+    sampled_hyperbolicity,
 )
 from shiftmetrics import (
     BernoulliMeasure,
@@ -224,7 +224,7 @@ def test_criterion_10_hyperbolicity():
     mp = mather_n0(P13, 0.05)
     report = verify_hyperbolicity(mp, P13)
     points = sample_points(GOLDEN, 4 * mp.n0 + 48, range(20_000))
-    sampled = reference_verify_hyperbolicity(list(zip(points[0::2], points[1::2])), mp, P13)
+    sampled = sampled_hyperbolicity(list(zip(points[0::2], points[1::2])), mp, P13)
     check(
         "criterion 10: hyperbolicity certificate, and 10^4 golden-mean pairs inside it",
         mp.n0 == 36

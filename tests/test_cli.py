@@ -431,9 +431,10 @@ class TestExitCodes:
         assert captured.out == ""
 
     @pytest.mark.parametrize("horizon", ["0", "-3"])
-    def test_horizon_below_one_refused(self, horizon, skewed_measure, capsys):
+    @pytest.mark.parametrize("quantity", ["brin-katok"])
+    def test_horizon_below_one_refused(self, quantity, horizon, skewed_measure, capsys):
         # a falsy horizon used to be swapped for the default while the report said 0
-        args = ["brin-katok", "--horizon", horizon, "--n-points", "2"]
+        args = [quantity, "--horizon", horizon, "--n-points", "2"]
         assert main(args + ["--measure", skewed_measure]) == 2
         captured = capsys.readouterr()
         assert f"--horizon needs an integer >= 1, got {horizon}" in captured.err

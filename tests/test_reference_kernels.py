@@ -19,7 +19,9 @@ batch rho kernel replaced; ``table_single_disagreement_distances`` (a full
 shifted table per position) is the reduction that the hyperbolicity
 certificate's closed form replaced, and ``sampled_pair_distances`` with
 ``reference_verify_hyperbolicity`` (one binary search and one pair at a
-time) checks sampled pairs against that certificate;
+time) checks sampled pairs against that certificate, and against
+``shifted_rho_tables`` with ``sampled_hyperbolicity``, the batch form of the
+same check;
 ``reference_check_quasi_metric`` searches every k's full
 mask for violations, ``reference_frink_metrize`` runs the K-test,
 Floyd-Warshall and the triangle recheck over every row, and
@@ -45,7 +47,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reference import (
+    PAIR_CHUNK,
     allows,
+    chunked_shifted_rho_tables,
     from_words,
     orbit_closed_sample,
     perron_bracket,
@@ -61,8 +65,10 @@ from reference import (
     reference_minimax_closure,
     reference_shifted_rho_table,
     reference_verify_hyperbolicity,
+    sampled_hyperbolicity,
     sampled_pair_distances,
     shift_point,
+    shifted_rho_tables,
     table_single_disagreement_distances,
 )
 from shiftmetrics import (
@@ -541,6 +547,11 @@ def assert_bitwise(fast, slow):
     assert fast.tobytes() == slow.tobytes()
 
 
+def reference_tables(pairs, params, max_shift):
+    rows = [reference_shifted_rho_table(x, y, params, max_shift) for x, y in pairs]
+    return np.array(rows).reshape(len(pairs), 2 * max_shift + 1)
+
+
 @pytest.mark.parametrize("sample", sorted(SAMPLES))
 @pytest.mark.parametrize("params", sorted(RHO_PARAMS))
 def test_rho_matrix_reproduces_the_scalar_rho(sample, params):
@@ -568,6 +579,23 @@ def test_rho_matrix_names_the_first_pair_from_another_space():
             assert fast == slow
 
 
+@pytest.mark.parametrize("max_shift", [0, 1, 3, 6])
+@pytest.mark.parametrize("sample", sorted(SAMPLES))
+@pytest.mark.parametrize("params", sorted(RHO_PARAMS))
+def test_shifted_tables_reproduce_the_binary_search(sample, params, max_shift):
+    points, p = SAMPLES[sample], RHO_PARAMS[params]
+    pairs = list(itertools.combinations(points[:16], 2)) + list(zip(points, points[::-1]))
+    # every pair alone, then the whole list, which refuses at its first bad pair
+    for pair in pairs:
+        assert_bitwise(
+            outcome(lambda: shifted_rho_tables([pair], p, max_shift)[0]),
+            outcome(lambda: reference_shifted_rho_table(*pair, p, max_shift)),
+        )
+    slow = outcome(lambda: reference_tables(pairs, p, max_shift))
+    assert_bitwise(outcome(lambda: shifted_rho_tables(pairs, p, max_shift)), slow)
+    assert_bitwise(outcome(lambda: chunked_shifted_rho_tables(pairs, p, max_shift)), slow)
+
+
 def unresolved_pair():
     """Disagreements only at -2 and +3: shifts past +3 find no forward
     disagreement and shifts below -2 no backward one."""
@@ -583,7 +611,88 @@ def test_shifted_table_refusals(params):
         (SaturatedDistances, *unresolved_pair(), 5),
     ]
     for expected, x, y, max_shift in cases:
-        assert outcome(lambda: reference_shifted_rho_table(x, y, p, max_shift))[0] is expected
+        fast = outcome(lambda: shifted_rho_tables([(x, y)], p, max_shift)[0])
+        assert fast == outcome(lambda: reference_shifted_rho_table(x, y, p, max_shift))
+        assert fast[0] is expected
+
+
+def long_pair_list(first_bad: dict[int, tuple]) -> list:
+    """Sampled pairs filling three blocks, with the pairs at the given
+    indices replaced."""
+    points = sample_points(GOLDEN_SPACE, 30, range(4 * PAIR_CHUNK + 40))
+    pairs = list(zip(points[0::2], points[1::2]))
+    for index, pair in first_bad.items():
+        pairs[index] = pair
+    return pairs
+
+
+BAD_PAIRS = {
+    "unresolved": unresolved_pair(),
+    "spaces": (SAMPLED[0], sample_point(FULL_2, 30, 0)),
+    "horizon": tuple(sample_points(GOLDEN_SPACE, 4, range(2))),
+}
+
+
+@pytest.mark.parametrize(
+    "placement",
+    [
+        {3: "spaces", 7: "unresolved"},
+        {3: "unresolved", 7: "spaces"},
+        {PAIR_CHUNK + 5: "unresolved", PAIR_CHUNK + 9: "horizon"},
+        {PAIR_CHUNK - 1: "horizon", PAIR_CHUNK: "spaces"},
+        {2 * PAIR_CHUNK + 1: "spaces", 2 * PAIR_CHUNK + 2: "unresolved"},
+    ],
+    ids=lambda placement: "-".join(f"{k}{v}" for k, v in placement.items()),
+)
+@pytest.mark.parametrize("params", sorted(RHO_PARAMS))
+def test_many_pairs_refuse_at_their_first_bad_pair(placement, params):
+    p = RHO_PARAMS[params]
+    pairs = long_pair_list({index: BAD_PAIRS[kind] for index, kind in placement.items()})
+    fast = outcome(lambda: shifted_rho_tables(pairs, p, 8))
+    assert isinstance(fast, tuple)
+    assert fast == outcome(lambda: reference_tables(pairs, p, 8))
+    assert outcome(lambda: chunked_shifted_rho_tables(pairs, p, 8)) == fast
+    mp = MatherParams(gamma=0.05, n0=7, k1=1.2, k2=1.2)
+    assert outcome(lambda: sampled_hyperbolicity(pairs, mp, p)) == fast
+    assert outcome(lambda: reference_verify_hyperbolicity(pairs, mp, p)) == fast
+
+
+def test_many_pairs_span_blocks():
+    pairs = long_pair_list({})
+    p = RHO_PARAMS["two-sided"]
+    for kernel in (shifted_rho_tables, chunked_shifted_rho_tables):
+        assert_bitwise(kernel(pairs, p, 8), reference_tables(pairs, p, 8))
+        assert_bitwise(kernel([], p, 8), reference_tables([], p, 8))
+
+
+@pytest.mark.parametrize("params", sorted(RHO_PARAMS))
+def test_hyperbolicity_report_reproduces_the_pair_loop(params):
+    # the package's reduction, fed sampled pairs with many disagreements,
+    # against the pair-at-a-time fold
+    p = RHO_PARAMS[params]
+    mp = MatherParams(gamma=0.05, n0=4, k1=1.2, k2=1.2)
+    points = sample_points(GOLDEN_SPACE, 60, range(2 * PAIR_CHUNK + 30))
+    for pairs in (
+        list(zip(points[0::2], points[1::2])),
+        list(zip(mixed_horizons(points[:60], 6), points[60:120])),
+        [(points[0], points[0]), (points[1], points[2])],
+        [(points[0], points[0])],
+    ):
+        assert sampled_hyperbolicity(pairs, mp, p) == reference_verify_hyperbolicity(pairs, mp, p)
+
+
+def test_hyperbolicity_report_at_the_cli_scale():
+    p = RHO_PARAMS["two-sided"]
+    mp = mather_n0(p, 0.05)
+    points = sample_points(GOLDEN_SPACE, 4 * mp.n0 + 48, range(600))
+    pairs = list(zip(points[0::2], points[1::2]))
+    assert sampled_hyperbolicity(pairs, mp, p) == reference_verify_hyperbolicity(pairs, mp, p)
+
+
+def test_hyperbolicity_refuses_an_empty_pair_list():
+    mp = MatherParams(gamma=0.05, n0=4, k1=1.2, k2=1.2)
+    with pytest.raises(HypothesisViolated, match="at least one pair"):
+        sampled_hyperbolicity([], mp, RHO_PARAMS["two-sided"])
 
 
 #: (a, b, gamma) of the hyperbolicity certificate, n0 from 5 to 263
@@ -601,6 +710,11 @@ CERTIFICATE_PARAMS = [
 def certificate(a, b, gamma):
     params = MetricParams(a, b)
     return mather_n0(params, gamma), params
+
+
+def report_at(positions, mp, params):
+    """The counts and margins of the single-disagreement pairs at ``positions``."""
+    return _hyperbolicity_report(*_single_disagreement_distances(positions, mp, params), mp, params)
 
 
 def counted(report):
@@ -625,7 +739,7 @@ def test_certificate_reproduces_the_table(a, b, gamma):
 def test_certificate_positions_are_exhaustive(a, b, gamma):
     mp, params = certificate(a, b, gamma)
     reach = 6 * mp.n0 + 20
-    wide = _hyperbolicity_report(np.arange(-reach, reach + 1), mp, params)
+    wide = report_at(np.arange(-reach, reach + 1), mp, params)
     report = verify_hyperbolicity(mp, params)
     assert report.pairs_checked == 2 * mp.n0 + 5
     assert counted(wide) == counted(report)
@@ -663,7 +777,7 @@ def test_certificate_emits_no_warning():
     reach = 6 * mp.n0 + 20
     with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
         warnings.simplefilter("error")
-        _hyperbolicity_report(np.arange(-reach, reach + 1), mp, params)
+        report_at(np.arange(-reach, reach + 1), mp, params)
         verify_hyperbolicity(mp, params)
 
 
