@@ -25,7 +25,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import HypothesisViolated, NoSolution, ShiftMetricsError
+from .errors import (
+    HypothesisViolated,
+    NoSolution,
+    QuasiMetricViolated,
+    SandwichViolated,
+    ShiftMetricsError,
+)
 from .estimators import (
     DEFAULT_LADDER,
     DEFAULT_R1,
@@ -406,7 +412,7 @@ def _run_frink(config, space, params, mu):
             kind = "frink:synthetic"
         try:
             D = frink_metrize(sample)
-        except ShiftMetricsError:
+        except (QuasiMetricViolated, SandwichViolated):
             failures += 1
             rows.append(_row(kind, i, math.inf, 4.0))
             continue

@@ -619,7 +619,7 @@ KINDS = {
         _shrunk_k,
         "r",
         (20, 200, 12),
-        lambda p, depths, q, r1: _shrinking_ladder(p, q, depths),
+        lambda p, depths, q, r1: _shrinking_ladder(p, q, depths, r1),
         "mass",
     ),
     "neutralized_katok": Kind(

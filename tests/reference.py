@@ -89,7 +89,7 @@ from shiftmetrics.measures import (
     _log_choose,
     _require_symbols,
 )
-from shiftmetrics.metrics import ONE_SIDED, VERIFY_TOL, _hyperbolicity_report
+from shiftmetrics.metrics import EXPANSION_RTOL, ONE_SIDED, VERIFY_TOL, _hyperbolicity_report
 
 
 class SampleNotOrbitClosed(ShiftMetricsError):
@@ -548,7 +548,7 @@ def reference_verify_hyperbolicity(
     )
     escape = lhs_all + tol < d0_all
     eps_prime = float(np.min(lhs_all[escape])) if escape.any() else threshold
-    failures = int(np.sum(lhs_all + tol < np.minimum(d0_all, threshold)))
+    failures = int(np.sum(lhs_all < np.minimum(d0_all, threshold) * (1.0 - EXPANSION_RTOL)))
     return HyperbolicityReport(
         pairs_checked=len(pairs),
         lipschitz_forward_violations=lip_f,

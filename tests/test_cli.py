@@ -535,6 +535,17 @@ class TestVerificationQuantities:
         ]
         assert synthetic and all(1.0 < row["raw_count_or_mass(log)"] <= 4.0 for row in synthetic)
 
+    def test_frink_refuses_a_saturated_sample(self, tmp_path, capsys):
+        # 1 -> 1 only: points that end in a run of 1s agree past their window
+        path = tmp_path / "sticky.sft"
+        path.write_text("2\n1 1\n0 1\n", encoding="utf-8")
+        args = ["--space", f"sft:{path}", "--a", "2.0", "--b", "1.01"]
+        code = main(["frink", *args, "--n-samples", "1", "--sample-size", "50"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sample entries are only bounds (first: (0, 4))" in captured.err
+
     def test_relations_full_suite(self, tmp_path, markov_measure, golden_sft):
         code, report = run_json(
             tmp_path,
@@ -581,6 +592,14 @@ class TestQuantityVariants:
         _, entropy = run_json(tmp_path, ["entropy"] + depths)
         assert report["estimate"]["slope"] == entropy["estimate"]["slope"]
         assert report["estimate"]["slope"] == pytest.approx(math.log(2), abs=1e-12)
+
+    def test_neutralized_zero_rate_on_measure_is_brin_katok(self, tmp_path, markov_measure):
+        # r = 0 reads the Bowen ladder at --r1, as on a space and in katok
+        args = ["--measure", markov_measure, "--n-points", "5"]
+        code, report = run_json(tmp_path, ["neutralized", "--r", "0", *args])
+        assert code == 0
+        _, local = run_json(tmp_path, ["brin-katok", *args])
+        assert report["estimate"]["slope"] == local["estimate"]["slope"]
 
     def test_entropy_with_measure_is_local(self, tmp_path, skewed_measure):
         code, report = run_json(

@@ -115,7 +115,12 @@ from shiftmetrics.measures import (
     _merge_equal_mass,
     reversed_kernel,
 )
-from shiftmetrics.metrics import ONE_SIDED, _hyperbolicity_report, _single_disagreement_distances
+from shiftmetrics.metrics import (
+    ONE_SIDED,
+    VERIFY_TOL,
+    _hyperbolicity_report,
+    _single_disagreement_distances,
+)
 from shiftmetrics.shiftspace import SAMPLE_CHUNK, ShiftSpace
 
 SEEDS = range(200)
@@ -770,6 +775,18 @@ def test_sampled_pairs_lie_inside_the_certificate(space, a, b, gamma):
     assert sampled.eps_prime >= report.eps_prime
 
 
+def test_expansion_failures_are_counted_below_the_additive_slack():
+    # at (1.2, 1.9) the threshold is 3.1e-15, far below VERIFY_TOL, yet a
+    # pair whose shifts do not separate it must still fail (i)
+    mp, params = certificate(1.2, 1.9, 0.05)
+    rho0, d0, dp, dm = _single_disagreement_distances(np.arange(-(mp.n0 + 2), mp.n0 + 3), mp, params)
+    report = _hyperbolicity_report(rho0, d0, dp, dm, mp, params)
+    assert 0.0 < report.threshold < VERIFY_TOL
+    assert report.expansion_failures == 0
+    stuck = _hyperbolicity_report(rho0, d0, 0.0 * dp, 0.0 * dm, mp, params)
+    assert stuck.expansion_failures == stuck.pairs_checked == 2 * mp.n0 + 5
+
+
 def test_certificate_emits_no_warning():
     # far positions underflow to 0; every power has a nonpositive exponent
     params = MetricParams(1.3, 1.3)
@@ -880,7 +897,7 @@ FRINK_SAMPLES = {
     **{f"ties-{d}": FiniteSample.from_matrix(rounded(25, d, d)) for d in (0, 1)},
     "ties-shifted": FiniteSample.from_matrix(rounded(25, 2, 1) + 1.0 - np.eye(25)),
     "near-ultrametric": NEAR_ULTRAMETRIC,
-    # raised less than 2-fold: passes the K = 2 test, chains run on two rows
+    # raised less than 2-fold: passes the K = 2 test, and a chain shortens it
     "near-ultrametric-1.5": FiniteSample.from_matrix(near_ultrametric(40, 9, 1.5)),
     **word_samples(),
 }
@@ -912,6 +929,17 @@ def test_closure_is_the_minimax_chain(name):
     assert C.tobytes() == reference_minimax_closure(sample.matrix).tobytes()
     if name.startswith(("symbolic", "words")):
         assert C.tobytes() == sample.matrix.tobytes()
+
+
+@pytest.mark.parametrize("i", [1, 7, 25, 49])
+def test_cli_synthetic_samples_are_uncertified_whole(i):
+    # the closure certifies none of their rows for Floyd-Warshall and all of
+    # them at K = 2, so certifying the sample whole costs no scan it skipped;
+    # symbolic samples are their own closure (`test_closure_is_the_minimax_chain`)
+    sample = _synthetic_quasi_sample(200, np.random.default_rng(5_000_000 + i))
+    R, C = sample.matrix, sample.closure
+    assert (R > C).any(axis=1).all()
+    assert (R <= 2.0 * C + VERIFY_TOL).all()
 
 
 # ---------------------------------------------------------------------------
