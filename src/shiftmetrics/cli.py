@@ -21,7 +21,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +51,7 @@ from .measures import Measure, entropy_oracle, measure_from_json, measure_to_jso
 from .metrics import (
     ONE_SIDED,
     TWO_SIDED,
+    VERIFY_TOL,
     FiniteSample,
     MetricParams,
     check_quasi_metric,
@@ -220,27 +220,15 @@ def _require_at_least(config: RunConfig, **least: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-class _Quantity(NamedTuple):
-    space: str | None  # the bundle kind estimated on a space
-    measure: str  # the bundle kind estimated on a measure
-    rate: str | None = None  # the RunConfig field holding the rate
-    default_rate: float = 0.0
-    rated_measure: str | None = None  # the measure kind at a nonzero rate
-
-
-#: Each slope quantity's kinds; ``estimators.KINDS`` holds their estimators,
-#: identities, with their targets and tolerances, and default depths.
+#: Each slope quantity's (kind on a space, kind on a measure); ``estimators.KINDS`` holds
+#: their estimators, rates, identities with targets and tolerances, and default depths.
 _SLOPES = {
-    "dim": _Quantity("box_dimension", "pointwise_dimension"),
-    "entropy": _Quantity("entropy", "brin_katok"),
-    "katok": _Quantity(None, "katok", "r", 0.0, "neutralized_katok"),
-    "brin-katok": _Quantity(None, "brin_katok"),
-    "neutralized": _Quantity(
-        "neutralized_topological", "neutralized_brin_katok", "r", DEFAULT_RATES["r"]
-    ),
-    "estimation": _Quantity(
-        "alpha_topological", "alpha_brin_katok", "alpha", DEFAULT_RATES["alpha"]
-    ),
+    "dim": ("box_dimension", "pointwise_dimension"),
+    "entropy": ("entropy", "brin_katok"),
+    "katok": (None, "katok"),
+    "brin-katok": (None, "brin_katok"),
+    "neutralized": ("neutralized_topological", "neutralized_brin_katok"),
+    "estimation": ("alpha_topological", "alpha_brin_katok"),
 }
 
 
@@ -255,18 +243,14 @@ def _slope_rows(label: str, est: SlopeEstimate) -> list[dict]:
 
 
 def _run_slope(config, space, params, mu):
-    quantity = _SLOPES[config.quantity]
-    rate = getattr(config, quantity.rate) if quantity.rate else None
-    rate = quantity.default_rate if rate is None else rate
-    if mu is None:
-        kind = quantity.space
-        if kind is None:
-            raise HypothesisViolated(
-                f"{config.quantity} is a measure quantity: pass --measure PATH"
-            )
-    else:
-        kind = quantity.rated_measure if rate and quantity.rated_measure else quantity.measure
+    kind = _SLOPES[config.quantity][mu is not None]
+    if kind is None:
+        raise HypothesisViolated(f"{config.quantity} is a measure quantity: pass --measure PATH")
+    # a nonzero --r shrinks the cover radius
+    kind = "neutralized_katok" if kind == "katok" and config.r else kind
     spec = KINDS[kind]
+    rate = getattr(config, spec.rate) if spec.rate else 0.0
+    rate = DEFAULT_RATES[spec.rate] if rate is None else rate
     _check_tolerances(config, [spec.name], headline=True)
     ladder = kind_ladder(
         kind, config.j_min, config.j_max, config.t_min, config.t_max, config.t_step
@@ -425,10 +409,10 @@ def _run_frink(config, space, params, mu):
     relations = [
         _count_relation("frink: triangle inequality of D to 1e-12", failures),
         RelationReport(
-            "frink: D <= rho", worst_direct, 0.0, max(0.0, worst_direct), tolerance=1e-12
+            "frink: D <= rho", worst_direct, 0.0, max(0.0, worst_direct), tolerance=VERIFY_TOL
         ),
         RelationReport(
-            "frink: rho <= 4 D", worst_sandwich, 0.0, max(0.0, worst_sandwich), tolerance=1e-12
+            "frink: rho <= 4 D", worst_sandwich, 0.0, max(0.0, worst_sandwich), tolerance=VERIFY_TOL
         ),
     ]
     estimate = {
@@ -460,7 +444,7 @@ _SUBCOMMANDS = {
     "estimation": (_run_slope, "discounted-radius entropy", _SAMPLED + _DEPTH + " --alpha"),
     "metric-verify": (_run_metric_verify, "hyperbolicity checks", _SPACE + " --n-points --gamma"),
     "frink": (_run_frink, "chain-metrization sandwich", _SPACE + " --n-samples --sample-size"),
-    # standard_bundle samples its points to horizon 160
+    # standard_bundle samples its points to horizon 160, or to its deepest mass window
     "relations": (
         _run_relations, "full identity suite", _SPACE + _MEASURE + " --n-points --r --alpha --delta"
     ),

@@ -262,6 +262,11 @@ def _alpha_ladder(
     )
 
 
+def _reach(ladder: _Ladder) -> int:
+    """The horizon that holds every window of the ladder."""
+    return max(max(-window.lo, window.hi) for window in ladder.windows)
+
+
 def _read(
     ladder: _Ladder, log_size: Callable[[CylinderIndex], float], horizon: float = math.inf
 ) -> SlopeEstimate:
@@ -738,7 +743,7 @@ def estimate_kind(
             raise HypothesisViolated("points must hold at least one typical point, got none")
         return _average([estimator(x) for x in points])
     if horizon is None:
-        horizon = max(max(-w.lo, w.hi) for w in steps.windows) + 8
+        horizon = _reach(steps) + 8
     return average_over_typical(estimator, mu, horizon, n_points, seed, space)
 
 
@@ -812,13 +817,18 @@ def standard_bundle(
 ) -> list[BundleEntry]:
     """Estimate every kind in ``KINDS`` at its default ladder and label it;
     the measure kinds only when ``mu`` is given, all at the same ``n_points``
-    typical points, sampled once to horizon 160."""
+    typical points, sampled once to horizon 160 or their deepest window."""
     label = space.label
+    rates = {None: 0.0, "r": r, "alpha": alpha}
     points = None
     if mu is not None:
         require_supported(mu, space)
-        points = _typical_points(mu, 160, n_points, seed, space)
-    rates = {None: 0.0, "r": r, "alpha": alpha}
+        depths = [
+            _reach(spec.ladder(params, kind_ladder(kind), rates[spec.rate], DEFAULT_R1))
+            for kind, spec in KINDS.items()
+            if spec.reads == "mass"
+        ]
+        points = _typical_points(mu, max(160, *depths), n_points, seed, space)
     entries = []
     for kind, spec in KINDS.items():
         if mu is None and kind in MEASURE_KINDS:

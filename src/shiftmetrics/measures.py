@@ -603,8 +603,17 @@ def _merge_equal_mass(log_mass: np.ndarray, log_count: np.ndarray):
     return merged_tot - merged_lc, merged_lc
 
 
-def _cover_from_sorted(log_mass: np.ndarray, log_count: np.ndarray, delta: float) -> float:
-    """ln of the greedy descending-mass cover count over equal-mass classes."""
+def _mass_shortfall(length: int, covered: float, delta: float) -> WindowTooLarge:
+    return WindowTooLarge(
+        f"window length {length}: total mass {covered:.6g} is short of 1 - delta = {1 - delta:.6g}"
+    )
+
+
+def _cover_from_sorted(
+    log_mass: np.ndarray, log_count: np.ndarray, delta: float, length: int
+) -> float:
+    """ln of the greedy descending-mass cover count over the equal-mass classes
+    of window length ``length``, refused when they hold less than 1 - delta."""
     lm, lc = _merge_equal_mass(log_mass, log_count)
     log_total_count = float(np.logaddexp.reduce(lc))
     if log_total_count <= math.log(_EXACT_COUNT_LIMIT):
@@ -623,16 +632,14 @@ def _cover_from_sorted(log_mass: np.ndarray, log_count: np.ndarray, delta: float
             need = target - cum
             k = 1.0 if need <= 0.0 else min(c, math.ceil(need / m * (1.0 - _COVER_SLACK)))
             return math.log(taken + max(k, 1.0))
-        return math.log(taken) if taken else -math.inf
+        raise _mass_shortfall(length, cum, delta)
     log_target = math.log1p(-delta) - _COVER_SLACK
     cum = np.logaddexp.accumulate(lm + lc)
     idx = int(np.searchsorted(cum, log_target))
     if idx >= cum.size:
-        idx = cum.size - 1
+        raise _mass_shortfall(length, math.exp(cum[-1]), delta)
     prior_count = -math.inf if idx == 0 else float(np.logaddexp.reduce(lc[:idx]))
     prior_mass = -math.inf if idx == 0 else float(cum[idx - 1])
-    if prior_mass >= log_target:
-        return prior_count
     # log(e^target - e^prior) via log1p; then divide by the class mass
     gap = log_target + math.log1p(-math.exp(min(prior_mass - log_target, -1e-300)))
     log_extra = min(gap - lm[idx], float(lc[idx]))
@@ -682,9 +689,7 @@ def _pq_cover_log_count(mu: Measure, length: int, delta: float) -> float:
             if np.isfinite(step[last, t]):
                 heapq.heappush(heap, (neg_lm - float(step[last, t]), serial, depth + 1, t))
                 serial += 1
-    raise WindowTooLarge(
-        f"total mass at window length {length} fell short of 1 - delta = {target}"
-    )
+    raise _mass_shortfall(length, covered, delta)
 
 
 def minimal_cover_log_count(mu: Measure, length: int, delta: float) -> float:
@@ -707,5 +712,5 @@ def minimal_cover_log_count(mu: Measure, length: int, delta: float) -> float:
         return 0.0
     spectrum = log_mass_spectrum(mu, length)
     if spectrum is not None:
-        return _cover_from_sorted(spectrum[0], spectrum[1], delta)
+        return _cover_from_sorted(spectrum[0], spectrum[1], delta, length)
     return _pq_cover_log_count(mu, length, delta)

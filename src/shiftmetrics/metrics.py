@@ -41,9 +41,9 @@ POWER_ITER_CAP = 200_000
 #: additive slack for exact-inequality verification
 VERIFY_TOL = 1e-12
 
-#: relative slack of the expansion count, whose threshold can lie far below
-#: VERIFY_TOL (3.1e-15 at a = 1.2, b = 1.9)
-EXPANSION_RTOL = 1e-9
+#: relative slack of every hyperbolicity count: its far pairs' values lie far
+#: below VERIFY_TOL (b**-(n0 + 2) = 1.8e-21 at a = b = 1.3, gamma = 0.01)
+VERIFY_RTOL = 1e-9
 
 #: Uniform expansivity bound of the symbolic base model.  The base distance
 #: 2**-min{|i| : x_i != y_i} has separation threshold 1/2, and any pair at
@@ -420,20 +420,21 @@ def _hyperbolicity_report(
 ) -> HyperbolicityReport:
     """The counts and margins of the pairs with rho ``rho0`` and d~ ``d0``,
     ``dp``, ``dm`` at shifts 0, +1 and -1, one entry per pair."""
+    up, down = 1.0 + VERIFY_RTOL, 1.0 - VERIFY_RTOL
+    lip_f = int(np.sum(dp > 16.0 * params.b * d0 * up))
+    lip_b = int(np.sum(dm > 16.0 * params.a * d0 * up))
     bound_f = 16.0 * params.b * d0 + VERIFY_TOL
     bound_b = 16.0 * params.a * d0 + VERIFY_TOL
-    lip_f = int(np.sum(dp > bound_f))
-    lip_b = int(np.sum(dm > bound_b))
     worst_lip = float(max(np.max(dp - bound_f), np.max(dm - bound_b)))
-    sandw = int(np.sum((d0 / 4.0 > rho0 + VERIFY_TOL) | (rho0 > 4.0 * d0 + VERIFY_TOL)))
+    sandw = int(np.sum((d0 / 4.0 > rho0 * up) | (rho0 > 4.0 * d0 * up)))
     worst_sand = float(max(np.max(d0 / 4.0 - rho0), np.max(rho0 - 4.0 * d0)))
     lhs = np.maximum(dm / (params.a - mp.gamma), dp / (params.b - mp.gamma))
     threshold = 0.25 * min(mp.k1 ** (1 - mp.n0) / params.a, mp.k2 ** (1 - mp.n0) / params.b)
-    escape = lhs + VERIFY_TOL < d0
+    escape = lhs < d0 * down
     eps_prime = float(np.min(lhs[escape])) if escape.any() else threshold
     # the falsifiable form of (i): pairs below the a-priori threshold must
     # not escape, i.e. the inequality holds with eps' = threshold
-    failures = int(np.sum(lhs < np.minimum(d0, threshold) * (1.0 - EXPANSION_RTOL)))
+    failures = int(np.sum(lhs < np.minimum(d0, threshold) * down))
     return HyperbolicityReport(
         pairs_checked=len(d0),
         lipschitz_forward_violations=lip_f,
@@ -471,6 +472,8 @@ def verify_hyperbolicity(mp: MatherParams, params: MetricParams) -> Hyperbolicit
 
     One-sided rho is refused: it cannot see coordinates below 0, but the
     backward shifts of d~ read them, so d~ / 4 <= rho fails at p = -1.
+    So is a depth n0 whose threshold or values fall below float64's smallest
+    normal, where values that underflow to 0 would make every count read 0.
     """
     if params.mode == ONE_SIDED:
         raise HypothesisViolated(
@@ -479,4 +482,11 @@ def verify_hyperbolicity(mp: MatherParams, params: MetricParams) -> Hyperbolicit
         )
     reach = mp.n0 + 2
     distances = _single_disagreement_distances(np.arange(-reach, reach + 1), mp, params)
-    return _hyperbolicity_report(*distances, mp, params)
+    report = _hyperbolicity_report(*distances, mp, params)
+    tiny = np.finfo(float).tiny
+    if report.threshold < tiny or min(v.min() for v in distances) < tiny:
+        raise HypothesisViolated(
+            f"the certificate at window depth n0 = {mp.n0} holds values below float64's "
+            f"smallest normal {tiny:.6g}, where no relative count can fail; use a larger gamma"
+        )
+    return report

@@ -276,11 +276,6 @@ def point_from_window(space: ShiftSpace, symbols: Sequence[int]) -> Point:
     return Point(space, arr)
 
 
-#: seeds that ``sample_points`` draws uniforms for and walks at once (bounds its
-#: transient memory)
-SAMPLE_CHUNK = 128
-
-
 def _seed_value(seed) -> int:
     """A seed as a Python int; ``None`` (OS entropy) and non-integers are
     refused with ``TypeError``, negative integers with ``ValueError``."""
@@ -300,8 +295,8 @@ def sample_points(space: ShiftSpace, horizon: int, seeds: Iterable[int]) -> list
     * horizon + 2)``: u[0] picks a uniform alive start, u[1..horizon] walk
     forward over out-edges and u[horizon+1..2 horizon] backward over
     in-edges, each step taking neighbour ``int(u * degree)``.  Every step
-    is one NumPy gather over the padded neighbour tables for up to
-    ``SAMPLE_CHUNK`` seeds, writing into the points' final int64 rows.
+    is one NumPy gather over the padded neighbour tables for all the seeds,
+    writing into the points' final int64 rows.
     Seeds must be integers >= 0 (NumPy integers and bools too);
     ``None``, which would draw OS entropy, is refused.
     """
@@ -310,26 +305,21 @@ def sample_points(space: ShiftSpace, horizon: int, seeds: Iterable[int]) -> list
     seeds = [_seed_value(seed) for seed in seeds]
     n = 2 * horizon + 1
     alive = np.array(space.alive_states, dtype=np.int64)
-    uniforms = np.empty((min(len(seeds), SAMPLE_CHUNK), n + 1))
-    points = []
-    for lo in range(0, len(seeds), SAMPLE_CHUNK):
-        chunk = seeds[lo : lo + SAMPLE_CHUNK]
-        u = uniforms[: len(chunk)]
-        for row, seed in zip(u, chunk):
-            np.random.default_rng(seed).random(out=row)
-        rows = np.empty((len(chunk), n), dtype=np.int64)
-        rows[:, horizon] = alive[(u[:, 0] * len(alive)).astype(np.int64)]
-        for t in range(1, horizon + 1):
-            prev = rows[:, horizon + t - 1]
-            k = (u[:, t] * space._n_succ[prev]).astype(np.int64)
-            rows[:, horizon + t] = space._succ[prev, k]
-        for t in range(1, horizon + 1):
-            prev = rows[:, horizon - t + 1]
-            k = (u[:, horizon + t] * space._n_pred[prev]).astype(np.int64)
-            rows[:, horizon - t] = space._pred[prev, k]
-        rows.setflags(write=False)
-        points.extend(Point(space, row) for row in rows)
-    return points
+    u = np.empty((len(seeds), n + 1))
+    for row, seed in zip(u, seeds):
+        np.random.default_rng(seed).random(out=row)
+    rows = np.empty((len(seeds), n), dtype=np.int64)
+    rows[:, horizon] = alive[(u[:, 0] * len(alive)).astype(np.int64)]
+    for t in range(1, horizon + 1):
+        prev = rows[:, horizon + t - 1]
+        k = (u[:, t] * space._n_succ[prev]).astype(np.int64)
+        rows[:, horizon + t] = space._succ[prev, k]
+    for t in range(1, horizon + 1):
+        prev = rows[:, horizon - t + 1]
+        k = (u[:, horizon + t] * space._n_pred[prev]).astype(np.int64)
+        rows[:, horizon - t] = space._pred[prev, k]
+    rows.setflags(write=False)
+    return [Point(space, row) for row in rows]
 
 
 def sample_point(space: ShiftSpace, horizon: int, seed: int) -> Point:

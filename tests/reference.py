@@ -89,7 +89,7 @@ from shiftmetrics.measures import (
     _log_choose,
     _require_symbols,
 )
-from shiftmetrics.metrics import EXPANSION_RTOL, ONE_SIDED, VERIFY_TOL, _hyperbolicity_report
+from shiftmetrics.metrics import ONE_SIDED, VERIFY_RTOL, VERIFY_TOL, _hyperbolicity_report
 
 
 class SampleNotOrbitClosed(ShiftMetricsError):
@@ -522,8 +522,10 @@ def reference_verify_hyperbolicity(
 ) -> HyperbolicityReport:
     """The hyperbolicity counts and margins of sampled pairs, one pair at a
     time, each pair's counts and margins folded in before the next pair's
-    table is made."""
+    table is made.  The counts compare relatively, by ``VERIFY_RTOL``; the
+    worst margins subtract ``tol``."""
     n0 = mp.n0
+    up, down = 1.0 + VERIFY_RTOL, 1.0 - VERIFY_RTOL
     lip_f = lip_b = sandw = 0
     worst_lip = -math.inf
     worst_sand = -math.inf
@@ -531,14 +533,14 @@ def reference_verify_hyperbolicity(
     d0_all = np.empty(len(pairs))
     for idx, (x, y) in enumerate(pairs):
         rho0, d0, dp, dm = sampled_pair_distances(x, y, mp, params)
-        bound_f = 16.0 * params.b * d0 + tol
-        bound_b = 16.0 * params.a * d0 + tol
-        if dp > bound_f:
+        bound_f = 16.0 * params.b * d0
+        bound_b = 16.0 * params.a * d0
+        if dp > bound_f * up:
             lip_f += 1
-        if dm > bound_b:
+        if dm > bound_b * up:
             lip_b += 1
-        worst_lip = max(worst_lip, dp - bound_f, dm - bound_b)
-        if d0 / 4.0 > rho0 + tol or rho0 > 4.0 * d0 + tol:
+        worst_lip = max(worst_lip, dp - (bound_f + tol), dm - (bound_b + tol))
+        if d0 / 4.0 > rho0 * up or rho0 > 4.0 * d0 * up:
             sandw += 1
         worst_sand = max(worst_sand, d0 / 4.0 - rho0, rho0 - 4.0 * d0)
         lhs_all[idx] = max(dm / (params.a - mp.gamma), dp / (params.b - mp.gamma))
@@ -546,9 +548,9 @@ def reference_verify_hyperbolicity(
     threshold = 0.25 * min(
         mp.k1 ** (-(n0 - 1)) / params.a, mp.k2 ** (-(n0 - 1)) / params.b
     )
-    escape = lhs_all + tol < d0_all
+    escape = lhs_all < d0_all * down
     eps_prime = float(np.min(lhs_all[escape])) if escape.any() else threshold
-    failures = int(np.sum(lhs_all < np.minimum(d0_all, threshold) * (1.0 - EXPANSION_RTOL)))
+    failures = int(np.sum(lhs_all < np.minimum(d0_all, threshold) * down))
     return HyperbolicityReport(
         pairs_checked=len(pairs),
         lipschitz_forward_violations=lip_f,

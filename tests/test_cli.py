@@ -209,6 +209,22 @@ class TestParserDefaults:
         assert documented == taken
 
 
+@pytest.mark.parametrize("quantity", sorted(cli._SLOPES))
+def test_slope_table_reads_its_rates_off_the_kinds(quantity):
+    """Each slope subcommand names only KINDS kinds, and takes --r or --alpha
+    exactly when one of its kinds takes that rate."""
+    slope_runs = {name for name, (run, _, _) in cli._SUBCOMMANDS.items() if run is cli._run_slope}
+    assert slope_runs == set(cli._SLOPES)
+    kinds = [kind for kind in cli._SLOPES[quantity][:2] if kind is not None]
+    assert kinds and set(kinds) <= set(estimators.KINDS)
+    if "katok" in kinds:
+        kinds.append("neutralized_katok")  # what a nonzero --r picks
+    flags = cli._SUBCOMMANDS[quantity][2].split()
+    for rate in ("r", "alpha"):
+        takes = any(estimators.KINDS[kind].rate == rate for kind in kinds)
+        assert (f"--{rate}" in flags) == takes, (quantity, rate)
+
+
 #: The (subcommand, flag) pairs no run reads, with a value for each flag.
 UNREAD_FLAGS = [
     ("katok", "--horizon", "5"),
@@ -512,16 +528,26 @@ class TestVerificationQuantities:
         assert "coordinates below 0" in captured.err
         assert captured.out == ""
 
-    def test_metric_verify_small_gamma_is_quick(self, tmp_path):
-        # n0 = 180218: the certificate costs O(n0), with no points of horizon ~4 n0
+    def test_metric_verify_small_gamma_is_quick(self, capsys):
+        # n0 = 180218: the certificate's values underflow, and it refuses quickly
+        start = time.perf_counter()
+        code = main(["metric-verify", "--gamma", "1e-5", "--n-points", "4"])
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "n0 = 180218" in captured.err and "smallest normal" in captured.err
+        assert captured.out == ""
+
+    def test_metric_verify_deep_certificate_is_quick(self, tmp_path):
+        # n0 = 1802: the certificate costs O(n0), with no points of horizon ~4 n0
         start = time.perf_counter()
         code, report = run_json(
-            tmp_path, ["metric-verify", "--gamma", "1e-5", "--n-points", "4"]
+            tmp_path, ["metric-verify", "--gamma", "1e-3", "--n-points", "4"]
         )
         assert time.perf_counter() - start < 5.0
         assert code == 0
-        assert report["estimate"]["n0"] == 180218
-        assert report["estimate"]["pairs_checked"] == 2 * 180218 + 5
+        assert report["estimate"]["n0"] == 1802
+        assert report["estimate"]["pairs_checked"] == 2 * 1802 + 5 == 3609
 
     def test_frink(self, tmp_path):
         code, report = run_json(

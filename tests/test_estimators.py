@@ -591,6 +591,13 @@ class TestBundles:
         with pytest.raises(IncompatibleInputs):
             standard_bundle(GOLDEN, PARAMS, SKEWED)
 
+    @pytest.mark.parametrize("params", [MetricParams(1.15, 1.15), ONE_SIDED_PARAMS])
+    def test_points_hold_every_mass_window(self, params):
+        # the deepest mass windows pass 160: pointwise dimension's reaches
+        # 198 and neutralized brin-katok's 171 at a = b = 1.15, and 238 one-sided
+        bundle = standard_bundle(FULL2, params, SKEWED, n_points=10)
+        assert [entry.kind for entry in bundle if entry.estimate.saturated] == []
+
 
 def one_sided_slope(kind, mu=None, rate=0.0):
     """A kind's one-sided slope over LADDER or depths 10..60, at 20 typical points."""

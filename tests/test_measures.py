@@ -481,10 +481,25 @@ class TestMinimalCover:
     def test_backends_agree(self, mu, length, delta):
         via_spectrum = minimal_cover_log_count(mu, length, delta)
         masses = enumerate_log_masses(mu, length)
-        via_enumeration = _cover_from_sorted(masses, np.zeros(masses.shape), delta)
+        via_enumeration = _cover_from_sorted(masses, np.zeros(masses.shape), delta, length)
         via_queue = _pq_cover_log_count(mu, length, delta)
         assert via_spectrum == pytest.approx(via_enumeration, abs=1e-9)
         assert via_spectrum == pytest.approx(via_queue, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "length, order, dropped, left",
+        [(8, "word", 3, "0.448"), (400, "class", 20, "0.27")],
+        ids=["exact-route", "log-route"],
+    )
+    def test_truncated_spectrum_refused(self, length, order, dropped, left):
+        # drop the classes of heaviest words (8 symbols: ln 219 was returned,
+        # the words left) or heaviest classes (400 symbols: 400 ln 2)
+        log_mass, log_count = log_mass_spectrum(SKEWED, length)
+        weight = log_mass if order == "word" else log_mass + log_count
+        kept = np.argsort(-weight)[dropped:]
+        message = f"window length {length}: total mass {left}.* short of 1 - delta = 0.75"
+        with pytest.raises(WindowTooLarge, match=message):
+            _cover_from_sorted(log_mass[kept], log_count[kept], 0.25, length)
 
     def test_tiny_delta_takes_everything(self):
         total = math.log(support_word_count(GOLDEN_MARKOV, 9))

@@ -121,7 +121,7 @@ from shiftmetrics.metrics import (
     _hyperbolicity_report,
     _single_disagreement_distances,
 )
-from shiftmetrics.shiftspace import SAMPLE_CHUNK, ShiftSpace
+from shiftmetrics.shiftspace import ShiftSpace
 
 SEEDS = range(200)
 HORIZON = 40
@@ -397,8 +397,8 @@ LARGE_SEEDS = [
 ]
 #: NumPy integer seeds, which ``default_rng`` takes too
 NUMPY_SEEDS = [np.int64(7), np.uint64(2**64 - 1), np.uint32(9), np.int8(3)]
-#: more than three chunks; the second mixes one-word and many-word seeds
-WALK_SEEDS = [*SEEDS, *LARGE_SEEDS, *NUMPY_SEEDS, *range(len(SEEDS), 3 * SAMPLE_CHUNK)]
+#: more than 384 seeds in one walk, one-word and many-word seeds mixed
+WALK_SEEDS = [*SEEDS, *LARGE_SEEDS, *NUMPY_SEEDS, *range(len(SEEDS), 384)]
 
 
 @pytest.mark.parametrize("horizon", [0, 1, 7, 60, 192])
@@ -406,7 +406,7 @@ WALK_SEEDS = [*SEEDS, *LARGE_SEEDS, *NUMPY_SEEDS, *range(len(SEEDS), 3 * SAMPLE_
 def test_batch_walk_reproduces_the_scalar_walk(name, horizon):
     space = WALK_SPACES[name]
     points = sample_points(space, horizon, WALK_SEEDS)
-    assert len(points) == len(WALK_SEEDS) > 3 * SAMPLE_CHUNK
+    assert len(points) == len(WALK_SEEDS) > 384
     for seed, x in zip(WALK_SEEDS, points):
         assert x.symbols.dtype == np.int64
         assert x.symbols.tobytes() == reference_walk(space, horizon, seed).tobytes(), seed
@@ -744,7 +744,13 @@ def test_certificate_reproduces_the_table(a, b, gamma):
 def test_certificate_positions_are_exhaustive(a, b, gamma):
     mp, params = certificate(a, b, gamma)
     reach = 6 * mp.n0 + 20
-    wide = report_at(np.arange(-reach, reach + 1), mp, params)
+    positions = np.arange(-reach, reach + 1)
+    # relative counts hold only where every value is a normal float: past
+    # that, d~ = 0 beside a subnormal shifted d~ reads as a violation
+    values = _single_disagreement_distances(positions, mp, params)
+    normal = positions[np.min(values, axis=0) >= np.finfo(float).tiny]
+    assert normal.min() < -2 * mp.n0 and normal.max() > 2 * mp.n0
+    wide = report_at(normal, mp, params)
     report = verify_hyperbolicity(mp, params)
     assert report.pairs_checked == 2 * mp.n0 + 5
     assert counted(wide) == counted(report)
@@ -787,15 +793,58 @@ def test_expansion_failures_are_counted_below_the_additive_slack():
     assert stuck.expansion_failures == stuck.pairs_checked == 2 * mp.n0 + 5
 
 
+@pytest.mark.parametrize("a, b", [(1.3, 1.3), (1.2, 1.9)])
+def test_faults_at_the_far_edge_are_counted(a, b):
+    # the outermost positions hold values near b**-(n0 + 2) = 1.8e-21 at
+    # (1.3, 1.3), far below VERIFY_TOL; a fault there must still count
+    mp, params = certificate(a, b, 0.01)
+    positions = np.arange(-(mp.n0 + 2), mp.n0 + 3)
+    rho0, d0, dp, dm = _single_disagreement_distances(positions, mp, params)
+    assert _hyperbolicity_report(rho0, d0, dp, dm, mp, params).sandwich_violations == 0
+    # weighted runs that read 6 shifts past the window depth
+    deep = dataclasses.replace(mp, n0=mp.n0 + 6)
+    overrun = _hyperbolicity_report(
+        *_single_disagreement_distances(positions, deep, params), mp, params
+    )
+    assert overrun.sandwich_violations == 4
+    # d~ = 20 rho at the four outermost positions
+    edge = [0, 1, -2, -1]
+    inflated = d0.copy()
+    inflated[edge] = 20.0 * rho0[edge]
+    assert max(rho0[edge].max(), inflated[edge].max()) < VERIFY_TOL
+    assert _hyperbolicity_report(rho0, inflated, dp, dm, mp, params).sandwich_violations == 4
+
+
+@pytest.mark.parametrize("a, b, gamma, n0", [(1.3, 1.3, 6e-4, 3003), (1.2, 1.9, 2e-3, 1317)])
+def test_underflowing_certificate_refused(a, b, gamma, n0):
+    # values that underflow to 0 would make every count read 0
+    mp, params = certificate(a, b, gamma)
+    assert mp.n0 == n0
+    with pytest.raises(HypothesisViolated, match=f"n0 = {n0} .*smallest normal 2.22507e-308"):
+        verify_hyperbolicity(mp, params)
+
+
+def test_deepest_normal_certificate_passes():
+    # at (1.3, 1.3) every value is still a normal float at n0 = 2574
+    mp, params = certificate(1.3, 1.3, 7e-4)
+    report = verify_hyperbolicity(mp, params)
+    assert report.pairs_checked == 2 * 2574 + 5
+    assert report.threshold >= np.finfo(float).tiny
+    assert report.lipschitz_forward_violations == report.lipschitz_backward_violations == 0
+    assert report.sandwich_violations == report.expansion_failures == 0
+
+
 def test_certificate_emits_no_warning():
-    # far positions underflow to 0; every power has a nonpositive exponent
+    # far positions underflow to 0; every power has a nonpositive exponent,
+    # and the certificate refuses the underflowed depth without a warning
     params = MetricParams(1.3, 1.3)
     mp = mather_n0(params, 1e-4)
     reach = 6 * mp.n0 + 20
     with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
         warnings.simplefilter("error")
         report_at(np.arange(-reach, reach + 1), mp, params)
-        verify_hyperbolicity(mp, params)
+        with pytest.raises(HypothesisViolated, match="smallest normal"):
+            verify_hyperbolicity(mp, params)
 
 
 # ---------------------------------------------------------------------------
@@ -1000,7 +1049,7 @@ def test_type_class_cover_equals_the_enumerated_cover(name):
     for length in range(1, longest + 1):
         masses = enumerate_log_masses(mu, length)
         for delta in (0.05, 0.25, 0.9):
-            slow = _cover_from_sorted(masses, np.zeros(masses.shape), delta)
+            slow = _cover_from_sorted(masses, np.zeros(masses.shape), delta, length)
             assert minimal_cover_log_count(mu, length, delta) == slow, (length, delta)
 
 
@@ -1051,7 +1100,7 @@ def test_transition_count_cover_equals_the_enumerated_cover(name):
     for length in range(1, longest + 1):
         masses = enumerate_log_masses(mu, length)
         for delta in (0.05, 0.1, 0.25, 0.4, 0.9):
-            slow = _cover_from_sorted(masses, np.zeros(masses.shape), delta)
+            slow = _cover_from_sorted(masses, np.zeros(masses.shape), delta, length)
             assert minimal_cover_log_count(mu, length, delta) == slow, (length, delta)
 
 
@@ -1126,5 +1175,5 @@ def test_merge_inputs_hold_tie_groups():
 @pytest.mark.parametrize("delta", [0.05, 0.25, 0.9])
 def test_golden_cover_equals_the_reference_spectrum_cover(delta):
     golden = MEASURES["markov(golden)"]
-    slow = _cover_from_sorted(*reference_markov_spectrum(golden, 1243), delta)
+    slow = _cover_from_sorted(*reference_markov_spectrum(golden, 1243), delta, 1243)
     assert minimal_cover_log_count(golden, 1243, delta) == slow
