@@ -3,7 +3,8 @@ suites, and emit machine-readable reports and plot-ready tables.
 
 Exit codes: 0 when every requested relation passes, 1 when a relation fails
 (including an unsolvable rate-exchange equation), 2 on configuration or
-hypothesis violations (the offending bound is named in the message).
+hypothesis violations (the offending bound is named in the message) and on
+arrays too large to allocate.
 
 Report formats: ``json`` is the full report (schema_version "1") with the
 resolved configuration embedded; ``csv`` is the plot-ready table with the
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -268,7 +270,7 @@ def _run_slope(config, space, params, mu):
         config.n_points,
         config.seed,
     )
-    h = entropy_oracle(mu).entropy if spec.measure else top_entropy_oracle(space)
+    h = entropy_oracle(mu) if spec.measure else top_entropy_oracle(space)
     target = {
         "name": spec.name,
         "value": spec.target(params, rate, h),
@@ -298,7 +300,7 @@ def _run_relations(config, space, params, mu):
         n_points=config.n_points,
     )
     h_top = top_entropy_oracle(space)
-    h_mu = entropy_oracle(mu).entropy if mu is not None else None
+    h_mu = entropy_oracle(mu) if mu is not None else None
     reports = verify_identities(bundle, h_top, h_mu, tolerances=config.tolerances or None)
     estimate = {
         entry.kind: {"slope": entry.estimate.slope, "rate": entry.rate} for entry in bundle
@@ -508,7 +510,7 @@ def run(config: RunConfig) -> int:
         except NoSolution as exc:
             estimate, target, relations, rows = None, None, [], []
             error = str(exc)
-    except (ShiftMetricsError, OSError, ValueError) as exc:
+    except (ShiftMetricsError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     passed = error is None and all(rep.passed for rep in relations)
@@ -572,7 +574,9 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; each parse fills a new namespace."""
     # every default lives in RunConfig: an option not given stays out of the namespace
     quiet = {"argument_default": argparse.SUPPRESS}
     parser = argparse.ArgumentParser(
@@ -581,13 +585,10 @@ def build_parser() -> argparse.ArgumentParser:
         **quiet,
     )
     sub = parser.add_subparsers(dest="quantity", required=True, metavar="quantity")
-    # build each flag once and share it, as parents= does: 128 add_argument calls cost ~1 ms a run
-    pool = argparse.ArgumentParser(add_help=False, **quiet)
-    actions = {flag: pool.add_argument(flag, **keywords) for flag, keywords in _FLAGS.items()}
     for name, (_, help_line, flags) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_line, **quiet)
         for flag in flags.split():
-            sp._add_action(actions[flag])
+            sp.add_argument(flag, **_FLAGS[flag])
     return parser
 
 

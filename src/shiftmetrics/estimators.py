@@ -47,7 +47,7 @@ from .measures import (
     sample_typical,
     supported_on,
 )
-from .metrics import ONE_SIDED, MetricParams
+from .metrics import ONE_SIDED, VERIFY_TOL, MetricParams
 from .shiftspace import Point, ShiftSpace, word_counts
 
 #: Reference radius used wherever a fixed radius only shifts the intercept.
@@ -99,16 +99,12 @@ class SlopeEstimate:
             return float(slopes.max() - slopes.min()) if len(slopes) > 1 else 0.0
         if len(self.points) < 4:
             return 0.0
-        x = np.asarray([p[0] for p in self.points], dtype=float)
-        y = np.asarray([p[1] for p in self.points], dtype=float)
+        x, y = np.array(self.points, dtype=float).T
         order = np.argsort(x)
         half = x.size // 2
-        parts = []
-        for sel in (order[:half], order[half:]):
-            Ah = np.vstack([x[sel], np.ones(sel.size)]).T
-            ch, *_ = np.linalg.lstsq(Ah, y[sel], rcond=None)
-            parts.append(float(ch[0]))
-        return abs(parts[1] - parts[0])
+        halves = (order[:half], order[half:])
+        low, high = (_fit_slope(x[sel], y[sel], (), False).slope for sel in halves)
+        return abs(high - low)
 
     @property
     def flagged(self) -> bool:
@@ -142,8 +138,12 @@ def relation_report(
     value: float | None = None,
     ordered: bool = False,
 ) -> RelationReport:
-    """Build a report; ``ordered=True`` checks lhs <= rhs instead of equality."""
-    scale = max(abs(rhs), 1e-300)
+    """Build a report; ``ordered=True`` checks lhs <= rhs instead of equality.
+
+    The error is relative to max(|rhs|, VERIFY_TOL), so a zero-entropy
+    target compares rounding noise on an absolute scale.
+    """
+    scale = max(abs(rhs), VERIFY_TOL)
     if ordered:
         rel = max(0.0, (lhs - rhs) / scale)
     else:
@@ -223,10 +223,6 @@ def _depth_ladder(
     return _Ladder(tuple(float(t) for t in depths), windows, 1.0, depths)
 
 
-def _bowen_ladder(params: MetricParams, r1: float, nm_range: Iterable[int]) -> _Ladder:
-    return _depth_ladder(params, nm_range, lambda n, m: bowen_window(n, m, r1, params))
-
-
 def _shrinking_ladder(
     params: MetricParams, r: float, nm_range: Iterable[int], r1: float | None = None
 ) -> _Ladder:
@@ -242,7 +238,7 @@ def _shrinking_ladder(
             f"shrinking rate r must satisfy {low} r < 3/k = {bound:.6g}, got {r}"
         )
     if r == 0.0:
-        return _bowen_ladder(params, r1, nm_range)
+        return _depth_ladder(params, nm_range, lambda n, m: bowen_window(n, m, r1, params))
     return _depth_ladder(params, nm_range, lambda n, m: neutralized_window(n, m, r, params))
 
 
@@ -343,7 +339,7 @@ def brin_katok_local(
     Window depths that do not fit the horizon are dropped (saturated flag);
     fewer than two usable depths raise ``HorizonExceeded``.
     """
-    return _mass_slope(mu, x, _bowen_ladder(params, r1, nm_range))
+    return _mass_slope(mu, x, _shrinking_ladder(params, 0.0, nm_range, r1))
 
 
 def neutralized_brin_katok(
@@ -564,7 +560,7 @@ KINDS = {
         _one,
         None,
         (10, 60, 5),
-        lambda p, depths, q, r1: _bowen_ladder(p, r1, depths),
+        lambda p, depths, q, r1: _shrinking_ladder(p, 0.0, depths, r1),
         "words",
     ),
     "neutralized_topological": Kind(
@@ -604,7 +600,7 @@ KINDS = {
         _one,
         None,
         (20, 200, 12),
-        lambda p, depths, q, r1: _bowen_ladder(p, r1, depths),
+        lambda p, depths, q, r1: _shrinking_ladder(p, 0.0, depths, r1),
         "mass",
     ),
     "katok": Kind(

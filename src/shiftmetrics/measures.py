@@ -189,41 +189,25 @@ class MarkovMeasure:
 Measure = BernoulliMeasure | MarkovMeasure
 
 
-@dataclass(frozen=True)
-class MeasureReport:
-    """Entropy value plus a note recording how it was computed."""
-
-    entropy: float
-    notes: str
-
-    def __post_init__(self):
-        if not self.entropy >= 0.0:
-            raise BadMeasure(f"entropy must be nonnegative, got {self.entropy}")
-
-
 def _xlogx(p: np.ndarray) -> np.ndarray:
     """p * ln(p) with the 0 * ln 0 = 0 convention."""
     return np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
 
 
-def entropy_oracle(mu: Measure) -> MeasureReport:
-    """Exact entropy of a built-in measure.
+def entropy_oracle(mu: Measure) -> float:
+    """Exact entropy of a built-in measure, clipped at 0.
 
-    Bernoulli: -sum p_i ln p_i.  Markov: -sum_i pi_i sum_j P_ij ln P_ij.
-    Zero-probability terms contribute 0 by convention.
+    Bernoulli: -sum p_i ln p_i.  Markov: -sum_i pi_i sum_j P_ij ln P_ij,
+    with pi by GTH state reduction.  Zero-probability terms contribute 0 by
+    convention.
     """
     if isinstance(mu, BernoulliMeasure):
         h = float(-_xlogx(np.asarray(mu.weights)).sum())
-        return MeasureReport(max(h, 0.0), "independent-symbol entropy -sum p ln p")
-    if isinstance(mu, MarkovMeasure):
-        P = np.asarray(mu.P)
-        pi = np.asarray(mu.pi)
-        h = float(-(pi @ _xlogx(P).sum(axis=1)))
-        return MeasureReport(
-            max(h, 0.0),
-            "stationary transition entropy -sum pi_i P_ij ln P_ij; pi by GTH state reduction",
-        )
-    raise BadMeasure(f"unsupported measure type {type(mu).__name__}")
+    elif isinstance(mu, MarkovMeasure):
+        h = float(-(np.asarray(mu.pi) @ _xlogx(np.asarray(mu.P)).sum(axis=1)))
+    else:
+        raise BadMeasure(f"unsupported measure type {type(mu).__name__}")
+    return max(h, 0.0)
 
 
 def _require_symbols(mu: Measure, symbols: np.ndarray) -> None:

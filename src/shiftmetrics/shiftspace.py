@@ -292,11 +292,11 @@ def sample_points(space: ShiftSpace, horizon: int, seeds: Iterable[int]) -> list
     """Seeded admissible points, one per seed, walked together.
 
     Each point is the walk of its own stream ``default_rng(seed).random(2
-    * horizon + 2)``: u[0] picks a uniform alive start, u[1..horizon] walk
-    forward over out-edges and u[horizon+1..2 horizon] backward over
-    in-edges, each step taking neighbour ``int(u * degree)``.  Every step
-    is one NumPy gather over the padded neighbour tables for all the seeds,
-    writing into the points' final int64 rows.
+    * horizon + 1)``, one uniform per coordinate: u[0] picks a uniform alive
+    start, u[1..horizon] walk forward over out-edges and u[horizon+1..2
+    horizon] backward over in-edges, each step taking neighbour ``int(u *
+    degree)``.  Every step is one NumPy gather over the padded neighbour
+    tables for all the seeds, writing into the points' final int64 rows.
     Seeds must be integers >= 0 (NumPy integers and bools too);
     ``None``, which would draw OS entropy, is refused.
     """
@@ -305,7 +305,7 @@ def sample_points(space: ShiftSpace, horizon: int, seeds: Iterable[int]) -> list
     seeds = [_seed_value(seed) for seed in seeds]
     n = 2 * horizon + 1
     alive = np.array(space.alive_states, dtype=np.int64)
-    u = np.empty((len(seeds), n + 1))
+    u = np.empty((len(seeds), n))
     for row, seed in zip(u, seeds):
         np.random.default_rng(seed).random(out=row)
     rows = np.empty((len(seeds), n), dtype=np.int64)

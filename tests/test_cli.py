@@ -16,6 +16,7 @@ from shiftmetrics.errors import HypothesisViolated
 GOLDEN_SFT = "2\n1 1\n1 0\n"
 MARKOV_JSON = '{"type": "markov", "P": [[0.5, 0.5], [1.0, 0.0]]}'
 SKEWED_JSON = '{"type": "bernoulli", "weights": [0.3, 0.7]}'
+CYCLE2_SFT = "2\n0 1\n1 0\n"
 
 
 @pytest.fixture
@@ -208,6 +209,15 @@ class TestParserDefaults:
         }
         assert documented == taken
 
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_runs_share_no_parser_state(self, tmp_path):
+        _, report = run_json(tmp_path, ["dim", "--j-max", "16", "--tol", "0.5"])
+        assert (report["config"]["j_max"], report["config"]["tol"]) == (16, 0.5)
+        _, report = run_json(tmp_path, ["dim"])
+        assert (report["config"]["j_max"], report["config"]["tol"]) == (40, None)
+
 
 @pytest.mark.parametrize("quantity", sorted(cli._SLOPES))
 def test_slope_table_reads_its_rates_off_the_kinds(quantity):
@@ -328,6 +338,50 @@ class TestExitCodes:
         assert code == 1
         assert report["passed"] is False
         assert report["target"]["value"] == 0.0
+
+    @pytest.mark.parametrize(
+        "quantity, sft, measured",
+        [
+            ("dim", CYCLE2_SFT, False),
+            ("entropy", CYCLE2_SFT, False),
+            ("relations", CYCLE2_SFT, False),
+            ("relations", "3\n0 1 0\n0 0 1\n1 0 0\n", False),
+            ("brin-katok", CYCLE2_SFT, True),
+            ("katok", CYCLE2_SFT, True),
+            ("relations", CYCLE2_SFT, True),
+        ],
+        ids=["dim", "entropy", "relations", "relations-3-cycle", "brin-katok", "katok",
+             "relations-measure"],
+    )
+    def test_zero_entropy_cycle_passes(self, quantity, sft, measured, tmp_path):
+        # one periodic orbit has entropy 0: a slope's rounding noise (~1e-16)
+        # is compared on the scale VERIFY_TOL, not as a relative error
+        path = tmp_path / "cycle.sft"
+        path.write_text(sft, encoding="utf-8")
+        args = [quantity, "--space", f"sft:{path}"]
+        if measured:
+            mu = tmp_path / "cycle.json"
+            mu.write_text('{"type": "markov", "P": [[0, 1], [1, 0]]}', encoding="utf-8")
+            args += ["--measure", str(mu)]
+        code, report = run_json(tmp_path, args)
+        assert code == 0
+        assert all(rel["passed"] for rel in report["relations"])
+
+    @pytest.mark.parametrize(
+        "args, size",
+        [
+            (["brin-katok", "--n-points", "2", "--horizon", "1000000000000000"], "14.2 PiB"),
+            (["dim", "--space", "full:100000000"], "8.88 PiB"),
+        ],
+        ids=["horizon", "alphabet"],
+    )
+    def test_allocation_failure_is_exit_two(self, args, size, skewed_measure, capsys):
+        # each array exceeds any address space, so its first allocation fails
+        measure = ["--measure", skewed_measure] if args[0] == "brin-katok" else []
+        assert main(args + measure) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: Unable to allocate {size}")
 
     def test_no_solution_is_exit_one(self, tmp_path, capsys):
         code, report = run_json(tmp_path, ["solve-5-23", "--a", "1.3", "--b", "1.9", "--r", "0.3"])

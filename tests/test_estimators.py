@@ -396,6 +396,10 @@ class TestFitDiagnostics:
         with pytest.raises(TypeError):
             RelationReport("x", 1.0, 1.0, 0.5, True, 0.1)
 
+    def test_zero_target_compared_on_verify_tol(self):
+        assert relation_report("zero", -3.96e-17, 0.0, 0.02).rel_error == pytest.approx(3.96e-5)
+        assert not relation_report("zero", 0.031, 0.0, 0.02).passed
+
     def test_ordered_report_one_sided(self):
         assert relation_report("le", 0.9, 1.0, 0.02, ordered=True).rel_error == 0.0
         assert relation_report("le", 1.05, 1.0, 0.02, ordered=True).rel_error == pytest.approx(

@@ -362,7 +362,7 @@ def reference_walk(space: ShiftSpace, horizon: int, seed: int) -> np.ndarray:
     """The symbol-by-symbol seeded walk: uniform start, then uniform steps
     forward over out-edges and backward over in-edges, both read off
     ``reference.allows`` rather than the sampler's neighbour tables."""
-    u = np.random.default_rng(seed).random(2 * horizon + 2)
+    u = np.random.default_rng(seed).random(2 * horizon + 1)
     alive = reference_alive_states(space)
     buf = [0] * (2 * horizon + 1)
     buf[horizon] = alive[int(u[0] * len(alive))]
