@@ -6,11 +6,13 @@ Exit codes: 0 when every requested relation passes, 1 when a relation fails
 hypothesis violations (the offending bound is named in the message) and on
 arrays too large to allocate.
 
-Report formats: ``json`` is the full report (schema_version "1") with the
-resolved configuration embedded; ``csv`` is the plot-ready table with the
-columns ``quantity,n_or_r,raw_count_or_mass(log),fitted,residual`` plus a
-``# config=...`` reproducibility header.  Identical (config, seed) runs
-produce byte-identical output.
+Report formats: ``json`` is the full report (schema_version "2") with the
+resolved configuration embedded; an average over typical points states its
+per-point slopes once, as ``estimate.point_slopes``, and has no rows.
+``csv`` is the plot-ready table with the columns
+``quantity,n_or_r,raw_count_or_mass(log),fitted,residual`` plus a
+``# config=...`` reproducibility header; an average's table has one row per
+point.  Identical (config, seed) runs produce byte-identical output.
 """
 from __future__ import annotations
 
@@ -63,7 +65,7 @@ from .metrics import (
 )
 from .shiftspace import ShiftSpace, make_space, sample_points, top_entropy_oracle
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 CSV_COLUMNS = ("quantity", "n_or_r", "raw_count_or_mass(log)", "fitted", "residual")
 
 
@@ -186,9 +188,13 @@ def _count_relation(name: str, violations: int) -> RelationReport:
 
 
 def _estimate_dict(est: SlopeEstimate) -> dict:
+    """The estimate's fields and diagnostics; the fitted points are the
+    rows, and only an average carries its point slopes."""
     d = dataclasses.asdict(est)
     d["ladder"] = list(d["ladder"])
-    del d["points"], d["point_slopes"]
+    del d["points"]
+    if not est.point_slopes:
+        del d["point_slopes"]
     return {**d, "spread": est.spread, "flagged": est.flagged}
 
 
@@ -234,9 +240,12 @@ _SLOPES = {
 }
 
 
-def _slope_rows(label: str, est: SlopeEstimate) -> list[dict]:
-    """One row per averaged point, else one row per fitted ladder point."""
+def _slope_rows(label: str, est: SlopeEstimate, fmt: str) -> list[dict]:
+    """One row per fitted ladder point.  An average's CSV table has one row
+    per point; its JSON report has none, as ``estimate.point_slopes`` holds them."""
     if est.point_slopes:
+        if fmt == "json":
+            return []
         return [_row(label, i, s, est.slope) for i, s in enumerate(est.point_slopes)]
     return [
         _row(label, key, y, est.slope * x + est.intercept)
@@ -281,7 +290,7 @@ def _run_slope(config, space, params, mu):
     rel = spec.check(est.slope, params, rate, h, tol)
     # entropy --measure is the local entropy, and its rows say so
     label = "brin-katok" if kind == "brin_katok" else config.quantity
-    return est, target, [rel], _slope_rows(label, est)
+    return est, target, [rel], _slope_rows(label, est, config.format)
 
 
 def _run_relations(config, space, params, mu):

@@ -67,6 +67,11 @@ class WindowTooLarge(ShiftMetricsError):
     budget."""
 
 
+class BatchTooLarge(ShiftMetricsError):
+    """The typical points of one average would take more bytes than the
+    batch bound allows."""
+
+
 class Reducible(ShiftMetricsError):
     """Stochastic matrix is not irreducible on the alive states."""
 

@@ -33,6 +33,7 @@ from .cylinders import (
 )
 from .errors import (
     BadMeasure,
+    BatchTooLarge,
     ConstraintViolated,
     HorizonExceeded,
     HypothesisViolated,
@@ -41,10 +42,11 @@ from .errors import (
 )
 from .measures import (
     Measure,
-    _block_log_mass,
+    _block_information,
     _require_symbols,
     minimal_cover_log_count,
     sample_typical,
+    sample_typical_windows,
     supported_on,
 )
 from .metrics import ONE_SIDED, VERIFY_TOL, MetricParams
@@ -64,6 +66,9 @@ MEASURE_TOL = 0.05
 DEFAULT_LADDER = (8, 40)
 #: Default shrinking rate ``r`` and discount rate ``alpha`` of the rated kinds.
 DEFAULT_RATES = {"r": 0.05, "alpha": 0.1}
+#: Most bytes the typical points of one average may take: a uniform and an
+#: int64 symbol, 16 bytes, per coordinate of every point.
+TYPICAL_BATCH_BYTES = 2**28
 
 
 @dataclass(frozen=True)
@@ -263,20 +268,10 @@ def _reach(ladder: _Ladder) -> int:
     return max(max(-window.lo, window.hi) for window in ladder.windows)
 
 
-def _read(
-    ladder: _Ladder, log_size: Callable[[CylinderIndex], float], horizon: float = math.inf
-) -> SlopeEstimate:
-    """Fit a ladder's log sizes.  Windows beyond ``horizon`` are dropped and
-    the estimate is marked saturated."""
-    xs, ys = [], []
-    saturated = False
-    for xv, window in zip(ladder.xs, ladder.windows):
-        if max(-window.lo, window.hi) > horizon:
-            saturated = True
-            continue
-        xs.append(xv)
-        ys.append(ladder.sign * log_size(window))
-    return _fit_slope(xs, ys, ladder.key, saturated)
+def _read(ladder: _Ladder, log_size: Callable[[CylinderIndex], float]) -> SlopeEstimate:
+    """Fit a ladder's log sizes."""
+    ys = [ladder.sign * log_size(window) for window in ladder.windows]
+    return _fit_slope(ladder.xs, ys, ladder.key, False)
 
 
 def _read_words(space: ShiftSpace, ladder: _Ladder) -> SlopeEstimate:
@@ -287,20 +282,34 @@ def _read_words(space: ShiftSpace, ladder: _Ladder) -> SlopeEstimate:
     return _read(ladder, lambda window: log_counts[window.length])
 
 
-def _mass_slope(mu: Measure, x: Point, ladder: _Ladder) -> SlopeEstimate:
-    """Read a ladder at the point x, dropping windows beyond its horizon.
+def _mass_slopes(mu: Measure, windows: np.ndarray, ladder: _Ladder) -> list[SlopeEstimate]:
+    """Read a ladder at every row of a (points x (2 horizon + 1)) window
+    array, dropping windows beyond the horizon: each ladder window is one
+    information column over all the rows, and each row keeps its own fit.
 
-    The point's symbols are checked against the measure once, not per depth.
+    The symbols are checked against the measure once, not per depth.
     """
-    _require_symbols(mu, x.window())
-
-    def information(window: CylinderIndex) -> float:
-        lm = _block_log_mass(mu, x.window(window.lo, window.hi))
-        if lm == -math.inf:
+    _require_symbols(mu, windows)
+    horizon = (windows.shape[1] - 1) // 2
+    xs, columns = [], []
+    saturated = False
+    for xv, window in zip(ladder.xs, ladder.windows):
+        if max(-window.lo, window.hi) > horizon:
+            saturated = True
+            continue
+        block = windows[:, horizon + window.lo : horizon + window.hi + 1]
+        information = _block_information(mu, block)
+        if np.isinf(information).any():
             raise BadMeasure("the point leaves the support of the measure")
-        return -lm
+        xs.append(xv)
+        columns.append(ladder.sign * information)
+    rows = np.column_stack(columns).tolist() if columns else [[] for _ in windows]
+    return [_fit_slope(xs, ys, ladder.key, saturated) for ys in rows]
 
-    return _read(ladder, information, x.horizon)
+
+def _mass_slope(mu: Measure, x: Point, ladder: _Ladder) -> SlopeEstimate:
+    """Read a ladder at the point x: the one-row case of ``_mass_slopes``."""
+    return _mass_slopes(mu, x.symbols[None, :], ladder)[0]
 
 
 def box_dimension(space: ShiftSpace, params: MetricParams, ladder: RadiusLadder) -> SlopeEstimate:
@@ -378,13 +387,20 @@ def alpha_estimation_entropy(
     return _mass_slope(target, x, ladder)
 
 
-def _typical_points(
+def _typical_windows(
     mu: Measure, horizon: int, n_points: int, seed: int, space: ShiftSpace | None
-) -> list[Point]:
-    """The typical points of an average: seeds ``seed + index``, in index order."""
+) -> np.ndarray:
+    """The windows of an average's typical points, seeds ``seed + index`` in
+    index order, refused before any allocation past ``TYPICAL_BATCH_BYTES``."""
     if n_points < 1:
         raise HypothesisViolated(f"n_points must be >= 1, got {n_points}")
-    return [sample_typical(mu, horizon, seed + i, space) for i in range(n_points)]
+    size = 16 * n_points * (2 * horizon + 1)
+    if size > TYPICAL_BATCH_BYTES:
+        raise BatchTooLarge(
+            f"{n_points} typical points at horizon {horizon} take {size} bytes, "
+            f"past the TYPICAL_BATCH_BYTES = {TYPICAL_BATCH_BYTES} bound"
+        )
+    return sample_typical_windows(mu, horizon, range(seed, seed + n_points), space)
 
 
 def _average(estimates: list[SlopeEstimate]) -> SlopeEstimate:
@@ -415,7 +431,9 @@ def average_over_typical(
     per-point slopes; the flag fires when that spread exceeds the usual
     tolerance relative to the mean.
     """
-    points = _typical_points(mu, horizon, n_points, seed, space)
+    if n_points < 1:
+        raise HypothesisViolated(f"n_points must be >= 1, got {n_points}")
+    points = (sample_typical(mu, horizon, seed + i, space) for i in range(n_points))
     return _average([estimator(x) for x in points])
 
 
@@ -714,14 +732,15 @@ def estimate_kind(
     horizon: int | None = None,
     n_points: int = 100,
     seed: int = 0,
-    points: Sequence[Point] | None = None,
+    windows: np.ndarray | None = None,
 ) -> SlopeEstimate:
     """Estimate one bundle kind's slope over ``ladder``.
 
-    Kinds estimated at typical points average over ``points`` when given
-    (at least one); otherwise over ``n_points`` points of ``mu`` in
-    ``space``, sampled to ``horizon``, or when that is not given to the
-    smallest horizon that holds every window of the ladder, plus 8.
+    Kinds estimated at typical points average over the rows of ``windows``
+    when given (at least one, as ``sample_typical_windows`` draws them);
+    otherwise over ``n_points`` points of ``mu`` in ``space``, sampled to
+    ``horizon``, or when that is not given to the smallest horizon that
+    holds every window of the ladder, plus 8.
     """
     spec = KINDS[kind]
     steps = spec.ladder(params, ladder, rate, r1)
@@ -731,16 +750,13 @@ def estimate_kind(
         # minimal_cover_log_count refuses a delta outside (0, 1)
         return _read(steps, lambda window: minimal_cover_log_count(mu, window.length, delta))
 
-    def estimator(x: Point) -> SlopeEstimate:
-        return _mass_slope(mu, x, steps)
-
-    if points is not None:
-        if not points:
-            raise HypothesisViolated("points must hold at least one typical point, got none")
-        return _average([estimator(x) for x in points])
-    if horizon is None:
-        horizon = _reach(steps) + 8
-    return average_over_typical(estimator, mu, horizon, n_points, seed, space)
+    if windows is None:
+        if horizon is None:
+            horizon = _reach(steps) + 8
+        windows = _typical_windows(mu, horizon, n_points, seed, space)
+    elif not len(windows):
+        raise HypothesisViolated("windows must hold at least one typical point, got none")
+    return _average(_mass_slopes(mu, windows, steps))
 
 
 def identity_names(kinds: Iterable[str]) -> list[str]:
@@ -816,7 +832,7 @@ def standard_bundle(
     typical points, sampled once to horizon 160 or their deepest window."""
     label = space.label
     rates = {None: 0.0, "r": r, "alpha": alpha}
-    points = None
+    windows = None
     if mu is not None:
         require_supported(mu, space)
         depths = [
@@ -824,14 +840,14 @@ def standard_bundle(
             for kind, spec in KINDS.items()
             if spec.reads == "mass"
         ]
-        points = _typical_points(mu, max(160, *depths), n_points, seed, space)
+        windows = _typical_windows(mu, max(160, *depths), n_points, seed, space)
     entries = []
     for kind, spec in KINDS.items():
         if mu is None and kind in MEASURE_KINDS:
             continue
         rate = rates[spec.rate]
         est = estimate_kind(
-            kind, space, params, mu, kind_ladder(kind), rate, DEFAULT_R1, delta, points=points
+            kind, space, params, mu, kind_ladder(kind), rate, DEFAULT_R1, delta, windows=windows
         )
         entries.append(BundleEntry(kind, est, params, label, rate=rate))
     return entries

@@ -40,8 +40,8 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -60,7 +60,6 @@ from .shiftspace import (
     _seed_value,
     count_words,
     make_space,
-    point_from_window,
 )
 
 ROW_SUM_TOL = 1e-12
@@ -217,13 +216,14 @@ def _require_symbols(mu: Measure, symbols: np.ndarray) -> None:
         )
 
 
-def _block_log_mass(mu: Measure, w: np.ndarray) -> float:
-    """ln of the (anchor-free, by stationarity) cylinder mass of a nonempty
-    int64 block whose symbols are checked; -inf when the mass is 0."""
+def _block_information(mu: Measure, blocks: np.ndarray) -> np.ndarray:
+    """-ln of the (anchor-free, by stationarity) cylinder mass of each row of
+    a 2-D int64 array of nonempty blocks whose symbols are checked; +inf
+    where the mass is 0."""
     if isinstance(mu, BernoulliMeasure):
-        return float(mu._log_pi[w].sum())
+        return -mu._log_pi[blocks].sum(axis=1)
     if isinstance(mu, MarkovMeasure):
-        return float(mu._log_pi[w[0]] + mu._log_P[w[:-1], w[1:]].sum())
+        return -(mu._log_pi[blocks[:, 0]] + mu._log_P[blocks[:, :-1], blocks[:, 1:]].sum(axis=1))
     raise BadMeasure(f"unsupported measure type {type(mu).__name__}")
 
 
@@ -244,46 +244,66 @@ def _choice_cdf(p) -> np.ndarray:
     return cdf
 
 
-def sample_typical(mu: Measure, horizon: int, seed, space: ShiftSpace | None = None) -> Point:
-    """Stationary two-sided sample on the window [-horizon, horizon].
+def sample_typical_windows(
+    mu: Measure, horizon: int, seeds: Iterable[int], space: ShiftSpace | None = None
+) -> np.ndarray:
+    """Stationary two-sided samples on the window [-horizon, horizon], one
+    read-only int64 row per seed, each checked admissible in ``space`` (by
+    default the full shift on the measure's alphabet).
 
     The symbol at 0 is drawn from the stationary law, forward symbols from
     the transition rows, and backward symbols from the time-reversed kernel,
     so every finite window has its exact stationary distribution.
 
-    Exact-stream contract: the sampler consumes one uniform per symbol,
-    ``u = default_rng(seed).random(2 * horizon + 1)``, in the draw order
-    center, then coordinates 1..horizon, then -1..-horizon, and inverts each
-    through ``rng.choice``'s normalised CDF of the law it is drawn from
-    (``searchsorted(cdf, u, side="right")``).  The result is therefore
+    Exact-stream contract: a row consumes one uniform per symbol, ``u =
+    default_rng(seed).random(2 * horizon + 1)``, in the draw order center,
+    then coordinates 1..horizon, then -1..-horizon, and inverts each through
+    ``rng.choice``'s normalised CDF of the law it is drawn from
+    (``searchsorted(cdf, u, side="right")``).  The rows are therefore
     deterministic per seed and identical to drawing each symbol with
-    ``rng.choice(m, p=law)`` in that order.  Seeds must be integers >= 0
-    (NumPy integers and bools too); ``None``, which would draw OS entropy,
-    is refused, as in ``sample_points``.
+    ``rng.choice(m, p=law)`` in that order.  A Bernoulli batch inverts all
+    its uniforms in one ``searchsorted``; a chain steps every row at once,
+    one coordinate at a time, counting the CDF entries of each row's current
+    state that its uniform reaches.  Seeds must be integers >= 0 (NumPy
+    integers and bools too); ``None``, which would draw OS entropy, is
+    refused, as in ``sample_points``.
     """
     if horizon < 1:
         raise HorizonExceeded(f"horizon must be >= 1, got {horizon}")
-    u = np.random.default_rng(_seed_value(seed)).random(2 * horizon + 1)
+    seeds = [_seed_value(seed) for seed in seeds]
+    u = np.empty((len(seeds), 2 * horizon + 1))
+    for row, seed in zip(u, seeds):
+        np.random.default_rng(seed).random(out=row)
     if isinstance(mu, BernoulliMeasure):
         drawn = _choice_cdf(mu.weights).searchsorted(u, side="right")
-        window = np.concatenate((drawn[:horizon:-1], drawn[: horizon + 1]))
+        # drawn = [center, 1..horizon, -1..-horizon]; lay it out as -horizon..horizon
+        windows = np.concatenate((drawn[:, :horizon:-1], drawn[:, : horizon + 1]), axis=1)
     elif isinstance(mu, MarkovMeasure):
-        forward = _choice_cdf(mu.P).tolist()
-        backward = _choice_cdf(reversed_kernel(mu)).tolist()
-        draws = u.tolist()
-        walk = [bisect_right(_choice_cdf(mu.pi).tolist(), draws[0])]
-        for rows, steps in ((forward, draws[1 : horizon + 1]), (backward, draws[horizon + 1 :])):
-            s = walk[0]
-            for v in steps:
-                s = bisect_right(rows[s], v)
-                walk.append(s)
-        # walk = [center, 1..horizon, -1..-horizon]; lay it out as -horizon..horizon
-        window = np.array(walk[:horizon:-1] + walk[: horizon + 1], dtype=np.int64)
+        forward = _choice_cdf(mu.P)
+        backward = _choice_cdf(reversed_kernel(mu))
+        windows = np.empty(u.shape, dtype=np.int64)
+        windows[:, horizon] = (_choice_cdf(mu.pi) <= u[:, :1]).sum(axis=1)
+        for t in range(1, horizon + 1):
+            state = windows[:, horizon + t - 1]
+            windows[:, horizon + t] = (forward[state] <= u[:, t, None]).sum(axis=1)
+        for t in range(1, horizon + 1):
+            state = windows[:, horizon - t + 1]
+            windows[:, horizon - t] = (backward[state] <= u[:, horizon + t, None]).sum(axis=1)
     else:
         raise BadMeasure(f"unsupported measure type {type(mu).__name__}")
     if space is None:
         space = make_space(mu.alphabet_size)
-    return point_from_window(space, window)
+    for row in windows:
+        space.require_admissible(row)
+    windows.setflags(write=False)
+    return windows
+
+
+def sample_typical(mu: Measure, horizon: int, seed, space: ShiftSpace | None = None) -> Point:
+    """The stationary sample of ``sample_typical_windows`` for one seed, as a point."""
+    if space is None:
+        space = make_space(mu.alphabet_size)
+    return Point(space, sample_typical_windows(mu, horizon, (seed,), space)[0])
 
 
 def _positive_pattern(mu: Measure) -> np.ndarray:

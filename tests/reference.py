@@ -32,6 +32,12 @@ T + I and ``power_stationary`` on the lazy kernel (P + I)/2, with
 ``perron_bracket``, a power iteration whose stopping rule is a certified
 bracket on the spectral radius.
 
+The typical-point section holds the per-seed sampler walk
+``reference_sample_window`` (one ``bisect_right`` per symbol, with its own
+time-reversed kernel) and the one-block scalar mass
+``reference_block_log_mass``: the oracles of ``sample_typical_windows``
+and of the batch information read that replaced them.
+
 The last section holds the oracles of the window arithmetic in
 ``shiftmetrics.cylinders``: the per-shift union ``alpha_union_window`` that
 ``alpha_window`` reads off its end shifts, the three-valued membership tests ``in_ball``,
@@ -42,6 +48,7 @@ with their sandwich windows (criterion 12 reads their limit ratios).
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -84,12 +91,13 @@ from shiftmetrics.errors import (
 from shiftmetrics.estimators import SPREAD_TOL
 from shiftmetrics.measures import (
     _COVER_SLACK,
-    _block_log_mass,
+    _choice_cdf,
     _lgfact_table,
     _log_choose,
     _require_symbols,
 )
 from shiftmetrics.metrics import ONE_SIDED, VERIFY_RTOL, VERIFY_TOL, _hyperbolicity_report
+from shiftmetrics.shiftspace import _seed_value
 
 
 class SampleNotOrbitClosed(ShiftMetricsError):
@@ -754,8 +762,18 @@ def power_stationary(P) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# product-form cylinder masses
+# typical points: the per-seed walk and product-form cylinder masses
 # ---------------------------------------------------------------------------
+
+
+def reference_block_log_mass(mu: Measure, w: np.ndarray) -> float:
+    """ln of the (anchor-free, by stationarity) cylinder mass of one nonempty
+    int64 block whose symbols are checked; -inf when the mass is 0."""
+    if isinstance(mu, BernoulliMeasure):
+        return float(mu._log_pi[w].sum())
+    if isinstance(mu, MarkovMeasure):
+        return float(mu._log_pi[w[0]] + mu._log_P[w[:-1], w[1:]].sum())
+    raise BadMeasure(f"unsupported measure type {type(mu).__name__}")
 
 
 def log_word_mass(mu: Measure, symbols) -> float:
@@ -770,7 +788,7 @@ def log_word_mass(mu: Measure, symbols) -> float:
     _require_symbols(mu, w)
     if w.size == 0:
         return 0.0
-    return _block_log_mass(mu, w)
+    return reference_block_log_mass(mu, w)
 
 
 def cylinder_mass(mu: Measure, word: Word) -> float:
@@ -790,6 +808,41 @@ def cylinder_mass(mu: Measure, word: Word) -> float:
         P = np.asarray(mu.P)
         return float(mu.pi[w[0]] * np.prod(P[w[:-1], w[1:]]))
     raise BadMeasure(f"unsupported measure type {type(mu).__name__}")
+
+
+def reference_reversed_kernel(mu: MarkovMeasure) -> np.ndarray:
+    """hat P_ij = pi_j P_ji / pi_i, rows renormalised, as the sampler builds it."""
+    P = np.asarray(mu.P)
+    pi = np.asarray(mu.pi)
+    hat = (P.T * pi[None, :]) / pi[:, None]
+    return hat / hat.sum(axis=1, keepdims=True)
+
+
+def reference_sample_window(mu: Measure, horizon: int, seed) -> np.ndarray:
+    """The stationary window of one seed, walked one symbol at a time: a
+    ``bisect_right`` into the normalised CDF row of the law each uniform of
+    ``default_rng(seed).random(2 * horizon + 1)`` is drawn from, in the
+    order center, 1..horizon, -1..-horizon."""
+    if horizon < 1:
+        raise HorizonExceeded(f"horizon must be >= 1, got {horizon}")
+    u = np.random.default_rng(_seed_value(seed)).random(2 * horizon + 1)
+    draws = u.tolist()
+    if isinstance(mu, BernoulliMeasure):
+        row = _choice_cdf(mu.weights).tolist()
+        walk = [bisect.bisect_right(row, v) for v in draws]
+    elif isinstance(mu, MarkovMeasure):
+        forward = _choice_cdf(mu.P).tolist()
+        backward = _choice_cdf(reference_reversed_kernel(mu)).tolist()
+        walk = [bisect.bisect_right(_choice_cdf(mu.pi).tolist(), draws[0])]
+        for rows, steps in ((forward, draws[1 : horizon + 1]), (backward, draws[horizon + 1 :])):
+            s = walk[0]
+            for v in steps:
+                s = bisect.bisect_right(rows[s], v)
+                walk.append(s)
+    else:
+        raise BadMeasure(f"unsupported measure type {type(mu).__name__}")
+    # walk = [center, 1..horizon, -1..-horizon]; lay it out as -horizon..horizon
+    return np.array(walk[:horizon:-1] + walk[: horizon + 1], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

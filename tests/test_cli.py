@@ -120,7 +120,7 @@ class TestReportSchema:
     def test_json_document(self, tmp_path):
         code, report = run_json(tmp_path, ["entropy", "--seed", "5"])
         assert code == 0
-        assert report["schema_version"] == "1"
+        assert report["schema_version"] == "2"
         assert report["quantity"] == "entropy"
         assert report["config"]["seed"] == 5
         assert report["config"]["resolved_space"] == "full:2"
@@ -148,14 +148,15 @@ class TestReportSchema:
         assert code == 0
         assert report["config"]["resolved_measure"] == json.loads(MARKOV_JSON)
         assert report["config"]["resolved_space"].startswith("sft:2:")
-        assert len(report["rows"]) == 5
+        assert len(report["estimate"]["point_slopes"]) == 5
+        assert report["rows"] == []
 
     def test_csv_table(self, tmp_path):
         out = tmp_path / "table.csv"
         code = main(["entropy", "--format", "csv", "--out", str(out)])
         assert code == 0
         lines = out.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "# schema_version=1"
+        assert lines[0] == "# schema_version=2"
         assert lines[1].startswith("# config=")
         assert lines[2] == "quantity,n_or_r,raw_count_or_mass(log),fitted,residual"
         first = lines[3].split(",")
@@ -367,21 +368,33 @@ class TestExitCodes:
         assert code == 0
         assert all(rel["passed"] for rel in report["relations"])
 
-    @pytest.mark.parametrize(
-        "args, size",
-        [
-            (["brin-katok", "--n-points", "2", "--horizon", "1000000000000000"], "14.2 PiB"),
-            (["dim", "--space", "full:100000000"], "8.88 PiB"),
-        ],
-        ids=["horizon", "alphabet"],
-    )
-    def test_allocation_failure_is_exit_two(self, args, size, skewed_measure, capsys):
-        # each array exceeds any address space, so its first allocation fails
-        measure = ["--measure", skewed_measure] if args[0] == "brin-katok" else []
-        assert main(args + measure) == 2
+    def test_allocation_failure_is_exit_two(self, capsys):
+        # the array exceeds any address space, so its first allocation fails
+        assert main(["dim", "--space", "full:100000000"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: Unable to allocate {size}")
+        assert captured.err.startswith("error: Unable to allocate 8.88 PiB")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["brin-katok", "--n-points", "2", "--horizon", "1000000000000000"],
+            ["dim", "--n-points", "100", "--horizon", "100000000"],
+            ["relations", "--n-points", "1000000"],
+        ],
+        ids=["horizon", "points-and-horizon", "bundle-points"],
+    )
+    def test_oversized_typical_batch_is_exit_two(self, args, skewed_measure, monkeypatch, capsys):
+        # refused before the sampler runs, so nothing is allocated
+        monkeypatch.setattr(estimators, "sample_typical_windows", _refuse)
+        assert main(args + ["--measure", skewed_measure]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        n_points, horizon = args[args.index("--n-points") + 1], "160"
+        if "--horizon" in args:
+            horizon = args[args.index("--horizon") + 1]
+        assert f"error: {n_points} typical points at horizon {horizon} take " in captured.err
+        assert "past the TYPICAL_BATCH_BYTES = 268435456 bound" in captured.err
 
     def test_no_solution_is_exit_one(self, tmp_path, capsys):
         code, report = run_json(tmp_path, ["solve-5-23", "--a", "1.3", "--b", "1.9", "--r", "0.3"])
@@ -525,7 +538,7 @@ class TestExitCodes:
         # katok samples no points, so it used to count covers of such a measure
         path = tmp_path / "three.json"
         path.write_text('{"type": "bernoulli", "weights": [0.2, 0.3, 0.5]}', encoding="utf-8")
-        for name in ("word_counts", "sample_typical", "minimal_cover_log_count"):
+        for name in ("word_counts", "sample_typical_windows", "minimal_cover_log_count"):
             monkeypatch.setattr(estimators, name, _refuse)
         assert main([quantity, "--measure", str(path)]) == 2
         captured = capsys.readouterr()
@@ -701,7 +714,7 @@ class TestToleranceFlag:
         """A refused --tol must stop the run before any estimator starts."""
         for module, name in (
             (estimators, "word_counts"),
-            (estimators, "sample_typical"),
+            (estimators, "sample_typical_windows"),
             (cli, "sample_points"),
             (cli, "solve_relation_5_23"),
         ):
@@ -792,23 +805,33 @@ class TestOneComputation:
         return calls
 
     def test_brin_katok_samples_each_point_once(self, tmp_path, skewed_measure, monkeypatch):
-        calls = self.counted(monkeypatch, "sample_typical")
-        code, report = run_json(
-            tmp_path,
-            ["brin-katok", "--measure", skewed_measure, "--n-points", "3", "--t-max", "80"],
-        )
+        calls = self.counted(monkeypatch, "sample_typical_windows")
+        args = ["brin-katok", "--measure", skewed_measure, "--n-points", "3", "--t-max", "80"]
+        code, report = run_json(tmp_path, args + ["--seed", "3"])
         assert code == 0
-        assert len(report["rows"]) == 3
-        assert len(calls) == 3
+        assert len(report["estimate"]["point_slopes"]) == 3
+        assert [list(call[2]) for call in calls] == [[3, 4, 5]]
 
     def test_relations_samples_each_point_once(self, tmp_path, skewed_measure, monkeypatch):
-        calls = self.counted(monkeypatch, "sample_typical")
+        # one batch serves all four mass kinds
+        calls = self.counted(monkeypatch, "sample_typical_windows")
         code, report = run_json(
             tmp_path, ["relations", "--measure", skewed_measure, "--n-points", "3"]
         )
         assert code == 0
-        assert len(calls) == 3
-        assert [args[2] for args in calls] == [0, 1, 2]
+        assert [list(call[2]) for call in calls] == [[0, 1, 2]]
+
+    def test_csv_states_each_point_slope_once(self, tmp_path, skewed_measure):
+        args = ["brin-katok", "--measure", skewed_measure, "--n-points", "3", "--t-max", "80"]
+        _, report = run_json(tmp_path, args)
+        out = tmp_path / "table.csv"
+        assert main(args + ["--format", "csv", "--out", str(out)]) == 0
+        rows = out.read_text(encoding="utf-8").splitlines()[3:]
+        est = report["estimate"]
+        assert rows == [
+            f"brin-katok,{i},{s!r},{est['slope']!r},{s - est['slope']!r}"
+            for i, s in enumerate(est["point_slopes"])
+        ]
 
     def test_dim_counts_each_ladder_radius_once(self, tmp_path, monkeypatch):
         calls = self.counted(monkeypatch, "word_counts")

@@ -31,9 +31,11 @@ from shiftmetrics import (
     standard_bundle,
     verify_identities,
 )
+from shiftmetrics import estimators
 from shiftmetrics.errors import (
     AlphaTooLarge,
     BadMeasure,
+    BatchTooLarge,
     ConstraintViolated,
     HorizonExceeded,
     HypothesisViolated,
@@ -43,6 +45,7 @@ from shiftmetrics.errors import (
 from shiftmetrics.estimators import (
     DEFAULT_R1,
     KINDS,
+    TYPICAL_BATCH_BYTES,
     _average,
     _fit_slope,
     estimate_kind,
@@ -372,6 +375,49 @@ class TestAveraging:
             average_over_typical(lambda p: None, SKEWED, horizon=10, n_points=0)
 
 
+class SamplerRan(Exception):
+    pass
+
+
+def _sampler_ran(*args, **kwargs):
+    raise SamplerRan(args)
+
+
+class TestBatchBound:
+    """A batch of typical points past ``TYPICAL_BATCH_BYTES`` is refused
+    before the sampler allocates it; the sampler is patched to raise, so no
+    test here allocates a batch."""
+
+    @pytest.fixture(autouse=True)
+    def no_sampler(self, monkeypatch):
+        monkeypatch.setattr(estimators, "sample_typical_windows", _sampler_ran)
+
+    def estimate(self, n_points, horizon):
+        ladder = kind_ladder("brin_katok")
+        return estimate_kind(
+            "brin_katok", GOLDEN, PARAMS, GOLDEN_MARKOV, ladder, horizon=horizon, n_points=n_points
+        )
+
+    def test_bound_is_sixteen_bytes_a_symbol(self):
+        # 16 (2 h + 1) bytes for one point: h = 2^23 - 1 fits 2^28, h = 2^23 does not
+        assert TYPICAL_BATCH_BYTES == 2**28
+        with pytest.raises(SamplerRan):
+            self.estimate(1, 2**23 - 1)
+        with pytest.raises(BatchTooLarge):
+            self.estimate(1, 2**23)
+
+    def test_refusal_states_points_horizon_and_bound(self):
+        with pytest.raises(BatchTooLarge) as exc:
+            self.estimate(100, 10**9)
+        message = str(exc.value)
+        assert "100 typical points at horizon 1000000000" in message
+        assert f"TYPICAL_BATCH_BYTES = {TYPICAL_BATCH_BYTES}" in message
+
+    def test_bundle_refuses_too_many_points(self):
+        with pytest.raises(BatchTooLarge, match="10000000 typical points at horizon 160"):
+            standard_bundle(FULL2, PARAMS, SKEWED, n_points=10**7)
+
+
 class TestFitDiagnostics:
     def test_curved_data_is_flagged(self):
         xs = list(range(1, 9))
@@ -474,7 +520,10 @@ class TestDerivedDiagnostics:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(HypothesisViolated, match="at least one typical point"):
-                estimate_kind("brin_katok", GOLDEN, PARAMS, GOLDEN_MARKOV, ladder, points=[])
+                estimate_kind(
+                    "brin_katok", GOLDEN, PARAMS, GOLDEN_MARKOV, ladder,
+                    windows=np.empty((0, 321), dtype=np.int64),
+                )
 
 
 class TestRelationSolver:

@@ -22,7 +22,10 @@ KEPT = {
     "enumerate_log_masses": "hooked by the benchmark tracer",
     "count_words": "hooked by the benchmark tracer",
     "sample_point": "hooked by the benchmark tracer",
+    "sample_typical": "hooked by the benchmark tracer",
+    "average_over_typical": "hooked by the benchmark tracer",
     "box_dimension": "the README quickstart calls it",
+    "point_from_window": "the public way to build a checked point from a window",
     "support_word_count": "runs only past the transition-count bound",
     "Point.agrees_with": "README \"API changes\" names it as the replacement for agrees_on",
 }

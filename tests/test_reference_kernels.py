@@ -9,7 +9,11 @@ The references below are kept here only as oracles.
 afresh for each length; ``reference_walk`` draws each symbol of a seeded
 point from its own uniform, one symbol at a time; ``reference_sample``
 draws every symbol with ``rng.choice(m, p=law)`` in the order center,
-forward, backward; ``reference_is_admissible`` walks the word symbol by
+forward, backward; ``reference_sample_window`` in ``reference.py`` is the
+per-seed ``bisect_right`` walk that the batch sampler
+``sample_typical_windows`` replaced, ``reference_block_log_mass`` the
+one-block scalar mass that the batch information read replaced, and
+``reference_point_fit`` reads one window's ladder through it; ``reference_is_admissible`` walks the word symbol by
 symbol; ``reference_cover_length_at_radius`` and
 ``reference_cover_length_at_log_radius`` are the closed-form window lengths
 the counting estimators used before every ladder was built from
@@ -56,13 +60,17 @@ from reference import (
     power_stationary,
     power_top_entropy,
     reference_alive_states,
+    reference_average,
     reference_bernoulli_spectrum,
+    reference_block_log_mass,
     reference_check_quasi_metric,
+    reference_fit_slope,
     reference_frink_metrize,
     reference_from_points,
     reference_markov_spectrum,
     reference_merge_equal_mass,
     reference_minimax_closure,
+    reference_sample_window,
     reference_shifted_rho_table,
     reference_verify_hyperbolicity,
     sampled_hyperbolicity,
@@ -92,6 +100,7 @@ from shiftmetrics import (
     sample_point,
     sample_points,
     sample_typical,
+    sample_typical_windows,
     stationary,
     top_entropy_oracle,
     verify_hyperbolicity,
@@ -107,9 +116,17 @@ from shiftmetrics.errors import (
     WindowTooLarge,
 )
 from shiftmetrics.cli import _synthetic_quasi_sample
-from shiftmetrics.estimators import DEFAULT_LADDER, KINDS
+from shiftmetrics.estimators import (
+    DEFAULT_LADDER,
+    DEFAULT_R1,
+    DEFAULT_RATES,
+    KINDS,
+    estimate_kind,
+    kind_ladder,
+)
 from shiftmetrics.measures import (
     _bernoulli_spectrum,
+    _block_information,
     _cover_from_sorted,
     _markov_spectrum,
     _merge_equal_mass,
@@ -199,6 +216,99 @@ def test_short_horizons(horizon):
         for seed in range(20):
             x = sample_typical(mu, horizon, seed)
             assert x.symbols.tobytes() == reference_sample(mu, horizon, seed).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the batch typical-point layer against the per-seed walk and scalar masses
+# ---------------------------------------------------------------------------
+
+#: a Bernoulli measure with a zero weight, the golden chain, and the
+#: non-reversible three-state chain, whose backward kernel is not its forward one
+BATCH_MEASURES = ("bernoulli(.5,0,.5)", "markov(golden)", "markov(3)")
+BATCH_SEEDS = range(7, 47)
+MASS_KINDS = [kind for kind, spec in KINDS.items() if spec.reads == "mass"]
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 160])
+@pytest.mark.parametrize("name", BATCH_MEASURES)
+def test_batch_windows_are_the_per_seed_walks(name, horizon):
+    mu = MEASURES[name]
+    for space in (None, SPACES[name]):
+        windows = sample_typical_windows(mu, horizon, BATCH_SEEDS, space)
+        assert windows.dtype == np.int64 and windows.shape == (len(BATCH_SEEDS), 2 * horizon + 1)
+        assert not windows.flags.writeable
+        for row, seed in zip(windows, BATCH_SEEDS):
+            expected = reference_sample_window(mu, horizon, seed)
+            assert row.tobytes() == expected.tobytes(), (seed, space)
+    # the walk oracle is itself the rng.choice stream
+    for seed in BATCH_SEEDS[:5]:
+        expected = reference_sample(mu, horizon, seed).tobytes()
+        assert reference_sample_window(mu, horizon, seed).tobytes() == expected
+
+
+@pytest.mark.parametrize("name", BATCH_MEASURES)
+def test_batch_seeds_are_integers_at_least_zero(name):
+    mu = MEASURES[name]
+    windows = sample_typical_windows(mu, 6, [np.int64(5), np.uint16(9), True, 2**40])
+    for row, seed in zip(windows, (5, 9, 1, 2**40)):
+        assert row.tobytes() == reference_sample_window(mu, 6, seed).tobytes()
+    with pytest.raises(TypeError, match="seed must be an integer, got None"):
+        sample_typical_windows(mu, 6, [0, None])
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        sample_typical_windows(mu, 6, [3, np.int64(-1)])
+
+
+@pytest.mark.parametrize("name", BATCH_MEASURES)
+def test_batch_information_is_the_scalar_mass(name):
+    mu = MEASURES[name]
+    windows = sample_typical_windows(mu, 160, BATCH_SEEDS)
+    for lo, hi in ((0, 1), (160, 161), (5, 7), (100, 221), (0, 321)):
+        block = windows[:, lo:hi]
+        expected = np.array([-reference_block_log_mass(mu, row) for row in block])
+        assert _block_information(mu, block).tobytes() == expected.tobytes(), (lo, hi)
+
+
+@pytest.mark.parametrize(
+    "name, blocks",
+    [("bernoulli(.5,0,.5)", [[0, 2, 2], [0, 1, 2]]), ("markov(golden)", [[0, 1, 0], [0, 1, 1]])],
+)
+def test_batch_information_of_a_null_cylinder(name, blocks):
+    mu = MEASURES[name]
+    information = _block_information(mu, np.array(blocks))
+    expected = np.array([-reference_block_log_mass(mu, np.array(b)) for b in blocks])
+    assert information.tobytes() == expected.tobytes()
+    assert math.isfinite(information[0]) and information[1] == math.inf
+
+
+def reference_point_fit(mu, row, ladder):
+    """One typical window's ladder fit, one scalar mass per ladder window."""
+    horizon = (row.size - 1) // 2
+    xs, ys, saturated = [], [], False
+    for x, window in zip(ladder.xs, ladder.windows):
+        if max(-window.lo, window.hi) > horizon:
+            saturated = True
+            continue
+        block = row[horizon + window.lo : horizon + window.hi + 1]
+        xs.append(x)
+        ys.append(ladder.sign * -reference_block_log_mass(mu, block))
+    return reference_fit_slope(xs, ys, ladder.key, saturated)
+
+
+@pytest.mark.parametrize("kind", MASS_KINDS)
+@pytest.mark.parametrize("name", BATCH_MEASURES)
+def test_averaged_slopes_are_the_per_point_fits(name, kind):
+    mu, spec, params = MEASURES[name], KINDS[kind], MetricParams(1.3, 1.3)
+    rate = DEFAULT_RATES[spec.rate] if spec.rate else 0.0
+    ladder = kind_ladder(kind)
+    est = estimate_kind(
+        kind, SPACES[name], params, mu, ladder, rate, horizon=160, n_points=6, seed=11
+    )
+    steps = spec.ladder(params, ladder, rate, DEFAULT_R1)
+    ref = reference_average(
+        [reference_point_fit(mu, reference_sample_window(mu, 160, s), steps) for s in range(11, 17)]
+    )
+    for field in ("slope", "intercept", "residual_rms", "saturated", "point_slopes"):
+        assert repr(getattr(est, field)) == repr(getattr(ref, field)), field
 
 
 def random_words(rng, space, n_words):
