@@ -46,12 +46,11 @@ from .estimators import (
     estimate_kind,
     identity_names,
     kind_ladder,
-    require_supported,
     solve_relation_5_23,
     standard_bundle,
     verify_identities,
 )
-from .measures import Measure, entropy_oracle, measure_from_json, measure_to_json
+from .measures import Measure, entropy_oracle, measure_from_json, measure_to_json, require_supported
 from .metrics import (
     ONE_SIDED,
     TWO_SIDED,

@@ -45,9 +45,9 @@ from .measures import (
     _block_information,
     _require_symbols,
     minimal_cover_log_count,
+    require_supported,
     sample_typical,
     sample_typical_windows,
-    supported_on,
 )
 from .metrics import ONE_SIDED, VERIFY_TOL, MetricParams
 from .shiftspace import Point, ShiftSpace, word_counts
@@ -809,12 +809,6 @@ def verify_identities(
             lhs, rhs = by_kind[small].estimate.slope, by_kind[large].estimate.slope
             reports.append(relation_report(name, lhs, rhs, tol[name], ordered=True))
     return reports
-
-
-def require_supported(mu: Measure, space: ShiftSpace) -> None:
-    """Refuse a measure that gives mass to a word the space does not admit."""
-    if not supported_on(mu, space):
-        raise IncompatibleInputs("measure support is not admissible in the space")
 
 
 def standard_bundle(

@@ -49,6 +49,7 @@ from .errors import (
     BadMeasure,
     HorizonExceeded,
     HypothesisViolated,
+    IncompatibleInputs,
     InadmissibleWord,
     NoConvergence,
     Reducible,
@@ -57,7 +58,7 @@ from .errors import (
 from .shiftspace import (
     Point,
     ShiftSpace,
-    _seed_value,
+    _walk,
     count_words,
     make_space,
 )
@@ -247,56 +248,38 @@ def _choice_cdf(p) -> np.ndarray:
 def sample_typical_windows(
     mu: Measure, horizon: int, seeds: Iterable[int], space: ShiftSpace | None = None
 ) -> np.ndarray:
-    """Stationary two-sided samples on the window [-horizon, horizon], one
-    read-only int64 row per seed, each checked admissible in ``space`` (by
-    default the full shift on the measure's alphabet).
+    """Stationary two-sided samples on the window [-horizon, horizon]: the
+    ``_walk`` of each seed's stream, one read-only int64 row per seed.
 
     The symbol at 0 is drawn from the stationary law, forward symbols from
-    the transition rows, and backward symbols from the time-reversed kernel,
-    so every finite window has its exact stationary distribution.
+    the transition rows and backward symbols from the time-reversed kernel,
+    so every finite window has its exact stationary distribution.  Each
+    uniform is inverted through ``rng.choice``'s normalised CDF of its law
+    (``searchsorted(cdf, u, side="right")``), so a row is the same as
+    drawing each symbol with ``rng.choice(m, p=law)`` in the walk's order.
 
-    Exact-stream contract: a row consumes one uniform per symbol, ``u =
-    default_rng(seed).random(2 * horizon + 1)``, in the draw order center,
-    then coordinates 1..horizon, then -1..-horizon, and inverts each through
-    ``rng.choice``'s normalised CDF of the law it is drawn from
-    (``searchsorted(cdf, u, side="right")``).  The rows are therefore
-    deterministic per seed and identical to drawing each symbol with
-    ``rng.choice(m, p=law)`` in that order.  A Bernoulli batch inverts all
-    its uniforms in one ``searchsorted``; a chain steps every row at once,
-    one coordinate at a time, counting the CDF entries of each row's current
-    state that its uniform reaches.  Seeds must be integers >= 0 (NumPy
-    integers and bools too); ``None``, which would draw OS entropy, is
-    refused, as in ``sample_points``.
+    The batch is certified once, before any draw, by ``require_supported``
+    in ``space`` (by default the full shift on the measure's alphabet): a
+    uniform below 1 never inverts to a zero-probability index, and the
+    reversed kernel is zero exactly where P transposed is, so every row is
+    admissible in every space that supports ``mu``.
     """
     if horizon < 1:
         raise HorizonExceeded(f"horizon must be >= 1, got {horizon}")
-    seeds = [_seed_value(seed) for seed in seeds]
-    u = np.empty((len(seeds), 2 * horizon + 1))
-    for row, seed in zip(u, seeds):
-        np.random.default_rng(seed).random(out=row)
     if isinstance(mu, BernoulliMeasure):
-        drawn = _choice_cdf(mu.weights).searchsorted(u, side="right")
-        # drawn = [center, 1..horizon, -1..-horizon]; lay it out as -horizon..horizon
-        windows = np.concatenate((drawn[:, :horizon:-1], drawn[:, : horizon + 1]), axis=1)
+        cdf = _choice_cdf(mu.weights)
+        start = lambda u: cdf.searchsorted(u, side="right")
+        forward = backward = lambda state, u: start(u)
     elif isinstance(mu, MarkovMeasure):
-        forward = _choice_cdf(mu.P)
-        backward = _choice_cdf(reversed_kernel(mu))
-        windows = np.empty(u.shape, dtype=np.int64)
-        windows[:, horizon] = (_choice_cdf(mu.pi) <= u[:, :1]).sum(axis=1)
-        for t in range(1, horizon + 1):
-            state = windows[:, horizon + t - 1]
-            windows[:, horizon + t] = (forward[state] <= u[:, t, None]).sum(axis=1)
-        for t in range(1, horizon + 1):
-            state = windows[:, horizon - t + 1]
-            windows[:, horizon - t] = (backward[state] <= u[:, horizon + t, None]).sum(axis=1)
+        pi, P, hat = (_choice_cdf(p) for p in (mu.pi, mu.P, reversed_kernel(mu)))
+        start = lambda u: (pi <= u[:, None]).sum(axis=1)
+        forward = lambda state, u: (P[state] <= u[:, None]).sum(axis=1)
+        backward = lambda state, u: (hat[state] <= u[:, None]).sum(axis=1)
     else:
         raise BadMeasure(f"unsupported measure type {type(mu).__name__}")
-    if space is None:
-        space = make_space(mu.alphabet_size)
-    for row in windows:
-        space.require_admissible(row)
-    windows.setflags(write=False)
-    return windows
+    if space is not None:
+        require_supported(mu, space)
+    return _walk(seeds, horizon, start, forward, backward)
 
 
 def sample_typical(mu: Measure, horizon: int, seed, space: ShiftSpace | None = None) -> Point:
@@ -316,6 +299,12 @@ def supported_on(mu: Measure, space: ShiftSpace) -> bool:
     """True when every positive-probability transition is admissible."""
     m = mu.alphabet_size
     return m <= space.alphabet_size and not (_positive_pattern(mu) & ~space.adjacency[:m, :m]).any()
+
+
+def require_supported(mu: Measure, space: ShiftSpace) -> None:
+    """Refuse a measure that gives mass to a word the space does not admit."""
+    if not supported_on(mu, space):
+        raise IncompatibleInputs("measure support is not admissible in the space")
 
 
 def _require_numbers(key: str, entries) -> None:
@@ -381,9 +370,19 @@ def measure_to_json(mu: Measure) -> dict:
 # --------------------------------------------------------------------------
 
 
+#: ln k! for k = 0, 1, ...: one read-only table, extended when a longer window asks
+_LGFACT = np.zeros(1)
+_LGFACT.setflags(write=False)
+
+
 def _lgfact_table(n: int) -> np.ndarray:
-    """Table of ln k! for k = 0..n."""
-    return np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    """Read-only ln k! for k = 0..n, each entry ``math.lgamma(k + 1)``."""
+    global _LGFACT
+    if n >= _LGFACT.size:
+        grown = [math.lgamma(k + 1) for k in range(_LGFACT.size, n + 1)]
+        _LGFACT = np.concatenate((_LGFACT, grown))
+        _LGFACT.setflags(write=False)
+    return _LGFACT[: n + 1]
 
 
 def _log_choose(lgfact: np.ndarray, n: np.ndarray, k: np.ndarray) -> np.ndarray:

@@ -128,11 +128,6 @@ class ShiftSpace:
             return False
         return bool(self.adjacency[w[:-1], w[1:]].all())
 
-    def require_admissible(self, symbols: Sequence[int]) -> None:
-        if not self.is_admissible(symbols):
-            shown = symbols.tolist() if isinstance(symbols, np.ndarray) else list(symbols)
-            raise InadmissibleWord(f"word {shown!r} is not admissible in {self!r}")
-
 
 def _integer_value(c) -> int | None:
     """``int(c)`` when that equals ``c``, else None."""
@@ -270,7 +265,9 @@ def point_from_window(space: ShiftSpace, symbols: Sequence[int]) -> Point:
     """
     if not isinstance(symbols, np.ndarray):
         symbols = list(symbols)
-    space.require_admissible(symbols)
+    if not space.is_admissible(symbols):
+        shown = symbols.tolist() if isinstance(symbols, np.ndarray) else symbols
+        raise InadmissibleWord(f"word {shown!r} is not admissible in {space!r}")
     arr = np.array(symbols, dtype=np.int64)
     arr.setflags(write=False)
     return Point(space, arr)
@@ -288,37 +285,45 @@ def _seed_value(seed) -> int:
     return value
 
 
-def sample_points(space: ShiftSpace, horizon: int, seeds: Iterable[int]) -> list[Point]:
-    """Seeded admissible points, one per seed, walked together.
+def _walk(seeds: Iterable[int], horizon: int, start, forward, backward) -> np.ndarray:
+    """The seeded walk of both samplers: one read-only int64 row per seed
+    over the window [-horizon, horizon].
 
-    Each point is the walk of its own stream ``default_rng(seed).random(2
-    * horizon + 1)``, one uniform per coordinate: u[0] picks a uniform alive
-    start, u[1..horizon] walk forward over out-edges and u[horizon+1..2
-    horizon] backward over in-edges, each step taking neighbour ``int(u *
-    degree)``.  Every step is one NumPy gather over the padded neighbour
-    tables for all the seeds, writing into the points' final int64 rows.
-    Seeds must be integers >= 0 (NumPy integers and bools too);
-    ``None``, which would draw OS entropy, is refused.
+    Exact-stream contract: a row walks its own ``u = default_rng(seed).random(2
+    * horizon + 1)``, one uniform per coordinate in the order center, 1..horizon,
+    -1..-horizon; ``start(u)``, ``forward(state, u)`` and ``backward(state,
+    u)`` step every row at once.  Seeds must be integers >= 0 (NumPy integers
+    and bools too); ``None``, which would draw OS entropy, is refused.
     """
-    if horizon < 0:
-        raise HorizonExceeded(f"horizon must be >= 0, got {horizon}")
     seeds = [_seed_value(seed) for seed in seeds]
-    n = 2 * horizon + 1
-    alive = np.array(space.alive_states, dtype=np.int64)
-    u = np.empty((len(seeds), n))
+    u = np.empty((len(seeds), 2 * horizon + 1))
     for row, seed in zip(u, seeds):
         np.random.default_rng(seed).random(out=row)
-    rows = np.empty((len(seeds), n), dtype=np.int64)
-    rows[:, horizon] = alive[(u[:, 0] * len(alive)).astype(np.int64)]
+    rows = np.empty(u.shape, dtype=np.int64)
+    rows[:, horizon] = start(u[:, 0])
     for t in range(1, horizon + 1):
-        prev = rows[:, horizon + t - 1]
-        k = (u[:, t] * space._n_succ[prev]).astype(np.int64)
-        rows[:, horizon + t] = space._succ[prev, k]
+        rows[:, horizon + t] = forward(rows[:, horizon + t - 1], u[:, t])
     for t in range(1, horizon + 1):
-        prev = rows[:, horizon - t + 1]
-        k = (u[:, horizon + t] * space._n_pred[prev]).astype(np.int64)
-        rows[:, horizon - t] = space._pred[prev, k]
+        rows[:, horizon - t] = backward(rows[:, horizon - t + 1], u[:, horizon + t])
     rows.setflags(write=False)
+    return rows
+
+
+def sample_points(space: ShiftSpace, horizon: int, seeds: Iterable[int]) -> list[Point]:
+    """Seeded admissible points, one per seed: the ``_walk`` whose start is a
+    uniform alive state and whose steps take neighbour ``int(u * degree)``
+    of the padded out-edge (forward) or in-edge (backward) table."""
+    if horizon < 0:
+        raise HorizonExceeded(f"horizon must be >= 0, got {horizon}")
+    alive = np.array(space.alive_states, dtype=np.int64)
+    succ, n_succ, pred, n_pred = space._succ, space._n_succ, space._pred, space._n_pred
+    rows = _walk(
+        seeds,
+        horizon,
+        lambda u: alive[(u * len(alive)).astype(np.int64)],
+        lambda state, u: succ[state, (u * n_succ[state]).astype(np.int64)],
+        lambda state, u: pred[state, (u * n_pred[state]).astype(np.int64)],
+    )
     return [Point(space, row) for row in rows]
 
 

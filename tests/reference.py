@@ -23,8 +23,9 @@ The spaces-and-supports section reads a space's graph and a measure's
 support off their inputs alone, as the oracles of ``ShiftSpace.adjacency``,
 ``supported_on`` and ``support_word_count``: the one-state-at-a-time trim
 ``trimmed_states`` (with ``reference_alive_states``), ``allows`` on the
-input ``transition``, and the per-family loops ``reference_supported_on``
-and ``reference_support_word_count``.
+input ``transition`` and the word check ``reference_is_admissible`` built on
+it, and the per-family loops ``reference_supported_on`` and
+``reference_support_word_count``.
 
 The Perron section holds the power iterations that ``top_entropy_oracle``
 and ``stationary`` replaced with a direct solve: ``power_top_entropy`` on
@@ -651,6 +652,13 @@ def allows(space: ShiftSpace, i: int, j: int) -> bool:
     if i not in alive or j not in alive:
         return False
     return space.transition is None or bool(space.transition[i, j])
+
+
+def reference_is_admissible(space: ShiftSpace, word) -> bool:
+    """Every symbol alive and every two-letter factor checked with ``allows``."""
+    w = [int(c) for c in word]
+    alive = reference_alive_states(space)
+    return all(c in alive for c in w) and all(allows(space, i, j) for i, j in zip(w, w[1:]))
 
 
 def reference_supported_on(mu: Measure, space: ShiftSpace) -> bool:

@@ -78,6 +78,10 @@ CASES = {
          "--horizon", "120"],
         0,
     ),
+    "brin-katok-three-state-markov": (
+        ["brin-katok", "--space", "full:3", "--measure", MARKOV_THREE, "--n-points", "3"],
+        0,
+    ),
     "neutralized-space": (["neutralized", "--space", GOLDEN, "--r", "0.2", "--t-max", "60"], 0),
     "neutralized-measure": (
         ["neutralized", "--measure", SKEWED, "--n-points", "3", "--t-max", "80"],

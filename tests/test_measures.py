@@ -12,6 +12,7 @@ from reference import (
     coordinate,
     cylinder_mass,
     log_word_mass,
+    reference_is_admissible,
     reference_support_word_count,
     reference_supported_on,
 )
@@ -28,6 +29,7 @@ from shiftmetrics import (
     measures,
     minimal_cover_log_count,
     sample_typical,
+    sample_typical_windows,
     stationary,
     support_word_count,
     supported_on,
@@ -39,6 +41,7 @@ from shiftmetrics.errors import (
     HorizonExceeded,
     HypothesisViolated,
     InadmissibleWord,
+    IncompatibleInputs,
     Reducible,
     WindowTooLarge,
 )
@@ -49,6 +52,7 @@ SKEWED = BernoulliMeasure((0.3, 0.7))
 GOLDEN_MARKOV = MarkovMeasure(((0.5, 0.5), (1.0, 0.0)))
 POSITIVE_MARKOV = MarkovMeasure(((0.3, 0.7), (0.6, 0.4)))
 THREE_STATE = MarkovMeasure(((0.2, 0.8, 0.0), (0.5, 0.0, 0.5), (1.0, 0.0, 0.0)))
+PATTERN_CHAIN = MarkovMeasure(((0.0, 0.5, 0.5), (1.0, 0.0, 0.0), (0.5, 0.0, 0.5)))
 MARKOV_3 = MarkovMeasure(((0.2, 0.5, 0.3), (0.4, 0.1, 0.5), (0.3, 0.3, 0.4)))
 GOLDEN_SPACE = make_space(2, [[1, 1], [1, 0]])
 
@@ -267,9 +271,51 @@ class TestSampling:
     def test_space_admissibility_enforced(self):
         x = sample_typical(GOLDEN_MARKOV, 25, 9, space=GOLDEN_SPACE)
         assert x.space == GOLDEN_SPACE
-        with pytest.raises(InadmissibleWord):
-            # a fair-coin sample contains the forbidden block almost surely
+        with pytest.raises(IncompatibleInputs, match="measure support is not admissible"):
             sample_typical(UNIFORM2, 25, 0, space=GOLDEN_SPACE)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_unsupported_measure_refused_for_every_seed(self, seed):
+        # a draw that misses the word 11 would pass a row-by-row check
+        with pytest.raises(IncompatibleInputs):
+            sample_typical_windows(UNIFORM2, 1, [seed], GOLDEN_SPACE)
+
+    def test_zero_weight_symbol_outside_the_space_is_refused(self):
+        # symbol 2 is never drawn, but the measure's alphabet is not the space's
+        mu = BernoulliMeasure((0.5, 0.5, 0.0))
+        assert not supported_on(mu, make_space(2))
+        with pytest.raises(IncompatibleInputs):
+            sample_typical_windows(mu, 4, range(10), make_space(2))
+
+    @pytest.mark.parametrize(
+        "mu, space",
+        [(UNIFORM2, GOLDEN_SPACE), (BernoulliMeasure((0.5, 0.5, 0.0)), make_space(2))],
+    )
+    def test_refusal_comes_before_any_draw(self, mu, space, monkeypatch):
+        def walked(*args):
+            raise AssertionError("the walk ran before the support check")
+
+        monkeypatch.setattr(measures, "_walk", walked)
+        with pytest.raises(IncompatibleInputs):
+            sample_typical_windows(mu, 1, range(20), space)
+
+    @pytest.mark.parametrize("horizon", [1, 2, 160])
+    @pytest.mark.parametrize(
+        "mu, space",
+        [
+            (GOLDEN_MARKOV, GOLDEN_SPACE),
+            # symbol 1 is trimmed; the measure never draws it
+            (BernoulliMeasure((0.5, 0.0, 0.5)), make_space(3, [[1, 0, 1], [0, 0, 0], [1, 0, 1]])),
+            # the SFT of the chain's positive pattern, so every edge is tight
+            (PATTERN_CHAIN, make_space(3, [[0, 1, 1], [1, 0, 0], [1, 0, 1]])),
+        ],
+        ids=["golden-chain", "trimmed-bernoulli", "pattern-chain"],
+    )
+    def test_rows_in_a_supporting_space_are_admissible(self, mu, space, horizon):
+        # the invariant behind certifying a batch once by its support
+        assert supported_on(mu, space)
+        windows = sample_typical_windows(mu, horizon, range(200), space)
+        assert all(reference_is_admissible(space, row) for row in windows)
 
     def test_horizon_validation(self):
         with pytest.raises(HorizonExceeded):
@@ -460,6 +506,18 @@ class TestMassSpectrum:
         assert log_mass_spectrum(BernoulliMeasure((0.1, 0.2, 0.3, 0.4)), 301) is None
         assert log_mass_spectrum(THREE_STATE, 5) is not None
         assert log_mass_spectrum(THREE_STATE, 200) is None
+
+
+def test_log_factorial_table_grows_and_stays_read_only(monkeypatch):
+    # start from ln 0! alone, then grow, grow, and read a prefix
+    monkeypatch.setattr(measures, "_LGFACT", measures._LGFACT[:1])
+    for n in (5, 900, 10):
+        table = measures._lgfact_table(n)
+        expected = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+        assert table.tobytes() == expected.tobytes()
+        assert not table.flags.writeable
+        assert not measures._LGFACT.flags.writeable
+    assert measures._LGFACT.size == 901
 
 
 class TestMinimalCover:

@@ -26,6 +26,8 @@ KEPT = {
     "average_over_typical": "hooked by the benchmark tracer",
     "box_dimension": "the README quickstart calls it",
     "point_from_window": "the public way to build a checked point from a window",
+    "ShiftSpace.is_admissible": "point_from_window checks a window from outside with it",
+    "ShiftSpace._symbol_indices": "point_from_window checks a window from outside with it",
     "support_word_count": "runs only past the transition-count bound",
     "Point.agrees_with": "README \"API changes\" names it as the replacement for agrees_on",
 }
@@ -137,3 +139,25 @@ def test_graph_and_log_tables_stay_in_their_modules():
                 if node.attr in names and path.name != owner:
                     reads.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert reads == []
+
+
+#: the functions that may seed a NumPy generator: the one walk behind both
+#: samplers, and frink's synthetic quasi-metric sample
+SEEDED_STREAMS = {("shiftspace.py", "_walk"), ("cli.py", "_run_frink")}
+
+
+def test_seeded_stream_has_one_home():
+    """``src/`` calls ``default_rng`` only in ``shiftspace._walk`` (the
+    stream of every sampled point) and in ``cli._run_frink``'s synthetic
+    sample, so the exact-stream contract has one implementation."""
+    calls = set()
+    for path in sorted(Path(shiftmetrics.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if name == "default_rng":
+                        calls.add((path.name, getattr(top, "name", f"line {node.lineno}")))
+    assert calls == SEEDED_STREAMS
