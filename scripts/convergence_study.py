@@ -16,7 +16,9 @@ import sys
 
 from shiftmetrics import MetricParams, RadiusLadder, top_entropy_oracle
 from shiftmetrics.cli import parse_space
-from shiftmetrics.estimators import DEFAULT_RATES, KINDS, estimate_kind
+from shiftmetrics.errors import ShiftMetricsError
+from shiftmetrics.estimators import KINDS, estimate_kind
+from shiftmetrics.metrics import VERIFY_TOL
 
 #: quantity -> (bundle kind, the ladders it sweeps, each with its label)
 SWEEPS = {
@@ -45,23 +47,29 @@ def main(argv=None) -> int:
     parser.add_argument("--a", type=float, default=1.3)
     parser.add_argument("--b", type=float, default=1.3)
     parser.add_argument("--quantity", default="box", choices=tuple(SWEEPS))
-    parser.add_argument("--r", type=float, default=DEFAULT_RATES["r"], help="shrinking rate")
-    parser.add_argument(
-        "--alpha", type=float, default=DEFAULT_RATES["alpha"], help="discount rate"
-    )
+    parser.add_argument("--r", type=float, help="shrinking rate (default: DEFAULT_RATES)")
+    parser.add_argument("--alpha", type=float, help="discount rate (default: DEFAULT_RATES)")
     args = parser.parse_args(argv)
 
-    space = parse_space(args.space)
-    params = MetricParams(args.a, args.b)
-    kind, ladders = SWEEPS[args.quantity]
-    spec = KINDS[kind]
-    rate = getattr(args, spec.rate) if spec.rate else 0.0
-    target = spec.target(params, rate, top_entropy_oracle(space))
+    try:
+        space = parse_space(args.space)
+        params = MetricParams(args.a, args.b)
+        kind, ladders = SWEEPS[args.quantity]
+        spec = KINDS[kind]
+        rate = spec.rate_from(args.r, args.alpha)
+        target = spec.target(params, rate, top_entropy_oracle(space))
+        estimates = [
+            (label, estimate_kind(kind, space, params, None, ladder, rate))
+            for label, ladder in ladders
+        ]
+    except (ShiftMetricsError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     print(f"{args.quantity} on {args.space}: target {target:.6f}")
-    for label, ladder in ladders:
-        est = estimate_kind(kind, space, params, None, ladder, rate)
-        rel = abs(est.slope - target) / abs(target)
+    for label, est in estimates:
+        # relative to max(|target|, VERIFY_TOL), as in a relation report
+        rel = abs(est.slope - target) / max(abs(target), VERIFY_TOL)
         flag = "  [flagged]" if est.flagged else ""
         print(
             f"{label:<16} slope={est.slope:.6f}  rel={rel:.2e}  "

@@ -38,7 +38,6 @@ from .errors import (
 from .estimators import (
     DEFAULT_LADDER,
     DEFAULT_R1,
-    DEFAULT_RATES,
     KINDS,
     MEASURE_KINDS,
     RelationReport,
@@ -259,8 +258,7 @@ def _run_slope(config, space, params, mu):
     # a nonzero --r shrinks the cover radius
     kind = "neutralized_katok" if kind == "katok" and config.r else kind
     spec = KINDS[kind]
-    rate = getattr(config, spec.rate) if spec.rate else 0.0
-    rate = DEFAULT_RATES[spec.rate] if rate is None else rate
+    rate = spec.rate_from(config.r, config.alpha)
     _check_tolerances(config, [spec.name], headline=True)
     ladder = kind_ladder(
         kind, config.j_min, config.j_max, config.t_min, config.t_max, config.t_step
@@ -295,14 +293,12 @@ def _run_slope(config, space, params, mu):
 def _run_relations(config, space, params, mu):
     kinds = set(KINDS) if mu is not None else set(KINDS) - MEASURE_KINDS
     _check_tolerances(config, identity_names(kinds))
-    r = DEFAULT_RATES["r"] if config.r is None else config.r
-    alpha = DEFAULT_RATES["alpha"] if config.alpha is None else config.alpha
     bundle = standard_bundle(
         space,
         params,
         mu,
-        r=r,
-        alpha=alpha,
+        r=config.r,
+        alpha=config.alpha,
         delta=config.delta,
         seed=config.seed,
         n_points=config.n_points,

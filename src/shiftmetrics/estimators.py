@@ -494,44 +494,35 @@ class BundleEntry:
     rate: float = 0.0
 
 
-def _one(params: MetricParams, rate: float) -> float:
-    return 1.0
-
-
-def _k(params: MetricParams, rate: float) -> float:
-    return params.k()
-
-
-def _shrunk_k(params: MetricParams, rate: float) -> float:
-    return 1.0 + rate * params.k()
-
-
-def _k_alpha(params: MetricParams, rate: float) -> float:
-    return params.k_alpha(rate)
-
-
 @dataclass(frozen=True)
 class Kind:
     """One bundle kind: the identity its slope satisfies, and how it is estimated.
 
-    The identity ``name`` is ``slope * lhs_scale(params, rate) =
-    rhs_scale(params, rate) * h``, with h the measure entropy when
-    ``measure`` holds, else the topological one; ``formula`` spells out its
-    ``target``, with ``{k}`` standing for the formula of k.
-    ``ladder(params, ladder, rate, r1)`` checks the rate and ladder and
-    returns the cylinder windows of every ladder step; ``reads`` says how
-    they are read: ``"words"`` on the space, ``"cover"`` on the measure, or
-    ``"mass"`` at each typical point of the measure.
+    The kind's window family follows from its depths and rate: open balls
+    (``"ball"``) for a kind without default depths, alpha-discounted windows
+    (``"alpha"``) for the ``"alpha"`` rate, else Bowen windows at the
+    shrinking radius e^{-(n+m) rate}, which are the Bowen windows at r1 when
+    the rate is 0 (``"bowen"``).  The family fixes the ladder and both
+    scales of the identity ``name``, ``slope * lhs = rhs * h``, with h the
+    measure entropy when ``measure`` holds, else the topological one;
+    ``formula`` spells out its ``target``, with ``{k}`` standing for the
+    formula of k.  ``reads`` says how the windows are read: ``"words"`` on
+    the space, ``"cover"`` on the measure, or ``"mass"`` at each typical
+    point of the measure.
     """
 
     name: str
     formula: str
-    lhs_scale: Callable[[MetricParams, float], float]
-    rhs_scale: Callable[[MetricParams, float], float]
-    rate: str | None  # the rate the kind takes: "r", "alpha" or none
-    depths: tuple | None  # default (t_min, t_max, t_step); None: DEFAULT_LADDER
-    ladder: Callable[..., _Ladder]
     reads: str
+    rate: str | None  # the rate the kind takes: "r", "alpha" or none
+    depths: tuple | None  # default (t_min, t_max, t_step); None: balls at DEFAULT_LADDER
+
+    @property
+    def family(self) -> str:
+        """The kind's window family: ``"ball"``, ``"bowen"`` or ``"alpha"``."""
+        if self.depths is None:
+            return "ball"
+        return "alpha" if self.rate == "alpha" else "bowen"
 
     @property
     def measure(self) -> bool:
@@ -544,137 +535,100 @@ class Kind:
         typical points, ``COUNT_TOL`` for word and cover counts."""
         return MEASURE_TOL if self.reads == "mass" else COUNT_TOL
 
+    def rate_from(self, r: float | None = None, alpha: float | None = None) -> float:
+        """The rate a run gives this kind: 0.0 when it takes none, else the
+        given ``r`` or ``alpha``, or its ``DEFAULT_RATES`` entry when None."""
+        if self.rate is None:
+            return 0.0
+        given = r if self.rate == "r" else alpha
+        return DEFAULT_RATES[self.rate] if given is None else given
+
+    def ladder(self, params: MetricParams, ladder, rate: float, r1: float) -> _Ladder:
+        """Check the rate and ladder, and return the cylinder windows of every
+        ladder step; a ball is read against ln(1/r) for words, ln r for masses.
+
+        A Bowen kind that takes no rate ignores one, except ``katok``: its
+        covers read the rate they are given, as ``neutralized_katok``'s do."""
+        family = self.family
+        if family == "ball":
+            return _ball_ladder(params, ladder, 1.0 if self.reads == "words" else -1.0)
+        if family == "alpha":
+            return _alpha_ladder(params, rate, ladder, r1)
+        shrink = rate if self.rate or self.reads == "cover" else 0.0
+        return _shrinking_ladder(params, shrink, ladder, r1)
+
+    def scales(self, params: MetricParams, rate: float) -> tuple[float, float]:
+        """The identity's (lhs, rhs) scales: (1, k) for balls, (1, 1 + rate k)
+        for Bowen windows, (1, 1) when the kind takes no rate, and
+        (k_alpha, k) for alpha-discounted windows."""
+        family = self.family
+        if family == "ball":
+            return 1.0, params.k()
+        if family == "alpha":
+            return params.k_alpha(rate), params.k()
+        return 1.0, (1.0 + rate * params.k() if self.rate else 1.0)
+
     def target(self, params: MetricParams, rate: float, h: float) -> float:
-        """The slope the identity predicts, ``rhs_scale * h / lhs_scale``."""
-        return self.rhs_scale(params, rate) * h / self.lhs_scale(params, rate)
+        """The slope the identity predicts, ``rhs * h / lhs``."""
+        lhs, rhs = self.scales(params, rate)
+        return rhs * h / lhs
 
     def check(
         self, slope: float, params: MetricParams, rate: float, h: float, tolerance: float
     ) -> RelationReport:
-        lhs = slope * self.lhs_scale(params, rate)
-        return relation_report(self.name, lhs, self.rhs_scale(params, rate) * h, tolerance)
+        lhs, rhs = self.scales(params, rate)
+        return relation_report(self.name, slope * lhs, rhs * h, tolerance)
 
 
-#: Every bundle kind, in ``standard_bundle`` order.  The default depths are
-#: calibrated so each identity meets its default tolerance: up to 60 for
-#: exact counts, up to 200 for local masses, and 300..900 for covering
-#: counts, where the slow sqrt-scale correction to the cover growth needs
-#: long windows.
+#: Every bundle kind, in report order.  The default depths are calibrated so
+#: each identity meets its default tolerance: up to 60 for exact counts, up
+#: to 200 for local masses, and 300..900 for covering counts, where the slow
+#: sqrt-scale correction to the cover growth needs long windows.
 KINDS = {
     "box_dimension": Kind(
-        "box-dimension = k * entropy",
-        "({k}) * h_top",
-        _one,
-        _k,
-        None,
-        None,
-        lambda p, radii, q, r1: _ball_ladder(p, radii, 1.0),
-        "words",
+        "box-dimension = k * entropy", "({k}) * h_top",
+        "words", None, None,
     ),
     "entropy": Kind(
-        "spanning-entropy = oracle entropy",
-        "ln(spectral radius)",
-        _one,
-        _one,
-        None,
-        (10, 60, 5),
-        lambda p, depths, q, r1: _shrinking_ladder(p, 0.0, depths, r1),
-        "words",
-    ),
-    "neutralized_topological": Kind(
-        "neutralized-topological = (1 + r k) * entropy",
-        "(1 + r k) * h_top",
-        _one,
-        _shrunk_k,
-        "r",
-        (20, 120, 10),
-        lambda p, depths, q, r1: _shrinking_ladder(p, q, depths, r1),
-        "words",
-    ),
-    "alpha_topological": Kind(
-        "alpha-entropy * k_alpha = k * entropy",
-        "k * h_top / k_alpha",
-        _k_alpha,
-        _k,
-        "alpha",
-        (20, 120, 10),
-        lambda p, depths, q, r1: _alpha_ladder(p, q, depths, r1),
-        "words",
+        "spanning-entropy = oracle entropy", "ln(spectral radius)",
+        "words", None, (10, 60, 5),
     ),
     "pointwise_dimension": Kind(
-        "pointwise-dimension = k * measure-entropy",
-        "({k}) * h_mu",
-        _one,
-        _k,
-        None,
-        None,
-        lambda p, radii, q, r1: _ball_ladder(p, radii, -1.0),
-        "mass",
+        "pointwise-dimension = k * measure-entropy", "({k}) * h_mu",
+        "mass", None, None,
     ),
     "brin_katok": Kind(
-        "brin-katok = measure-entropy",
-        "entropy rate of the measure",
-        _one,
-        _one,
-        None,
-        (20, 200, 12),
-        lambda p, depths, q, r1: _shrinking_ladder(p, 0.0, depths, r1),
-        "mass",
+        "brin-katok = measure-entropy", "entropy rate of the measure",
+        "mass", None, (20, 200, 12),
     ),
     "katok": Kind(
-        "katok = measure-entropy",
-        "h_mu",
-        _one,
-        _one,
-        None,
-        (300, 900, 60),
-        lambda p, depths, q, r1: _shrinking_ladder(p, q, depths, r1),
-        "cover",
-    ),
-    "neutralized_brin_katok": Kind(
-        "neutralized-brin-katok = (1 + r k) * measure-entropy",
-        "(1 + r k) * h_mu",
-        _one,
-        _shrunk_k,
-        "r",
-        (20, 200, 12),
-        lambda p, depths, q, r1: _shrinking_ladder(p, q, depths, r1),
-        "mass",
+        "katok = measure-entropy", "h_mu",
+        "cover", None, (300, 900, 60),
     ),
     "neutralized_katok": Kind(
-        "katok = (1 + r k) * measure-entropy",
-        "(1 + r k) * h_mu",
-        _one,
-        _shrunk_k,
-        "r",
-        (300, 900, 60),
-        lambda p, depths, q, r1: _shrinking_ladder(p, q, depths, r1),
-        "cover",
+        "katok = (1 + r k) * measure-entropy", "(1 + r k) * h_mu",
+        "cover", "r", (300, 900, 60),
+    ),
+    "neutralized_topological": Kind(
+        "neutralized-topological = (1 + r k) * entropy", "(1 + r k) * h_top",
+        "words", "r", (20, 120, 10),
+    ),
+    "neutralized_brin_katok": Kind(
+        "neutralized-brin-katok = (1 + r k) * measure-entropy", "(1 + r k) * h_mu",
+        "mass", "r", (20, 200, 12),
+    ),
+    "alpha_topological": Kind(
+        "alpha-entropy * k_alpha = k * entropy", "k * h_top / k_alpha",
+        "words", "alpha", (20, 120, 10),
     ),
     "alpha_brin_katok": Kind(
-        "alpha-brin-katok * k_alpha = k * measure-entropy",
-        "k * h_mu / k_alpha",
-        _k_alpha,
-        _k,
-        "alpha",
-        (20, 120, 10),
-        lambda p, depths, q, r1: _alpha_ladder(p, q, depths, r1),
-        "mass",
+        "alpha-brin-katok * k_alpha = k * measure-entropy", "k * h_mu / k_alpha",
+        "mass", "alpha", (20, 120, 10),
     ),
 }
 #: Kinds a bundle checks against their own identity, in report order; it
 #: checks the shrinking-radius Katok slope only through its chains.
-HEADLINE_KINDS = (
-    "box_dimension",
-    "entropy",
-    "pointwise_dimension",
-    "brin_katok",
-    "katok",
-    "neutralized_topological",
-    "neutralized_brin_katok",
-    "alpha_topological",
-    "alpha_brin_katok",
-)
+HEADLINE_KINDS = tuple(kind for kind in KINDS if kind != "neutralized_katok")
 #: Ordering chains (name, smaller kind, larger kind), checked when both are bundled.
 CHAINS = (
     ("pointwise-dimension <= box-dimension", "pointwise_dimension", "box_dimension"),
@@ -815,22 +769,22 @@ def standard_bundle(
     space: ShiftSpace,
     params: MetricParams,
     mu: Measure | None = None,
-    r: float = DEFAULT_RATES["r"],
-    alpha: float = DEFAULT_RATES["alpha"],
+    r: float | None = None,
+    alpha: float | None = None,
     delta: float = 0.25,
     seed: int = 0,
     n_points: int = 100,
 ) -> list[BundleEntry]:
     """Estimate every kind in ``KINDS`` at its default ladder and label it;
     the measure kinds only when ``mu`` is given, all at the same ``n_points``
-    typical points, sampled once to horizon 160 or their deepest window."""
+    typical points, sampled once to horizon 160 or their deepest window.
+    Each kind's rate is ``Kind.rate_from(r, alpha)``."""
     label = space.label
-    rates = {None: 0.0, "r": r, "alpha": alpha}
     windows = None
     if mu is not None:
         require_supported(mu, space)
         depths = [
-            _reach(spec.ladder(params, kind_ladder(kind), rates[spec.rate], DEFAULT_R1))
+            _reach(spec.ladder(params, kind_ladder(kind), spec.rate_from(r, alpha), DEFAULT_R1))
             for kind, spec in KINDS.items()
             if spec.reads == "mass"
         ]
@@ -839,7 +793,7 @@ def standard_bundle(
     for kind, spec in KINDS.items():
         if mu is None and kind in MEASURE_KINDS:
             continue
-        rate = rates[spec.rate]
+        rate = spec.rate_from(r, alpha)
         est = estimate_kind(
             kind, space, params, mu, kind_ladder(kind), rate, DEFAULT_R1, delta, windows=windows
         )

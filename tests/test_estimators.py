@@ -31,7 +31,7 @@ from shiftmetrics import (
     standard_bundle,
     verify_identities,
 )
-from shiftmetrics import estimators
+from shiftmetrics import alpha_window, ball_window, bowen_window, estimators, neutralized_window
 from shiftmetrics.errors import (
     AlphaTooLarge,
     BadMeasure,
@@ -44,6 +44,7 @@ from shiftmetrics.errors import (
 )
 from shiftmetrics.estimators import (
     DEFAULT_R1,
+    DEFAULT_RATES,
     KINDS,
     TYPICAL_BATCH_BYTES,
     _average,
@@ -345,6 +346,81 @@ class TestKinds:
         rate = 0.1 if spec.rate else 0.0
         slope = spec.target(params, rate, LN2)
         assert spec.check(slope, params, rate, LN2, 0.0).rel_error == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "params", [MetricParams(1.2, 1.9), MetricParams(1.2, 1.9, mode=ONE_SIDED)], ids=repr
+    )
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_ladder_windows_are_the_family_windows(self, kind, params):
+        # depth t splits as n = floor(t theta) backward, m = t - n forward;
+        # theta balances the discounted scales, and is 0 one-sided
+        spec = KINDS[kind]
+        rate = {None: 0.0, "r": 0.05, "alpha": 0.1}[spec.rate]
+        steps = kind_ladder(kind)
+        ladder = spec.ladder(params, steps, rate, DEFAULT_R1)
+        theta = 0.5
+        if params.mode == ONE_SIDED:
+            theta = 0.0
+        elif spec.family == "alpha":
+            theta = (params.log_b + rate) / (params.log_a + params.log_b + 2 * rate)
+        splits = [(math.floor(t * theta), t - math.floor(t * theta)) for t in steps]
+        if spec.family == "ball":
+            expected = [ball_window(r, params) for r in steps]
+        elif spec.family == "alpha":
+            expected = [alpha_window(n, m, rate, DEFAULT_R1, params) for n, m in splits]
+        elif rate == 0.0:
+            expected = [bowen_window(n, m, DEFAULT_R1, params) for n, m in splits]
+        else:
+            expected = [neutralized_window(n, m, rate, params) for n, m in splits]
+        assert list(ladder.windows) == expected
+        # a ball is read against ln(1/r) for words and ln r for masses
+        assert ladder.sign == (-1.0 if spec.family == "ball" and spec.reads == "mass" else 1.0)
+
+    @pytest.mark.parametrize("kind", [k for k, spec in KINDS.items() if spec.family == "bowen"])
+    def test_bowen_scales_at_rate_zero_are_exactly_one(self, kind):
+        for params in (PARAMS, MetricParams(1.2, 1.9), ONE_SIDED_PARAMS):
+            lhs, rhs = KINDS[kind].scales(params, 0.0)
+            assert (repr(lhs), repr(rhs)) == ("1.0", "1.0")
+
+    @pytest.mark.parametrize("kind", ["entropy", "brin_katok"])
+    def test_a_kind_without_a_rate_ignores_one(self, kind):
+        # katok alone reads a rate it does not take (TestKatokEstimation)
+        mu = None if kind == "entropy" else SKEWED
+        depths = range(20, 81, 12)
+        slopes = [
+            estimate_kind(kind, FULL2, PARAMS, mu, depths, rate, n_points=4).slope
+            for rate in (0.0, 0.05, 3.0)
+        ]
+        assert len({repr(s) for s in slopes}) == 1
+        assert KINDS[kind].scales(PARAMS, 0.05) == (1.0, 1.0)
+
+    def test_rate_from(self):
+        shrinking, discounted = KINDS["neutralized_topological"], KINDS["alpha_topological"]
+        assert shrinking.rate_from(r=0.2, alpha=0.01) == 0.2
+        assert discounted.rate_from(r=0.2, alpha=0.01) == 0.01
+        assert shrinking.rate_from(alpha=0.01) == DEFAULT_RATES["r"]
+        assert discounted.rate_from(r=0.2) == DEFAULT_RATES["alpha"]
+        # a rate of 0 is given, not missing
+        assert shrinking.rate_from(r=0.0) == 0.0
+        assert discounted.rate_from(alpha=0.0) == 0.0
+        assert KINDS["katok"].rate_from(r=0.2, alpha=0.01) == 0.0
+        assert KINDS["box_dimension"].rate_from() == 0.0
+
+    def test_kinds_are_in_report_order(self):
+        assert list(KINDS) == [
+            "box_dimension",
+            "entropy",
+            "pointwise_dimension",
+            "brin_katok",
+            "katok",
+            "neutralized_katok",
+            "neutralized_topological",
+            "neutralized_brin_katok",
+            "alpha_topological",
+            "alpha_brin_katok",
+        ]
+        assert "neutralized_katok" not in estimators.HEADLINE_KINDS
+        assert len(estimators.HEADLINE_KINDS) == len(KINDS) - 1
 
 
 class TestAveraging:

@@ -42,7 +42,7 @@ from shiftmetrics.errors import (
     QuasiMetricViolated,
     SaturatedDistances,
 )
-from shiftmetrics.metrics import CHAIN_BETA, _single_disagreement_distances
+from shiftmetrics.metrics import CHAIN_BETA, POWER_ITER_CAP, _single_disagreement_distances
 
 FULL2 = make_space(2)
 GOLDEN = make_space(2, [[1, 1], [1, 0]])
@@ -357,17 +357,26 @@ class TestMatherN0:
         assert mp.k1 > 1.4 - 0.2
         assert mp.k2 > 1.7 - 0.2
 
-    @pytest.mark.parametrize("a, b", [(1.3, 1.3), (1.2, 1.9)])
-    def test_n0_on_a_gamma_grid(self, a, b):
-        # the unbounded one-step search, on gammas where it ends quickly
-        params = MetricParams(a, b)
-        for gamma in np.geomspace(1e-4, min(a, b) - 1, 40, endpoint=False).tolist():
-            n0 = 1
-            while not (4.0 ** (-1 / n0) * a > a - gamma and 4.0 ** (-1 / n0) * b > b - gamma):
-                n0 += 1
-            assert mather_n0(params, gamma).n0 == n0, gamma
+    #: how many gammas of each grid below have their depth past the cap
+    PAST_CAP = {(1.3, 1.3): 0, (1.2, 1.9): 2, (1.9, 1.2): 2, (1.05, 2.0): 3, (2.0, 2.0): 2}
 
-    @pytest.mark.parametrize("gamma", [1e-9, 1e-17])
+    @pytest.mark.parametrize("a, b", sorted(PAST_CAP))
+    def test_n0_on_a_gamma_grid(self, a, b):
+        # the search against the closed form, the ceiling of the larger
+        # ln 4 / ln(x / (x - gamma)), down to gammas whose depth lies past the cap
+        params = MetricParams(a, b)
+        past_cap = 0
+        for gamma in np.geomspace(1e-5, 0.999 * (min(a, b) - 1), 60).tolist():
+            n0 = max(math.ceil(math.log(4.0) / math.log(x / (x - gamma))) for x in (a, b))
+            if n0 > POWER_ITER_CAP:
+                past_cap += 1
+                with pytest.raises(NoConvergence, match="POWER_ITER_CAP"):
+                    mather_n0(params, gamma)
+            else:
+                assert mather_n0(params, gamma).n0 == n0, gamma
+        assert past_cap == self.PAST_CAP[a, b]
+
+    @pytest.mark.parametrize("gamma", [1e-9, 1e-17, 5e-324])
     def test_gamma_past_the_depth_cap(self, gamma):
         with pytest.raises(NoConvergence, match="POWER_ITER_CAP"):
             mather_n0(P13, gamma)

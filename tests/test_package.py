@@ -161,3 +161,23 @@ def test_seeded_stream_has_one_home():
                     if name == "default_rng":
                         calls.add((path.name, getattr(top, "name", f"line {node.lineno}")))
     assert calls == SEEDED_STREAMS
+
+
+def test_default_rates_have_one_reader():
+    """Across ``src/`` and ``scripts/``, only ``estimators.Kind`` (its
+    ``rate_from``) reads ``DEFAULT_RATES``, so every run that takes a rate
+    falls back to the same default in the same way."""
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
+    paths = [*Path(shiftmetrics.__file__).parent.glob("*.py"), *scripts.glob("*.py")]
+    readers = set()
+    for path in sorted(paths):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    continue
+                # a name read, an attribute read, or an imported name
+                names = (getattr(node, field, None) for field in ("id", "attr", "name"))
+                if "DEFAULT_RATES" in names:
+                    readers.add((path.name, getattr(top, "name", f"line {node.lineno}")))
+    assert readers == {("estimators.py", "Kind")}

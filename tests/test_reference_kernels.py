@@ -119,7 +119,6 @@ from shiftmetrics.cli import _synthetic_quasi_sample
 from shiftmetrics.estimators import (
     DEFAULT_LADDER,
     DEFAULT_R1,
-    DEFAULT_RATES,
     KINDS,
     estimate_kind,
     kind_ladder,
@@ -298,7 +297,7 @@ def reference_point_fit(mu, row, ladder):
 @pytest.mark.parametrize("name", BATCH_MEASURES)
 def test_averaged_slopes_are_the_per_point_fits(name, kind):
     mu, spec, params = MEASURES[name], KINDS[kind], MetricParams(1.3, 1.3)
-    rate = DEFAULT_RATES[spec.rate] if spec.rate else 0.0
+    rate = spec.rate_from()
     ladder = kind_ladder(kind)
     est = estimate_kind(
         kind, SPACES[name], params, mu, ladder, rate, horizon=160, n_points=6, seed=11

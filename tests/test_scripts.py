@@ -65,3 +65,35 @@ def test_convergence_study_output(quantity):
     with contextlib.redirect_stdout(out):
         assert study.main(["--quantity", quantity]) == 0
     assert out.getvalue() == CONVERGENCE[quantity]
+
+
+def test_convergence_study_on_a_zero_target(tmp_path, capsys):
+    # the 2-cycle has entropy 0: the error is read on the scale VERIFY_TOL
+    cycle = tmp_path / "cycle.txt"
+    cycle.write_text("2\n0 1\n1 0\n", encoding="utf-8")
+    study = load_script("convergence_study")
+    assert study.main(["--quantity", "box", "--space", f"sft:{cycle}"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"box on sft:{cycle}: target 0.000000"
+    assert len(lines) == 9
+    for line in lines[1:]:
+        rel = float(line.split("rel=")[1].split()[0])
+        assert rel < 1e-3, line
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--quantity", "alpha", "--alpha", "5"], "alpha must be finite and in [0, 0.262364)"),
+        (["--a", "0.5"], "a must be finite and > 1, got 0.5"),
+        (["--space", "full:x"], "full:M needs an integer alphabet size"),
+    ],
+    ids=["alpha-past-its-regime", "base-below-one", "bad-space"],
+)
+def test_convergence_study_refuses_with_exit_two(args, message, capsys):
+    study = load_script("convergence_study")
+    assert study.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err
