@@ -609,6 +609,9 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
         for flag in _MEASURE_ONLY:
             if flag[2:].replace("-", "_") in kwargs:
                 raise HypothesisViolated(f"{config.quantity} reads {flag} only with --measure PATH")
+    # katok and neutralized read their Bowen windows at --r1 only at a zero rate
+    if "r1" in kwargs and config.r:
+        raise HypothesisViolated(f"{config.quantity} reads --r1 only at --r 0, got --r {config.r}")
     return config
 
 

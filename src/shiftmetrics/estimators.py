@@ -229,18 +229,14 @@ def _depth_ladder(
 
 
 def _shrinking_ladder(
-    params: MetricParams, r: float, nm_range: Iterable[int], r1: float | None = None
+    params: MetricParams, r: float, nm_range: Iterable[int], r1: float
 ) -> _Ladder:
-    """Bowen windows at the shrinking radius e^{-(n+m) r}, for 0 < r < 3/k.
-
-    With a reference radius ``r1``, r = 0 is accepted too and gives the
-    Bowen windows at the fixed radius r1.
-    """
+    """Bowen windows at the shrinking radius e^{-(n+m) r}, for 0 <= r < 3/k;
+    at r = 0 they are the Bowen windows at the fixed radius r1."""
     bound = 3.0 / params.k()
-    if not (0.0 < r < bound or (r == 0.0 and r1 is not None)):
-        low = "0 <" if r1 is None else "0 <="
+    if not 0.0 <= r < bound:
         raise ConstraintViolated(
-            f"shrinking rate r must satisfy {low} r < 3/k = {bound:.6g}, got {r}"
+            f"shrinking rate r must satisfy 0 <= r < 3/k = {bound:.6g}, got {r}"
         )
     if r == 0.0:
         return _depth_ladder(params, nm_range, lambda n, m: bowen_window(n, m, r1, params))
@@ -320,7 +316,7 @@ def box_dimension(space: ShiftSpace, params: MetricParams, ladder: RadiusLadder)
     of admissible words on that window.  Upper and lower box dimensions
     coincide by this exactness.
     """
-    return _read_words(space, _ball_ladder(params, ladder, 1.0))
+    return _read_words(space, KINDS["box_dimension"].ladder(params, ladder, 0.0, DEFAULT_R1))
 
 
 def pointwise_dimension(
@@ -333,7 +329,7 @@ def pointwise_dimension(
     refuses with ``HorizonExceeded``.  The estimator reports what it sees:
     typicality of x is the caller's burden.
     """
-    return _mass_slope(mu, x, _ball_ladder(params, ladder, -1.0))
+    return _mass_slope(mu, x, KINDS["pointwise_dimension"].ladder(params, ladder, 0.0, DEFAULT_R1))
 
 
 def brin_katok_local(
@@ -348,7 +344,7 @@ def brin_katok_local(
     Window depths that do not fit the horizon are dropped (saturated flag);
     fewer than two usable depths raise ``HorizonExceeded``.
     """
-    return _mass_slope(mu, x, _shrinking_ladder(params, 0.0, nm_range, r1))
+    return _mass_slope(mu, x, KINDS["brin_katok"].ladder(params, nm_range, 0.0, r1))
 
 
 def neutralized_brin_katok(
@@ -358,8 +354,9 @@ def neutralized_brin_katok(
     r: float,
     nm_range: Iterable[int],
 ) -> SlopeEstimate:
-    """Local entropy with shrinking radius e^{-(n+m) r}; needs 0 < r < 3/k."""
-    return _mass_slope(mu, x, _shrinking_ladder(params, r, nm_range))
+    """Local entropy at the shrinking radius e^{-(n+m) r}, 0 <= r < 3/k; r = 0 reads DEFAULT_R1."""
+    steps = KINDS["neutralized_brin_katok"].ladder(params, nm_range, r, DEFAULT_R1)
+    return _mass_slope(mu, x, steps)
 
 
 def alpha_estimation_entropy(
@@ -379,12 +376,11 @@ def alpha_estimation_entropy(
     0 <= alpha < min(ln a, ln b); alpha = 0 reduces both variants exactly
     to their classical fixed-radius counterparts.
     """
-    ladder = _alpha_ladder(params, alpha, nm_range, r3)
     if isinstance(target, ShiftSpace):
-        return _read_words(target, ladder)
+        return _read_words(target, KINDS["alpha_topological"].ladder(params, nm_range, alpha, r3))
     if x is None:
         raise HypothesisViolated("the measure variant needs a sampled point x")
-    return _mass_slope(target, x, ladder)
+    return _mass_slope(target, x, KINDS["alpha_brin_katok"].ladder(params, nm_range, alpha, r3))
 
 
 def _typical_windows(
@@ -543,30 +539,31 @@ class Kind:
         given = r if self.rate == "r" else alpha
         return DEFAULT_RATES[self.rate] if given is None else given
 
+    def _require_rate(self, rate: float) -> None:
+        """Refuse a nonzero rate for a kind that takes none."""
+        if self.rate is None and rate != 0.0:
+            raise HypothesisViolated(f"the identity {self.name!r} takes no rate, got {rate}")
+
     def ladder(self, params: MetricParams, ladder, rate: float, r1: float) -> _Ladder:
         """Check the rate and ladder, and return the cylinder windows of every
-        ladder step; a ball is read against ln(1/r) for words, ln r for masses.
-
-        A Bowen kind that takes no rate ignores one, except ``katok``: its
-        covers read the rate they are given, as ``neutralized_katok``'s do."""
-        family = self.family
-        if family == "ball":
+        ladder step; a ball is read against ln(1/r) for words, ln r for masses."""
+        self._require_rate(rate)
+        if self.family == "ball":
             return _ball_ladder(params, ladder, 1.0 if self.reads == "words" else -1.0)
-        if family == "alpha":
+        if self.family == "alpha":
             return _alpha_ladder(params, rate, ladder, r1)
-        shrink = rate if self.rate or self.reads == "cover" else 0.0
-        return _shrinking_ladder(params, shrink, ladder, r1)
+        return _shrinking_ladder(params, rate, ladder, r1)
 
     def scales(self, params: MetricParams, rate: float) -> tuple[float, float]:
         """The identity's (lhs, rhs) scales: (1, k) for balls, (1, 1 + rate k)
-        for Bowen windows, (1, 1) when the kind takes no rate, and
-        (k_alpha, k) for alpha-discounted windows."""
-        family = self.family
-        if family == "ball":
+        for Bowen windows (exactly (1, 1) at rate 0), and (k_alpha, k) for
+        alpha-discounted windows."""
+        self._require_rate(rate)
+        if self.family == "ball":
             return 1.0, params.k()
-        if family == "alpha":
+        if self.family == "alpha":
             return params.k_alpha(rate), params.k()
-        return 1.0, (1.0 + rate * params.k() if self.rate else 1.0)
+        return 1.0, 1.0 + rate * params.k()
 
     def target(self, params: MetricParams, rate: float, h: float) -> float:
         """The slope the identity predicts, ``rhs * h / lhs``."""
@@ -671,6 +668,8 @@ def kind_ladder(
     lo, hi, step = (d if v is None else v for d, v in zip(depths, (t_min, t_max, t_step)))
     if step < 1:
         raise HypothesisViolated(f"t-step must be >= 1, got {step}")
+    if lo > hi:
+        raise HypothesisViolated(f"the depth range is empty: --t-min {lo} > --t-max {hi}")
     return range(lo, hi + 1, step)
 
 

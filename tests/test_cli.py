@@ -300,6 +300,42 @@ def test_seed_stays_accepted_without_measure(capsys):
     assert main(["dim", "--space", "full:2", "--seed", "3", "--j-max", "12"]) == 0
 
 
+#: runs that give --r1 beside a nonzero --r: their shrinking windows read no radius r1
+R1_BESIDE_A_RATE = [
+    ["neutralized", "--r", "0.2", "--r1", "0.5", "--t-max", "60"],
+    ["neutralized", "--r1", "0.5", "--r", "0.05", "--n-points", "3", "--measure", "x.json"],
+    ["katok", "--r", "0.05", "--r1", "0.5", "--measure", "x.json"],
+]
+
+
+@pytest.mark.parametrize("argv", R1_BESIDE_A_RATE, ids=" ".join)
+def test_r1_beside_a_nonzero_rate_is_refused(argv, capsys):
+    # each run used to read the same slope with and without --r1
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "reads --r1 only at --r 0" in captured.err and "got --r 0." in captured.err
+    assert captured.out == ""
+
+
+def test_r1_at_a_zero_rate_is_read(tmp_path):
+    depths = ["--t-min", "10", "--t-max", "60", "--t-step", "5", "--r1", "0.5"]
+    code, report = run_json(tmp_path, ["neutralized", "--r", "0", *depths])
+    assert code == 0 and report["config"]["r1"] == 0.5
+    _, entropy = run_json(tmp_path, ["entropy", *depths])
+    assert report["estimate"] == entropy["estimate"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["entropy", "--t-min", "60", "--t-max", "10"], ["neutralized", "--t-min", "130"]],
+    ids=" ".join,
+)
+def test_empty_depth_range_names_its_bounds(argv, capsys):
+    # used to read "window depths must be positive integers, got ()"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "the depth range is empty: --t-min" in err and "> --t-max" in err
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path, skewed_measure):
         args = [

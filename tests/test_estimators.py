@@ -1,6 +1,7 @@
 """Tests for the regression estimators and the identity verifier."""
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -220,8 +221,16 @@ class TestNeutralized:
 
     def test_local_rate_bound(self):
         x = sample_typical(UNIFORM2, 60, 0)
-        with pytest.raises(ConstraintViolated):
-            neutralized_brin_katok(UNIFORM2, x, PARAMS, 0.0, range(10, 41, 10))
+        for bad in (3.0 / K, -0.01):
+            with pytest.raises(ConstraintViolated):
+                neutralized_brin_katok(UNIFORM2, x, PARAMS, bad, range(10, 41, 10))
+
+    def test_local_zero_rate_is_brin_katok_at_the_default_radius(self):
+        for seed in range(3):
+            x = sample_typical(GOLDEN_MARKOV, 210, seed, GOLDEN)
+            depths = range(20, 201, 12)
+            neutral = neutralized_brin_katok(GOLDEN_MARKOV, x, PARAMS, 0.0, depths)
+            assert neutral == brin_katok_local(GOLDEN_MARKOV, x, PARAMS, DEFAULT_R1, depths)
 
 
 class TestKatok:
@@ -248,8 +257,9 @@ class TestKatok:
         assert (max(slopes) - min(slopes)) / min(slopes) < 0.02
 
     def test_shrinking_radius_variant(self):
+        depths = range(300, 901, 60)
         est = estimate_kind(
-            "katok", None, PARAMS, GOLDEN_MARKOV, range(300, 901, 60), rate=0.05, delta=0.25
+            "neutralized_katok", None, PARAMS, GOLDEN_MARKOV, depths, rate=0.05, delta=0.25
         )
         assert rel(est.slope, (1.0 + 0.05 * K) * H_GOLDEN_MARKOV) < 0.02
 
@@ -264,7 +274,9 @@ class TestKatok:
 
     def test_rate_bound(self):
         with pytest.raises(ConstraintViolated):
-            estimate_kind("katok", None, PARAMS, UNIFORM2, range(40, 201, 20), rate=0.5)
+            estimate_kind(
+                "neutralized_katok", None, PARAMS, UNIFORM2, range(40, 201, 20), rate=0.5
+            )
 
 
 class TestAlphaEstimation:
@@ -383,16 +395,28 @@ class TestKinds:
             assert (repr(lhs), repr(rhs)) == ("1.0", "1.0")
 
     @pytest.mark.parametrize("kind", ["entropy", "brin_katok"])
-    def test_a_kind_without_a_rate_ignores_one(self, kind):
-        # katok alone reads a rate it does not take (TestKatokEstimation)
+    def test_a_kind_without_a_rate_refuses_one(self, kind):
         mu = None if kind == "entropy" else SKEWED
         depths = range(20, 81, 12)
-        slopes = [
-            estimate_kind(kind, FULL2, PARAMS, mu, depths, rate, n_points=4).slope
-            for rate in (0.0, 0.05, 3.0)
-        ]
-        assert len({repr(s) for s in slopes}) == 1
-        assert KINDS[kind].scales(PARAMS, 0.05) == (1.0, 1.0)
+        for rate in (0.05, 3.0, -0.1):
+            with pytest.raises(HypothesisViolated, match="takes no rate"):
+                estimate_kind(kind, FULL2, PARAMS, mu, depths, rate, n_points=4)
+        estimate_kind(kind, FULL2, PARAMS, mu, depths, 0.0, n_points=4)
+
+    @pytest.mark.parametrize("kind", [k for k, spec in KINDS.items() if spec.rate is None])
+    def test_every_method_of_a_kind_without_a_rate_refuses_one(self, kind):
+        spec, depths = KINDS[kind], kind_ladder(kind)
+        name = re.escape(repr(spec.name))
+        calls = (
+            lambda rate: spec.ladder(PARAMS, depths, rate, DEFAULT_R1),
+            lambda rate: spec.scales(PARAMS, rate),
+            lambda rate: spec.target(PARAMS, rate, H_GOLDEN_MARKOV),
+            lambda rate: spec.check(0.6403, PARAMS, rate, H_GOLDEN_MARKOV, 0.02),
+        )
+        for call in calls:
+            with pytest.raises(HypothesisViolated, match=f"identity {name} takes no rate"):
+                call(0.05)
+            call(0.0)
 
     def test_rate_from(self):
         shrinking, discounted = KINDS["neutralized_topological"], KINDS["alpha_topological"]

@@ -181,3 +181,33 @@ def test_default_rates_have_one_reader():
                 if "DEFAULT_RATES" in names:
                     readers.add((path.name, getattr(top, "name", f"line {node.lineno}")))
     assert readers == {("estimators.py", "Kind")}
+
+
+#: the private builders that turn a ladder into cylinder windows
+LADDER_BUILDERS = {"_ball_ladder", "_shrinking_ladder", "_alpha_ladder"}
+
+
+def test_kind_ladder_builds_every_ladder():
+    """Across ``src/`` and ``scripts/``, only ``estimators.Kind.ladder``
+    reads the three ladder builders, so a kind, a rate and a ladder become
+    windows in one place, under one rate rule."""
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
+    paths = [*Path(shiftmetrics.__file__).parent.glob("*.py"), *scripts.glob("*.py")]
+    readers = set()
+    for path in sorted(paths):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            members = top.body if isinstance(top, ast.ClassDef) else [top]
+            for member in members:
+                scope = getattr(member, "name", f"line {member.lineno}")
+                if member is not top:
+                    scope = f"{top.name}.{scope}"
+                for node in ast.walk(member):
+                    # a name read, an attribute read, or an imported name; not a definition
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                        continue
+                    if isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+                        names = {getattr(node, field, None) for field in ("id", "attr", "name")}
+                        if names & LADDER_BUILDERS:
+                            readers.add((path.name, scope))
+    assert readers == {("estimators.py", "Kind.ladder")}
