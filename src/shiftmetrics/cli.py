@@ -251,12 +251,17 @@ def _slope_rows(label: str, est: SlopeEstimate, fmt: str) -> list[dict]:
     ]
 
 
+def _slope_kind(config: RunConfig, measured: bool) -> str | None:
+    """The kind a slope run estimates, None for a measure quantity run
+    without a measure; a nonzero --r shrinks katok's cover radius."""
+    kind = _SLOPES[config.quantity][measured]
+    return "neutralized_katok" if kind == "katok" and config.r else kind
+
+
 def _run_slope(config, space, params, mu):
-    kind = _SLOPES[config.quantity][mu is not None]
+    kind = _slope_kind(config, mu is not None)
     if kind is None:
         raise HypothesisViolated(f"{config.quantity} is a measure quantity: pass --measure PATH")
-    # a nonzero --r shrinks the cover radius
-    kind = "neutralized_katok" if kind == "katok" and config.r else kind
     spec = KINDS[kind]
     rate = spec.rate_from(config.r, config.alpha)
     _check_tolerances(config, [spec.name], headline=True)
@@ -609,9 +614,11 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
         for flag in _MEASURE_ONLY:
             if flag[2:].replace("-", "_") in kwargs:
                 raise HypothesisViolated(f"{config.quantity} reads {flag} only with --measure PATH")
-    # katok and neutralized read their Bowen windows at --r1 only at a zero rate
-    if "r1" in kwargs and config.r:
-        raise HypothesisViolated(f"{config.quantity} reads --r1 only at --r 0, got --r {config.r}")
+    # a kind that takes --r reads its Bowen windows at --r1 only at rate 0, default rate included
+    kind = _slope_kind(config, config.measure is not None) if "r1" in kwargs else None
+    rate = KINDS[kind].rate_from(config.r) if kind and KINDS[kind].rate == "r" else 0.0
+    if rate:
+        raise HypothesisViolated(f"{config.quantity} reads --r1 only at --r 0, got --r {rate}")
     return config
 
 

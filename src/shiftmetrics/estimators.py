@@ -45,7 +45,6 @@ from .measures import (
     _block_information,
     _require_symbols,
     minimal_cover_log_count,
-    require_supported,
     sample_typical,
     sample_typical_windows,
 )
@@ -673,6 +672,24 @@ def kind_ladder(
     return range(lo, hi + 1, step)
 
 
+def _read_kind(
+    reads: str,
+    steps: _Ladder,
+    space: ShiftSpace,
+    mu: Measure | None,
+    delta: float,
+    windows: np.ndarray | None,
+) -> SlopeEstimate:
+    """Read a kind's ladder: word counts on the space, minimal covers of the
+    measure, or masses averaged over the rows of ``windows``."""
+    if reads == "words":
+        return _read_words(space, steps)
+    if reads == "cover":
+        # minimal_cover_log_count refuses a delta outside (0, 1)
+        return _read(steps, lambda window: minimal_cover_log_count(mu, window.length, delta))
+    return _average(_mass_slopes(mu, windows, steps))
+
+
 def estimate_kind(
     kind: str,
     space: ShiftSpace,
@@ -685,31 +702,20 @@ def estimate_kind(
     horizon: int | None = None,
     n_points: int = 100,
     seed: int = 0,
-    windows: np.ndarray | None = None,
 ) -> SlopeEstimate:
     """Estimate one bundle kind's slope over ``ladder``.
 
-    Kinds estimated at typical points average over the rows of ``windows``
-    when given (at least one, as ``sample_typical_windows`` draws them);
-    otherwise over ``n_points`` points of ``mu`` in ``space``, sampled to
-    ``horizon``, or when that is not given to the smallest horizon that
-    holds every window of the ladder, plus 8.
+    Kinds estimated at typical points average over ``n_points`` points of
+    ``mu`` in ``space``, sampled to ``horizon``, or when that is not given
+    to the smallest horizon that holds every window of the ladder, plus 8.
     """
     spec = KINDS[kind]
     steps = spec.ladder(params, ladder, rate, r1)
-    if spec.reads == "words":
-        return _read_words(space, steps)
-    if spec.reads == "cover":
-        # minimal_cover_log_count refuses a delta outside (0, 1)
-        return _read(steps, lambda window: minimal_cover_log_count(mu, window.length, delta))
-
-    if windows is None:
-        if horizon is None:
-            horizon = _reach(steps) + 8
+    windows = None
+    if spec.reads == "mass":
+        horizon = _reach(steps) + 8 if horizon is None else horizon
         windows = _typical_windows(mu, horizon, n_points, seed, space)
-    elif not len(windows):
-        raise HypothesisViolated("windows must hold at least one typical point, got none")
-    return _average(_mass_slopes(mu, windows, steps))
+    return _read_kind(spec.reads, steps, space, mu, delta, windows)
 
 
 def identity_names(kinds: Iterable[str]) -> list[str]:
@@ -777,24 +783,15 @@ def standard_bundle(
     """Estimate every kind in ``KINDS`` at its default ladder and label it;
     the measure kinds only when ``mu`` is given, all at the same ``n_points``
     typical points, sampled once to horizon 160 or their deepest window.
-    Each kind's rate is ``Kind.rate_from(r, alpha)``."""
+    Each kind's rate is ``Kind.rate_from(r, alpha)``, and every kind's
+    ladder is built and checked before any point is drawn or word counted."""
     label = space.label
+    specs = {kind: spec for kind, spec in KINDS.items() if mu is not None or not spec.measure}
+    rates = {kind: spec.rate_from(r, alpha) for kind, spec in specs.items()}
+    steps = {k: s.ladder(params, kind_ladder(k), rates[k], DEFAULT_R1) for k, s in specs.items()}
     windows = None
     if mu is not None:
-        require_supported(mu, space)
-        depths = [
-            _reach(spec.ladder(params, kind_ladder(kind), spec.rate_from(r, alpha), DEFAULT_R1))
-            for kind, spec in KINDS.items()
-            if spec.reads == "mass"
-        ]
+        depths = [_reach(steps[kind]) for kind, spec in specs.items() if spec.reads == "mass"]
         windows = _typical_windows(mu, max(160, *depths), n_points, seed, space)
-    entries = []
-    for kind, spec in KINDS.items():
-        if mu is None and kind in MEASURE_KINDS:
-            continue
-        rate = spec.rate_from(r, alpha)
-        est = estimate_kind(
-            kind, space, params, mu, kind_ladder(kind), rate, DEFAULT_R1, delta, windows=windows
-        )
-        entries.append(BundleEntry(kind, est, params, label, rate=rate))
-    return entries
+    reads = (_read_kind(s.reads, steps[k], space, mu, delta, windows) for k, s in specs.items())
+    return [BundleEntry(k, est, params, label, rate=rates[k]) for k, est in zip(specs, reads)]

@@ -21,13 +21,16 @@ are provided, tried in this order:
    classes) come from one broadcast pass over every
    (start, end, run count) class, in which a zero self-transition pins each
    run of its symbol to length 1, so such a chain has about ``2 L`` classes
-   at window length ``L``.  Every other chain's classes are its
+   at window length ``L``; with all four transitions positive it has
+   ``L^2 - L + 2``, and these classes are built at every length, without a
+   check against ``ENUMERATION_LIMIT``.  Every other chain's classes are its
    transition-count classes: the start state and how often the word takes
    each positive edge, built by one sorted merge per symbol appended; there
    are at most ``M C(L + e - 2, e - 1)`` of them for ``M`` states and ``e``
    positive edges, and never more than the support words.  Past
-   ``ENUMERATION_LIMIT`` classes (for a chain: when both that bound and
-   the support word count exceed it) the measure goes to prefix expansion.
+   ``ENUMERATION_LIMIT`` type or transition-count classes (for a chain: when
+   both that bound and the support word count exceed it) the measure goes
+   to prefix expansion.
    Equal masses are then merged with one ``logaddexp.reduceat`` per array,
 2. best-first prefix expansion under a node budget (masses are
    monotone under extension, so words are emitted in exact descending
@@ -64,9 +67,10 @@ from .shiftspace import (
 )
 
 ROW_SUM_TOL = 1e-12
-#: Most mass classes a cover builds (for a chain's transition-count classes,
-#: the smaller of their bound and the support word count), and most nodes its
-#: prefix expansion pops.
+#: Most type classes or transition-count classes a cover builds (for the
+#: latter, the smaller of their bound and the support word count), and most
+#: nodes its prefix expansion pops.  A two-state chain's run-length classes
+#: are not held to it: L^2 - L + 2 of them when every transition is positive.
 ENUMERATION_LIMIT = 2**22
 #: Counts below this are recovered exactly by rounding exp(log_count).
 _EXACT_COUNT_LIMIT = float(2**40)
@@ -540,8 +544,12 @@ def log_mass_spectrum(mu: Measure, length: int):
     """Equal-mass cylinder classes of a window of the given length.
 
     Returns ``(log_mass, log_count)`` arrays covering every positive-mass
-    word exactly once, or ``None`` when the classes would number more than
-    ``ENUMERATION_LIMIT`` (then the cover goes to prefix expansion).
+    word exactly once, or ``None`` when a Bernoulli measure's type classes or
+    a chain's transition-count classes would number more than
+    ``ENUMERATION_LIMIT`` (then the cover goes to prefix expansion).  A
+    two-state chain's run-length classes are always built: with every
+    transition positive there are ``L^2 - L + 2`` of them, past the limit
+    from L = 2049 on.
     Bernoulli measures give their type classes, two-state chains their
     run-length classes, and every other chain its transition-count classes
     (start state and count of each positive edge), which are built when

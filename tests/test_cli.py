@@ -300,11 +300,13 @@ def test_seed_stays_accepted_without_measure(capsys):
     assert main(["dim", "--space", "full:2", "--seed", "3", "--j-max", "12"]) == 0
 
 
-#: runs that give --r1 beside a nonzero --r: their shrinking windows read no radius r1
+#: runs that give --r1 beside a nonzero rate, given or neutralized's default 0.05: their
+#: shrinking windows read no radius r1
 R1_BESIDE_A_RATE = [
     ["neutralized", "--r", "0.2", "--r1", "0.5", "--t-max", "60"],
     ["neutralized", "--r1", "0.5", "--r", "0.05", "--n-points", "3", "--measure", "x.json"],
     ["katok", "--r", "0.05", "--r1", "0.5", "--measure", "x.json"],
+    ["neutralized", "--t-max", "60", "--r1", "0.5"],
 ]
 
 

@@ -2,7 +2,6 @@
 import dataclasses
 import math
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -615,16 +614,6 @@ class TestDerivedDiagnostics:
     def test_relation_passes_iff_rel_at_most_tol(self, rel, passed):
         assert RelationReport("x", 1.0, 1.0, rel, tolerance=0.02).passed is passed
 
-    def test_empty_points_refused(self):
-        ladder = kind_ladder("brin_katok")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(HypothesisViolated, match="at least one typical point"):
-                estimate_kind(
-                    "brin_katok", GOLDEN, PARAMS, GOLDEN_MARKOV, ladder,
-                    windows=np.empty((0, 321), dtype=np.int64),
-                )
-
 
 class TestRelationSolver:
     def test_equal_bases_give_alpha_equals_two_r(self):
@@ -750,6 +739,30 @@ class TestBundles:
         # 198 and neutralized brin-katok's 171 at a = b = 1.15, and 238 one-sided
         bundle = standard_bundle(FULL2, params, SKEWED, n_points=10)
         assert [entry.kind for entry in bundle if entry.estimate.saturated] == []
+
+    def test_one_ladder_per_kind(self, monkeypatch):
+        # the four mass kinds' windows used to be built twice: 14 calls for 10 kinds
+        built, ladder = [], estimators.Kind.ladder
+
+        def counted(spec, *args):
+            built.append(spec.name)
+            return ladder(spec, *args)
+
+        monkeypatch.setattr(estimators.Kind, "ladder", counted)
+        standard_bundle(GOLDEN, PARAMS, GOLDEN_MARKOV, n_points=5)
+        assert built == [spec.name for spec in KINDS.values()]
+
+    @pytest.mark.parametrize(
+        "rates, error", [({"alpha": 5.0}, AlphaTooLarge), ({"r": 1.0}, ConstraintViolated)]
+    )
+    def test_bad_rate_refused_before_any_count(self, monkeypatch, rates, error):
+        # a space-only bundle used to count words 3 times (alpha) or twice (r) first
+        def counted(*args):
+            raise AssertionError("word_counts ran before the ladders were checked")
+
+        monkeypatch.setattr(estimators, "word_counts", counted)
+        with pytest.raises(error):
+            standard_bundle(FULL2, PARAMS, **rates)
 
 
 def one_sided_slope(kind, mu=None, rate=0.0):

@@ -498,6 +498,13 @@ class TestMassSpectrum:
         lm, lc = log_mass_spectrum(MarkovMeasure(P), 1243)
         assert lm.size == lc.size <= 2 * 1243
 
+    @pytest.mark.parametrize("length", [2, 3, 17, 64, 200])
+    def test_positive_two_state_chain_has_quadratic_classes(self, length):
+        # every transition positive: L^2 - L + 2 run-length classes, built with
+        # no ENUMERATION_LIMIT check (4,196,354 of them at L = 2049)
+        lm, lc = log_mass_spectrum(MarkovMeasure(((0.9, 0.1), (0.4, 0.6))), length)
+        assert lm.size == lc.size == length * length - length + 2
+
     def test_unavailable_spectra(self):
         # past ENUMERATION_LIMIT classes: C(304, 3) type classes at L = 301, and
         # for the chain both 3 C(203, 4) transition-count classes and the

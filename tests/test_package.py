@@ -11,6 +11,7 @@ import tempfile
 from pathlib import Path
 
 import shiftmetrics
+from shiftmetrics.estimators import identity_names
 from test_golden import CASES, render, write_inputs
 
 #: exported functions and class methods that no golden report calls, and why each stays
@@ -211,3 +212,27 @@ def test_kind_ladder_builds_every_ladder():
                         if names & LADDER_BUILDERS:
                             readers.add((path.name, scope))
     assert readers == {("estimators.py", "Kind.ladder")}
+
+
+def test_one_reader_behind_every_kind():
+    """In ``src/`` only ``estimate_kind`` and ``standard_bundle`` call
+    ``_read_kind``, so a kind's ladder is read one way whichever entry built it."""
+    callers = set()
+    for path in sorted(Path(shiftmetrics.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_read_kind":
+                    callers.add((path.name, top.name))
+    assert callers == {("estimators.py", "estimate_kind"), ("estimators.py", "standard_bundle")}
+
+
+def test_readme_quickstart_runs_and_every_relation_passes(capsys):
+    """The Python block under "## Library quickstart" in README.md runs as
+    written, and prints a passing line for every relation of a full bundle."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library quickstart\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md quickstart", "exec"), {"__name__": "quickstart"})
+    relations = [line for line in capsys.readouterr().out.splitlines() if " (rel " in line]
+    assert len(relations) == len(identity_names(shiftmetrics.estimators.KINDS))
+    assert [line for line in relations if ": pass (rel " not in line] == []
