@@ -107,7 +107,7 @@ class SlopeEstimate:
         order = np.argsort(x)
         half = x.size // 2
         halves = (order[:half], order[half:])
-        low, high = (_fit_slope(x[sel], y[sel], (), False).slope for sel in halves)
+        low, high = (float(_fit_rows(x[sel], y[None, sel]).slope[0]) for sel in halves)
         return abs(high - low)
 
     @property
@@ -155,21 +155,43 @@ def relation_report(
     return RelationReport(name, lhs, rhs, rel, tolerance=tolerance, value=value)
 
 
+class _RowFits(NamedTuple):
+    """The least-squares lines of one ladder, one per row of a (rows x
+    windows) block: slope, intercept and residual rms arrays in row order."""
+
+    slope: np.ndarray
+    intercept: np.ndarray
+    residual_rms: np.ndarray
+
+
+def _fit_rows(xs: Sequence[float], block) -> _RowFits:
+    """Fit every row of ``block`` against ``xs`` on one design matrix.
+
+    Each row is its own ``np.linalg.lstsq`` solve, and its residual rms is
+    read off that row's own residual vector, so every row's fit is, float
+    for float, the fit of that row alone.  Fewer than two x values raise
+    ``HorizonExceeded``.
+    """
+    x = np.asarray(xs, dtype=float)
+    if x.size < 2:
+        raise HorizonExceeded(f"need at least two usable ladder points, got {x.size}")
+    A = np.vstack([x, np.ones_like(x)]).T
+    fits = []
+    for y in np.asarray(block, dtype=float):
+        coef = np.linalg.lstsq(A, y, rcond=None)[0]
+        resid = y - A @ coef
+        fits.append((coef[0], coef[1], np.sqrt(np.mean(resid**2))))
+    return _RowFits(*np.array(fits).T)
+
+
 def _fit_slope(
     xs: Sequence[float],
     ys: Sequence[float],
     ladder: tuple,
     saturated: bool,
 ) -> SlopeEstimate:
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if x.size < 2:
-        raise HorizonExceeded(f"need at least two usable ladder points, got {x.size}")
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    slope, intercept = float(coef[0]), float(coef[1])
-    resid = y - A @ coef
-    rms = float(np.sqrt(np.mean(resid**2)))
+    """The one-row case of ``_fit_rows``, which records the (x, y) pairs."""
+    slope, intercept, rms = (float(field[0]) for field in _fit_rows(xs, [ys]))
     return SlopeEstimate(slope, intercept, rms, ladder, saturated, tuple(zip(xs, ys)))
 
 
@@ -277,10 +299,13 @@ def _read_words(space: ShiftSpace, ladder: _Ladder) -> SlopeEstimate:
     return _read(ladder, lambda window: log_counts[window.length])
 
 
-def _mass_slopes(mu: Measure, windows: np.ndarray, ladder: _Ladder) -> list[SlopeEstimate]:
+def _mass_block(
+    mu: Measure, windows: np.ndarray, ladder: _Ladder
+) -> tuple[list[float], np.ndarray, bool]:
     """Read a ladder at every row of a (points x (2 horizon + 1)) window
-    array, dropping windows beyond the horizon: each ladder window is one
-    information column over all the rows, and each row keeps its own fit.
+    array, dropping windows beyond the horizon: the kept xs, the (points x
+    kept windows) block of ``sign`` times the information -ln mu of each
+    row's cylinder, and whether a window was dropped.
 
     The symbols are checked against the measure once, not per depth.
     """
@@ -298,13 +323,14 @@ def _mass_slopes(mu: Measure, windows: np.ndarray, ladder: _Ladder) -> list[Slop
             raise BadMeasure("the point leaves the support of the measure")
         xs.append(xv)
         columns.append(ladder.sign * information)
-    rows = np.column_stack(columns).tolist() if columns else [[] for _ in windows]
-    return [_fit_slope(xs, ys, ladder.key, saturated) for ys in rows]
+    block = np.column_stack(columns) if columns else np.empty((len(windows), 0))
+    return xs, block, saturated
 
 
 def _mass_slope(mu: Measure, x: Point, ladder: _Ladder) -> SlopeEstimate:
-    """Read a ladder at the point x: the one-row case of ``_mass_slopes``."""
-    return _mass_slopes(mu, x.symbols[None, :], ladder)[0]
+    """Read a ladder at the point x: the one-row block, fitted with its points."""
+    xs, block, saturated = _mass_block(mu, x.symbols[None, :], ladder)
+    return _fit_slope(xs, block[0].tolist(), ladder.key, saturated)
 
 
 def box_dimension(space: ShiftSpace, params: MetricParams, ladder: RadiusLadder) -> SlopeEstimate:
@@ -398,15 +424,26 @@ def _typical_windows(
     return sample_typical_windows(mu, horizon, range(seed, seed + n_points), space)
 
 
-def _average(estimates: list[SlopeEstimate]) -> SlopeEstimate:
-    """Reduce per-point estimates in order (see ``average_over_typical``)."""
+def _mean_fit(fits: _RowFits, ladder: tuple, saturated: bool) -> SlopeEstimate:
+    """Reduce per-point fits in row order: the mean slope and intercept, the
+    root mean square residual, and the slopes kept as ``point_slopes``."""
+    rms = fits.residual_rms.tolist()
     return SlopeEstimate(
-        slope=float(np.mean([e.slope for e in estimates])),
-        intercept=float(np.mean([e.intercept for e in estimates])),
-        residual_rms=float(np.sqrt(np.mean([e.residual_rms**2 for e in estimates]))),
-        ladder=estimates[0].ladder,
-        saturated=any(e.saturated for e in estimates),
-        point_slopes=tuple(e.slope for e in estimates),
+        slope=float(np.mean(fits.slope)),
+        intercept=float(np.mean(fits.intercept)),
+        # float ** 2, not the array square, which can differ in the last bit
+        residual_rms=float(np.sqrt(np.mean([r**2 for r in rms]))),
+        ladder=ladder,
+        saturated=saturated,
+        point_slopes=tuple(fits.slope.tolist()),
+    )
+
+
+def _average(estimates: Sequence[SlopeEstimate]) -> SlopeEstimate:
+    """Reduce per-point estimates in order: their fields, through ``_mean_fit``."""
+    fields = (np.array([getattr(e, name) for e in estimates]) for name in _RowFits._fields)
+    return _mean_fit(
+        _RowFits(*fields), estimates[0].ladder, any(e.saturated for e in estimates)
     )
 
 
@@ -687,7 +724,8 @@ def _read_kind(
     if reads == "cover":
         # minimal_cover_log_count refuses a delta outside (0, 1)
         return _read(steps, lambda window: minimal_cover_log_count(mu, window.length, delta))
-    return _average(_mass_slopes(mu, windows, steps))
+    xs, block, saturated = _mass_block(mu, windows, steps)
+    return _mean_fit(_fit_rows(xs, block), steps.key, saturated)
 
 
 def estimate_kind(

@@ -61,6 +61,7 @@ from .errors import (
 from .shiftspace import (
     Point,
     ShiftSpace,
+    _strong_components,
     _walk,
     count_words,
     make_space,
@@ -74,24 +75,6 @@ ROW_SUM_TOL = 1e-12
 ENUMERATION_LIMIT = 2**22
 #: Counts below this are recovered exactly by rounding exp(log_count).
 _EXACT_COUNT_LIMIT = float(2**40)
-
-
-def _strongly_connected(positive: np.ndarray) -> bool:
-    """True when the digraph of positive entries is strongly connected."""
-    n = positive.shape[0]
-    for graph in (positive, positive.T):
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            s = frontier.pop()
-            for t in np.flatnonzero(graph[s]):
-                t = int(t)
-                if t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
-        if len(seen) != n:
-            return False
-    return True
 
 
 def stationary(P) -> np.ndarray:
@@ -115,7 +98,7 @@ def stationary(P) -> np.ndarray:
     if not np.all(np.abs(rows - 1.0) <= ROW_SUM_TOL):
         raise BadMeasure(f"rows must sum to 1 within {ROW_SUM_TOL}, got sums {rows}")
     n = mat.shape[0]
-    if not _strongly_connected(mat > 0):
+    if len(_strong_components(mat > 0)) != 1:
         raise Reducible("positive-entry digraph is not strongly connected")
     Q = mat.copy()
     for k in range(n - 1, 0, -1):

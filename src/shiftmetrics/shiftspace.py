@@ -241,19 +241,56 @@ def count_words(space: ShiftSpace, length: int) -> int:
     return word_counts(space, (length,))[0]
 
 
+def _reachable(graph: np.ndarray, start: int) -> np.ndarray:
+    """Mask of the nodes reachable from ``start`` along the digraph's set
+    entries, one breadth-first level per step."""
+    seen = np.zeros(graph.shape[0], dtype=bool)
+    seen[start] = True
+    frontier = seen
+    while frontier.any():
+        frontier = graph[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return seen
+
+
+def _strong_components(positive: np.ndarray) -> list[list[int]]:
+    """The strongly connected classes of the digraph of set entries, each
+    sorted, ordered by their smallest node."""
+    left = np.ones(positive.shape[0], dtype=bool)
+    classes = []
+    while left.any():
+        node = int(np.argmax(left))
+        members = _reachable(positive, node) & _reachable(positive.T, node)
+        classes.append(np.flatnonzero(members).tolist())
+        left &= ~members
+    return classes
+
+
+def _perron_root(A: np.ndarray) -> float:
+    """The spectral radius of an irreducible nonnegative matrix: exactly 1 when
+    its graph is one cycle (one edge out of every state), else the largest
+    real part among its eigenvalues."""
+    if (A.sum(axis=1) == 1).all():
+        return 1.0
+    return float(np.linalg.eigvals(A).real.max())
+
+
 def top_entropy_oracle(space: ShiftSpace) -> float:
     """Topological entropy: log of the trimmed adjacency's spectral radius.
 
     Full shifts return ln(M) directly.  A subshift returns ln of the largest
-    real part among the eigenvalues of its trimmed adjacency: the spectral
-    radius of a nonnegative matrix is itself an eigenvalue, so periodic and
-    reducible subshifts are covered too.
+    Perron root over the irreducible components of its trimmed adjacency
+    (Lind & Marcus 1995, section 4.4); a component with no internal edge
+    contributes nothing.  Each component's root is simple, so its
+    eigen-solve is accurate to rounding where the whole reducible matrix's
+    repeated roots are not.
     """
     if space.is_full:
         return math.log(space.alphabet_size)
     alive = space.alive_states
     A = space.adjacency[np.ix_(alive, alive)].astype(float)
-    return math.log(np.linalg.eigvals(A).real.max())
+    blocks = (A[np.ix_(c, c)] for c in _strong_components(A > 0))
+    return math.log(max(_perron_root(B) for B in blocks if B.any()))
 
 
 def point_from_window(space: ShiftSpace, symbols: Sequence[int]) -> Point:

@@ -48,6 +48,7 @@ from shiftmetrics.estimators import (
     KINDS,
     TYPICAL_BATCH_BYTES,
     _average,
+    _fit_rows,
     _fit_slope,
     estimate_kind,
     kind_ladder,
@@ -613,6 +614,52 @@ class TestDerivedDiagnostics:
     )
     def test_relation_passes_iff_rel_at_most_tol(self, rel, passed):
         assert RelationReport("x", 1.0, 1.0, rel, tolerance=0.02).passed is passed
+
+
+class TestRowFits:
+    """An average fits every typical row in one ``_fit_rows`` call, whose rows
+    keep the bits of one-row fits, and builds one ``SlopeEstimate``."""
+
+    @pytest.mark.parametrize("kind", ["pointwise_dimension", "brin_katok", "alpha_brin_katok"])
+    def test_average_builds_one_estimate(self, kind, monkeypatch):
+        built = []
+        post_init = SlopeEstimate.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(SlopeEstimate, "__post_init__", counting)
+        spec = KINDS[kind]
+        est = estimate_kind(
+            kind, GOLDEN, PARAMS, GOLDEN_MARKOV, kind_ladder(kind), spec.rate_from(), n_points=40
+        )
+        assert len(built) == 1 and built[0] is est
+        assert len(est.point_slopes) == 40
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_windows=st.integers(2, 40),
+        n_rows=st.integers(1, 120),
+        falling=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_are_one_row_fits(self, n_windows, n_rows, falling, seed):
+        rng = np.random.default_rng(seed)
+        xs = np.sort(rng.uniform(1.0, 600.0, n_windows))
+        xs = (-xs if falling else xs).tolist()
+        block = 0.7 * np.array(xs) + rng.normal(0.0, rng.uniform(0.01, 50.0), (n_rows, n_windows))
+        fits = _fit_rows(xs, block)
+        for row, ys in enumerate(block.tolist()):
+            one = _fit_slope(xs, ys, (), False)
+            ref = reference_fit_slope(xs, ys, (), False)
+            for name, value in zip(fits._fields, fits):
+                assert repr(float(value[row])) == repr(getattr(one, name)), name
+                assert repr(float(value[row])) == repr(getattr(ref, name)), name
+
+    def test_fewer_than_two_windows_refused_once(self):
+        with pytest.raises(HorizonExceeded, match="got 1"):
+            _fit_rows([1.0], np.zeros((5, 1)))
 
 
 class TestRelationSolver:

@@ -147,10 +147,9 @@ def test_graph_and_log_tables_stay_in_their_modules():
 SEEDED_STREAMS = {("shiftspace.py", "_walk"), ("cli.py", "_run_frink")}
 
 
-def test_seeded_stream_has_one_home():
-    """``src/`` calls ``default_rng`` only in ``shiftspace._walk`` (the
-    stream of every sampled point) and in ``cli._run_frink``'s synthetic
-    sample, so the exact-stream contract has one implementation."""
+def _callers(callee: str) -> set[tuple[str, str]]:
+    """The (file, top-level definition) pairs of ``src/`` that call ``callee``,
+    as a plain name or an attribute."""
     calls = set()
     for path in sorted(Path(shiftmetrics.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -159,9 +158,27 @@ def test_seeded_stream_has_one_home():
                 if isinstance(node, ast.Call):
                     func = node.func
                     name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                    if name == "default_rng":
+                    if name == callee:
                         calls.add((path.name, getattr(top, "name", f"line {node.lineno}")))
-    assert calls == SEEDED_STREAMS
+    return calls
+
+
+def test_seeded_stream_has_one_home():
+    """``src/`` calls ``default_rng`` only in ``shiftspace._walk`` (the
+    stream of every sampled point) and in ``cli._run_frink``'s synthetic
+    sample, so the exact-stream contract has one implementation."""
+    assert _callers("default_rng") == SEEDED_STREAMS
+
+
+#: the one function that may call ``np.linalg.lstsq``: the fit kernel
+#: behind every slope
+LEAST_SQUARES = {("estimators.py", "_fit_rows")}
+
+
+def test_least_squares_has_one_home():
+    """``src/`` calls ``lstsq`` only in ``estimators._fit_rows``, so every
+    slope, one-row fits and half fits included, is one least-squares solve."""
+    assert _callers("lstsq") == LEAST_SQUARES
 
 
 def test_default_rates_have_one_reader():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from reference import allows, coordinate, point_word, shift_point, trimmed_states
 from shiftmetrics import errors, shiftspace
 from shiftmetrics.shiftspace import (
+    _strong_components,
     count_words,
     make_space,
     point_from_window,
@@ -202,6 +203,51 @@ class TestTopEntropyOracle:
         sp = make_space(len(transition), transition)
         assert len(sp.alive_states) == len(transition)
         assert top_entropy_oracle(sp) == pytest.approx(h, rel=0, abs=1e-12)
+
+    def test_one_cycle_reads_zero_exactly(self):
+        # the whole-matrix eigen-solve read -2.2e-16 on the 3-cycle
+        sp = make_space(3, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        assert top_entropy_oracle(sp) == 0.0
+
+    def test_golden_components_in_series(self):
+        # components {0, 3} and {1, 2} are each a golden-mean graph, joined
+        # by the edge 1 -> 3; the whole matrix read 4.5e-9 off ln phi
+        sp = make_space(4, [[1, 0, 0, 1], [0, 0, 1, 1], [0, 1, 1, 0], [1, 0, 0, 0]])
+        phi = math.log((1 + math.sqrt(5)) / 2)
+        assert abs(top_entropy_oracle(sp) - phi) <= math.ulp(phi)
+
+    def test_two_cycles_in_series_read_zero_exactly(self):
+        # components {0, 3} and {1, 2} are 2-cycles; the whole matrix read 1.8e-8
+        sp = make_space(4, [[0, 0, 0, 1], [1, 0, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0]])
+        assert top_entropy_oracle(sp) == 0.0
+
+    def test_irreducible_and_triangular_keep_their_bits(self, golden):
+        # one component keeps the whole-matrix eigen-solve; self-loops read 1
+        assert top_entropy_oracle(golden) == math.log((1 + math.sqrt(5)) / 2)
+        assert top_entropy_oracle(make_space(2, [[1, 1], [0, 1]])) == 0.0
+
+    def test_every_three_state_adjacency(self):
+        # never negative; an irreducible adjacency that is not one cycle
+        # reads the whole-matrix eigen-solve bit for bit
+        for bits in range(1, 2**9):
+            A = np.array([(bits >> k) & 1 for k in range(9)]).reshape(3, 3)
+            try:
+                sp = make_space(3, A.tolist())
+            except errors.ShiftMetricsError:
+                continue
+            h = top_entropy_oracle(sp)
+            assert h >= 0.0, A
+            B = sp.adjacency[np.ix_(sp.alive_states, sp.alive_states)].astype(float)
+            if len(_strong_components(B > 0)) == 1 and not (B.sum(axis=1) == 1).all():
+                assert h == math.log(np.linalg.eigvals(B).real.max()), A
+
+    def test_strong_components(self):
+        # 0 <-> 3 and 1 <-> 2, one edge 1 -> 3 between, and 4 on its own
+        positive = np.zeros((5, 5), dtype=bool)
+        for s, t in ((0, 3), (3, 0), (1, 2), (2, 1), (1, 3)):
+            positive[s, t] = True
+        assert _strong_components(positive) == [[0, 3], [1, 2], [4]]
+        assert _strong_components(np.ones((3, 3), dtype=bool)) == [[0, 1, 2]]
 
     def test_growth_rate_matches_counts(self, golden):
         # independent consistency: ln count(L)/L approaches the oracle
