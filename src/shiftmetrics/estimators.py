@@ -42,9 +42,8 @@ from .errors import (
 )
 from .measures import (
     Measure,
-    _block_information,
-    _require_symbols,
-    minimal_cover_log_count,
+    _information_reader,
+    minimal_cover_log_counts,
     sample_typical,
     sample_typical_windows,
 )
@@ -66,7 +65,9 @@ DEFAULT_LADDER = (8, 40)
 #: Default shrinking rate ``r`` and discount rate ``alpha`` of the rated kinds.
 DEFAULT_RATES = {"r": 0.05, "alpha": 0.1}
 #: Most bytes the typical points of one average may take: a uniform and an
-#: int64 symbol, 16 bytes, per coordinate of every point.
+#: int64 symbol, 16 bytes, per coordinate of every point.  The uniforms are
+#: gone when the information costs are gathered, so the windows plus their
+#: float64 costs are still 16 bytes a coordinate.
 TYPICAL_BATCH_BYTES = 2**28
 
 
@@ -285,18 +286,23 @@ def _reach(ladder: _Ladder) -> int:
     return max(max(-window.lo, window.hi) for window in ladder.windows)
 
 
-def _read(ladder: _Ladder, log_size: Callable[[CylinderIndex], float]) -> SlopeEstimate:
-    """Fit a ladder's log sizes."""
-    ys = [ladder.sign * log_size(window) for window in ladder.windows]
+def _read(ladder: _Ladder, log_sizes: Sequence[float]) -> SlopeEstimate:
+    """Fit a ladder's log sizes, one per window in ladder order."""
+    ys = [ladder.sign * y for y in log_sizes]
     return _fit_slope(ladder.xs, ys, ladder.key, False)
+
+
+def _lengths(ladder: _Ladder) -> list[int]:
+    """The length of each of a ladder's windows, in ladder order."""
+    return [window.length for window in ladder.windows]
 
 
 def _read_words(space: ShiftSpace, ladder: _Ladder) -> SlopeEstimate:
     """Fit the ln word count of a ladder's windows, every distinct window
     length counted in one pass."""
-    lengths = sorted({window.length for window in ladder.windows})
+    lengths = sorted(set(_lengths(ladder)))
     log_counts = {n: math.log(c) for n, c in zip(lengths, word_counts(space, lengths))}
-    return _read(ladder, lambda window: log_counts[window.length])
+    return _read(ladder, [log_counts[n] for n in _lengths(ladder)])
 
 
 def _mass_block(
@@ -307,9 +313,10 @@ def _mass_block(
     kept windows) block of ``sign`` times the information -ln mu of each
     row's cylinder, and whether a window was dropped.
 
-    The symbols are checked against the measure once, not per depth.
+    The symbols are checked and the per-step costs gathered once, not per
+    depth.
     """
-    _require_symbols(mu, windows)
+    information = _information_reader(mu, windows)
     horizon = (windows.shape[1] - 1) // 2
     xs, columns = [], []
     saturated = False
@@ -317,12 +324,11 @@ def _mass_block(
         if max(-window.lo, window.hi) > horizon:
             saturated = True
             continue
-        block = windows[:, horizon + window.lo : horizon + window.hi + 1]
-        information = _block_information(mu, block)
-        if np.isinf(information).any():
+        column = information(horizon + window.lo, horizon + window.hi + 1)
+        if np.isinf(column).any():
             raise BadMeasure("the point leaves the support of the measure")
         xs.append(xv)
-        columns.append(ladder.sign * information)
+        columns.append(ladder.sign * column)
     block = np.column_stack(columns) if columns else np.empty((len(windows), 0))
     return xs, block, saturated
 
@@ -722,8 +728,9 @@ def _read_kind(
     if reads == "words":
         return _read_words(space, steps)
     if reads == "cover":
-        # minimal_cover_log_count refuses a delta outside (0, 1)
-        return _read(steps, lambda window: minimal_cover_log_count(mu, window.length, delta))
+        # minimal_cover_log_counts refuses a delta outside (0, 1), and takes
+        # every window's cover count from one pass over the ladder
+        return _read(steps, minimal_cover_log_counts(mu, _lengths(steps), delta))
     xs, block, saturated = _mass_block(mu, windows, steps)
     return _mean_fit(_fit_rows(xs, block), steps.key, saturated)
 

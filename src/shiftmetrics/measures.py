@@ -25,8 +25,10 @@ are provided, tried in this order:
    ``L^2 - L + 2``, and these classes are built at every length, without a
    check against ``ENUMERATION_LIMIT``.  Every other chain's classes are its
    transition-count classes: the start state and how often the word takes
-   each positive edge, built by one sorted merge per symbol appended; there
-   are at most ``M C(L + e - 2, e - 1)`` of them for ``M`` states and ``e``
+   each positive edge, built by one sorted merge per symbol appended, run
+   once to the longest length a call asks for (``minimal_cover_log_counts``
+   reads every length's classes as the merge reaches it); there are at
+   most ``M C(L + e - 2, e - 1)`` of them for ``M`` states and ``e``
    positive edges, and never more than the support words.  Past
    ``ENUMERATION_LIMIT`` type or transition-count classes (for a chain: when
    both that bound and the support word count exceed it) the measure goes
@@ -44,7 +46,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -204,14 +206,19 @@ def _require_symbols(mu: Measure, symbols: np.ndarray) -> None:
         )
 
 
-def _block_information(mu: Measure, blocks: np.ndarray) -> np.ndarray:
-    """-ln of the (anchor-free, by stationarity) cylinder mass of each row of
-    a 2-D int64 array of nonempty blocks whose symbols are checked; +inf
-    where the mass is 0."""
+def _information_reader(mu: Measure, windows: np.ndarray) -> Callable[[int, int], np.ndarray]:
+    """Check the symbols of a 2-D int64 array of windows and gather their
+    per-step log costs once: ``ln w`` of each symbol (Bernoulli), ``ln P`` of
+    each step (chain).  The reader maps columns ``lo..hi - 1`` to -ln of each
+    row's (anchor-free, by stationarity) cylinder mass, +inf where it is 0:
+    the floats and row reduction of a gather of that block alone."""
+    _require_symbols(mu, windows)
     if isinstance(mu, BernoulliMeasure):
-        return -mu._log_pi[blocks].sum(axis=1)
+        costs = mu._log_pi[windows]
+        return lambda lo, hi: -costs[:, lo:hi].sum(axis=1)
     if isinstance(mu, MarkovMeasure):
-        return -(mu._log_pi[blocks[:, 0]] + mu._log_P[blocks[:, :-1], blocks[:, 1:]].sum(axis=1))
+        costs = mu._log_P[windows[:, :-1], windows[:, 1:]]
+        return lambda lo, hi: -(mu._log_pi[windows[:, lo]] + costs[:, lo : hi - 1].sum(axis=1))
     raise BadMeasure(f"unsupported measure type {type(mu).__name__}")
 
 
@@ -416,23 +423,42 @@ def _bernoulli_spectrum(mu: BernoulliMeasure, length: int):
     return log_mass, log_count
 
 
-def _transition_count_spectrum(mu: MarkovMeasure, length: int):
+def _transition_count_spectra(mu: MarkovMeasure, lengths: Iterable[int]) -> Iterator:
+    """Yield ``(length, (log_mass, log_count))`` for each distinct requested
+    length >= 1 whose transition-count classes are admitted, in ascending
+    order, from one sorted merge run to the longest of them.
+
+    A length is admitted when its classes' bound ``M C(L + e - 2, e - 1)``
+    or its support word count is within ``ENUMERATION_LIMIT``.  Each
+    length's classes are yielded as the merge reaches it, so no spectrum
+    need outlive its step.
+    """
     # A word's mass is pi_s prod P_ij^N_ij, so its class is its start s and
     # its transition counts N over the positive edges (Whittle 1955).
     m = mu.alphabet_size
     src, dst = np.nonzero(np.isfinite(mu._log_P))  # positive edges, row-major
     e = src.size
-    if (
-        m * math.comb(length + e - 2, e - 1) > ENUMERATION_LIMIT
-        and support_word_count(mu, length) > ENUMERATION_LIMIT
-    ):
-        return None
+    wanted = {
+        length
+        for length in set(lengths)
+        if length >= 1
+        and (
+            m * math.comb(length + e - 2, e - 1) <= ENUMERATION_LIMIT
+            or support_word_count(mu, length) <= ENUMERATION_LIMIT
+        )
+    }
+    if not wanted:
+        return
+    top = max(wanted)
     # exact integer keys: the digits are the start (radix m), then each
-    # edge's count (radix L: a count is at most L - 1), packed mixed-radix
-    # into as many int64 words as they need, so no alphabet overflows
+    # edge's count (radix top: a count is at most top - 1), packed
+    # mixed-radix into as many int64 words as they need, so no alphabet
+    # overflows.  The sorted key order is digit-lexicographic at any radix,
+    # so every length's classes come out in the order of a merge packed at
+    # its own length.
     word, place = [], []
     w, span = 0, 1
-    for radix in [m] + [length] * e:
+    for radix in [m] + [top] * e:
         if span * radix > 2**63:
             w, span = w + 1, 1
         word.append(w)
@@ -448,26 +474,29 @@ def _transition_count_spectrum(mu: MarkovMeasure, length: int):
     # exact in float64 below 2**53
     last = np.arange(m)
     counts = np.ones(m)
-    for _ in range(length - 1):
-        reps = degree[last]
-        edge = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps - first_edge[last], reps)
-        keys = np.repeat(keys, reps, axis=0)
-        keys[np.arange(edge.size), edge_word[edge]] += edge_place[edge]
-        # on one key word argsort is about 4x faster than lexsort
-        order = np.argsort(keys[:, 0]) if w == 0 else np.lexsort(keys.T)
-        keys, last, counts = keys[order], dst[edge[order]], np.repeat(counts, reps)[order]
-        starts = np.flatnonzero(np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1))))
-        keys, last, counts = keys[starts], last[starts], np.add.reduceat(counts, starts)
-    # ln mass = ln pi_s + sum N_ij ln P_ij, added in the fixed edge order
-    log_mass = mu._log_pi[keys[:, 0] % m]
-    for j in range(e):
-        log_mass += keys[:, edge_word[j]] // place[j + 1] % length * mu._log_P[src[j], dst[j]]
-    return log_mass, np.log(counts)
+    for length in range(1, top + 1):
+        if length > 1:
+            reps = degree[last]
+            offset = np.cumsum(reps) - reps - first_edge[last]
+            edge = np.arange(reps.sum()) - np.repeat(offset, reps)
+            keys = np.repeat(keys, reps, axis=0)
+            keys[np.arange(edge.size), edge_word[edge]] += edge_place[edge]
+            # on one key word argsort is about 4x faster than lexsort
+            order = np.argsort(keys[:, 0]) if w == 0 else np.lexsort(keys.T)
+            keys, last, counts = keys[order], dst[edge[order]], np.repeat(counts, reps)[order]
+            starts = np.flatnonzero(np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1))))
+            keys, last, counts = keys[starts], last[starts], np.add.reduceat(counts, starts)
+        if length in wanted:
+            # ln mass = ln pi_s + sum N_ij ln P_ij, added in the fixed edge order
+            log_mass = mu._log_pi[keys[:, 0] % m]
+            for j in range(e):
+                log_mass += keys[:, edge_word[j]] // place[j + 1] % top * mu._log_P[src[j], dst[j]]
+            yield length, (log_mass, np.log(counts))
 
 
 def _markov_spectrum(mu: MarkovMeasure, length: int):
     if mu.alphabet_size != 2:
-        return _transition_count_spectrum(mu, length)
+        return next((spectrum for _, spectrum in _transition_count_spectra(mu, (length,))), None)
     logpi, logP = mu._log_pi, mu._log_P
     if length == 1:
         return logpi.copy(), np.zeros(2)
@@ -686,25 +715,54 @@ def _pq_cover_log_count(mu: Measure, length: int, delta: float) -> float:
     raise _mass_shortfall(length, covered, delta)
 
 
-def minimal_cover_log_count(mu: Measure, length: int, delta: float) -> float:
-    """ln of the minimal number of window cylinders of total mass >= 1 - delta.
+def minimal_cover_log_counts(
+    mu: Measure, lengths: Iterable[int], delta: float
+) -> tuple[float, ...]:
+    """ln of the minimal number of window cylinders of total mass >= 1 - delta,
+    one for each requested window length.
 
-    Cylinders of a fixed window partition the space, so the minimum is
-    achieved by taking cylinders in descending mass order.  The count is
-    computed exactly via the mass spectrum when the measure's classes
-    number at most ``ENUMERATION_LIMIT``, and via best-first prefix
-    expansion otherwise; ``WindowTooLarge`` signals that the expansion
-    would pop more than ``ENUMERATION_LIMIT`` nodes.
+    The lengths may come in any order and repeat.  Cylinders of a fixed
+    window partition the space, so the minimum is achieved by taking
+    cylinders in descending mass order.  The count is computed exactly via
+    the mass spectrum when the measure's classes number at most
+    ``ENUMERATION_LIMIT``, and via best-first prefix expansion otherwise;
+    ``WindowTooLarge`` signals that the expansion would pop more than
+    ``ENUMERATION_LIMIT`` nodes.  A chain on three or more states runs one
+    transition-count merge up to its longest admitted length, and takes each
+    length's cover count as the merge reaches it; Bernoulli and two-state
+    spectra are built per length.  The first length, in the order given,
+    whose cover fails raises.
     """
     if not math.isfinite(delta):
         raise HypothesisViolated(f"delta must be finite, got {delta}")
     if not 0.0 < delta < 1.0:
         raise HypothesisViolated(f"delta must lie in (0, 1), got {delta}")
-    if length < 0:
-        raise InadmissibleWord(f"window length must be >= 0, got {length}")
-    if length == 0:
-        return 0.0
-    spectrum = log_mass_spectrum(mu, length)
-    if spectrum is not None:
-        return _cover_from_sorted(spectrum[0], spectrum[1], delta, length)
-    return _pq_cover_log_count(mu, length, delta)
+    lengths = tuple(lengths)
+    for length in lengths:
+        if length < 0:
+            raise InadmissibleWord(f"window length must be >= 0, got {length}")
+    # each length's ln count, or the refusal to raise when its turn comes
+    covers: dict[int, float | WindowTooLarge] = {0: 0.0}
+    merged = isinstance(mu, MarkovMeasure) and mu.alphabet_size != 2
+    if merged:
+        for length, (log_mass, log_count) in _transition_count_spectra(mu, lengths):
+            try:
+                covers[length] = _cover_from_sorted(log_mass, log_count, delta, length)
+            except WindowTooLarge as exc:
+                covers[length] = exc
+    for length in lengths:
+        if length not in covers:
+            spectrum = None if merged else log_mass_spectrum(mu, length)
+            if spectrum is None:
+                covers[length] = _pq_cover_log_count(mu, length, delta)
+            else:
+                covers[length] = _cover_from_sorted(spectrum[0], spectrum[1], delta, length)
+        if isinstance(covers[length], WindowTooLarge):
+            raise covers[length]
+    return tuple(covers[length] for length in lengths)
+
+
+def minimal_cover_log_count(mu: Measure, length: int, delta: float) -> float:
+    """ln of the minimal number of window cylinders of total mass >= 1 - delta:
+    the one-length case of ``minimal_cover_log_counts``."""
+    return minimal_cover_log_counts(mu, (length,), delta)[0]

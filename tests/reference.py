@@ -35,9 +35,14 @@ bracket on the spectral radius.
 
 The typical-point section holds the per-seed sampler walk
 ``reference_sample_window`` (one ``bisect_right`` per symbol, with its own
-time-reversed kernel) and the one-block scalar mass
-``reference_block_log_mass``: the oracles of ``sample_typical_windows``
-and of the batch information read that replaced them.
+time-reversed kernel), the one-block scalar mass
+``reference_block_log_mass`` and the per-window batch information
+``reference_block_information``: the oracles of ``sample_typical_windows``
+and of the information read off a batch's costs gathered once.  The
+exact-cover section holds the closed-form spectra, the per-length
+transition-count merge ``reference_transition_count_spectrum`` (the oracle
+of the one merge per call that ``measures`` runs) and the per-group
+equal-mass merge.
 
 The last section holds the oracles of the window arithmetic in
 ``shiftmetrics.cylinders``: the per-shift union ``alpha_union_window`` that
@@ -89,6 +94,7 @@ from shiftmetrics.errors import (
     SaturatedDistances,
     ShiftMetricsError,
 )
+from shiftmetrics import measures
 from shiftmetrics.estimators import SPREAD_TOL
 from shiftmetrics.measures import (
     _COVER_SLACK,
@@ -784,6 +790,18 @@ def reference_block_log_mass(mu: Measure, w: np.ndarray) -> float:
     raise BadMeasure(f"unsupported measure type {type(mu).__name__}")
 
 
+def reference_block_information(mu: Measure, blocks: np.ndarray) -> np.ndarray:
+    """-ln of the (anchor-free, by stationarity) cylinder mass of each row of
+    a 2-D int64 array of nonempty blocks whose symbols are checked, +inf
+    where the mass is 0: one gather of the block's own log costs, as the
+    package read each ladder window before it gathered a batch's costs once."""
+    if isinstance(mu, BernoulliMeasure):
+        return -mu._log_pi[blocks].sum(axis=1)
+    if isinstance(mu, MarkovMeasure):
+        return -(mu._log_pi[blocks[:, 0]] + mu._log_P[blocks[:, :-1], blocks[:, 1:]].sum(axis=1))
+    raise BadMeasure(f"unsupported measure type {type(mu).__name__}")
+
+
 def log_word_mass(mu: Measure, symbols) -> float:
     """ln of the cylinder mass of a symbol block; -inf when the mass is 0.
 
@@ -1042,6 +1060,51 @@ def reference_markov_spectrum(mu: MarkovMeasure, length: int):
                 masses.append(log_mass[keep])
                 counts.append(log_count[keep])
     return np.concatenate(masses), np.concatenate(counts)
+
+
+def reference_transition_count_spectrum(mu: MarkovMeasure, length: int):
+    """Transition-count classes of one window length >= 1, from a sorted merge
+    of its own, with keys packed at radix ``length``; ``None`` when both their
+    bound ``M C(L + e - 2, e - 1)`` and the support word count pass
+    ``measures.ENUMERATION_LIMIT``."""
+    m = mu.alphabet_size
+    src, dst = np.nonzero(np.isfinite(mu._log_P))  # positive edges, row-major
+    e = src.size
+    if (
+        m * math.comb(length + e - 2, e - 1) > measures.ENUMERATION_LIMIT
+        and reference_support_word_count(mu, length) > measures.ENUMERATION_LIMIT
+    ):
+        return None
+    # digits: the start (radix m), then each edge's count (radix L)
+    word, place = [], []
+    w, span = 0, 1
+    for radix in [m] + [length] * e:
+        if span * radix > 2**63:
+            w, span = w + 1, 1
+        word.append(w)
+        place.append(span)
+        span *= radix
+    edge_word = np.array(word[1:])
+    edge_place = np.array(place[1:], dtype=np.int64)
+    first_edge = np.searchsorted(src, np.arange(m))
+    degree = np.bincount(src, minlength=m)
+    keys = np.zeros((m, w + 1), dtype=np.int64)
+    keys[:, 0] = np.arange(m)
+    last = np.arange(m)
+    counts = np.ones(m)
+    for _ in range(length - 1):
+        reps = degree[last]
+        edge = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps - first_edge[last], reps)
+        keys = np.repeat(keys, reps, axis=0)
+        keys[np.arange(edge.size), edge_word[edge]] += edge_place[edge]
+        order = np.argsort(keys[:, 0]) if w == 0 else np.lexsort(keys.T)
+        keys, last, counts = keys[order], dst[edge[order]], np.repeat(counts, reps)[order]
+        starts = np.flatnonzero(np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1))))
+        keys, last, counts = keys[starts], last[starts], np.add.reduceat(counts, starts)
+    log_mass = mu._log_pi[keys[:, 0] % m]
+    for j in range(e):
+        log_mass += keys[:, edge_word[j]] // place[j + 1] % length * mu._log_P[src[j], dst[j]]
+    return log_mass, np.log(counts)
 
 
 def reference_bernoulli_spectrum(mu: BernoulliMeasure, length: int):

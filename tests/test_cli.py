@@ -576,7 +576,7 @@ class TestExitCodes:
         # katok samples no points, so it used to count covers of such a measure
         path = tmp_path / "three.json"
         path.write_text('{"type": "bernoulli", "weights": [0.2, 0.3, 0.5]}', encoding="utf-8")
-        for name in ("word_counts", "sample_typical_windows", "minimal_cover_log_count"):
+        for name in ("word_counts", "sample_typical_windows", "minimal_cover_log_counts"):
             monkeypatch.setattr(estimators, name, _refuse)
         assert main([quantity, "--measure", str(path)]) == 2
         captured = capsys.readouterr()

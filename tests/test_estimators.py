@@ -31,7 +31,14 @@ from shiftmetrics import (
     standard_bundle,
     verify_identities,
 )
-from shiftmetrics import alpha_window, ball_window, bowen_window, estimators, neutralized_window
+from shiftmetrics import (
+    alpha_window,
+    ball_window,
+    bowen_window,
+    estimators,
+    measures,
+    neutralized_window,
+)
 from shiftmetrics.errors import (
     AlphaTooLarge,
     BadMeasure,
@@ -614,6 +621,41 @@ class TestDerivedDiagnostics:
     )
     def test_relation_passes_iff_rel_at_most_tol(self, rel, passed):
         assert RelationReport("x", 1.0, 1.0, rel, tolerance=0.02).passed is passed
+
+
+class TestOnePassPerLadder:
+    """A cover ladder makes one transition-count merge, and an average
+    gathers its batch's information costs once."""
+
+    def test_katok_on_three_states_runs_one_merge(self, monkeypatch):
+        merges = []
+        merge = measures._transition_count_spectra
+
+        def counting(mu, lengths):
+            merges.append(tuple(lengths))
+            return merge(mu, lengths)
+
+        monkeypatch.setattr(measures, "_transition_count_spectra", counting)
+        chain = MarkovMeasure(((0.2, 0.5, 0.3), (0.4, 0.1, 0.5), (0.3, 0.3, 0.4)))
+        est = estimate_kind("katok", make_space(3), PARAMS, chain, range(4, 13))
+        assert len(est.points) == 9
+        assert merges == [tuple(range(5, 14))]
+
+    @pytest.mark.parametrize("kind", ["pointwise_dimension", "brin_katok", "alpha_brin_katok"])
+    def test_average_gathers_its_costs_once(self, kind, monkeypatch):
+        gathers = []
+        reader = estimators._information_reader
+
+        def counting(mu, windows):
+            gathers.append(windows.shape)
+            return reader(mu, windows)
+
+        monkeypatch.setattr(estimators, "_information_reader", counting)
+        spec = KINDS[kind]
+        ladder, rate = kind_ladder(kind), spec.rate_from()
+        est = estimate_kind(kind, GOLDEN, PARAMS, GOLDEN_MARKOV, ladder, rate, n_points=40)
+        assert len(gathers) == 1 and gathers[0][0] == 40
+        assert len(est.point_slopes) == 40
 
 
 class TestRowFits:

@@ -22,6 +22,7 @@ KEPT = {
     "alpha_estimation_entropy": "hooked by the benchmark tracer",
     "enumerate_log_masses": "hooked by the benchmark tracer",
     "count_words": "hooked by the benchmark tracer",
+    "minimal_cover_log_count": "hooked by the benchmark tracer",
     "sample_point": "hooked by the benchmark tracer",
     "sample_typical": "hooked by the benchmark tracer",
     "average_over_typical": "hooked by the benchmark tracer",

@@ -12,7 +12,9 @@ draws every symbol with ``rng.choice(m, p=law)`` in the order center,
 forward, backward; ``reference_sample_window`` in ``reference.py`` is the
 per-seed ``bisect_right`` walk that the batch sampler
 ``sample_typical_windows`` replaced, ``reference_block_log_mass`` the
-one-block scalar mass that the batch information read replaced, and
+one-block scalar mass that the batch information read replaced,
+``reference_block_information`` the per-window gather that the reader of
+one gather per batch replaced, and
 ``reference_point_fit`` reads one window's ladder through it; ``reference_is_admissible`` walks the word symbol by
 symbol; ``reference_cover_length_at_radius`` and
 ``reference_cover_length_at_log_radius`` are the closed-form window lengths
@@ -38,12 +40,15 @@ and ``reference_merge_equal_mass`` (one reduction per tie group) are the
 cover kernels that the broadcast spectrum, the type-class spectrum and the
 ``reduceat`` merge replaced, and ``enumerate_log_masses`` fed to
 ``_cover_from_sorted`` is the word-by-word cover that the transition-count
-spectrum replaced.  The fast versions must agree exactly.
+spectrum replaced; ``reference_transition_count_spectrum`` is the merge of
+one length, with keys packed at that length, that one merge per call to the
+longest length replaced.  The fast versions must agree exactly.
 """
 import dataclasses
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -62,6 +67,7 @@ from reference import (
     reference_alive_states,
     reference_average,
     reference_bernoulli_spectrum,
+    reference_block_information,
     reference_block_log_mass,
     reference_check_quasi_metric,
     reference_fit_slope,
@@ -72,6 +78,7 @@ from reference import (
     reference_minimax_closure,
     reference_sample_window,
     reference_shifted_rho_table,
+    reference_transition_count_spectrum,
     reference_verify_hyperbolicity,
     sampled_hyperbolicity,
     sampled_pair_distances,
@@ -94,6 +101,7 @@ from shiftmetrics import (
     make_space,
     mather_n0,
     minimal_cover_log_count,
+    minimal_cover_log_counts,
     p_of_log_r,
     p_of_r,
     point_from_window,
@@ -108,6 +116,7 @@ from shiftmetrics import (
 )
 from shiftmetrics import measures
 from shiftmetrics.errors import (
+    BadMeasure,
     DifferentSpaces,
     HypothesisViolated,
     QuasiMetricViolated,
@@ -120,15 +129,18 @@ from shiftmetrics.estimators import (
     DEFAULT_LADDER,
     DEFAULT_R1,
     KINDS,
+    _mass_block,
     estimate_kind,
     kind_ladder,
 )
 from shiftmetrics.measures import (
     _bernoulli_spectrum,
-    _block_information,
     _cover_from_sorted,
+    _information_reader,
     _markov_spectrum,
     _merge_equal_mass,
+    _pq_cover_log_count,
+    _transition_count_spectra,
     reversed_kernel,
 )
 from shiftmetrics.metrics import (
@@ -261,10 +273,12 @@ def test_batch_seeds_are_integers_at_least_zero(name):
 def test_batch_information_is_the_scalar_mass(name):
     mu = MEASURES[name]
     windows = sample_typical_windows(mu, 160, BATCH_SEEDS)
+    information = _information_reader(mu, windows)
     for lo, hi in ((0, 1), (160, 161), (5, 7), (100, 221), (0, 321)):
         block = windows[:, lo:hi]
         expected = np.array([-reference_block_log_mass(mu, row) for row in block])
-        assert _block_information(mu, block).tobytes() == expected.tobytes(), (lo, hi)
+        assert information(lo, hi).tobytes() == expected.tobytes(), (lo, hi)
+        assert reference_block_information(mu, block).tobytes() == expected.tobytes(), (lo, hi)
 
 
 @pytest.mark.parametrize(
@@ -273,10 +287,71 @@ def test_batch_information_is_the_scalar_mass(name):
 )
 def test_batch_information_of_a_null_cylinder(name, blocks):
     mu = MEASURES[name]
-    information = _block_information(mu, np.array(blocks))
+    information = _information_reader(mu, np.array(blocks))(0, 3)
     expected = np.array([-reference_block_log_mass(mu, np.array(b)) for b in blocks])
     assert information.tobytes() == expected.tobytes()
     assert math.isfinite(information[0]) and information[1] == math.inf
+
+
+#: both families, each with a null cylinder: a zero weight, and a zero
+#: transition on a chain of two and of three states
+INFORMATION_MEASURES = (
+    MEASURES["bernoulli(.3,.7)"],
+    MEASURES["bernoulli(.5,0,.5)"],
+    MEASURES["markov(golden)"],
+    MARKOV_3,
+    MarkovMeasure(((0.2, 0.8, 0.0), (0.5, 0.0, 0.5), (1.0, 0.0, 0.0))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mu=st.sampled_from(INFORMATION_MEASURES),
+    horizon=st.integers(1, 200),
+    rows=st.integers(1, 12),
+    how=st.sampled_from(["sampled", "random", "one-symbol"]),
+    seed=st.integers(0, 2**32 - 1),
+    cuts=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=6),
+)
+def test_costs_gathered_once_give_each_window_its_own_bits(mu, horizon, rows, how, seed, cuts):
+    """The reader of one gather gives every window the bits of a gather of
+    that window alone: sampled, random (null cylinders included) and
+    one-symbol rows, windows of one symbol up to the whole row."""
+    width = 2 * horizon + 1
+    rng = np.random.default_rng(seed)
+    if how == "sampled":
+        windows = sample_typical_windows(mu, horizon, range(seed, seed + rows))
+    elif how == "random":
+        windows = rng.integers(0, mu.alphabet_size, (rows, width))
+    else:
+        windows = np.repeat(rng.integers(0, mu.alphabet_size, (rows, 1)), width, axis=1)
+    information = _information_reader(mu, windows)
+    spans = [(0, width), (horizon, horizon + 1)]
+    for a, b in cuts:
+        lo = min(int(a * width), width - 1)
+        spans.append((lo, lo + 1 + min(int(b * (width - lo)), width - lo - 1)))
+    for lo, hi in spans:
+        expected = reference_block_information(mu, windows[:, lo:hi])
+        assert information(lo, hi).tobytes() == expected.tobytes(), (lo, hi)
+
+
+def test_a_window_off_the_support_is_refused():
+    """The first ladder window that holds a null cylinder refuses the batch;
+    a ladder short of it reads every row."""
+    mu = MEASURES["markov(golden)"]
+    windows = np.zeros((3, 21), dtype=np.int64)  # horizon 10, all zeros
+    windows[1, 16:18] = 1  # the null step 1 -> 1 at coordinates 6, 7
+    short = _ladder_of(range(2, 6))
+    xs, block, saturated = _mass_block(mu, windows, short)
+    assert len(xs) == 4 and block.shape == (3, 4) and not saturated
+    assert np.isfinite(block).all()
+    with pytest.raises(BadMeasure, match="the point leaves the support of the measure"):
+        _mass_block(mu, windows, _ladder_of(range(2, 16)))
+
+
+def _ladder_of(depths):
+    """Bowen windows of the golden shift at the given depths."""
+    return KINDS["brin_katok"].ladder(MetricParams(2.0, 2.0), depths, 0.0, DEFAULT_R1)
 
 
 def reference_point_fit(mu, row, ladder):
@@ -1211,6 +1286,115 @@ def test_transition_count_cover_equals_the_enumerated_cover(name):
         for delta in (0.05, 0.1, 0.25, 0.4, 0.9):
             slow = _cover_from_sorted(masses, np.zeros(masses.shape), delta, length)
             assert minimal_cover_log_count(mu, length, delta) == slow, (length, delta)
+
+
+@st.composite
+def chains_with_zeros(draw):
+    """An irreducible chain on 3 to 5 states with random zero entries: the
+    cycle 0 -> 1 -> ... -> 0 stays positive, any other entry may be 0."""
+    m = draw(st.integers(3, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P = rng.uniform(0.05, 1.0, (m, m))
+    P[rng.random((m, m)) < draw(st.floats(0.0, 0.6))] = 0.0
+    P[np.arange(m), (np.arange(m) + 1) % m] += 0.1
+    return MarkovMeasure(tuple(map(tuple, P / P.sum(axis=1, keepdims=True))))
+
+
+#: the longest length drawn for each alphabet, so a merge stays small
+SPECTRUM_LENGTHS = {3: 9, 4: 7, 5: 6}
+
+
+@st.composite
+def spectrum_requests(draw):
+    """A chain, an unordered length list with repeats that holds 1, and an
+    enumeration limit, small enough that some lengths pass it."""
+    mu = draw(chains_with_zeros())
+    top = SPECTRUM_LENGTHS[mu.alphabet_size]
+    lengths = st.lists(st.integers(1, top), max_size=7)
+    lengths = draw(lengths.flatmap(lambda drawn: st.permutations([1, *drawn])))
+    limit = draw(st.sampled_from([30, 200, 3000, measures.ENUMERATION_LIMIT]))
+    return mu, lengths, limit
+
+
+def reference_covers(mu, lengths, delta):
+    """Each length's cover count from its own per-length spectrum, prefix
+    expansion past the limit, refusing at the first length that fails."""
+    out = []
+    for length in lengths:
+        spectrum = reference_transition_count_spectrum(mu, length)
+        if spectrum is None:
+            out.append(_pq_cover_log_count(mu, length, delta))
+        else:
+            out.append(_cover_from_sorted(*spectrum, delta, length))
+    return tuple(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(request=spectrum_requests())
+def test_one_merge_gives_every_length_its_own_spectrum(request):
+    mu, lengths, limit = request
+    with mock.patch.object(measures, "ENUMERATION_LIMIT", limit):
+        merged = dict(_transition_count_spectra(mu, lengths))
+        expected = {length: reference_transition_count_spectrum(mu, length) for length in lengths}
+    assert sorted(merged) == sorted(n for n, spectrum in expected.items() if spectrum is not None)
+    for length, (log_mass, log_count) in merged.items():
+        assert_bitwise(log_mass, expected[length][0])
+        assert_bitwise(log_count, expected[length][1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(request=spectrum_requests(), delta=st.sampled_from([0.05, 0.25, 0.5, 0.9]))
+def test_one_merge_gives_every_length_its_own_cover(request, delta):
+    """Covers of many lengths from one call: the per-length covers, bit for
+    bit, or the refusal of the first length that fails, in the order given."""
+    mu, lengths, limit = request
+    with mock.patch.object(measures, "ENUMERATION_LIMIT", limit):
+        try:
+            expected = reference_covers(mu, lengths, delta)
+        except WindowTooLarge as exc:
+            with pytest.raises(WindowTooLarge) as caught:
+                minimal_cover_log_counts(mu, lengths, delta)
+            assert str(caught.value) == str(exc)
+        else:
+            assert minimal_cover_log_counts(mu, lengths, delta) == expected
+
+
+def test_five_state_merge_repacks_nothing():
+    """Keys packed at L = 7 take two int64 words where L = 5 takes one, and
+    each length keeps the bits of its own merge."""
+    mu, _ = TRANSITION_COUNT_CHAINS["five-state"]
+    assert 5 * 5**25 <= 2**63 < 5 * 7**25
+    merged = dict(_transition_count_spectra(mu, (7, 5, 6, 5)))
+    assert sorted(merged) == [5, 6, 7]
+    for length, (log_mass, log_count) in merged.items():
+        slow_mass, slow_count = reference_transition_count_spectrum(mu, length)
+        assert_bitwise(log_mass, slow_mass)
+        assert_bitwise(log_count, slow_count)
+
+
+@pytest.mark.parametrize("lengths", [(40, 301), (301, 40), (5, 301, 40)])
+def test_first_refused_length_in_order_raises(lengths):
+    first = next(n for n in lengths if n > 13)
+    with pytest.raises(WindowTooLarge, match=f"at window length {first}:"):
+        minimal_cover_log_counts(MARKOV_3, lengths, 0.25)
+
+
+def test_a_merged_length_refuses_in_its_turn(monkeypatch):
+    """A cover the merge reaches first still refuses in the order given."""
+    cover = measures._cover_from_sorted
+
+    def short_at_6_and_7(log_mass, log_count, delta, length):
+        if length in (6, 7):
+            raise measures._mass_shortfall(length, 0.5, delta)
+        return cover(log_mass, log_count, delta, length)
+
+    monkeypatch.setattr(measures, "_cover_from_sorted", short_at_6_and_7)
+    for lengths, first in (((5, 7, 6), 7), ((6, 7), 6), ((8, 6), 6)):
+        with pytest.raises(WindowTooLarge, match=f"window length {first}: total mass 0.5"):
+            minimal_cover_log_counts(MARKOV_3, lengths, 0.25)
+    assert minimal_cover_log_counts(MARKOV_3, (5, 8, 5), 0.25)[0] == cover(
+        *reference_transition_count_spectrum(MARKOV_3, 5), 0.25, 5
+    )
 
 
 def test_no_cover_enumerates_words(monkeypatch):
